@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cnext.cli import atomic_write
 from cnext.compress import make_scheme
+from cnext.config import RIDGE_TUNED
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum, ridge_objective
@@ -27,21 +28,24 @@ def main():
     ap.add_argument("--out", default="results/bits_comparison")
     ap.add_argument("--scheme", default="qnormsigned",
                     choices=("identity", "qnbbq", "randomk", "topk", "qnormsigned"))
-    ap.add_argument("--eta", type=float, default=0.021)
-    ap.add_argument("--alpha", type=float, default=0.25)
+    ap.add_argument("--eta", type=float, help="step size; the scheme's tuned value by default")
+    ap.add_argument("--alpha", type=float, help="memory weight; the scheme's tuned value by default")
     ap.add_argument("--target", type=float, default=1e-6)
     ap.add_argument("--iters", type=int, default=1000)
     args = ap.parse_args()
+    tuned = RIDGE_TUNED.get(args.scheme, {"eta": None, "alpha": 1.0, "k": None})
+    eta = tuned["eta"] if args.eta is None else args.eta
+    alpha = tuned["alpha"] if args.alpha is None else args.alpha
+    if eta is None:
+        ap.error(f"--eta is required: no tuned step size for {args.scheme}")
 
     ds = generate_ridge_synthetic(500, 20, 42)
     part = partition_homogeneous(ds, 10, 42)
     obj = ridge_objective(build_locals(ds, part), 0.5)
     net = metropolis_hastings_weights(build_ring(10))
     x_star = ridge_closed_form_optimum(obj)
-    k = {"randomk": 5, "topk": 3}.get(args.scheme)
-    scheme = make_scheme(args.scheme, obj.p, b=2, k=k, rng=np.random.default_rng(0))
-    hp = HyperParams(eta=args.eta, gamma=0.6, alpha_x=args.alpha, alpha_y=args.alpha,
-                     T=args.iters)
+    scheme = make_scheme(args.scheme, obj.p, b=2, k=tuned["k"], rng=np.random.default_rng(0))
+    hp = HyperParams(eta=eta, gamma=0.6, alpha_x=alpha, alpha_y=alpha, T=args.iters)
 
     os.makedirs(args.out, exist_ok=True)
     lines = ["variant,t,bits_cum,residual"]

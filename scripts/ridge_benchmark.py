@@ -15,18 +15,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cnext.cli import atomic_write, records_to_csv
 from cnext.compress import make_scheme
+from cnext.config import RIDGE_TUNED
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum, ridge_objective
 from cnext.solver import HyperParams, MODE_CNEXT, run
-
-# tuned (eta, alpha); alpha = 1 destabilizes the three larger-C operators at gamma = 0.6
-SCHEDULE = {
-    "qnbbq": dict(eta=0.0095, alpha=1.0, k=None),
-    "randomk": dict(eta=0.0012, alpha=0.5, k=5),
-    "topk": dict(eta=0.006, alpha=0.5, k=3),
-    "qnormsigned": dict(eta=0.021, alpha=0.25, k=None),
-}
 
 
 def main():
@@ -46,7 +39,7 @@ def main():
 
     print(f"instance: mu={obj.mu:.3f} L={obj.L:.3f} kappa={obj.kappa:.2f} rho={net.rho:.4f}")
     print(f"{'scheme':<14}{'eta':>8}{'alpha':>7}{'final opt_err':>16}{'final residual':>16}{'Mbits':>9}")
-    for kind, sched in SCHEDULE.items():
+    for kind, sched in RIDGE_TUNED.items():
         scheme = make_scheme(kind, obj.p, b=2, k=sched["k"], rng=np.random.default_rng(0))
         hp = HyperParams(eta=sched["eta"], gamma=0.6, alpha_x=sched["alpha"],
                          alpha_y=sched["alpha"], T=args.iters)

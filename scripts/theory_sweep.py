@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cnext.cli import atomic_write
 from cnext.compress import make_scheme
+from cnext.config import RIDGE_TUNED
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_objective
@@ -34,7 +35,7 @@ def main():
     part = partition_homogeneous(ds, 10, 42)
     obj = ridge_objective(build_locals(ds, part), 0.5)
     net = metropolis_hastings_weights(build_ring(10))
-    k = {"randomk": 5, "topk": 3}.get(args.scheme)
+    k = RIDGE_TUNED.get(args.scheme, {}).get("k")
     scheme = make_scheme(args.scheme, obj.p, b=2, k=k, rng=np.random.default_rng(0))
 
     lines = ["eta,gamma,pass,rho_A"]

@@ -4,7 +4,7 @@ Every run directory receives a trace CSV (fixed column order) and a JSON manifes
 carrying the resolved config, seed, measured scheme constants, and the bit-accounting
 convention, enough to reproduce the run bit-exactly.
 
-Exit codes: 0 ok, 2 config error, 3 divergence, 4 io error.
+Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 io error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .compress import (CompressionScheme, make_scheme, measure_scaled_contraction,
-                       verify_contract, ALL_KINDS, QNBBQ, QNORMSIGNED)
+from .compress import (CompressionScheme, make_scheme, verify_contract, ALL_KINDS, QNBBQ,
+                       QNORMSIGNED)
 from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
-from .objective import logistic_objective, ridge_objective
+from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
 from .theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon, spectral_radius
@@ -200,12 +200,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             # a diverging variant is a comparison outcome, not a harness failure
             entry["diverged"] = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
             records = []
-        for r in records:
-            e = r.errors
-            acc = "" if r.accuracy is None else repr(r.accuracy)
-            lines.append(",".join((v.name, str(r.t), str(r.bits_cum), repr(e.opt),
-                                   repr(e.cons), repr(e.gt), repr(e.comp_x), repr(e.comp_y),
-                                   repr(r.residual), acc)))
+        lines.extend(f"{v.name},{row}" for row in records_to_csv(records).splitlines()[1:])
         entry["final_residual"] = records[-1].residual if records else None
         summary[v.name] = entry
     atomic_write(os.path.join(cfg.output_dir, "compare.csv"), "\n".join(lines) + "\n")
@@ -259,8 +254,7 @@ def cmd_verify_ops(cfg: ExperimentConfig, n_samples: int = 32, n_draws: int = 20
         k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
         scheme = make_scheme(kind, p, b=cfg.scheme.b, k=k, rng=rng,
                              n_samples=n_samples, n_draws=n_draws)
-        measured_C = verify_contract(scheme, samples, rng, n_draws=n_draws)
-        one_minus_delta = measure_scaled_contraction(scheme, samples, rng, n_draws=n_draws)
+        measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=n_draws)
         table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C,
                            delta_measured=max(0.01, 1.0 - one_minus_delta))
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -316,9 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+    except ConvergenceError as exc:  # the baseline optimum, found before any round runs
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -65,94 +65,87 @@ def bits_per_vector(scheme: CompressionScheme, p: int) -> int:
     raise ValueError(scheme.kind)
 
 
-def compress_vector(scheme: CompressionScheme, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Apply the operator to one vector; returns (Q(x), bit cost).
+def _uniforms(rngs: np.random.Generator | list[np.random.Generator], rows: np.ndarray,
+              p: int) -> np.ndarray:
+    """Uniform[0, 1) draws for the given rows, p per row, in row order.
 
-    All randomness (dither for the quantizer, the Bernoulli mask for Random-k) is drawn
-    from `rng` only. Zero input maps to zero for every scheme.
+    A single generator supplies every row; a list supplies row i from rngs[i], so each
+    agent's stream is consumed exactly as if it encoded its own row alone.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("compress_vector: input has non-finite entries")
-    p = x.shape[-1]
-    bits = bits_per_vector(scheme, p)
+    if isinstance(rngs, np.random.Generator):
+        return rngs.random((rows.size, p))
+    U = np.empty((rows.size, p))
+    for j, i in enumerate(rows):
+        rngs[i].random(out=U[j])
+    return U
 
+
+def _encode(scheme: CompressionScheme, Z: np.ndarray,
+            rngs: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
+    """Apply the operator to every row of the (r, p) matrix Z; returns Q row for row.
+
+    All randomness (dither for the quantizer, the Bernoulli mask for Random-k) comes from
+    `rngs` (see _uniforms). Zero rows map to zero for every scheme, and a zero row under
+    the quantizer draws nothing.
+    """
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("compress: input has non-finite entries")
+    p = Z.shape[1]
     if scheme.kind == IDENTITY:
-        return x.copy(), bits
-
-    if scheme.kind == QNBBQ:
-        s = np.max(np.abs(x))
-        if s == 0.0:  # the formula divides by ||x||_inf
-            return np.zeros_like(x), bits
-        half_levels = 2.0 ** (scheme.b - 1)
-        u = rng.uniform(0.0, 1.0, size=x.shape)
-        levels = np.floor(half_levels * np.abs(x) / s + u)
-        return (s / half_levels) * np.sign(x) * levels, bits
-
+        return Z.copy()
+    if scheme.kind in (RANDOMK, TOPK) and scheme.k > p:
+        raise ValueError(f"{scheme.kind}: k={scheme.k} exceeds p={p}")
     if scheme.kind == RANDOMK:
-        if scheme.k > p:
-            raise ValueError(f"randomk: k={scheme.k} exceeds p={p}")
-        mask = rng.random(x.shape) < scheme.k / p
-        return x * mask, bits
-
+        return Z * (_uniforms(rngs, np.arange(Z.shape[0]), p) < scheme.k / p)
     if scheme.kind == TOPK:
-        if scheme.k > p:
-            raise ValueError(f"topk: k={scheme.k} exceeds p={p}")
-        # stable sort on -|x| breaks magnitude ties by lowest index
-        keep = np.argsort(-np.abs(x), kind="stable")[: scheme.k]
-        q = np.zeros_like(x)
-        q[keep] = x[keep]
-        return q, bits
+        # stable sort on -|z| breaks magnitude ties by lowest index
+        keep = np.argsort(-np.abs(Z), axis=1, kind="stable")[:, :scheme.k]
+        Q = np.zeros_like(Z)
+        np.put_along_axis(Q, keep, np.take_along_axis(Z, keep, axis=1), axis=1)
+        return Q
+    # the quantizer and norm-signed formulas divide by ||z||_inf
+    s = np.max(np.abs(Z), axis=1, keepdims=True)
+    rows = np.flatnonzero(s[:, 0] != 0.0)
+    Zr, sr = Z[rows], s[rows]
+    Q = np.zeros_like(Z)
+    if scheme.kind == QNBBQ:
+        half_levels = 2.0 ** (scheme.b - 1)
+        levels = np.floor(half_levels * np.abs(Zr) / sr + _uniforms(rngs, rows, p))
+        Q[rows] = (sr / half_levels) * np.sign(Zr) * levels
+    else:  # QNORMSIGNED
+        Q[rows] = sr * np.sign(Zr)
+    return Q
 
-    if scheme.kind == QNORMSIGNED:
-        s = np.max(np.abs(x))
-        if s == 0.0:
-            return np.zeros_like(x), bits
-        return s * np.sign(x), bits
 
-    raise ValueError(scheme.kind)
+def compress_vector(scheme: CompressionScheme, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Apply the operator to one vector; returns (Q(x), bit cost). The one-row case of _encode."""
+    x = np.asarray(x, dtype=float)
+    return _encode(scheme, x[None, :], rng)[0], bits_per_vector(scheme, x.shape[-1])
 
 
 def verify_contract(scheme: CompressionScheme, samples: list[np.ndarray], rng: np.random.Generator,
-                    n_draws: int = 10_000) -> float:
-    """Measured contract constant: max over samples of empirical E||Q(x) - x||^2 / ||x||^2."""
-    worst = 0.0
+                    n_draws: int = 10_000) -> tuple[float, float]:
+    """Measured contract constants: the max over samples of the empirical E||Q(x) - x||^2 / ||x||^2
+    (the constant C) and of E||Q(x)/r - x||^2 / ||x||^2 (the factor 1 - delta), from the same draws.
+
+    Each sample's draws are encoded in one call, as rows of one matrix.
+    """
+    draws = 1 if scheme.kind in (IDENTITY, TOPK, QNORMSIGNED) else n_draws
+    worst_C = worst_scaled = 0.0
     for x in samples:
         x = np.asarray(x, dtype=float)
         nx2 = float(x @ x)
         if nx2 == 0.0:
             raise ValueError("verify_contract: samples must be nonzero")
-        draws = 1 if _is_deterministic(scheme) else n_draws
-        acc = 0.0
-        for _ in range(draws):
-            q, _ = compress_vector(scheme, x, rng)
-            d = q - x
-            acc += float(d @ d)
-        worst = max(worst, acc / draws / nx2)
-    return worst
+        Q = _encode(scheme, np.tile(x, (draws, 1)), rng)
+        worst_C = max(worst_C, _sum_sq(Q - x) / draws / nx2)
+        worst_scaled = max(worst_scaled, _sum_sq(Q / scheme.r - x) / draws / nx2)
+    return worst_C, worst_scaled
 
 
-def measure_scaled_contraction(scheme: CompressionScheme, samples: list[np.ndarray],
-                               rng: np.random.Generator, n_draws: int = 10_000) -> float:
-    """Measured (1 - delta): max over samples of empirical E||Q(x)/r - x||^2 / ||x||^2."""
-    worst = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        nx2 = float(x @ x)
-        if nx2 == 0.0:
-            raise ValueError("measure_scaled_contraction: samples must be nonzero")
-        draws = 1 if _is_deterministic(scheme) else n_draws
-        acc = 0.0
-        for _ in range(draws):
-            q, _ = compress_vector(scheme, x, rng)
-            d = q / scheme.r - x
-            acc += float(d @ d)
-        worst = max(worst, acc / draws / nx2)
-    return worst
-
-
-def _is_deterministic(scheme: CompressionScheme) -> bool:
-    return scheme.kind in (IDENTITY, TOPK, QNORMSIGNED)
+def _sum_sq(D: np.ndarray) -> float:
+    """Sum of the rows' squared norms, added one draw at a time in draw order."""
+    return float(np.cumsum(np.matmul(D[:, None, :], D[:, :, None]))[-1])
 
 
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
@@ -175,25 +168,17 @@ def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
         if k is None or not (1 <= k <= p):
             raise ValueError(f"topk needs 1 <= k <= p, got k={k}, p={p}")
         return CompressionScheme(TOPK, k=k, C=1.0 - k / p, r=1.0, delta=k / p)
+    if kind not in (QNBBQ, QNORMSIGNED):
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    b = b if kind == QNBBQ else None
+    if measured_C is None:
+        rng = np.random.default_rng(0) if rng is None else rng
+        samples = [rng.standard_normal(p) for _ in range(n_samples)]
+        measured_C = verify_contract(CompressionScheme(kind, b=b), samples, rng, n_draws=n_draws)[0]
     if kind == QNBBQ:
-        if measured_C is None:
-            probe = CompressionScheme(QNBBQ, b=b, C=1.0, r=1.0, delta=1.0)
-            measured_C = _measure_C(probe, p, rng, n_samples, n_draws)
         return CompressionScheme(QNBBQ, b=b, C=measured_C, r=1.0 + measured_C,
                                  delta=1.0 / (1.0 + measured_C))
-    if kind == QNORMSIGNED:
-        if measured_C is None:
-            probe = CompressionScheme(QNORMSIGNED, C=1.0, r=1.0, delta=1.0)
-            measured_C = _measure_C(probe, p, rng, n_samples, n_draws)
-        return CompressionScheme(QNORMSIGNED, C=measured_C, r=float(p), delta=1.0 / p)
-    raise ValueError(f"unknown scheme kind {kind!r}")
-
-
-def _measure_C(probe: CompressionScheme, p: int, rng: np.random.Generator | None,
-               n_samples: int, n_draws: int) -> float:
-    rng = np.random.default_rng(0) if rng is None else rng
-    samples = [rng.standard_normal(p) for _ in range(n_samples)]
-    return verify_contract(probe, samples, rng, n_draws=n_draws)
+    return CompressionScheme(QNORMSIGNED, C=measured_C, r=float(p), delta=1.0 / p)
 
 
 @dataclass
@@ -229,7 +214,7 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
                    W: np.ndarray, rngs: list[np.random.Generator]) -> CompressedRound:
     """One round of difference compression for an n x p stream.
 
-    Encode Q = C(Z - H) row-wise with per-agent randomness, form the estimates
+    Encode Q = C(Z - H) in one call, row i with agent i's generator, form the estimates
     Zhat = Q + H and Zhat_w = Hw + W Q, then mix the memories
     H <- (1-alpha) H + alpha Zhat and Hw <- (1-alpha) Hw + alpha Zhat_w.
     Mutates `state` and returns the round outputs; bits = n * per-vector cost.
@@ -237,12 +222,8 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
     Z = np.asarray(Z, dtype=float)
     if Z.shape != state.H.shape:
         raise ValueError(f"shape mismatch: Z {Z.shape} vs state {state.H.shape}")
-    n = Z.shape[0]
-    Q = np.empty_like(Z)
-    bits = 0
-    for i in range(n):
-        Q[i], row_bits = compress_vector(scheme, Z[i] - state.H[i], rngs[i])
-        bits += row_bits
+    Q = _encode(scheme, Z - state.H, rngs)
+    bits = Z.shape[0] * bits_per_vector(scheme, Z.shape[1])
     Zhat = Q + state.H
     Zhat_w = state.Hw + W @ Q
     a = state.alpha

@@ -16,8 +16,14 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration; message carries the offending field path."""
 
 
-# tuned step sizes for the synthetic ridge benchmark, by scheme
-RIDGE_ETA = {"qnbbq": 0.0095, "randomk": 0.0012, "topk": 0.006, "qnormsigned": 0.021}
+# tuned (eta, alpha, k) for the synthetic desk ridge benchmark (ring n=10, N=500, p=20,
+# gamma=0.6), by scheme; alpha = 1 destabilizes the three larger-C operators at gamma = 0.6
+RIDGE_TUNED = {
+    "qnbbq": {"eta": 0.0095, "alpha": 1.0, "k": None},
+    "randomk": {"eta": 0.0012, "alpha": 0.5, "k": 5},
+    "topk": {"eta": 0.006, "alpha": 0.5, "k": 3},
+    "qnormsigned": {"eta": 0.021, "alpha": 0.25, "k": None},
+}
 RIDGE_DEFAULTS = {"lambda": 0.5, "gamma": 0.6, "alpha": 1.0, "T": 5000}
 
 # tuned (gamma, eta) for the binary-classification benchmark, by (scheme, topology)
@@ -166,9 +172,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         hp_raw = _opt(raw, "hyperparams", {})
         eta = hp_raw.get("eta")
         gamma = hp_raw.get("gamma")
+        alpha_def = defaults["alpha"]
         if kind == "ridge":
-            if eta is None:
-                eta = RIDGE_ETA.get(scheme.kind)
+            tuned = RIDGE_TUNED.get(scheme.kind, {})
+            eta = tuned.get("eta") if eta is None else eta
+            alpha_def = tuned.get("alpha", alpha_def)
             if gamma is None:
                 gamma = defaults["gamma"]
         else:
@@ -181,7 +189,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"hyperparams.eta is required (no tuned default for scheme {scheme.kind!r})")
         if gamma is None:
             raise ConfigError("hyperparams.gamma is required for this objective/scheme combination")
-        alpha_def = defaults["alpha"]
         try:
             hyper = HyperParams(eta=float(eta), gamma=float(gamma),
                                 alpha_x=float(_opt(hp_raw, "alpha_x", alpha_def)),

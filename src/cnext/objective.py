@@ -1,8 +1,9 @@
-"""Local objective families (ridge, logistic), their curvature bounds, and the centralized baseline."""
+"""Local objective families (ridge, logistic) over stacked agent data, their curvature bounds,
+and the centralized baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,149 +34,152 @@ class LocalData:
         if self.A.shape[0] < 1:
             raise ValueError("local data needs at least one sample")
 
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over any leading batch axes: (..., r, c) x (..., c) -> (..., r)."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
-def ridge_value_grad_hess(d: LocalData, lam: float, x: np.ndarray):
-    """f_i(x) = ||A x - b||^2 + lam ||x||^2 with gradient and (constant) Hessian."""
-    res = d.A @ x - d.b
-    value = float(res @ res) + lam * float(x @ x)
-    grad = 2.0 * (d.A.T @ res) + 2.0 * lam * x
-    hess = 2.0 * (d.A.T @ d.A) + 2.0 * lam * np.eye(x.shape[0])
-    return value, grad, hess
+def _T(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
 
 
-def logistic_value_grad_hess(d: LocalData, lam: float, x: np.ndarray):
-    """Mean logistic loss over +-1 labels plus (lam/2) ||x||^2, computed overflow-safely."""
-    margins = d.b * (d.A @ x)
-    # log(1 + exp(-m)) == logaddexp(0, -m), stable for either sign of m
-    value = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(x @ x)
-    sig_neg = expit(-margins)  # sigma(-m) = 1/(1+e^m)
-    grad = d.A.T @ (-d.b * sig_neg) / d.m + lam * x
-    w = sig_neg * (1.0 - sig_neg)  # sigma(m)(1-sigma(m)), symmetric in the sign of m
-    hess = (d.A.T * w) @ d.A / d.m + lam * np.eye(x.shape[0])
-    return value, grad, hess
+def _logistic_hessians(A: np.ndarray, b: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
+    """A^T diag(w) A / m + lam I with w = sigma(m)(1 - sigma(m)), over any leading batch axes."""
+    s = expit(-b * _mv(A, X))
+    w = s * (1.0 - s)  # symmetric in the sign of the margin
+    return np.matmul(_T(A) * w[..., None, :], A) / A.shape[-2] + lam * np.eye(A.shape[-1])
 
 
 @dataclass
 class Objective:
-    """Average of n local functions, with global strong-convexity / smoothness bounds."""
+    """Average of n local functions over stacked agent data, with global curvature bounds.
+
+    Agent i holds features A[i] (m x p) and targets or +-1 labels b[i] (m,); every agent
+    has the same m. Ridge: f_i(x) = ||A_i x - b_i||^2 + lam ||x||^2, whose Hessians
+    H_i = 2 A_i^T A_i + 2 lam I are constant and are formed and inverted once, here.
+    Logistic: f_i(x) = mean log(1 + exp(-b_i * A_i x)) + (lam/2) ||x||^2.
+    """
 
     kind: str
     lam: float
-    locals: list[LocalData]
+    A: np.ndarray  # (n, m, p)
+    b: np.ndarray  # (n, m)
     mu: float = 0.0
     L: float = 0.0
-    _chol_cache: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in (RIDGE, LOGISTIC):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        if self.kind == LOGISTIC:
-            for d in self.locals:
-                if not np.all(np.isin(d.b, (-1.0, 1.0))):
-                    raise ValueError("logistic labels must be in {-1, +1}")
+        self.A = np.asarray(self.A, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        if self.A.ndim != 3 or self.b.shape != self.A.shape[:2] or self.A.shape[1] < 1:
+            raise ValueError(f"need A (n, m, p) and b (n, m) with m >= 1, got {self.A.shape}, {self.b.shape}")
+        if self.kind == LOGISTIC and not np.all(np.isin(self.b, (-1.0, 1.0))):
+            raise ValueError("logistic labels must be in {-1, +1}")
+        G = np.matmul(_T(self.A), self.A)  # A_i^T A_i
+        if self.kind == RIDGE:
+            self.H = 2.0 * G + 2.0 * self.lam * np.eye(self.p)
+            self.c = 2.0 * _mv(_T(self.A), self.b)  # grad f_i(x) = H_i x - c_i
+            self._H_inv = np.linalg.inv(self.H)
         if self.mu == 0.0 and self.L == 0.0:
-            self.mu, self.L = estimate_mu_L(self)
+            self.mu, self.L = self._curvature_bounds(G)
+
+    def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
+        """Uniform bounds mu I <= hess f_i(x) <= L I over all agents and points.
+
+        Ridge: exact extreme eigenvalues of the constant Hessians. Logistic: mu = lam (the
+        loss curvature can vanish), L = lam + max_i lambda_max(A_i^T A_i / m) / 4.
+        """
+        if self.kind == RIDGE:
+            ev = np.linalg.eigvalsh(2.0 * G)
+            return 2.0 * self.lam + max(ev[:, 0].min(), 0.0), 2.0 * self.lam + ev[:, -1].max()
+        ev = np.linalg.eigvalsh(G / self.m)
+        return self.lam, self.lam + ev[:, -1].max() / 4.0
 
     @property
     def n(self) -> int:
-        return len(self.locals)
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.A.shape[1]
 
     @property
     def p(self) -> int:
-        return self.locals[0].A.shape[1]
+        return self.A.shape[2]
 
     @property
     def kappa(self) -> float:
         return self.L / self.mu
 
-    def _vgh(self, i: int, x: np.ndarray):
-        if self.kind == RIDGE:
-            return ridge_value_grad_hess(self.locals[i], self.lam, x)
-        return logistic_value_grad_hess(self.locals[i], self.lam, x)
-
-    def value_i(self, i: int, x: np.ndarray) -> float:
-        return self._vgh(i, x)[0]
-
-    def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self._vgh(i, x)[1]
-
-    def hess_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self._vgh(i, x)[2]
-
     def value(self, x: np.ndarray) -> float:
         """Global objective (1/n) sum_i f_i(x)."""
-        return sum(self.value_i(i, x) for i in range(self.n)) / self.n
+        if self.kind == RIDGE:
+            res = _mv(self.A, x) - self.b
+            return float(np.sum(res * res)) / self.n + self.lam * float(x @ x)
+        # log(1 + exp(-m)) == logaddexp(0, -m), stable for either sign of m
+        margins = self.b * _mv(self.A, x)
+        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.lam * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x, dtype=float)
-        for i in range(self.n):
-            g += self.grad_i(i, x)
-        return g / self.n
+        """Global gradient (1/n) sum_i grad f_i(x)."""
+        return self.grad_stack(np.broadcast_to(x, (self.n, self.p))).mean(axis=0)
 
     def hess(self, x: np.ndarray) -> np.ndarray:
-        H = np.zeros((self.p, self.p))
-        for i in range(self.n):
-            H += self.hess_i(i, x)
-        return H / self.n
+        """Global Hessian (1/n) sum_i hess f_i(x)."""
+        return self.hess_stack(np.broadcast_to(x, (self.n, self.p))).mean(axis=0)
 
     def grad_stack(self, X: np.ndarray) -> np.ndarray:
         """Row i holds grad f_i(x_i) for the n x p iterate matrix X."""
-        return np.stack([self.grad_i(i, X[i]) for i in range(self.n)])
+        if self.kind == RIDGE:
+            return _mv(self.H, X) - self.c
+        s = expit(-self.b * _mv(self.A, X))  # sigma(-m) = 1/(1+e^m)
+        return _mv(_T(self.A), -self.b * s) / self.m + self.lam * X
+
+    def hess_stack(self, X: np.ndarray) -> np.ndarray:
+        """Slice i holds hess f_i(x_i), an (n, p, p) stack."""
+        if self.kind == RIDGE:
+            return self.H
+        return _logistic_hessians(self.A, self.b, X, self.lam)
+
+    def hess_solve(self, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Rows d_i solving hess f_i(x_i) d_i = r_i; raises LinAlgError if a Hessian is not SPD."""
+        if self.kind == RIDGE:
+            return _mv(self._H_inv, R)
+        H = self.hess_stack(X)
+        np.linalg.cholesky(H)  # the SPD check
+        return np.linalg.solve(H, R[..., None])[..., 0]
 
     def hess_solve_i(self, i: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve hess f_i(x) d = rhs by Cholesky; ridge Hessians are constant and cached."""
+        """Solve hess f_i(x) d = rhs for agent i alone; raises LinAlgError if it is not SPD."""
         if self.kind == RIDGE:
-            if self._chol_cache is None:
-                self._chol_cache = [cho_factor(self.hess_i(j, np.zeros(self.p))) for j in range(self.n)]
-            return cho_solve(self._chol_cache[i], rhs)
-        return cho_solve(cho_factor(self.hess_i(i, x)), rhs)
+            return self._H_inv[i] @ rhs
+        return cho_solve(cho_factor(_logistic_hessians(self.A[i], self.b[i], x, self.lam)), rhs)
+
+
+def _stack(locals_: list[LocalData]) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.stack([d.A for d in locals_]), np.stack([d.b for d in locals_])
+    except ValueError as exc:
+        raise ValueError(f"agents need equal sample counts m_i and dimensions p: {exc}") from exc
 
 
 def ridge_objective(locals_: list[LocalData], lam: float) -> Objective:
-    return Objective(kind=RIDGE, lam=lam, locals=locals_)
+    return Objective(RIDGE, lam, *_stack(locals_))
 
 
 def logistic_objective(locals_: list[LocalData], lam: float) -> Objective:
-    return Objective(kind=LOGISTIC, lam=lam, locals=locals_)
-
-
-def estimate_mu_L(obj: Objective) -> tuple[float, float]:
-    """Uniform curvature bounds mu I <= hess f_i(x) <= L I over all agents and points.
-
-    Ridge: exact per-agent extreme eigenvalues of the constant Hessians.
-    Logistic: mu = lam (the loss curvature can vanish), L = lam + max_i lambda_max(A_i^T A_i / m_i)/4.
-    """
-    if obj.kind == RIDGE:
-        lo, hi = np.inf, 0.0
-        for d in obj.locals:
-            ev = np.linalg.eigvalsh(2.0 * (d.A.T @ d.A))
-            lo = min(lo, max(ev[0], 0.0))
-            hi = max(hi, ev[-1])
-        return 2.0 * obj.lam + lo, 2.0 * obj.lam + hi
-    hi = 0.0
-    for d in obj.locals:
-        ev = np.linalg.eigvalsh(d.A.T @ d.A / d.m)
-        hi = max(hi, ev[-1])
-    return obj.lam, obj.lam + hi / 4.0
+    return Objective(LOGISTIC, lam, *_stack(locals_))
 
 
 def ridge_closed_form_optimum(obj: Objective) -> np.ndarray:
-    """x* = (sum_i A_i^T A_i + n lam I)^{-1} sum_i A_i^T b_i, via SPD factorization."""
+    """x* = (sum_i H_i)^{-1} sum_i c_i = (sum_i A_i^T A_i + n lam I)^{-1} sum_i A_i^T b_i."""
     if obj.kind != RIDGE:
         raise ValueError("closed form only exists for the ridge objective")
-    p = obj.p
-    G = obj.n * obj.lam * np.eye(p)
-    rhs = np.zeros(p)
-    for d in obj.locals:
-        G += d.A.T @ d.A
-        rhs += d.A.T @ d.b
-    return cho_solve(cho_factor(G), rhs)
+    return cho_solve(cho_factor(obj.H.sum(axis=0)), obj.c.sum(axis=0))
 
 
 def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,

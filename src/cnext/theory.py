@@ -157,17 +157,9 @@ def spectral_radius(M: ContractionMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def _mp_matrix(A: np.ndarray) -> mp.matrix:
-    M = mp.matrix(A.shape[0], A.shape[1])
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            M[i, j] = mp.mpf(float(A[i, j]))
-    return M
-
-
 def _mp_spectral_radius(A: np.ndarray) -> mp.mpf:
     with mp.workdps(_DPS):
-        evals, _ = mp.eig(_mp_matrix(A))
+        evals, _ = mp.eig(mp.matrix(A.tolist()))
         return max(abs(ev) for ev in evals)
 
 
@@ -183,11 +175,22 @@ def _rho_and_flag(A: np.ndarray) -> tuple[float, bool]:
 def _mp_certificate_holds(A: np.ndarray, eps_vec: np.ndarray, q: float) -> bool:
     """Exact-precision check of A eps <= q eps componentwise (inputs are float64 exact)."""
     with mp.workdps(_DPS):
-        M = _mp_matrix(A)
-        v = mp.matrix([mp.mpf(float(x)) for x in eps_vec])
-        lhs = M * v
+        v = mp.matrix(eps_vec.tolist())
+        lhs = mp.matrix(A.tolist()) * v
         qm = mp.mpf(float(q))
         return all(lhs[i] <= qm * v[i] for i in range(5))
+
+
+def _contraction(tc: TheoryConstants, theta: Theta, n: int) -> tuple:
+    """(A, (rho(A), rho < 1), reason): what the checks need of A(theta), which depends on
+    theta alone. A part that cannot be formed is None, and reason says why."""
+    A = rho = None
+    try:
+        A = build_A(tc, theta, n).A
+        rho = _rho_and_flag(A)
+    except ValueError as exc:
+        return A, rho, str(exc)
+    return A, rho, None
 
 
 def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int) -> dict:
@@ -199,6 +202,11 @@ def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarr
     A (eps1, eps2, L^2 eps3, eps4, L^2 eps5) <= (1 - eta/(2 kappa)) * same,
     and rho(A). Never raises on infeasible parameters; it reports them.
     """
+    return _conditions_report(tc, theta, eps, n, _contraction(tc, theta, n))
+
+
+def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
+                       contraction: tuple) -> dict:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (5,) or np.any(eps <= 0):
         raise ValueError("eps must be 5 strictly positive reals")
@@ -261,15 +269,14 @@ def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarr
     constsz_ok = {name: bool(gamma <= bound) for name, bound in gamma_bounds.items()}
     system_ok = {name: bool(entry["ok"]) for name, entry in system.items()}
 
-    direct = {"ok": False, "reason": None, "rho_A": None, "rho_lt_1": False}
-    try:
-        A = build_A(tc, theta, n).A
+    A, rho_decision, reason = contraction
+    direct = {"ok": False, "reason": reason, "rho_A": None, "rho_lt_1": False}
+    if A is not None:
         q = 1.0 - eta / (2.0 * kappa)
         eps_vec = np.array([e1, e2, L ** 2 * e3, e4, L ** 2 * e5])
         direct["ok"] = _mp_certificate_holds(A, eps_vec, q)
-        direct["rho_A"], direct["rho_lt_1"] = _rho_and_flag(A)
-    except ValueError as exc:
-        direct["reason"] = str(exc)
+    if rho_decision is not None:
+        direct["rho_A"], direct["rho_lt_1"] = rho_decision
 
     passed = all(stsz_ok.values()) and all(constsz_ok.values()) and all(system_ok.values()) \
         and direct["ok"] and direct["rho_lt_1"]
@@ -299,16 +306,14 @@ def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     returns the first candidate that also satisfies the stated structural
     inequalities; it falls back to the best stated-only construction otherwise.
     """
+    contraction = _contraction(tc, theta, n)  # A(theta) and rho(A) do not depend on eps
     candidates: list[np.ndarray] = []
-    try:
-        A = build_A(tc, theta, n).A
-        candidates.extend(_chained_candidates(A, tc, theta, n))
-    except ValueError:
-        pass
+    if contraction[0] is not None:
+        candidates.extend(_chained_candidates(contraction[0], tc, theta, n))
     candidates.append(_stated_floor_epsilon(tc, theta, n))
     best, best_key = None, (-1, -np.inf)
     for eps in candidates:
-        rep = check_sufficient_conditions(tc, theta, eps, n)
+        rep = _conditions_report(tc, theta, eps, n, contraction)
         n_ok = sum(rep["system_ok"].values()) + sum(rep["stsz_ok"].values()) \
             + sum(rep["constsz_ok"].values()) + int(rep["direct_contraction"]["ok"])
         key = (int(rep["pass"]), n_ok)

@@ -119,12 +119,12 @@ def test_c04_operator_contracts():
     # Random-k(5, 20): measured contract constant vs the closed form 0.75
     rk = make_scheme("randomk", p, k=5)
     samples = [rng.standard_normal(p) for _ in range(4)]
-    measured = verify_contract(rk, samples, rng, n_draws=10_000)
+    measured = verify_contract(rk, samples, rng, n_draws=10_000)[0]
     ok_rk = abs(measured - 0.75) <= 0.02
 
     # Top-k worst case is exact on a uniform-magnitude vector
     tk = make_scheme("topk", p, k=3)
-    worst = verify_contract(tk, [np.ones(p)], rng)
+    worst = verify_contract(tk, [np.ones(p)], rng)[0]
     ok_tk = worst == pytest.approx(1.0 - 3 / p, rel=1e-15)
 
     # dithered quantizer unbiasedness at 1e5 draws, 3 sigma per coordinate
@@ -141,7 +141,7 @@ def test_c04_operator_contracts():
     # every scheme's measured constant is finite and recorded on the scheme object
     table = {}
     for scheme in schemes_for(p, k=5):
-        c = verify_contract(scheme, samples, rng, n_draws=2_000)
+        c = verify_contract(scheme, samples, rng, n_draws=2_000)[0]
         table[scheme.kind] = c
         assert np.isfinite(c) and np.isfinite(scheme.C)
 

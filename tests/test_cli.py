@@ -203,3 +203,35 @@ def test_missing_covtype_path_is_config_error(tmp_path, capsys, monkeypatch):
                           hyperparams={"eta": 0.093, "gamma": 0.35, "T": 2})
     assert main(["run", "-c", cfg]) == 2
     assert "covtype" in capsys.readouterr().err
+
+
+def test_ridge_defaults_converge_for_randomk(tmp_path):
+    # no hyperparams block: eta and alpha come from the tuned table (alpha 0.5 for random-k)
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "objective": {"kind": "ridge", "lambda": 0.5,
+                      "data": {"source": "synthetic", "n_samples": 500, "p": 20}},
+        "network": {"kind": "ring", "n": 10},
+        "scheme": {"kind": "randomk", "k": 5},
+        "seed": 42, "output_dir": out}))
+    assert main(["run", "-c", str(cfg)]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert man["resolved"]["hyperparams"]["alpha_x"] == 0.5
+    assert man["resolved"]["hyperparams"]["T"] == 5000
+    _, rows = read_csv(os.path.join(out, "trace.csv"))
+    assert float(rows[-1][2]) < float(rows[0][2])
+
+
+def test_baseline_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
+    from cnext import cli
+    from cnext.objective import ConvergenceError
+
+    def fail(obj):
+        raise ConvergenceError("Newton failed to reach tol=1e-10 in 500 iterations", np.zeros(obj.p))
+
+    monkeypatch.setattr(cli, "baseline_optimum", fail)
+    cfg, _ = write_config(tmp_path)
+    assert main(["run", "-c", cfg]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConvergenceError" and "tol=1e-10" in err["message"]

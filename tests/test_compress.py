@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cnext.compress import (CompressState, agent_streams, bits_per_vector, compress_round,
-                            compress_vector, make_scheme, measure_scaled_contraction,
-                            verify_contract, ALL_KINDS)
+                            compress_vector, make_scheme, verify_contract, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
 
 
@@ -76,14 +75,14 @@ def test_topk_keep_all_and_ties():
 def test_verify_contract_values():
     rng = np.random.default_rng(2)
     ident = make_scheme("identity", 20)
-    assert verify_contract(ident, [rng.standard_normal(20)], rng) == 0.0
+    assert verify_contract(ident, [rng.standard_normal(20)], rng) == (0.0, 0.0)
 
     rk = make_scheme("randomk", 20, k=5)
-    measured = verify_contract(rk, [rng.standard_normal(20) for _ in range(3)], rng, n_draws=10_000)
+    measured = verify_contract(rk, [rng.standard_normal(20) for _ in range(3)], rng, n_draws=10_000)[0]
     assert measured == pytest.approx(0.75, abs=0.02)
 
     tk = make_scheme("topk", 20, k=3)
-    worst = verify_contract(tk, [np.ones(20)], rng)  # uniform magnitudes: the worst case
+    worst = verify_contract(tk, [np.ones(20)], rng)[0]  # uniform magnitudes: the worst case
     assert worst == pytest.approx(1.0 - 3 / 20, rel=1e-15)
 
 
@@ -120,7 +119,7 @@ def test_scaled_operator_contract():
     p = 12
     samples = [rng.standard_normal(p) for _ in range(8)]
     for scheme in all_schemes(p, k=3, rng=rng):
-        measured = measure_scaled_contraction(scheme, samples, rng, n_draws=4_000)
+        measured = verify_contract(scheme, samples, rng, n_draws=4_000)[1]
         assert measured <= (1.0 - scheme.delta) * 1.05 + 1e-12
 
 
@@ -131,7 +130,7 @@ def test_measured_contract_within_declared_constant():
     samples = [rng.standard_normal(p) for _ in range(6)]
     for kind, k in (("identity", None), ("randomk", 4), ("topk", 4)):
         scheme = make_scheme(kind, p, k=k)
-        measured = verify_contract(scheme, samples, rng, n_draws=4_000)
+        measured = verify_contract(scheme, samples, rng, n_draws=4_000)[0]
         assert measured <= scheme.C * 1.05 + 1e-12
 
 
@@ -172,6 +171,50 @@ def test_compress_round_identity_recovers_averaging():
     assert np.allclose(out.Zhat, Z, rtol=0, atol=1e-13)
     assert float(np.sum((out.Zhat - Z) ** 2)) <= 1e-20
     assert np.allclose(out.Zhat_w, net.W @ Z, rtol=0, atol=1e-12)
+
+
+def _row_by_row(scheme, x, rng):
+    """The operator on one vector, written out as a per-agent loop applies it."""
+    p = x.size
+    if scheme.kind == "identity":
+        return x.copy()
+    if scheme.kind == "qnbbq":
+        s = np.max(np.abs(x))
+        if s == 0.0:
+            return np.zeros_like(x)
+        half = 2.0 ** (scheme.b - 1)
+        u = rng.uniform(0.0, 1.0, size=p)
+        return (s / half) * np.sign(x) * np.floor(half * np.abs(x) / s + u)
+    if scheme.kind == "randomk":
+        return x * (rng.random(p) < scheme.k / p)
+    if scheme.kind == "topk":
+        keep = np.argsort(-np.abs(x), kind="stable")[: scheme.k]
+        q = np.zeros_like(x)
+        q[keep] = x[keep]
+        return q
+    s = np.max(np.abs(x))
+    return np.zeros_like(x) if s == 0.0 else s * np.sign(x)
+
+
+def test_compress_round_draws_like_a_per_agent_loop():
+    # same Q, same bits and the same end state of every agent's generator as a loop that
+    # encodes each agent's row with its own generator; row 3 is a zero innovation
+    net = metropolis_hastings_weights(build_ring(5))
+    rng = np.random.default_rng(29)
+    for scheme in all_schemes(6, k=2, rng=rng):
+        state = CompressState.init(rng.standard_normal((5, 6)), net.W, alpha=0.5)
+        rngs, loop_rngs = agent_streams(8, 0, 5), agent_streams(8, 0, 5)
+        for _ in range(4):
+            Z = rng.standard_normal((5, 6))
+            Z[3] = state.H[3]
+            expected = np.stack([_row_by_row(scheme, Z[i] - state.H[i], loop_rngs[i])
+                                 for i in range(5)])
+            out = compress_round(state, Z, scheme, net.W, rngs)
+            assert np.array_equal(out.Q, expected), scheme.label()
+            assert not out.Q[3].any()
+            assert out.bits == 5 * bits_per_vector(scheme, 6)
+        for g, ref in zip(rngs, loop_rngs):
+            assert g.bit_generator.state == ref.bit_generator.state, scheme.label()
 
 
 def test_compress_round_zero_innovation():

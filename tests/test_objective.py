@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cnext.objective import (ConvergenceError, LocalData, centralized_newton, estimate_mu_L,
-                             logistic_objective, logistic_value_grad_hess,
-                             ridge_closed_form_optimum, ridge_objective, ridge_value_grad_hess)
+from cnext.objective import (ConvergenceError, LocalData, centralized_newton, logistic_objective,
+                             ridge_closed_form_optimum, ridge_objective)
 from conftest import make_logistic, make_ridge
 
 
@@ -16,43 +15,77 @@ def central_diff_grad(f, x, h=1e-5):
     return g
 
 
+def agent(obj, i):
+    """Agent i's own objective f_i, built from its slice of the stack."""
+    build = ridge_objective if obj.kind == "ridge" else logistic_objective
+    return build([LocalData(A=obj.A[i], b=obj.b[i])], obj.lam)
+
+
+def at(obj, x):
+    """Every agent at the same point x."""
+    return np.tile(x, (obj.n, 1))
+
+
 def test_ridge_pure_regularizer():
-    d = LocalData(A=np.zeros((3, 4)), b=np.zeros(3))
+    obj = ridge_objective([LocalData(A=np.zeros((3, 4)), b=np.zeros(3))], 0.7)
     x = np.array([1.0, -2.0, 0.0, 3.0])
-    val, grad, hess = ridge_value_grad_hess(d, 0.7, x)
-    assert val == pytest.approx(0.7 * float(x @ x))
-    assert np.allclose(grad, 2 * 0.7 * x)
-    assert np.allclose(hess, 2 * 0.7 * np.eye(4))
+    assert obj.value(x) == pytest.approx(0.7 * float(x @ x))
+    assert np.allclose(obj.grad_stack(x[None])[0], 2 * 0.7 * x)
+    assert np.allclose(obj.hess_stack(x[None])[0], 2 * 0.7 * np.eye(4))
 
 
 def test_ridge_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-    d = LocalData(A=rng.standard_normal((8, 5)), b=rng.standard_normal(8))
+    obj = ridge_objective([LocalData(A=rng.standard_normal((8, 5)), b=rng.standard_normal(8))], 0.5)
     x = rng.standard_normal(5)
-    _, grad, _ = ridge_value_grad_hess(d, 0.5, x)
-    fd = central_diff_grad(lambda z: ridge_value_grad_hess(d, 0.5, z)[0], x)
-    assert np.max(np.abs(grad - fd)) <= 1e-6
+    fd = central_diff_grad(obj.value, x)
+    assert np.max(np.abs(obj.grad_stack(x[None])[0] - fd)) <= 1e-6
 
 
 def test_logistic_gradient_matches_finite_differences():
     obj = make_logistic()
     rng = np.random.default_rng(6)
     x = rng.standard_normal(obj.p)
+    grads = obj.grad_stack(at(obj, x))
     for i in range(obj.n):
-        _, grad, _ = logistic_value_grad_hess(obj.locals[i], obj.lam, x)
-        fd = central_diff_grad(lambda z, i=i: logistic_value_grad_hess(obj.locals[i], obj.lam, z)[0], x)
-        assert np.max(np.abs(grad - fd)) <= 1e-6
+        fd = central_diff_grad(agent(obj, i).value, x)
+        assert np.max(np.abs(grads[i] - fd)) <= 1e-6
+
+
+def test_stacked_rows_are_the_agents_own(small_logistic):
+    # each row of the stacked quantities is agent i's own function at its own iterate
+    for obj in (make_ridge(), small_logistic):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((obj.n, obj.p))
+        R = rng.standard_normal((obj.n, obj.p))
+        G, Hs, D = obj.grad_stack(X), obj.hess_stack(X), obj.hess_solve(X, R)
+        for i in range(obj.n):
+            own = agent(obj, i)
+            assert np.allclose(G[i], own.grad(X[i]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(Hs[i], own.hess(X[i]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(Hs[i] @ D[i], R[i], rtol=1e-10, atol=1e-10)
+            assert np.allclose(D[i], obj.hess_solve_i(i, X[i], R[i]), rtol=1e-10, atol=1e-12)
+        x = X[0]
+        assert obj.value(x) == pytest.approx(np.mean([agent(obj, i).value(x) for i in range(obj.n)]),
+                                             rel=1e-12)
+
+
+def test_unequal_sample_counts_rejected():
+    rng = np.random.default_rng(1)
+    locals_ = [LocalData(A=rng.standard_normal((m, 3)), b=np.ones(m)) for m in (4, 5)]
+    for build in (ridge_objective, logistic_objective):
+        with pytest.raises(ValueError, match="equal sample counts"):
+            build(locals_, 0.1)
 
 
 def test_logistic_at_zero():
     obj = make_logistic()
     x = np.zeros(obj.p)
+    grads = obj.grad_stack(at(obj, x))
     for i in range(obj.n):
-        d = obj.locals[i]
-        val, grad, _ = logistic_value_grad_hess(d, obj.lam, x)
-        assert val == pytest.approx(np.log(2.0), rel=1e-12)
-        expected = -(d.b[:, None] * d.A).sum(axis=0) / (2.0 * d.m)
-        assert np.allclose(grad, expected, atol=1e-14)
+        assert agent(obj, i).value(x) == pytest.approx(np.log(2.0), rel=1e-12)
+        expected = -(obj.b[i][:, None] * obj.A[i]).sum(axis=0) / (2.0 * obj.m)
+        assert np.allclose(grads[i], expected, atol=1e-14)
 
 
 def test_logistic_hessian_eigenvalue_band():
@@ -60,21 +93,20 @@ def test_logistic_hessian_eigenvalue_band():
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = 2.0 * rng.standard_normal(obj.p)
-        for i in range(obj.n):
-            d = obj.locals[i]
-            _, _, hess = logistic_value_grad_hess(d, obj.lam, x)
+        for i, hess in enumerate(obj.hess_stack(at(obj, x))):
             ev = np.linalg.eigvalsh(hess)
-            cap = obj.lam + np.max(np.sum(d.A ** 2, axis=1)) / 4.0
+            cap = obj.lam + np.max(np.sum(obj.A[i] ** 2, axis=1)) / 4.0
             assert ev[0] >= obj.lam - 1e-12
             assert ev[-1] <= cap + 1e-12
 
 
 def test_logistic_overflow_safe():
     obj = make_logistic()
-    x = 1e4 * np.ones(obj.p)
+    X = at(obj, 1e4 * np.ones(obj.p))
+    assert np.isfinite(obj.value(X[0]))
+    assert np.all(np.isfinite(obj.grad_stack(X))) and np.all(np.isfinite(obj.hess_stack(X)))
     for i in range(obj.n):
-        val, grad, hess = logistic_value_grad_hess(obj.locals[i], obj.lam, x)
-        assert np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+        assert np.isfinite(agent(obj, i).value(X[0]))
 
 
 def test_closed_form_identity_features():
@@ -156,8 +188,8 @@ def test_curvature_bounds_hold_pointwise(builder):
     rng = np.random.default_rng(15)
     for _ in range(100):
         x = rng.standard_normal(obj.p)
-        for i in range(obj.n):
-            ev = np.linalg.eigvalsh(obj.hess_i(i, x))
+        for hess in obj.hess_stack(at(obj, x)):
+            ev = np.linalg.eigvalsh(hess)
             assert ev[0] >= obj.mu - 1e-9 * max(1.0, obj.L)
             assert ev[-1] <= obj.L + 1e-9 * max(1.0, obj.L)
 
@@ -168,8 +200,7 @@ def test_hessians_symmetric_and_spd(builder):
     rng = np.random.default_rng(16)
     for _ in range(5):
         x = rng.standard_normal(obj.p)
-        for i in range(obj.n):
-            H = obj.hess_i(i, x)
+        for H in obj.hess_stack(at(obj, x)):
             assert np.max(np.abs(H - H.T)) <= 1e-12
             np.linalg.cholesky(H)  # raises if not SPD
 

@@ -226,3 +226,22 @@ def test_rho_decreases_with_eta_at_feasible_scale(scale, gamma):
     A = build_A(tc, theta, n=4).A
     assert np.all(A >= 0)
     assert np.isfinite(spectral_radius(A))
+
+
+def test_default_epsilon_builds_A_once(monkeypatch):
+    # A(theta) and rho(A) depend on theta alone, so one certificate search forms each once
+    from cnext import theory
+
+    calls = {"build_A": 0, "_rho_and_flag": 0}
+    for name in calls:
+        real = getattr(theory, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(theory, name, counted)
+    theta = Theta(eta=1e-9, gamma=0.01, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(mu=1.0, L=4.0, rho=0.8, beta=1.2, C=0.0, r=1.0, delta=1.0, theta=theta)
+    default_epsilon(tc, theta, 10)
+    assert calls == {"build_A": 1, "_rho_and_flag": 1}
