@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .compress import (CompressionScheme, make_scheme, verify_contract, ALL_KINDS, QNBBQ,
-                       QNORMSIGNED)
+from .compress import (CompressionScheme, STREAM_MEASURE, make_scheme, substream, verify_contract,
+                       ALL_KINDS, QNBBQ, QNORMSIGNED)
 from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
@@ -31,12 +32,10 @@ CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
 BIT_CONVENTION = "bits_cum counts both transmitted streams (X and Y): 2 * n * per-vector cost per round"
 
-# substream id for operator-constant measurement (0/1 = runtime streams, 2 = init)
-_STREAM_MEASURE = 3
 
-
-class _Experiment:
-    """Everything a run needs, assembled once from a config."""
+class Experiment:
+    """Everything a run needs, assembled once from a config: network, data, objective,
+    the top-level scheme and the baseline optimum."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -75,9 +74,9 @@ class _Experiment:
         return self.obj.p
 
     def build_scheme(self, sc: SchemeConfig) -> CompressionScheme:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(self.cfg.seed, spawn_key=(_STREAM_MEASURE, 0))))
-        return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k, rng=rng)
+        """The scheme with its constants measured on the seed's measurement substream."""
+        return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k,
+                           rng=substream(self.cfg.seed, STREAM_MEASURE))
 
     def manifest(self, hp: HyperParams, mode: str, scheme: CompressionScheme,
                  extra: dict | None = None) -> dict:
@@ -85,8 +84,7 @@ class _Experiment:
             "config": self.cfg.to_dict(),
             "resolved": {
                 "mode": mode, "seed": self.cfg.seed,
-                "hyperparams": {"eta": hp.eta, "gamma": hp.gamma, "alpha_x": hp.alpha_x,
-                                "alpha_y": hp.alpha_y, "T": hp.T, "tol": hp.tol},
+                "hyperparams": asdict(hp),
                 "scheme": _scheme_dict(scheme),
                 "network": {"n": self.net.n, "rho": self.net.rho, "beta": self.net.beta},
                 "objective": {"mu": self.obj.mu, "L": self.obj.L, "kappa": self.obj.kappa,
@@ -146,7 +144,7 @@ def averaged_csv(per_seed: list[list[RoundRecord]]) -> str:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    exp = _Experiment(cfg)
+    exp = Experiment(cfg)
     hp, mode, scheme = cfg.hyperparams, cfg.mode, exp.scheme
     os.makedirs(cfg.output_dir, exist_ok=True)
     seeds = cfg.seeds if cfg.seeds else (cfg.seed,)
@@ -181,20 +179,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def cmd_compare(cfg: ExperimentConfig) -> int:
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least 2 variants in compare.variants")
-    exp = _Experiment(cfg)
+    exp = Experiment(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     lines = ["variant," + ",".join(CSV_COLUMNS)]
     summary = {}
     for v in cfg.variants:
         scheme = exp.build_scheme(v.scheme)
-        hp = HyperParams(eta=v.eta if v.eta is not None else cfg.hyperparams.eta,
-                         gamma=v.gamma if v.gamma is not None else cfg.hyperparams.gamma,
-                         alpha_x=cfg.hyperparams.alpha_x, alpha_y=cfg.hyperparams.alpha_y,
-                         T=cfg.hyperparams.T, tol=cfg.hyperparams.tol)
         entry = {"scheme": _scheme_dict(scheme), "mode": v.mode,
-                 "eta": hp.eta, "gamma": hp.gamma, "diverged": None}
+                 "hyperparams": asdict(v.hyperparams), "diverged": None}
         try:
-            records = run(exp.obj, exp.net, scheme, hp, v.mode, cfg.seed,
+            records = run(exp.obj, exp.net, scheme, v.hyperparams, v.mode, cfg.seed,
                           x_star=exp.x_star, f_star=exp.f_star, test_data=exp.test_data)
         except (DivergenceError, NumericalError) as exc:
             # a diverging variant is a comparison outcome, not a harness failure
@@ -212,7 +206,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None) -> int:
-    exp = _Experiment(cfg)
+    exp = Experiment(cfg)
     scheme = exp.scheme
     if ops_manifest:
         with open(ops_manifest) as fh:
@@ -245,7 +239,7 @@ def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None) -> int:
 
 
 def cmd_verify_ops(cfg: ExperimentConfig, n_samples: int = 32, n_draws: int = 2000) -> int:
-    exp = _Experiment(cfg)
+    exp = Experiment(cfg)
     p = exp.p
     rng = np.random.default_rng(cfg.seed)
     samples = [rng.standard_normal(p) for _ in range(n_samples)]

@@ -232,11 +232,19 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
     return CompressedRound(Zhat=Zhat, Zhat_w=Zhat_w, Q=Q, bits=bits)
 
 
-def agent_streams(seed: int, stream: int, n: int) -> list[np.random.Generator]:
-    """Independent per-agent generators for one stream, split off a single root seed.
+# substream ids under one root seed: the two compressed streams' per-agent draws, the
+# initial state, and the Monte Carlo measurement of scheme constants
+STREAM_X, STREAM_Y, STREAM_INIT, STREAM_MEASURE = 0, 1, 2, 3
 
-    Counter-based spawn keys make the draws identical under any execution schedule:
-    agent i of stream s always sees the substream (s, i) of the root seed.
+
+def substream(seed: int, stream: int, i: int = 0) -> np.random.Generator:
+    """The generator for substream (stream, i) of the root seed.
+
+    Counter-based spawn keys make the draws identical under any execution schedule.
     """
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, i))))
-            for i in range(n)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, i))))
+
+
+def agent_streams(seed: int, stream: int, n: int) -> list[np.random.Generator]:
+    """Independent per-agent generators for one stream: agent i sees substream (stream, i)."""
+    return [substream(seed, stream, i) for i in range(n)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .compress import ALL_KINDS
 from .solver import HyperParams, MODES, MODE_CNEXT
@@ -24,7 +24,7 @@ RIDGE_TUNED = {
     "topk": {"eta": 0.006, "alpha": 0.5, "k": 3},
     "qnormsigned": {"eta": 0.021, "alpha": 0.25, "k": None},
 }
-RIDGE_DEFAULTS = {"lambda": 0.5, "gamma": 0.6, "alpha": 1.0, "T": 5000}
+RIDGE_DEFAULTS = {"lambda": 0.5, "gamma": 0.6, "alpha": 1.0, "T": 5000, "tol": 0.0}
 
 # tuned (gamma, eta) for the binary-classification benchmark, by (scheme, topology)
 LOGISTIC_GAMMA_ETA = {
@@ -32,7 +32,7 @@ LOGISTIC_GAMMA_ETA = {
     ("topk", "ring"): (0.40, 0.098), ("topk", "expander"): (0.21, 0.08),
     ("qnormsigned", "ring"): (0.35, 0.095), ("qnormsigned", "expander"): (0.30, 0.095),
 }
-LOGISTIC_DEFAULTS = {"lambda": 0.1, "alpha": 0.5, "T": 1000}
+LOGISTIC_DEFAULTS = {"lambda": 0.1, "alpha": 0.5, "T": 1000, "tol": 0.0}
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class Variant:
     name: str
     mode: str
     scheme: SchemeConfig
-    eta: float | None = None
-    gamma: float | None = None
+    hyperparams: HyperParams
 
 
 @dataclass(frozen=True)
@@ -97,19 +96,16 @@ class ExperimentConfig:
                           "data": vars(self.objective.data).copy()},
             "network": {"kind": self.network.kind, "n": self.network.n,
                         "degree": self.network.degree},
-            "scheme": {"kind": self.scheme.kind, "b": self.scheme.b, "k": self.scheme.k},
-            "hyperparams": {"eta": self.hyperparams.eta, "gamma": self.hyperparams.gamma,
-                            "alpha_x": self.hyperparams.alpha_x, "alpha_y": self.hyperparams.alpha_y,
-                            "T": self.hyperparams.T, "tol": self.hyperparams.tol},
+            "scheme": asdict(self.scheme),
+            "hyperparams": asdict(self.hyperparams),
             "mode": self.mode, "seed": self.seed,
             "seeds": list(self.seeds) if self.seeds else None,
             "output_dir": self.output_dir,
         }
         if self.variants:
             d["compare"] = {"variants": [
-                {"name": v.name, "mode": v.mode,
-                 "scheme": {"kind": v.scheme.kind, "b": v.scheme.b, "k": v.scheme.k},
-                 "eta": v.eta, "gamma": v.gamma} for v in self.variants]}
+                {"name": v.name, "mode": v.mode, "scheme": asdict(v.scheme),
+                 "hyperparams": asdict(v.hyperparams)} for v in self.variants]}
         if self.eps is not None or self.tau_x is not None or self.tau_y is not None:
             d["theory"] = {"tau_x": self.tau_x, "tau_y": self.tau_y,
                            "eps": list(self.eps) if self.eps else None}
@@ -164,54 +160,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if net_kind == "expander" and network.degree is None:
             raise ConfigError("network.degree is required for the expander topology")
 
-        scheme = _parse_scheme(_req(raw, "scheme", "$"), "scheme")
-        p_eff = data.p if source == "synthetic" else data.p_reduced
-        if scheme.k is not None and scheme.k > p_eff:
-            raise ConfigError(f"scheme.k={scheme.k} exceeds problem dimension p={p_eff}")
-
         hp_raw = _opt(raw, "hyperparams", {})
-        eta = hp_raw.get("eta")
-        gamma = hp_raw.get("gamma")
-        alpha_def = defaults["alpha"]
-        if kind == "ridge":
-            tuned = RIDGE_TUNED.get(scheme.kind, {})
-            eta = tuned.get("eta") if eta is None else eta
-            alpha_def = tuned.get("alpha", alpha_def)
-            if gamma is None:
-                gamma = defaults["gamma"]
-        else:
-            key = (scheme.kind, net_kind)
-            if key in LOGISTIC_GAMMA_ETA:
-                g0, e0 = LOGISTIC_GAMMA_ETA[key]
-                gamma = g0 if gamma is None else gamma
-                eta = e0 if eta is None else eta
-        if eta is None:
-            raise ConfigError(f"hyperparams.eta is required (no tuned default for scheme {scheme.kind!r})")
-        if gamma is None:
-            raise ConfigError("hyperparams.gamma is required for this objective/scheme combination")
-        try:
-            hyper = HyperParams(eta=float(eta), gamma=float(gamma),
-                                alpha_x=float(_opt(hp_raw, "alpha_x", alpha_def)),
-                                alpha_y=float(_opt(hp_raw, "alpha_y", alpha_def)),
-                                T=int(_opt(hp_raw, "T", defaults["T"])),
-                                tol=float(_opt(hp_raw, "tol", 0.0)))
-        except ValueError as exc:
-            raise ConfigError(f"hyperparams: {exc}") from exc
-
+        scheme, hyper = _resolve(_req(raw, "scheme", "$"), (hp_raw,), objective, net_kind, "")
         mode = _opt(raw, "mode", MODE_CNEXT)
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         seeds = raw.get("seeds")
         variants = []
         for i, v in enumerate(_opt(raw, "compare", {}).get("variants", [])):
-            vscheme = _parse_scheme(_req(v, "scheme", f"compare.variants[{i}]"), f"compare.variants[{i}].scheme")
+            vpath = f"compare.variants[{i}]"
             vmode = _opt(v, "mode", MODE_CNEXT)
             if vmode not in MODES:
-                raise ConfigError(f"compare.variants[{i}].mode invalid: {vmode!r}")
+                raise ConfigError(f"{vpath}.mode invalid: {vmode!r}")
+            own = {"eta": v.get("eta"), "gamma": v.get("gamma")}
+            vscheme, vhyper = _resolve(_req(v, "scheme", vpath), (own, hp_raw), objective,
+                                       net_kind, f"{vpath}.")
             variants.append(Variant(name=_opt(v, "name", f"{vmode}:{vscheme.kind}"),
-                                    mode=vmode, scheme=vscheme,
-                                    eta=(float(v["eta"]) if v.get("eta") is not None else None),
-                                    gamma=(float(v["gamma"]) if v.get("gamma") is not None else None)))
+                                    mode=vmode, scheme=vscheme, hyperparams=vhyper))
         theory_raw = _opt(raw, "theory", {})
         eps = theory_raw.get("eps")
         if eps is not None:
@@ -231,14 +196,46 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
-def _parse_scheme(raw: dict, path: str) -> SchemeConfig:
-    kind = _req(raw, "kind", path)
+def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveConfig,
+             net_kind: str, path: str) -> tuple[SchemeConfig, HyperParams]:
+    """A scheme and its hyperparameters, for the top level or for one compare variant.
+
+    Each hyperparameter is the first value set in `blocks` (a variant's own eta/gamma,
+    then the top-level hyperparams block), else the tuned value for this scheme
+    (RIDGE_TUNED, or LOGISTIC_GAMMA_ETA by topology), else the objective's default.
+    For ridge, an omitted k for random-k / top-k takes the tuned k.
+    """
+    kind = _req(scheme_raw, "kind", path + "scheme")
     if kind not in ALL_KINDS:
-        raise ConfigError(f"{path}.kind must be one of {ALL_KINDS}, got {kind!r}")
-    k = raw.get("k")
+        raise ConfigError(f"{path}scheme.kind must be one of {ALL_KINDS}, got {kind!r}")
+    if objective.kind == "ridge":
+        tuned, defaults = RIDGE_TUNED.get(kind, {}), RIDGE_DEFAULTS
+    else:
+        gamma, eta = LOGISTIC_GAMMA_ETA.get((kind, net_kind), (None, None))
+        tuned, defaults = {"gamma": gamma, "eta": eta}, LOGISTIC_DEFAULTS
+    k = _opt(scheme_raw, "k", tuned.get("k"))
+    k = None if k is None else int(k)
     if kind in ("randomk", "topk") and k is None:
-        raise ConfigError(f"{path}.k is required for {kind}")
-    return SchemeConfig(kind=kind, b=int(_opt(raw, "b", 2)), k=(int(k) if k is not None else None))
+        raise ConfigError(f"{path}scheme.k is required for {kind}")
+    data = objective.data
+    p_eff = data.p if data.source == "synthetic" else data.p_reduced
+    if k is not None and k > p_eff:
+        raise ConfigError(f"{path}scheme.k={k} exceeds problem dimension p={p_eff}")
+    scheme = SchemeConfig(kind=kind, b=int(_opt(scheme_raw, "b", 2)), k=k)
+
+    values = {}
+    for key in ("eta", "gamma", "alpha_x", "alpha_y", "T", "tol"):
+        common = "alpha" if key.startswith("alpha") else key
+        candidates = [b.get(key) for b in blocks] + [tuned.get(common), defaults.get(common)]
+        value = next((c for c in candidates if c is not None), None)
+        if value is None:
+            raise ConfigError(f"{path}hyperparams.{key} is required "
+                              f"(no tuned default for scheme {kind!r})")
+        values[key] = int(value) if key == "T" else float(value)
+    try:
+        return scheme, HyperParams(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}hyperparams: {exc}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

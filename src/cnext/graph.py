@@ -30,7 +30,7 @@ class Network:
     """Doubly stochastic consensus weights plus the spectral constants the rates depend on.
 
     rho  = ||W - (1/n) 11^T||_2, the mixing norm off the consensus subspace;
-    beta = ||I - W||_2. Both are computed by dense symmetric eigendecomposition.
+    beta = ||I - W||_2. Both come from one dense symmetric eigendecomposition of W.
     """
 
     topology: Topology
@@ -116,13 +116,9 @@ def metropolis_hastings_weights(t: Topology) -> Network:
             if j != i:
                 W[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    rho = spectral_gap_norm(W)
-    beta = float(np.max(np.abs(np.linalg.eigvalsh(np.eye(n) - W))))
+    # W is symmetric doubly stochastic on a connected graph, so its eigenvalues lie in
+    # [-1, 1] with a single 1, the last in ascending order (the consensus direction)
+    ev = np.linalg.eigvalsh(W)
+    rho = float(max(-ev[0], ev[-2])) if n > 1 else 0.0
+    beta = float(1.0 - ev[0])
     return Network(topology=t, W=W, rho=rho, beta=beta)
-
-
-def spectral_gap_norm(W: np.ndarray) -> float:
-    """||W - (1/n) 11^T||_2 for symmetric W, by dense eigendecomposition."""
-    n = W.shape[0]
-    M = W - np.ones((n, n)) / n
-    return float(np.max(np.abs(np.linalg.eigvalsh(M))))

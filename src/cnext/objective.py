@@ -186,7 +186,9 @@ def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
                        max_iter: int = 200) -> tuple[np.ndarray, float]:
     """Damped Newton with Armijo backtracking (c = 1e-4, shrink 0.5, initial step 1).
 
-    Baseline optimizer for residual plots; stops at ||grad f(x)|| <= tol.
+    Baseline optimizer for residual plots; stops at ||grad f(x)|| <= tol. The Armijo test
+    allows 4 ulps of |f(x)| for roundoff: near the optimum the predicted decrease falls
+    below float64 resolution, and without the allowance every step backtracks to nothing.
     """
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(max_iter):
@@ -197,8 +199,9 @@ def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
         d = cho_solve(cho_factor(H), -g)
         f0 = obj.value(x)
         slope = float(g @ d)
+        roundoff = 4.0 * np.finfo(float).eps * abs(f0)
         t = 1.0
-        while obj.value(x + t * d) > f0 + 1e-4 * t * slope:
+        while obj.value(x + t * d) > f0 + 1e-4 * t * slope + roundoff:
             t *= 0.5
             if t < 1e-14:
                 break

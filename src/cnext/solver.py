@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compress import (CompressState, CompressionScheme, agent_streams, compress_round,
-                       make_scheme, IDENTITY)
+from .compress import (CompressState, CompressionScheme, STREAM_INIT, STREAM_X, STREAM_Y,
+                       agent_streams, compress_round, make_scheme, substream, IDENTITY)
 from .graph import Network
 from .objective import Objective
 
@@ -30,11 +30,8 @@ MODE_FIRST_ORDER_GT = "first_order_gt"
 MODE_UNCOMPRESSED_GIANT = "uncompressed_giant"
 MODES = (MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT)
 
-# substream ids for the root seed split
-_STREAM_X, _STREAM_Y, _STREAM_INIT = 0, 1, 2
-
-# ||grad f|| at which the logistic baseline stops: on +-1 data with 20000 samples its
-# line search stalls at up to 6.3e-11 (seeds 0-199), so 1e-12 is out of reach there
+# ||grad f|| at which the logistic baseline stops; strong convexity (mu >= lambda) puts
+# its x* within tol / mu of the optimum
 BASELINE_TOL = 1e-10
 
 
@@ -131,7 +128,7 @@ class RoundRecord:
 
 def init_state(obj: Objective, net: Network, hp: HyperParams, seed: int) -> SolverState:
     """Uniform[0,1] initialization of X and both memories; Y(0) forced to grad F(X(0))."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_STREAM_INIT, 0))))
+    rng = substream(seed, STREAM_INIT)
     n, p = net.n, obj.p
     X0 = rng.uniform(size=(n, p))
     Hx0 = rng.uniform(size=(n, p))
@@ -236,8 +233,8 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     if f_star is None:
         f_star = obj.value(x_star)
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
-    rngs_x = agent_streams(seed, _STREAM_X, net.n)
-    rngs_y = agent_streams(seed, _STREAM_Y, net.n)
+    rngs_x = agent_streams(seed, STREAM_X, net.n)
+    rngs_y = agent_streams(seed, STREAM_Y, net.n)
 
     records = [_record(state, obj, x_star, f_star, test_data, StepInfo(0, 0.0, 0.0))]
     for _ in range(hp.T):

@@ -299,12 +299,16 @@ def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: in
 def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     """Deterministic construction of the certificate vector for check_sufficient_conditions.
 
-    Whenever rho(A) < q = 1 - eta/(2 kappa), the resolvent v = (qI - A)^{-1} w is a
-    strictly positive vector with A v < q v for any positive w (the Neumann series of
-    the resolvent is nonnegative). The search scans a small grid of source vectors w,
-    maps v back to raw coordinates (the gt/comp_y slots carry an L^2 factor), and
-    returns the first candidate that also satisfies the stated structural
-    inequalities; it falls back to the best stated-only construction otherwise.
+    Candidates are checked in order, and the first that passes every check is returned;
+    if none passes, the one passing the most individual checks (the earliest on a tie).
+    When A(theta) can be formed, `_chained_candidates` come first: with eps2 = 1 and
+    q = 1 - eta/(2 kappa), they chain the rows of A(theta) into floors and caps with a 5%
+    margin (rows 1 and 3 floor eps1 and eps3, row 2's slack and the stated eps4/eps2 bound
+    cap eps4, rows 4 and 5 floor eps4 and eps5), try eps5 at 1, 1e2, 1e4 and 1e8 times its
+    floor under row 3's cap, and feed the eps4/eps5 inflow back into the eps3 floor for up
+    to three passes. The last candidate, `_stated_floor_epsilon`, sets eps2 = eps5 = 1 and
+    chains the stated structural inequalities alone into equalities. A(theta) and rho(A)
+    depend on theta only and are formed once for all candidates.
     """
     contraction = _contraction(tc, theta, n)  # A(theta) and rho(A) do not depend on eps
     candidates: list[np.ndarray] = []

@@ -235,3 +235,59 @@ def test_baseline_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "-c", cfg]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConvergenceError" and "tol=1e-10" in err["message"]
+
+
+def test_compare_variants_without_hyperparams_match_single_runs(tmp_path):
+    # no eta, alpha or k anywhere: each variant resolves its own scheme's tuned values,
+    # exactly as `cnext run` does for that scheme alone
+    kinds = ("qnbbq", "randomk", "topk", "qnormsigned")
+    base = {"objective": {"kind": "ridge", "lambda": 0.5,
+                          "data": {"source": "synthetic", "n_samples": 60, "p": 6}},
+            "network": {"kind": "ring", "n": 5}, "scheme": {"kind": "qnbbq"},
+            "hyperparams": {"T": 10}, "seed": 42}
+    cfg = tmp_path / "compare.json"
+    cfg.write_text(json.dumps(dict(base, output_dir=str(tmp_path / "cmp"), compare={
+        "variants": [{"name": k, "scheme": {"kind": k}} for k in kinds]})))
+    assert main(["compare", "-c", str(cfg)]) == 0
+    _, rows = read_csv(str(tmp_path / "cmp" / "compare.csv"))
+    man = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+    alphas = {"qnbbq": 1.0, "randomk": 0.5, "topk": 0.5, "qnormsigned": 0.25}
+    for k in kinds:
+        assert man["variants"][k]["hyperparams"]["alpha_x"] == alphas[k]
+        out = tmp_path / k
+        assert main(["run", "-c", str(cfg), "--scheme", k, "--output-dir", str(out)]) == 0
+        _, single = read_csv(str(out / "trace.csv"))
+        assert [r[1:] for r in rows if r[0] == k] == single
+        assert len(single) == 11
+
+
+def test_compare_top_level_values_apply_to_every_variant(tmp_path):
+    variants = [{"name": "q", "scheme": {"kind": "qnbbq"}},
+                {"name": "rk", "scheme": {"kind": "randomk", "k": 2}},
+                {"name": "tk", "scheme": {"kind": "topk", "k": 2}, "eta": 0.004}]
+    cfg, out = write_config(tmp_path, compare={"variants": variants},
+                            hyperparams={"eta": 0.002, "gamma": 0.6, "alpha_x": 0.7, "T": 3,
+                                         "alpha_y": None})
+    assert main(["compare", "-c", cfg]) == 0
+    hps = {name: v["hyperparams"] for name, v in
+           json.loads(open(os.path.join(out, "manifest.json")).read())["variants"].items()}
+    assert {name: hp["eta"] for name, hp in hps.items()} == {"q": 0.002, "rk": 0.002, "tk": 0.004}
+    assert all(hp["alpha_x"] == 0.7 and hp["T"] == 3 for hp in hps.values())
+    # alpha_y is set nowhere, so each variant takes its own scheme's tuned alpha
+    assert {name: hp["alpha_y"] for name, hp in hps.items()} == {"q": 1.0, "rk": 0.5, "tk": 0.5}
+
+
+def test_logistic_randomk_needs_k(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CNEXT_COVTYPE_PATH", raising=False)
+    logistic = {"kind": "logistic", "lambda": 0.1, "data": {"source": "covtype"}}
+    cfg, _ = write_config(tmp_path, objective=logistic, scheme={"kind": "randomk", "k": None},
+                          hyperparams={"eta": 0.09, "gamma": 0.35, "T": 2})
+    assert main(["run", "-c", cfg]) == 2
+    assert "scheme.k is required" in capsys.readouterr().err
+
+    variants = [{"name": "q", "scheme": {"kind": "qnbbq"}},
+                {"name": "rk", "scheme": {"kind": "randomk"}}]
+    cfg, _ = write_config(tmp_path, objective=logistic, scheme={"kind": "qnbbq", "k": None},
+                          compare={"variants": variants}, hyperparams={"T": 2})
+    assert main(["compare", "-c", cfg]) == 2
+    assert "compare.variants[1].scheme.k is required" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cnext.graph import (build_circulant_expander, build_custom, build_ring, is_connected,
-                         metropolis_hastings_weights, spectral_gap_norm)
+                         metropolis_hastings_weights)
 
 
 def circulant_mh_rho(n, offsets):
@@ -107,13 +107,16 @@ def test_rho_is_second_singular_value():
 
 
 def test_spectral_gap_norm_oracle():
-    rng = np.random.default_rng(0)
-    for n in (3, 7, 20):
-        net = metropolis_hastings_weights(build_ring(n))
+    # rho and beta come from one eigendecomposition of W; check both against their definitions
+    topologies = [build_ring(n) for n in (1, 2, 3, 7, 20)] + [build_circulant_expander(30, 6)]
+    for topo in topologies:
+        net = metropolis_hastings_weights(topo)
+        n = topo.n
         M = net.W - np.ones((n, n)) / n
         oracle = float(np.max(np.abs(np.linalg.eigvalsh(M))))
-        assert spectral_gap_norm(net.W) == pytest.approx(oracle, abs=1e-14)
-    _ = rng  # quiet lint
+        assert net.rho == pytest.approx(oracle, abs=1e-14)
+        beta = float(np.max(np.abs(np.linalg.eigvalsh(np.eye(n) - net.W))))
+        assert net.beta == pytest.approx(beta, abs=1e-14)
 
 
 @given(st.floats(min_value=1e-9, max_value=1.0), st.integers(min_value=4, max_value=40))

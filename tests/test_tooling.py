@@ -1,6 +1,16 @@
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+import pytest
+
+from cnext.config import load_config
+from cnext.solver import HyperParams
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def test_traced_names_exist(monkeypatch):
@@ -12,3 +22,37 @@ def test_traced_names_exist(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in spans.TRACED
                if attr not in owner.__dict__]
     assert not missing
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_config_files_resolve(path):
+    cfg = load_config(str(path))
+    for hp in (cfg.hyperparams, *(v.hyperparams for v in cfg.variants)):
+        assert isinstance(hp, HyperParams)
+    if "compare" in json.loads(path.read_text()):
+        assert len(cfg.variants) >= 2
+
+
+def test_ridge_benchmark_config_is_the_desk_run():
+    cfg = load_config(str(ROOT / "configs" / "ridge_benchmark.json"))
+    resolved = {v.name: (v.scheme.k, v.hyperparams.eta, v.hyperparams.alpha_x,
+                         v.hyperparams.alpha_y, v.hyperparams.gamma, v.hyperparams.T)
+                for v in cfg.variants}
+    assert resolved == {"qnbbq": (None, 0.0095, 1.0, 1.0, 0.6, 5000),
+                        "randomk": (5, 0.0012, 0.5, 0.5, 0.6, 5000),
+                        "topk": (3, 0.006, 0.5, 0.5, 0.6, 5000),
+                        "qnormsigned": (None, 0.021, 0.25, 0.25, 0.6, 5000)}
+    assert {v.mode for v in cfg.variants} == {"cnext"} and cfg.seed == 42
+
+
+def test_theory_sweep_script_runs(tmp_path):
+    raw = json.loads((ROOT / "configs" / "theory_identity.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "theory.json"
+    cfg.write_text(json.dumps(raw))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "theory_sweep.py"),
+                           "-c", str(cfg), "--scheme", "topk", "--grid", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "out" / "sweep_topk.csv").read_text().splitlines()
+    assert lines[0] == "eta,gamma,pass,rho_A" and len(lines) == 5
