@@ -241,13 +241,16 @@ def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None) -> int:
 def cmd_verify_ops(cfg: ExperimentConfig, n_samples: int = 32, n_draws: int = 2000) -> int:
     exp = Experiment(cfg)
     p = exp.p
-    rng = np.random.default_rng(cfg.seed)
-    samples = [rng.standard_normal(p) for _ in range(n_samples)]
+    k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
     table = {}
     for kind in ALL_KINDS:
-        k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
-        scheme = make_scheme(kind, p, b=cfg.scheme.b, k=k, rng=rng,
+        # each scheme, and its check, draw from a fresh measurement substream, as
+        # Experiment.build_scheme does, so the constants are those `run` uses
+        scheme = make_scheme(kind, p, b=cfg.scheme.b, k=k,
+                             rng=substream(cfg.seed, STREAM_MEASURE),
                              n_samples=n_samples, n_draws=n_draws)
+        rng = substream(cfg.seed, STREAM_MEASURE)
+        samples = [rng.standard_normal(p) for _ in range(n_samples)]
         measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=n_draws)
         table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C,
                            delta_measured=max(0.01, 1.0 - one_minus_delta))

@@ -19,6 +19,7 @@ TOPK = "topk"
 QNORMSIGNED = "qnormsigned"  # q-norm signed compression, q = inf
 
 ALL_KINDS = (IDENTITY, QNBBQ, RANDOMK, TOPK, QNORMSIGNED)
+DRAWING_KINDS = (QNBBQ, RANDOMK)  # the kinds whose encoding draws randomness
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,12 @@ def _uniforms(rngs: np.random.Generator | list[np.random.Generator], rows: np.nd
 
 
 def _encode(scheme: CompressionScheme, Z: np.ndarray,
-            rngs: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
+            rngs: np.random.Generator | list[np.random.Generator] | None) -> np.ndarray:
     """Apply the operator to every row of the (r, p) matrix Z; returns Q row for row.
 
     All randomness (dither for the quantizer, the Bernoulli mask for Random-k) comes from
-    `rngs` (see _uniforms). Zero rows map to zero for every scheme, and a zero row under
-    the quantizer draws nothing.
+    `rngs` (see _uniforms); the other kinds never read it, so it may be None. Zero rows
+    map to zero for every scheme, and a zero row under the quantizer draws nothing.
     """
     if not np.all(np.isfinite(Z)):
         raise ValueError("compress: input has non-finite entries")
@@ -130,7 +131,7 @@ def verify_contract(scheme: CompressionScheme, samples: list[np.ndarray], rng: n
 
     Each sample's draws are encoded in one call, as rows of one matrix.
     """
-    draws = 1 if scheme.kind in (IDENTITY, TOPK, QNORMSIGNED) else n_draws
+    draws = n_draws if scheme.kind in DRAWING_KINDS else 1
     worst_C = worst_scaled = 0.0
     for x in samples:
         x = np.asarray(x, dtype=float)
@@ -193,7 +194,7 @@ class CompressState:
     alpha: float
 
     @classmethod
-    def init(cls, H0: np.ndarray, W: np.ndarray, alpha: float) -> "CompressState":
+    def init(cls, H0: np.ndarray, W, alpha: float) -> "CompressState":
         if not (alpha > 0):
             raise ValueError(f"alpha must be positive, got {alpha}")
         H0 = np.asarray(H0, dtype=float).copy()
@@ -211,11 +212,12 @@ class CompressedRound:
 
 
 def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionScheme,
-                   W: np.ndarray, rngs: list[np.random.Generator]) -> CompressedRound:
+                   W, rngs: list[np.random.Generator] | None) -> CompressedRound:
     """One round of difference compression for an n x p stream.
 
-    Encode Q = C(Z - H) in one call, row i with agent i's generator, form the estimates
-    Zhat = Q + H and Zhat_w = Hw + W Q, then mix the memories
+    Encode Q = C(Z - H) in one call, row i with agent i's generator (None for a kind
+    that draws nothing), form the estimates Zhat = Q + H and Zhat_w = Hw + W Q, with W
+    dense or a scipy sparse matrix, then mix the memories
     H <- (1-alpha) H + alpha Zhat and Hw <- (1-alpha) Hw + alpha Zhat_w.
     Mutates `state` and returns the round outputs; bits = n * per-vector cost.
     """

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compress import (CompressState, CompressionScheme, STREAM_INIT, STREAM_X, STREAM_Y,
-                       agent_streams, compress_round, make_scheme, substream, IDENTITY)
+from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_INIT, STREAM_X,
+                       STREAM_Y, agent_streams, compress_round, make_scheme, substream, IDENTITY)
 from .graph import Network
 from .objective import Objective
 
@@ -135,8 +135,8 @@ def init_state(obj: Objective, net: Network, hp: HyperParams, seed: int) -> Solv
     Hy0 = rng.uniform(size=(n, p))
     g0 = obj.grad_stack(X0)
     return SolverState(X=X0, Y=g0.copy(), prev_grad=g0,
-                       comp_x=CompressState.init(Hx0, net.W, hp.alpha_x),
-                       comp_y=CompressState.init(Hy0, net.W, hp.alpha_y))
+                       comp_x=CompressState.init(Hx0, net.mix, hp.alpha_x),
+                       comp_y=CompressState.init(Hy0, net.mix, hp.alpha_y))
 
 
 def newton_directions(X: np.ndarray, Y: np.ndarray, obj: Objective, t: int = 0) -> np.ndarray:
@@ -161,13 +161,18 @@ class StepInfo:
 
 def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionScheme,
          hp: HyperParams, mode: str,
-         rngs_x: list[np.random.Generator], rngs_y: list[np.random.Generator]) -> StepInfo:
-    """One synchronous round; mutates `state` in place and returns round diagnostics."""
+         rngs_x: list[np.random.Generator] | None,
+         rngs_y: list[np.random.Generator] | None) -> StepInfo:
+    """One synchronous round; mutates `state` in place and returns round diagnostics.
+
+    Mixing goes through `net.mix`; the per-agent generators may be None for a scheme
+    that draws nothing.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     t = state.t
-    rx = compress_round(state.comp_x, state.X, scheme, net.W, rngs_x)
-    ry = compress_round(state.comp_y, state.Y, scheme, net.W, rngs_y)
+    rx = compress_round(state.comp_x, state.X, scheme, net.mix, rngs_x)
+    ry = compress_round(state.comp_y, state.Y, scheme, net.mix, rngs_y)
 
     if mode == MODE_FIRST_ORDER_GT:
         D = state.Y
@@ -233,8 +238,10 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     if f_star is None:
         f_star = obj.value(x_star)
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
-    rngs_x = agent_streams(seed, STREAM_X, net.n)
-    rngs_y = agent_streams(seed, STREAM_Y, net.n)
+    rngs_x = rngs_y = None  # only the kinds that draw read per-agent streams
+    if scheme.kind in DRAWING_KINDS:
+        rngs_x = agent_streams(seed, STREAM_X, net.n)
+        rngs_y = agent_streams(seed, STREAM_Y, net.n)
 
     records = [_record(state, obj, x_star, f_star, test_data, StepInfo(0, 0.0, 0.0))]
     for _ in range(hp.T):
@@ -268,24 +275,3 @@ def baseline_optimum(obj: Objective) -> np.ndarray:
         return ridge_closed_form_optimum(obj)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=BASELINE_TOL, max_iter=500)
     return x
-
-
-def network_giant_reference(obj: Objective, net: Network, hp: HyperParams, seed: int,
-                            state0: SolverState | None = None) -> list[np.ndarray]:
-    """Directly coded uncompressed reference: X <- Wtilde X - eta D, Y <- Wtilde Y + dG.
-
-    Wtilde = (1-gamma) I + gamma W. Used to verify that identity compression recovers
-    plain weighted averaging; returns the sequence of X iterates including X(0).
-    """
-    state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
-    Wt = (1.0 - hp.gamma) * np.eye(net.n) + hp.gamma * net.W
-    X, Y, g = state.X, state.Y, state.prev_grad
-    out = [X.copy()]
-    for t in range(hp.T):
-        D = newton_directions(X, Y, obj, t)
-        X_new = Wt @ X - hp.eta * D
-        g_new = obj.grad_stack(X_new)
-        Y = Wt @ Y + g_new - g
-        X, g = X_new, g_new
-        out.append(X.copy())
-    return out

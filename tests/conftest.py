@@ -4,6 +4,7 @@ import pytest
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import LocalData, ridge_objective, logistic_objective, ridge_closed_form_optimum
+from cnext.solver import init_state, newton_directions
 
 
 def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):
@@ -21,6 +22,26 @@ def make_logistic(n_agents=4, p=5, m=12, lam=0.1, seed=3):
         b = np.where(A @ w + 0.3 * rng.standard_normal(m) >= 0, 1.0, -1.0)
         locals_.append(LocalData(A=A, b=b))
     return logistic_objective(locals_, lam)
+
+
+def network_giant_reference(obj, net, hp, seed, state0=None):
+    """Directly coded uncompressed reference: X <- Wtilde X - eta D, Y <- Wtilde Y + dG.
+
+    Wtilde = (1-gamma) I + gamma W. Used to verify that identity compression recovers
+    plain weighted averaging; returns the sequence of X iterates including X(0).
+    """
+    state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
+    Wt = (1.0 - hp.gamma) * np.eye(net.n) + hp.gamma * net.W
+    X, Y, g = state.X, state.Y, state.prev_grad
+    out = [X.copy()]
+    for t in range(hp.T):
+        D = newton_directions(X, Y, obj, t)
+        X_new = Wt @ X - hp.eta * D
+        g_new = obj.grad_stack(X_new)
+        Y = Wt @ Y + g_new - g
+        X, g = X_new, g_new
+        out.append(X.copy())
+    return out
 
 
 @pytest.fixture(scope="session")

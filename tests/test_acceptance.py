@@ -22,9 +22,9 @@ from cnext.compress import (CompressState, agent_streams, bits_per_vector, compr
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
-                          init_state, network_giant_reference, newton_directions, run,
-                          tracking_gap)
+                          init_state, newton_directions, run, tracking_gap)
 from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
+from conftest import network_giant_reference
 
 
 def report(n, ok, msg):

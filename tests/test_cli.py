@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,7 +182,7 @@ def test_verify_ops_table_feeds_theory(tmp_path, capsys):
     cfg, out = write_config(tmp_path, scheme={"kind": "qnormsigned"},
                             hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
                                          "alpha_x": 0.2, "alpha_y": 0.2})
-    assert main(["verify-ops", "-c", cfg, "--n-samples", "8", "--n-draws", "400"]) == 0
+    assert main(["verify-ops", "-c", cfg, "--n-samples", "8", "--n-draws", "2000"]) == 0
     capsys.readouterr()
     table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
     assert set(table) == {"identity", "qnbbq", "randomk", "topk", "qnormsigned"}
@@ -194,6 +196,39 @@ def test_verify_ops_table_feeds_theory(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["scheme"]["C"] == pytest.approx(table["qnormsigned"]["C"])
     assert report["scheme"]["delta"] == pytest.approx(table["qnormsigned"]["delta_measured"])
+
+
+@pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
+def test_verify_ops_constants_equal_run(tmp_path, kind):
+    # with the default sample and draw counts both measure on the seed's measurement
+    # substream, so the table carries the very constant `run` certifies and steps with
+    cfg, out = write_config(tmp_path, scheme={"kind": kind}, hyperparams={"T": 1})
+    assert main(["verify-ops", "-c", cfg]) == 0
+    table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
+    assert main(["run", "-c", cfg]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert table[kind]["C"] == man["resolved"]["scheme"]["C"]
+    assert table[kind]["C_measured"] == man["resolved"]["scheme"]["C"]
+
+
+def test_sparse_run_is_byte_deterministic_across_thread_counts(tmp_path):
+    # 256 agents on a degree-6 expander mix through CSR; the c10 check on that path
+    raw = dict(BASE, network={"kind": "expander", "n": 256, "degree": 6},
+               objective={"kind": "ridge", "lambda": 0.5,
+                          "data": {"source": "synthetic", "n_samples": 1280, "p": 4}},
+               hyperparams=dict(BASE["hyperparams"], T=30))
+    outputs = []
+    for threads in ("1", "2"):
+        raw["output_dir"] = str(tmp_path / f"threads{threads}")
+        path = tmp_path / f"cfg{threads}.json"
+        path.write_text(json.dumps(raw))
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "cnext.cli", "run", "-c", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((tmp_path / f"threads{threads}" / "trace.csv").read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 32
 
 
 def test_missing_covtype_path_is_config_error(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from cnext.graph import (build_circulant_expander, build_custom, build_ring, is_connected,
                          metropolis_hastings_weights)
@@ -79,13 +80,30 @@ def test_expander14_rho_oracle():
     assert net.rho == pytest.approx(0.6419941724907049, abs=1e-10)
 
 
+def _ring_with_chords(n):
+    """A ring plus chords i -- i + 5 for even i: connected, irregular and not circulant."""
+    adj = build_ring(n).adjacency.copy()
+    for i in range(0, n, 2):
+        adj[i, (i + 5) % n] = adj[(i + 5) % n, i] = True
+    return build_custom(adj)
+
+
 @pytest.mark.parametrize("topo", [build_ring(2), build_ring(5), build_ring(10),
                                   build_circulant_expander(14, 6),
-                                  build_circulant_expander(9, 4)])
+                                  build_circulant_expander(9, 4), _ring_with_chords(40)])
 def test_network_invariants(topo):
     net = metropolis_hastings_weights(topo)
     n = net.n
     W = net.W
+    # the edge-list fill equals the definition written out pair by pair
+    deg = topo.degrees()
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and topo.adjacency[i, j]:
+                ref[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+    assert np.array_equal(W, ref)
     assert np.all(W >= 0)
     assert np.max(np.abs(W.sum(axis=0) - 1)) <= 1e-12
     assert np.max(np.abs(W.sum(axis=1) - 1)) <= 1e-12
@@ -107,8 +125,10 @@ def test_rho_is_second_singular_value():
 
 
 def test_spectral_gap_norm_oracle():
-    # rho and beta come from one eigendecomposition of W; check both against their definitions
-    topologies = [build_ring(n) for n in (1, 2, 3, 7, 20)] + [build_circulant_expander(30, 6)]
+    # rho and beta come from one eigendecomposition of W; check both against their
+    # definitions, on graphs that mix through W itself and through its CSR copy
+    topologies = ([build_ring(n) for n in (1, 2, 3, 7, 20, 256)]
+                  + [build_circulant_expander(n, 6) for n in (30, 256)] + [_ring_with_chords(40)])
     for topo in topologies:
         net = metropolis_hastings_weights(topo)
         n = topo.n
@@ -131,3 +151,18 @@ def test_custom_topology_roundtrip():
     t2 = build_custom(t.adjacency)
     assert np.array_equal(t.adjacency, t2.adjacency)
     assert is_connected(t2)
+
+
+def test_sparse_graphs_mix_through_csr():
+    # fill 7/256 and 3/200, both at most 1/32: a CSR copy of W, equal to W entry for entry
+    for topo in (build_circulant_expander(256, 6), build_ring(200)):
+        net = metropolis_hastings_weights(topo)
+        assert sparse.issparse(net.mix) and net.mix.format == "csr"
+        assert isinstance(net.W, np.ndarray)
+        assert np.array_equal(net.mix.toarray(), net.W)
+        assert net.mix.nnz == np.count_nonzero(net.W)
+    # the desk ring (fill 0.3), a 64-node ring (0.047) and a 128-node expander (0.055)
+    # mix through W itself
+    for topo in (build_ring(10), build_ring(64), build_circulant_expander(128, 6)):
+        net = metropolis_hastings_weights(topo)
+        assert net.mix is net.W

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext.compress import make_scheme, agent_streams, ALL_KINDS
-from cnext.graph import build_ring, metropolis_hastings_weights
+from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import centralized_newton, logistic_objective, ridge_closed_form_optimum
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
-                          measure_errors,
-                          network_giant_reference, newton_directions, run, step, tracking_gap,
+                          measure_errors, newton_directions, run, step, tracking_gap,
                           warn_theory_violations)
-from conftest import make_ridge
+from conftest import make_ridge, network_giant_reference
 
 
 def schemes_for(p, rng_seed=19):
@@ -283,3 +285,66 @@ def test_centralized_newton_passes_the_roundoff_floor():
     obj = _sign_logistic(18)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-12, max_iter=500)
     assert np.linalg.norm(obj.grad(x)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def expander256():
+    """256 agents on a degree-6 circulant: W has fill 7/256, so it mixes through CSR."""
+    obj = make_ridge(n_agents=256, p=4, N=1280, lam=0.5, seed=7)
+    net = metropolis_hastings_weights(build_circulant_expander(256, 6))
+    assert sparse.issparse(net.mix)
+    return obj, net
+
+
+def _trace_columns(records):
+    """The float columns of trace.csv, one row per round."""
+    return np.array([[r.errors.opt, r.errors.cons, r.errors.gt, r.errors.comp_x, r.errors.comp_y,
+                      r.residual] for r in records])
+
+
+@pytest.mark.parametrize("kind", ["identity", "randomk"])
+def test_csr_mixing_matches_dense(expander256, kind):
+    # identity has no decision and Random-k's mask reads only the uniforms, so neither
+    # turns the roundoff between the two products into a different encoding
+    obj, net = expander256
+    dense = dataclasses.replace(net, mix=net.W)
+    scheme = make_scheme(kind, obj.p, k=2)
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=30)
+    a = run(obj, net, scheme, hp, MODE_CNEXT, seed=5)
+    b = run(obj, dense, scheme, hp, MODE_CNEXT, seed=5)
+    assert [r.bits_cum for r in a] == [r.bits_cum for r in b]
+    ca, cb = _trace_columns(a), _trace_columns(b)
+    for col in range(ca.shape[1]):
+        assert np.allclose(ca[:, col], cb[:, col], rtol=1e-12, atol=0), col
+
+
+def test_memory_identity_on_the_csr_path(expander256):
+    obj, net = expander256
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=40)
+    scheme = make_scheme("qnbbq", obj.p, b=2, measured_C=0.6)
+    state = init_state(obj, net, hp, seed=8)
+    rx, ry = agent_streams(8, 0, net.n), agent_streams(8, 1, net.n)
+    for _ in range(hp.T + 1):
+        for comp in (state.comp_x, state.comp_y):
+            assert isinstance(comp.Hw, np.ndarray)
+            gap = np.linalg.norm(comp.Hw - net.W @ comp.H)
+            assert gap <= 1e-10 * max(np.linalg.norm(comp.H), 1.0)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+
+
+def test_run_builds_agent_streams_only_for_schemes_that_draw(small_ridge, monkeypatch):
+    import cnext.solver as solver_mod
+
+    obj, net = small_ridge
+    built = []
+
+    def counting_streams(seed, stream, n):
+        built.append(stream)
+        return agent_streams(seed, stream, n)
+
+    monkeypatch.setattr(solver_mod, "agent_streams", counting_streams)
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=3)
+    for scheme in schemes_for(obj.p):
+        built.clear()
+        run(obj, net, scheme, hp, MODE_CNEXT, seed=1)
+        assert built == ([0, 1] if scheme.kind in ("qnbbq", "randomk") else []), scheme.kind

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,23 @@ def test_traced_names_exist(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in spans.TRACED
                if attr not in owner.__dict__]
     assert not missing
+
+
+def test_declared_dependencies_match_imports():
+    # every third-party top-level module imported anywhere under src/cnext (scipy.sparse
+    # counts as scipy) is declared in pyproject.toml, and every declared one is imported
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {re.split(r"[<>=!~;\[ ]", d, maxsplit=1)[0].lower() for d in deps}
+    imported = set()
+    for path in (ROOT / "src" / "cnext").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cnext"}
+    assert third_party == declared
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
