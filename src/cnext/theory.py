@@ -5,21 +5,42 @@ squared errors obeys e(t+1) <= A(theta) e(t) componentwise whenever
 eta <= min(2L/(3mu), mu/L); rho(A) < 1 then yields a linear rate. The sufficient
 conditions bound eta and gamma through a positive certificate vector
 eps = (eps1, eps2, L^2 eps3, eps4, L^2 eps5) with A eps <= (1 - eta/(2 kappa)) eps.
+
+Both yes/no decisions the report rests on are exact for the float64 A, eps and q it is
+given, whose entries are dyadic rationals. rho(A) < 1 is read from float64 eigenvalues
+away from 1 and, within 1e-9 of it, from the signs of the pivots of I - A in `Fraction`
+arithmetic (the M-matrix criterion). The certificate is decided in float64 when every
+row's margin clears a forward-error bound, and in `Fraction` only when one does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .compress import CompressionScheme
 from .graph import Network
 
-# the certificate margins scale like eta/kappa and can sit within a few ulps of 1 in
-# float64, so the componentwise check and rho(A) are evaluated in extended precision
-_DPS = 50
+# the certificate margins scale like eta/kappa and rho(A) can sit within a few ulps of 1,
+# so float64 decides only where its rounding error cannot flip the answer
+_RHO_GATE = 1e-9
+_U = 2.0 ** -53  # unit roundoff of float64
+# gamma_k = k u / (1 - k u) bounds the relative error of k chained float64 operations
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3). The certificate's row
+# margin m_i = fl(fl(q v_i) - fl((A v)_i)) carries gamma_5 (|A||v|)_i from the 5-term dot
+# product, in any summation order, with or without FMA, and u |q v_i| from the product
+# q v_i; the final subtraction is correctly rounded and keeps the sign of the difference.
+# So the exact margin is within gamma_5 ((|A||v|)_i + |q v_i|) of that difference.
+# Forming the bound in float64 (a 5-term sum, one addition, the constant, one product and
+# the absolute term, all nonnegative) shrinks it by at most a factor (1 - gamma_9), and
+# comparing it with the rounded margin costs a factor (1 + u). k = 6 covers both, as
+# gamma_6 (1 - gamma_9) / (1 + u) > gamma_5. The absolute term covers gradual underflow:
+# each of the six products, and the bound's own terms, lose at most half a subnormal ulp,
+# 2^-1075, which the smallest normal number, 2^-1022, exceeds many times over.
+_CERT_GAMMA = 6 * _U / (1.0 - 6 * _U)
+_CERT_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -157,28 +178,63 @@ def spectral_radius(M: ContractionMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def _mp_spectral_radius(A: np.ndarray) -> mp.mpf:
-    with mp.workdps(_DPS):
-        evals, _ = mp.eig(mp.matrix(A.tolist()))
-        return max(abs(ev) for ev in evals)
+def _rho_lt_1_exact(A: np.ndarray) -> bool:
+    """rho(A) < 1 for a nonnegative A, decided exactly in rationals.
+
+    I - A is then a Z-matrix, and rho(A) < 1 holds exactly when I - A is a nonsingular
+    M-matrix, that is when every leading principal minor of I - A is positive (Berman &
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6). The k-th pivot of
+    Gaussian elimination without pivoting is the ratio of the k-th to the (k-1)-th leading
+    minor, so the minors are all positive exactly when every pivot is; elimination stops
+    at the first pivot that is not.
+    """
+    if np.any(A < 0):
+        raise ValueError("the M-matrix criterion for rho(A) < 1 needs a nonnegative A")
+    m = A.shape[0]
+    M = [[(1 if i == j else 0) - Fraction(a) for j, a in enumerate(row)]
+         for i, row in enumerate(A.tolist())]
+    for k in range(m):
+        pivot = M[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, m):
+            f = M[i][k] / pivot
+            if f:
+                M[i][k + 1:] = [x - f * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
+    return True
 
 
 def _rho_and_flag(A: np.ndarray) -> tuple[float, bool]:
-    """(rho(A), rho < 1); decided in extended precision only near the boundary."""
+    """(rho(A) from float64 eigenvalues, rho(A) < 1); the flag is decided exactly within
+    _RHO_GATE of the boundary."""
     rho = spectral_radius(A)
-    if abs(rho - 1.0) > 1e-9:
+    if abs(rho - 1.0) > _RHO_GATE:
         return rho, rho < 1.0
-    rho_mp = _mp_spectral_radius(A)
-    return float(rho_mp), bool(rho_mp < 1)
+    return rho, _rho_lt_1_exact(A)
 
 
-def _mp_certificate_holds(A: np.ndarray, eps_vec: np.ndarray, q: float) -> bool:
-    """Exact-precision check of A eps <= q eps componentwise (inputs are float64 exact)."""
-    with mp.workdps(_DPS):
-        v = mp.matrix(eps_vec.tolist())
-        lhs = mp.matrix(A.tolist()) * v
-        qm = mp.mpf(float(q))
-        return all(lhs[i] <= qm * v[i] for i in range(5))
+def _certificate_holds(A: np.ndarray, v: np.ndarray, q: float) -> bool:
+    """A v <= q v componentwise, decided exactly for the float64 A, v and q given.
+
+    float64 decides every row whose margin q v_i - (A v)_i clears the forward-error bound
+    _CERT_GAMMA ((|A||v|)_i + |q v_i|) + _CERT_TINY; only the rows it leaves open are
+    evaluated in `Fraction`. Non-finite entries fail the certificate.
+    """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(v))):
+        return False
+    qv = q * v
+    margin = qv - A @ v
+    bound = _CERT_GAMMA * (np.abs(A) @ np.abs(v) + np.abs(qv)) + _CERT_TINY
+    # an overflowed margin or bound (inf or nan) fails both comparisons: Fraction decides
+    if np.any(margin < -bound):
+        return False
+    open_rows = np.flatnonzero(~(margin > bound))
+    if open_rows.size == 0:
+        return True
+    vf = [Fraction(x) for x in v.tolist()]
+    qf = Fraction(q)
+    return all(sum(Fraction(a) * x for a, x in zip(A[i].tolist(), vf)) <= qf * vf[i]
+               for i in open_rows)
 
 
 def _contraction(tc: TheoryConstants, theta: Theta, n: int) -> tuple:
@@ -274,7 +330,7 @@ def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: in
     if A is not None:
         q = 1.0 - eta / (2.0 * kappa)
         eps_vec = np.array([e1, e2, L ** 2 * e3, e4, L ** 2 * e5])
-        direct["ok"] = _mp_certificate_holds(A, eps_vec, q)
+        direct["ok"] = _certificate_holds(A, eps_vec, q)
     if rho_decision is not None:
         direct["rho_A"], direct["rho_lt_1"] = rho_decision
 

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cnext.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "objective": {"kind": "ridge", "lambda": 0.5,
@@ -116,6 +119,30 @@ def test_divergence_exit_3(tmp_path, capsys):
     assert err["error"] == "DivergenceError"
     man = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert man["divergence"]["quantity"] in ("X", "Y", "error vector")
+
+
+def test_growth_divergence_exit_3(tmp_path, capsys):
+    # the first-order run stays finite for all 1000 rounds (opt_err 9.9e21 at t = 1000);
+    # its error vector outgrows GROWTH_LIMIT times its t = 0 sum first
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(CONFIGS / "ridge_compare.json"), "--mode", "first_order_gt",
+                 "--eta", "0.002", "--output-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DivergenceError" and err["quantity"] == "error vector"
+    assert "exceeds" in err["message"] and 0 < err["t"] < 1000
+    assert json.loads((out / "manifest.json").read_text())["divergence"]["t"] == err["t"]
+    assert not (out / "trace.csv").exists()
+
+
+def test_ridge_compare_runs_both_modes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compare", "-c", str(CONFIGS / "ridge_compare.json"),
+                 "--output-dir", str(out)]) == 0
+    variants = json.loads((out / "manifest.json").read_text())["variants"]
+    assert variants["first-order-qns"]["hyperparams"]["eta"] == 0.0002
+    for name, entry in variants.items():
+        assert entry["diverged"] is None, name
+        assert entry["final_residual"] <= 1e-6, name
 
 
 def test_compare_identity_variants_identical(tmp_path):

@@ -153,6 +153,30 @@ def test_custom_topology_roundtrip():
     assert is_connected(t2)
 
 
+def bfs_connected(adjacency):
+    """Reference: depth-first reachability from node 0 over dense adjacency rows."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for j in np.flatnonzero(adjacency[stack.pop()] & ~seen):
+            seen[j] = True
+            stack.append(j)
+    return bool(seen.all())
+
+
+def test_is_connected_matches_reachability():
+    rng = np.random.default_rng(3)
+    outcomes = []
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.3), 1)
+        topo = build_custom(upper | upper.T)
+        outcomes.append(bfs_connected(topo.adjacency))
+        assert is_connected(topo) is outcomes[-1]
+    assert set(outcomes) == {True, False}
+
+
 def test_sparse_graphs_mix_through_csr():
     # fill 7/256 and 3/200, both at most 1/32: a CSR copy of W, equal to W entry for entry
     for topo in (build_circulant_expander(256, 6), build_ring(200)):

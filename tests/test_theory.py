@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,3 +246,142 @@ def test_default_epsilon_builds_A_once(monkeypatch):
     tc = constants_for(mu=1.0, L=4.0, rho=0.8, beta=1.2, C=0.0, r=1.0, delta=1.0, theta=theta)
     default_epsilon(tc, theta, 10)
     assert calls == {"build_A": 1, "_rho_and_flag": 1}
+
+
+# a row-stochastic S with power-of-two entries: rho(S) = 1, and c S is exact in float64
+# for c = 1 +- 2^-40 and c = 1 - 2^-53, so rho(c S) = c is known exactly and lies inside
+# the 1e-9 gate. float64 eigenvalues (OpenBLAS 0.3.31) put rho(S) and rho((1 - 2^-53) S)
+# on the wrong side of 1.
+STOCHASTIC = np.array([[0.125, 0.125, 0.25, 0.5, 0.0],
+                       [0.25, 0.5, 0.125, 0.125, 0.0],
+                       [0.0, 0.25, 0.0, 0.25, 0.5],
+                       [0.5, 0.0625, 0.25, 0.125, 0.0625],
+                       [0.25, 0.0625, 0.125, 0.5, 0.0625]])
+
+
+@pytest.mark.parametrize("c,below", [(1.0 - 2.0 ** -40, True), (1.0 + 2.0 ** -40, False),
+                                     (1.0, False), (1.0 - 2.0 ** -53, True)])
+def test_rho_flag_is_exact_at_the_boundary(c, below):
+    from cnext import theory
+
+    A = c * STOCHASTIC
+    assert np.array_equal(A / c, STOCHASTIC)  # exact scaling: rho(A) is c
+    rho, flag = theory._rho_and_flag(A)
+    assert abs(rho - 1.0) <= 1e-9 and flag is below
+
+
+def test_rho_flag_agrees_with_eigenvalues_off_the_boundary():
+    from cnext import theory
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        B = rng.uniform(0.0, 1.0, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.6)
+        rho = spectral_radius(B)
+        if rho == 0.0:
+            continue
+        A = B * (rng.uniform(0.5, 1.5) / rho)
+        rho_A = spectral_radius(A)
+        if abs(rho_A - 1.0) > 1e-6:
+            assert theory._rho_lt_1_exact(A) is bool(rho_A < 1.0)
+    with pytest.raises(ValueError):
+        theory._rho_lt_1_exact(-STOCHASTIC)
+
+
+def fraction_certificate(A, v, q):
+    """A v <= q v componentwise, evaluated in rationals."""
+    vf = [Fraction(x) for x in v.tolist()]
+    return all(sum(Fraction(a) * x for a, x in zip(row, vf)) <= Fraction(q) * vi
+               for row, vi in zip(A.tolist(), vf))
+
+
+def tied_certificate(exponents, q_units, weights):
+    """(A, v, q) with (A v)_i = q v_i exactly in every row, also in float64.
+
+    v_j = 2^e_j, q = q_units / 2^10 and A_ij = q v_i w_ij / v_j with w_ij = weights_ij / 16
+    and each row of weights summing to 16: every product A_ij v_j and every partial sum of
+    row i is v_i / 2^14 times an integer of at most 2^14, so nothing rounds.
+    """
+    v = np.ldexp(1.0, np.asarray(exponents))
+    q = q_units / 2.0 ** 10
+    A = q * np.outer(v, 1.0 / v) * np.asarray(weights, dtype=float) / 16.0
+    return A, v, q
+
+
+def _weight_rows(draw):
+    rows = []
+    for _ in range(5):
+        cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=4, max_size=4)))
+        rows.append(np.diff([0, *cuts, 16]))
+    return rows
+
+
+@st.composite
+def certificate_cases(draw):
+    kind = draw(st.sampled_from(["random", "fit", "tie", "q_up", "q_down", "a_up", "a_down"]))
+    if kind in ("random", "fit"):
+        # full random mantissas, so that the products and sums round
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        A = rng.uniform(0.0, 10.0, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.8)
+        v = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=5))
+        if kind == "random":
+            return A, v, draw(st.floats(0.5, 1.0))
+        # q fitted to the tightest row in float64, then moved by up to one ulp: the margin
+        # is then within rounding error of zero, where float64 alone can get its sign wrong
+        q = float(np.max(A @ v / v))
+        for _ in range(abs(steps := draw(st.integers(-1, 1)))):
+            q = float(np.nextafter(q, np.inf if steps > 0 else 0.0))
+        return A, v, q
+    A, v, q = tied_certificate(draw(st.lists(st.integers(-20, 20), min_size=5, max_size=5)),
+                               draw(st.integers(512, 1024)), _weight_rows(draw))
+    # one-ulp moves of q or of one positive entry of A turn the tie into a near-tie
+    if kind == "q_up":
+        q = float(np.nextafter(q, 2.0))
+    elif kind == "q_down":
+        q = float(np.nextafter(q, 0.0))
+    elif kind in ("a_up", "a_down"):
+        i, j = draw(st.sampled_from([tuple(ij) for ij in np.argwhere(A > 0)]))
+        A[i, j] = np.nextafter(A[i, j], np.inf if kind == "a_up" else 0.0)
+    return A, v, q
+
+
+@settings(deadline=None, max_examples=1000)
+@given(certificate_cases())
+def test_certificate_agrees_with_rationals(case):
+    from cnext import theory
+
+    A, v, q = case
+    assert theory._certificate_holds(A, v, q) is fraction_certificate(A, v, q)
+
+
+def test_certificate_agrees_with_rationals_on_fitted_near_ties():
+    # a fixed batch of the "fit" cases above: float64 alone, without the forward-error
+    # bound, gets about one in fifty of these wrong
+    from cnext import theory
+
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        A = rng.uniform(0.0, 10.0, size=(5, 5))
+        v = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=5))
+        q = float(np.max(A @ v / v))
+        q = float(np.nextafter(q, [0.0, q, np.inf][rng.integers(3)]))
+        assert theory._certificate_holds(A, v, q) is fraction_certificate(A, v, q)
+
+
+def test_certificate_falls_back_to_rationals_only_near_a_tie(monkeypatch):
+    from cnext import theory
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(theory, "Fraction", counted)
+    A, v, q = tied_certificate([0, 3, -2, 7, 1], 1000, [[16, 0, 0, 0, 0], [4, 4, 4, 4, 0],
+                                                      [1, 2, 3, 4, 6], [0, 0, 8, 0, 8],
+                                                      [2, 2, 2, 2, 8]])
+    assert theory._certificate_holds(A, v, q) and calls
+    assert not theory._certificate_holds(A, v, float(np.nextafter(q, 0.0)))
+    calls.clear()
+    assert theory._certificate_holds(0.5 * A, v, q) and not calls
+    assert not theory._certificate_holds(2.0 * A, v, q) and not calls
