@@ -1,7 +1,7 @@
 """Experiment harness CLI: run / compare / theory / verify-ops.
 
 Every run directory receives a trace CSV (fixed column order) and a JSON manifest
-carrying the resolved config, seed, measured scheme constants, and the bit-accounting
+carrying the resolved config, seed, scheme constants, and the bit-accounting
 convention, enough to reproduce the run bit-exactly.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 io error.
@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
 from .objective import ConvergenceError, logistic_objective, ridge_objective
-from .solver import (DivergenceError, HyperParams, NumericalError, RoundRecord,
+from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
 from .theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon, spectral_radius
 
@@ -40,13 +40,16 @@ class Experiment:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         net_cfg = cfg.network
-        if net_cfg.kind == "ring":
-            topo = build_ring(net_cfg.n)
-        elif net_cfg.kind == "expander":
-            topo = build_circulant_expander(net_cfg.n, net_cfg.degree)
-        else:
-            topo = build_custom(np.asarray(net_cfg.adjacency, dtype=bool))
-        self.net = metropolis_hastings_weights(topo)
+        try:
+            if net_cfg.kind == "ring":
+                topo = build_ring(net_cfg.n)
+            elif net_cfg.kind == "expander":
+                topo = build_circulant_expander(net_cfg.n, net_cfg.degree)
+            else:
+                topo = build_custom(np.asarray(net_cfg.adjacency, dtype=bool))
+            self.net = metropolis_hastings_weights(topo)
+        except ValueError as exc:  # a graph the config describes but that cannot mix
+            raise ConfigError(f"network: {exc}") from exc
 
         data_cfg = cfg.objective.data
         if data_cfg.source == "synthetic":
@@ -74,7 +77,7 @@ class Experiment:
         return self.obj.p
 
     def build_scheme(self, sc: SchemeConfig) -> CompressionScheme:
-        """The scheme with its constants measured on the seed's measurement substream."""
+        """The scheme with its constants computed from the seed's measurement substream."""
         return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k,
                            rng=substream(self.cfg.seed, STREAM_MEASURE))
 
@@ -113,34 +116,35 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _values(r: RoundRecord) -> tuple[float | None, ...]:
+    """The columns of one trace row after t and bits_cum, in CSV_COLUMNS order."""
+    e = r.errors
+    return (e.opt, e.cons, e.gt, e.comp_x, e.comp_y, r.residual, r.accuracy)
+
+
+def _line(t: int, bits: int, values) -> str:
+    """One trace row; the accuracy column is empty when it is None (ridge)."""
+    *floats, acc = values
+    return ",".join((str(t), str(bits), *map(repr, floats), "" if acc is None else repr(acc)))
+
+
+def _csv(lines) -> str:
+    return "\n".join((",".join(CSV_COLUMNS), *lines)) + "\n"
+
+
 def records_to_csv(records: list[RoundRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        e = r.errors
-        acc = "" if r.accuracy is None else repr(r.accuracy)
-        lines.append(",".join((str(r.t), str(r.bits_cum), repr(e.opt), repr(e.cons),
-                               repr(e.gt), repr(e.comp_x), repr(e.comp_y),
-                               repr(r.residual), acc)))
-    return "\n".join(lines) + "\n"
+    return _csv(_line(r.t, r.bits_cum, _values(r)) for r in records)
 
 
 def averaged_csv(per_seed: list[list[RoundRecord]]) -> str:
+    """The trace whose value columns are the per-round means over the seeds' traces."""
     lengths = {len(rs) for rs in per_seed}
     if len(lengths) != 1:
         raise ValueError("seed averaging needs equal-length traces (run with tol = 0)")
-    lines = [",".join(CSV_COLUMNS)]
-    for rows in zip(*per_seed):
-        t = rows[0].t
-        bits = rows[0].bits_cum
-        cols = []
-        for getter in (lambda r: r.errors.opt, lambda r: r.errors.cons, lambda r: r.errors.gt,
-                       lambda r: r.errors.comp_x, lambda r: r.errors.comp_y,
-                       lambda r: r.residual):
-            cols.append(repr(float(np.mean([getter(r) for r in rows]))))
-        accs = [r.accuracy for r in rows]
-        acc = "" if accs[0] is None else repr(float(np.mean(accs)))
-        lines.append(",".join((str(t), str(bits), *cols, acc)))
-    return "\n".join(lines) + "\n"
+    return _csv(_line(rows[0].t, rows[0].bits_cum,
+                      [None if col[0] is None else float(np.mean(col))
+                       for col in zip(*map(_values, rows))])
+                for rows in zip(*per_seed))
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -216,8 +220,7 @@ def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None) -> int:
             scheme = make_scheme(scheme.kind, exp.p, b=cfg.scheme.b, k=cfg.scheme.k,
                                  measured_C=row["C"])
             if row.get("delta_measured"):
-                scheme = CompressionScheme(scheme.kind, b=scheme.b, k=scheme.k, C=scheme.C,
-                                           r=scheme.r, delta=row["delta_measured"])
+                scheme = replace(scheme, delta=row["delta_measured"])
     hp = cfg.hyperparams
     theta = Theta(eta=hp.eta, gamma=hp.gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     report: dict = {"scheme": _scheme_dict(scheme),
@@ -244,11 +247,11 @@ def cmd_verify_ops(cfg: ExperimentConfig, n_samples: int = 32, n_draws: int = 20
     k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
     table = {}
     for kind in ALL_KINDS:
-        # each scheme, and its check, draw from a fresh measurement substream, as
-        # Experiment.build_scheme does, so the constants are those `run` uses
+        # each scheme, and its Monte Carlo check, start from a fresh measurement substream,
+        # as Experiment.build_scheme does: C is the exact constant `run` uses, C_measured
+        # its estimate on the same samples
         scheme = make_scheme(kind, p, b=cfg.scheme.b, k=k,
-                             rng=substream(cfg.seed, STREAM_MEASURE),
-                             n_samples=n_samples, n_draws=n_draws)
+                             rng=substream(cfg.seed, STREAM_MEASURE), n_samples=n_samples)
         rng = substream(cfg.seed, STREAM_MEASURE)
         samples = [rng.standard_normal(p) for _ in range(n_samples)]
         measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=n_draws)
@@ -274,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gamma", type=float)
         sp.add_argument("--T", type=int)
         sp.add_argument("--tol", type=float)
-        sp.add_argument("--mode", choices=("cnext", "first_order_gt", "uncompressed_giant"))
+        sp.add_argument("--mode", choices=MODES)
         sp.add_argument("--scheme", choices=ALL_KINDS)
         sp.add_argument("--k", type=int)
         sp.add_argument("--b", type=int)

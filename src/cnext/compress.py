@@ -149,15 +149,39 @@ def _sum_sq(D: np.ndarray) -> float:
     return float(np.cumsum(np.matmul(D[:, None, :], D[:, :, None]))[-1])
 
 
+def _exact_C(kind: str, b: int | None, X: np.ndarray) -> float:
+    """The contract constant of the quantizer or norm-signed scheme on the nonzero rows x
+    of X: the max over rows of E||Q(x) - x||^2 / ||x||^2, in closed form.
+
+    The quantizer rounds y = h|x_i|/s (h = 2^(b-1), s = ||x||_inf) up with probability
+    f = y - floor(y) and down otherwise, off by (s/h)(1 - f) or (s/h) f, so
+    E||Q(x) - x||^2 = (s/h)^2 sum_i f(1 - f). Norm-signed draws nothing, so its one encode
+    is the expectation; its ratio takes the arithmetic of verify_contract's single draw.
+    """
+    nx2 = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    if kind == QNBBQ:
+        h = 2.0 ** (b - 1)
+        s = np.max(np.abs(X), axis=1)
+        y = h * np.abs(X) / s[:, None]
+        f = y - np.floor(y)
+        err = (s / h) ** 2 * np.sum(f * (1.0 - f), axis=1)
+    else:
+        D = _encode(CompressionScheme(kind), X, None) - X
+        err = np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
+    return float(np.max(err / nx2))
+
+
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
                 measured_C: float | None = None, rng: np.random.Generator | None = None,
-                n_samples: int = 32, n_draws: int = 2_000) -> CompressionScheme:
+                n_samples: int = 32) -> CompressionScheme:
     """Build a scheme with its (C, r, delta) constants.
 
     Random-k / Top-k carry closed-form constants (C = 1 - k/p, delta = k/p, r = 1).
-    The quantizer and norm-signed schemes have no published constants, so C is measured
-    on standard-normal samples unless supplied: the unbiased quantizer then scales with
-    r = 1 + C (delta = 1/(1+C)); norm-signed uses the worst-case scaling r = p, delta = 1/p.
+    The quantizer and norm-signed schemes have no published constants, so unless C is
+    supplied it is the exact worst ratio E||Q(x) - x||^2 / ||x||^2 over `n_samples`
+    standard-normal p-vectors, the only draws taken from `rng` (see _exact_C). The
+    unbiased quantizer then scales with r = 1 + C (delta = 1/(1+C)); norm-signed uses the
+    worst-case scaling r = p, delta = 1/p.
     """
     if kind == IDENTITY:
         return CompressionScheme(IDENTITY, C=0.0, r=1.0, delta=1.0)
@@ -174,8 +198,7 @@ def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
     b = b if kind == QNBBQ else None
     if measured_C is None:
         rng = np.random.default_rng(0) if rng is None else rng
-        samples = [rng.standard_normal(p) for _ in range(n_samples)]
-        measured_C = verify_contract(CompressionScheme(kind, b=b), samples, rng, n_draws=n_draws)[0]
+        measured_C = _exact_C(kind, b, rng.standard_normal((n_samples, p)))
     if kind == QNBBQ:
         return CompressionScheme(QNBBQ, b=b, C=measured_C, r=1.0 + measured_C,
                                  delta=1.0 / (1.0 + measured_C))
@@ -235,7 +258,7 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
 
 
 # substream ids under one root seed: the two compressed streams' per-agent draws, the
-# initial state, and the Monte Carlo measurement of scheme constants
+# initial state, and the samples for scheme constants
 STREAM_X, STREAM_Y, STREAM_INIT, STREAM_MEASURE = 0, 1, 2, 3
 
 

@@ -159,6 +159,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                 adjacency=net_raw.get("adjacency"))
         if net_kind == "expander" and network.degree is None:
             raise ConfigError("network.degree is required for the expander topology")
+        if net_kind == "custom":
+            adj, n = _req(net_raw, "adjacency", "network"), network.n
+            if not (isinstance(adj, list) and len(adj) == n
+                    and all(isinstance(row, list) and len(row) == n for row in adj)):
+                raise ConfigError(f"network.adjacency must be an n x n list of rows, n = {n}")
 
         hp_raw = _opt(raw, "hyperparams", {})
         scheme, hyper = _resolve(_req(raw, "scheme", "$"), (hp_raw,), objective, net_kind, "")
@@ -166,6 +171,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         seeds = raw.get("seeds")
+        if seeds and len(seeds) > 1 and hyper.tol > 0:
+            # runs stopped by a tolerance end at different rounds, and averaging needs
+            # equal-length traces
+            raise ConfigError("seeds: averaging over several seeds needs hyperparams.tol = 0")
         variants = []
         for i, v in enumerate(_opt(raw, "compare", {}).get("variants", [])):
             vpath = f"compare.variants[{i}]"

@@ -1,10 +1,14 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cnext.compress import (CompressState, agent_streams, bits_per_vector, compress_round,
-                            compress_vector, make_scheme, verify_contract, ALL_KINDS)
+from cnext.compress import (CompressState, CompressionScheme, _exact_C, agent_streams,
+                            bits_per_vector, compress_round, compress_vector, make_scheme,
+                            verify_contract, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
 
 
@@ -92,6 +96,71 @@ def test_measured_constants_are_finite_and_recorded():
         scheme = make_scheme(kind, 12, k=None, rng=rng)
         assert np.isfinite(scheme.C) and scheme.C > 0
         assert scheme.r > 0 and 0 < scheme.delta <= 1
+
+
+def _two_outcome_C(X, b):
+    """Reference quantizer constant: each coordinate rounds to one of its two neighbouring
+    levels with the dither's probability; both outcomes enumerated in exact rationals."""
+    h = Fraction(2) ** (b - 1)
+    worst = Fraction(0)
+    for x in X.tolist():
+        s = max(abs(Fraction(v)) for v in x)
+        err = Fraction(0)
+        for v in x:
+            a = abs(Fraction(v))
+            y = h * a / s
+            lo = math.floor(y)
+            up = y - lo  # the probability of rounding up to level lo + 1
+            err += (1 - up) * (s / h * lo - a) ** 2 + up * (s / h * (lo + 1) - a) ** 2
+        worst = max(worst, err / sum(Fraction(v) ** 2 for v in x))
+    return worst
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 6, 20])
+def test_quantizer_constant_is_exact(b, p):
+    seed = 100 * b + p
+    C = make_scheme("qnbbq", p, b=b, rng=np.random.default_rng(seed)).C
+    reference = _two_outcome_C(np.random.default_rng(seed).standard_normal((32, p)), b)
+    assert C == pytest.approx(float(reference), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_quantizer_constant_at_exact_levels(b):
+    # coordinates on a level (y an integer) are reproduced exactly, so they add no error
+    X = np.array([[1.0, -0.5, 0.25, 0.75, 0.0],
+                  [2.0, -1.0, 0.5, 1.5, -2.0],
+                  [4.0, 3.0, -0.3, 1.1, 2.5]])
+    assert _exact_C("qnbbq", b, X) == pytest.approx(float(_two_outcome_C(X, b)), rel=1e-12, abs=0.0)
+    if b >= 3:  # every coordinate of the first two rows is on a level
+        assert _exact_C("qnbbq", b, X[:2]) == 0.0
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_quantizer_constant_agrees_with_monte_carlo(b):
+    # per sample, 100k dithered draws through the verify_contract oracle
+    rng = np.random.default_rng(70 + b)
+    scheme = CompressionScheme("qnbbq", b=b)
+    for x in rng.standard_normal((4, 8)):
+        measured = verify_contract(scheme, [x], rng, n_draws=100_000)[0]
+        assert measured == pytest.approx(_exact_C("qnbbq", b, x[None, :]), rel=0.02)
+
+
+@pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
+def test_scheme_constants_draw_only_the_samples(kind):
+    rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+    make_scheme(kind, 7, rng=rng, n_samples=9)
+    expected.standard_normal(9 * 7)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_norm_signed_constant_is_the_single_draw_oracle():
+    for seed in range(20):
+        for p in (1, 2, 5, 20, 54):
+            C = make_scheme("qnormsigned", p, rng=np.random.default_rng(seed)).C
+            rng = np.random.default_rng(seed)
+            samples = [rng.standard_normal(p) for _ in range(32)]
+            assert C == verify_contract(CompressionScheme("qnormsigned"), samples, rng)[0]
 
 
 def test_conditional_contract_bound():
