@@ -18,19 +18,22 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .compress import (CompressionScheme, STREAM_MEASURE, make_scheme, substream, verify_contract,
-                       ALL_KINDS, QNBBQ, QNORMSIGNED)
+from .compress import (CompressionScheme, MEASURE_SAMPLES, STREAM_MEASURE, make_scheme, substream,
+                       verify_contract, ALL_KINDS, QNBBQ, QNORMSIGNED)
 from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
-from .theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon, spectral_radius
+from .theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
 BIT_CONVENTION = "bits_cum counts both transmitted streams (X and Y): 2 * n * per-vector cost per round"
+GRID_ETA = (1e-10, 1e-2)  # the eta and gamma ranges `cnext theory --grid` sweeps, log-spaced
+GRID_GAMMA = (1e-4, 1.0)
+VERIFY_DRAWS = 2000  # Monte Carlo draws per sample behind `cnext verify-ops`' C_measured
 
 
 class Experiment:
@@ -209,56 +212,99 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None) -> int:
+def _measured_scheme(exp: Experiment, path: str) -> CompressionScheme:
+    """The config's scheme with C (and delta) taken from a `cnext verify-ops` table, which
+    must have been built for this instance: the same p, and for the quantizer the same b."""
+    scheme, sc = exp.scheme, exp.cfg.scheme
+    try:
+        with open(path) as fh:
+            table = json.load(fh)
+        p, row = table["p"], table["schemes"].get(scheme.kind)
+        C = None if row is None else row["C"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"--ops-manifest {path} is not a verify-ops table: {exc!r}") from exc
+    if p != exp.p:
+        raise ConfigError(f"--ops-manifest {path} was built at p = {p}, the config has p = {exp.p}")
+    if row is None or scheme.kind not in (QNBBQ, QNORMSIGNED):
+        return scheme
+    if scheme.kind == QNBBQ and row.get("b") != sc.b:
+        raise ConfigError(f"--ops-manifest {path} has qnbbq at b = {row.get('b')}, "
+                          f"the config has b = {sc.b}")
+    scheme = make_scheme(scheme.kind, exp.p, b=sc.b, k=sc.k, measured_C=C)
+    if row.get("delta_measured"):
+        scheme = replace(scheme, delta=row["delta_measured"])
+    return scheme
+
+
+def _theory_point(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentConfig,
+                  eta: float, gamma: float) -> dict:
+    """A(theta), rho(A) and the sufficient-condition report at one (eta, gamma), with the
+    config's alphas, tau and eps; {"error"} when a precondition fails."""
+    hp, n = cfg.hyperparams, exp.net.n
+    theta = Theta(eta=eta, gamma=gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
+    try:
+        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, scheme, theta,
+                                   tau_x=cfg.tau_x, tau_y=cfg.tau_y)
+        eps = np.asarray(cfg.eps) if cfg.eps is not None else default_epsilon(tc, theta, n)
+        A = build_A(tc, theta, n).A
+    except ValueError as exc:
+        return {"error": str(exc)}  # constraint violations are reported, not fatal
+    conditions = check_sufficient_conditions(tc, theta, eps, n)
+    return {"A": A.tolist(), "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}
+
+
+def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None, grid: int | None = None) -> int:
+    if grid is not None and grid < 1:
+        raise ConfigError(f"--grid must be at least 1, got {grid}")
     exp = Experiment(cfg)
-    scheme = exp.scheme
-    if ops_manifest:
-        with open(ops_manifest) as fh:
-            table = json.load(fh)["schemes"]
-        row = table.get(scheme.kind)
-        if row is not None and scheme.kind in (QNBBQ, QNORMSIGNED):
-            scheme = make_scheme(scheme.kind, exp.p, b=cfg.scheme.b, k=cfg.scheme.k,
-                                 measured_C=row["C"])
-            if row.get("delta_measured"):
-                scheme = replace(scheme, delta=row["delta_measured"])
+    scheme = exp.scheme if ops_manifest is None else _measured_scheme(exp, ops_manifest)
+    if grid is not None:
+        return _theory_grid(exp, scheme, cfg, grid)
     hp = cfg.hyperparams
-    theta = Theta(eta=hp.eta, gamma=hp.gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     report: dict = {"scheme": _scheme_dict(scheme),
                     "network": {"n": exp.net.n, "rho": exp.net.rho, "beta": exp.net.beta,
                                 "rho_tilde": exp.net.rho_tilde(hp.gamma)},
                     "objective": {"mu": exp.obj.mu, "L": exp.obj.L, "kappa": exp.obj.kappa}}
-    try:
-        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, scheme, theta,
-                                   tau_x=cfg.tau_x, tau_y=cfg.tau_y)
-        eps = np.asarray(cfg.eps) if cfg.eps is not None else default_epsilon(tc, theta, exp.net.n)
-        M = build_A(tc, theta, exp.net.n)
-        report["A"] = M.A.tolist()
-        report["rho_A"] = spectral_radius(M)
-        report["sufficient_conditions"] = check_sufficient_conditions(tc, theta, eps, exp.net.n)
-    except ValueError as exc:
-        report["error"] = str(exc)  # constraint violations are reported, not fatal
+    report.update(_theory_point(exp, scheme, cfg, hp.eta, hp.gamma))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_verify_ops(cfg: ExperimentConfig, n_samples: int = 32, n_draws: int = 2000) -> int:
+def _theory_grid(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentConfig, grid: int) -> int:
+    """The certified region: sweep_<kind>.csv with the pass flag and rho(A) of every point of
+    a grid x grid log grid over GRID_ETA x GRID_GAMMA; rho_A is empty where A cannot be formed."""
+    lines = ["eta,gamma,pass,rho_A"]
+    n_pass = 0
+    for eta in map(float, np.geomspace(*GRID_ETA, grid)):
+        for gamma in map(float, np.geomspace(*GRID_GAMMA, grid)):
+            point = _theory_point(exp, scheme, cfg, eta, gamma)
+            ok = int("error" not in point and point["sufficient_conditions"]["pass"])
+            rho = point.get("rho_A")
+            n_pass += ok
+            lines.append(f"{eta!r},{gamma!r},{ok},{'' if rho is None else repr(rho)}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    atomic_write(os.path.join(cfg.output_dir, f"sweep_{scheme.kind}.csv"), "\n".join(lines) + "\n")
+    print(f"{n_pass}/{grid * grid} grid points certified (scheme={scheme.label()}, "
+          f"C={scheme.C:.4g}, kappa={exp.obj.kappa:.2f}); map in {cfg.output_dir}/")
+    return 0
+
+
+def cmd_verify_ops(cfg: ExperimentConfig) -> int:
     exp = Experiment(cfg)
     p = exp.p
     k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
     table = {}
     for kind in ALL_KINDS:
-        # each scheme, and its Monte Carlo check, start from a fresh measurement substream,
-        # as Experiment.build_scheme does: C is the exact constant `run` uses, C_measured
-        # its estimate on the same samples
-        scheme = make_scheme(kind, p, b=cfg.scheme.b, k=k,
-                             rng=substream(cfg.seed, STREAM_MEASURE), n_samples=n_samples)
+        # C is the exact constant `run` uses, built as `run` builds it; C_measured is its
+        # Monte Carlo estimate on the same samples, from a fresh measurement substream
+        scheme = exp.build_scheme(replace(cfg.scheme, kind=kind, k=k))
         rng = substream(cfg.seed, STREAM_MEASURE)
-        samples = [rng.standard_normal(p) for _ in range(n_samples)]
-        measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=n_draws)
+        samples = [rng.standard_normal(p) for _ in range(MEASURE_SAMPLES)]
+        measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=VERIFY_DRAWS)
         table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C,
                            delta_measured=max(0.01, 1.0 - one_minus_delta))
     os.makedirs(cfg.output_dir, exist_ok=True)
-    out = {"p": p, "n_samples": n_samples, "n_draws": n_draws, "schemes": table}
+    out = {"p": p, "n_samples": MEASURE_SAMPLES, "n_draws": VERIFY_DRAWS, "schemes": table}
     path = os.path.join(cfg.output_dir, "ops_manifest.json")
     atomic_write(path, json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -284,29 +330,32 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output-dir")
         if name == "theory":
             sp.add_argument("--ops-manifest", help="reuse measured operator constants")
-        if name == "verify-ops":
-            sp.add_argument("--n-samples", type=int, default=32)
-            sp.add_argument("--n-draws", type=int, default=2000)
+            sp.add_argument("--grid", type=int,
+                            help="map the certified region on an N x N (eta, gamma) grid")
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
+def _overrides(args: argparse.Namespace) -> dict:
+    """The config fields the common flags set; load_config skips the unset (None) ones."""
+    return {
         "seed": args.seed, "mode": args.mode, "output_dir": args.output_dir,
         "hyperparams.eta": args.eta, "hyperparams.gamma": args.gamma,
         "hyperparams.T": args.T, "hyperparams.tol": args.tol,
         "scheme.kind": args.scheme, "scheme.k": args.k, "scheme.b": args.b,
     }
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, _overrides(args))
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "compare":
             return cmd_compare(cfg)
         if args.command == "theory":
-            return cmd_theory(cfg, ops_manifest=getattr(args, "ops_manifest", None))
-        return cmd_verify_ops(cfg, n_samples=args.n_samples, n_draws=args.n_draws)
+            return cmd_theory(cfg, ops_manifest=args.ops_manifest, grid=args.grid)
+        return cmd_verify_ops(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

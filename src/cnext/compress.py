@@ -20,6 +20,7 @@ QNORMSIGNED = "qnormsigned"  # q-norm signed compression, q = inf
 
 ALL_KINDS = (IDENTITY, QNBBQ, RANDOMK, TOPK, QNORMSIGNED)
 DRAWING_KINDS = (QNBBQ, RANDOMK)  # the kinds whose encoding draws randomness
+MEASURE_SAMPLES = 32  # standard-normal samples behind a measured contract constant
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,12 @@ def _exact_C(kind: str, b: int | None, X: np.ndarray) -> float:
 
 
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
-                measured_C: float | None = None, rng: np.random.Generator | None = None,
-                n_samples: int = 32) -> CompressionScheme:
+                measured_C: float | None = None, rng: np.random.Generator | None = None) -> CompressionScheme:
     """Build a scheme with its (C, r, delta) constants.
 
     Random-k / Top-k carry closed-form constants (C = 1 - k/p, delta = k/p, r = 1).
     The quantizer and norm-signed schemes have no published constants, so unless C is
-    supplied it is the exact worst ratio E||Q(x) - x||^2 / ||x||^2 over `n_samples`
+    supplied it is the exact worst ratio E||Q(x) - x||^2 / ||x||^2 over MEASURE_SAMPLES
     standard-normal p-vectors, the only draws taken from `rng` (see _exact_C). The
     unbiased quantizer then scales with r = 1 + C (delta = 1/(1+C)); norm-signed uses the
     worst-case scaling r = p, delta = 1/p.
@@ -198,7 +198,7 @@ def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
     b = b if kind == QNBBQ else None
     if measured_C is None:
         rng = np.random.default_rng(0) if rng is None else rng
-        measured_C = _exact_C(kind, b, rng.standard_normal((n_samples, p)))
+        measured_C = _exact_C(kind, b, rng.standard_normal((MEASURE_SAMPLES, p)))
     if kind == QNBBQ:
         return CompressionScheme(QNBBQ, b=b, C=measured_C, r=1.0 + measured_C,
                                  delta=1.0 / (1.0 + measured_C))

@@ -102,6 +102,8 @@ class ExperimentConfig:
             "seeds": list(self.seeds) if self.seeds else None,
             "output_dir": self.output_dir,
         }
+        if self.network.kind == "custom":
+            d["network"]["adjacency"] = self.network.adjacency
         if self.variants:
             d["compare"] = {"variants": [
                 {"name": v.name, "mode": v.mode, "scheme": asdict(v.scheme),

@@ -254,7 +254,7 @@ def test_verify_ops_table_feeds_theory(tmp_path, capsys):
     cfg, out = write_config(tmp_path, scheme={"kind": "qnormsigned"},
                             hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
                                          "alpha_x": 0.2, "alpha_y": 0.2})
-    assert main(["verify-ops", "-c", cfg, "--n-samples", "8", "--n-draws", "2000"]) == 0
+    assert main(["verify-ops", "-c", cfg]) == 0
     capsys.readouterr()
     table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
     assert set(table) == {"identity", "qnbbq", "randomk", "topk", "qnormsigned"}
@@ -284,6 +284,101 @@ def test_verify_ops_constants_equal_run(tmp_path, kind):
         assert table[kind]["C_measured"] == C
     else:  # the 2,000-draw estimate lies within 3.5% of C at p = 4 over seeds 0-199
         assert table[kind]["C_measured"] == pytest.approx(C, rel=0.05)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "not a verify-ops table"),
+    (lambda ops: ops.pop("schemes"), "not a verify-ops table"),
+    (lambda ops: ops["schemes"]["qnbbq"].pop("C"), "not a verify-ops table"),
+    (lambda ops: ops.update(p=6), "built at p = 6"),
+    (lambda ops: ops["schemes"]["qnbbq"].update(b=3), "qnbbq at b = 3"),
+], ids=["malformed-json", "no-schemes", "no-C", "other-p", "other-b"])
+def test_ops_manifest_that_does_not_fit_is_config_error(tmp_path, capsys, edit, message):
+    cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq", "b": 2},
+                            hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
+    assert main(["verify-ops", "-c", cfg]) == 0
+    path = os.path.join(out, "ops_manifest.json")
+    text = open(path).read()
+    if edit is None:
+        text = text[:len(text) // 2]
+    else:
+        ops = json.loads(text)
+        edit(ops)
+        text = json.dumps(ops)
+    with open(path, "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert main(["theory", "-c", cfg, "--ops-manifest", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _sweep_rows(path):
+    header, rows = read_csv(path)
+    assert header == ["eta", "gamma", "pass", "rho_A"]
+    return rows
+
+
+def test_theory_grid_writes_parseable_map(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "theory_identity.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "theory.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["theory", "-c", str(cfg), "--scheme", "topk", "--grid", "2"]) == 0
+    assert "/4 grid points certified (scheme=topk(k=3)" in capsys.readouterr().out
+    rows = _sweep_rows(tmp_path / "out" / "sweep_topk.csv")
+    assert len(rows) == 4
+    assert [(float(eta), float(gamma)) for eta, gamma, _, _ in rows] == \
+        [(1e-10, 1e-4), (1e-10, 1.0), (1e-2, 1e-4), (1e-2, 1.0)]
+
+
+def test_theory_grid_rows_are_single_points(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, scheme={"kind": "identity"},
+                            hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
+                                         "alpha_x": 0.8, "alpha_y": 0.6})
+    assert main(["theory", "-c", cfg, "--grid", "2"]) == 0
+    for eta, gamma, ok, rho in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
+        capsys.readouterr()
+        assert main(["theory", "-c", cfg, "--eta", eta, "--gamma", gamma]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert int(ok) == report["sufficient_conditions"]["pass"]
+        assert float(rho) == report["rho_A"]
+
+
+@pytest.mark.parametrize("updates, eta_formed", [
+    # kappa = 256, so eta = 1e-2 exceeds the step cap mu/L and A(theta) cannot be formed
+    ({"network": {"kind": "ring", "n": 10},
+      "objective": {"kind": "ridge", "lambda": 1e-4,
+                    "data": {"source": "synthetic", "n_samples": 60, "p": 4}}}, 1e-2),
+    # alpha > 1/(r delta) leaves no admissible tau, so A(theta) is formed nowhere
+    ({"hyperparams": {"alpha_x": 1.5, "alpha_y": 1.5, "T": 1}}, 0.0),
+], ids=["eta-above-cap", "alpha-above-1"])
+def test_theory_grid_leaves_rho_empty_without_A(tmp_path, updates, eta_formed):
+    cfg, out = write_config(tmp_path, scheme={"kind": "identity"}, **updates)
+    assert main(["theory", "-c", cfg, "--grid", "2"]) == 0
+    for eta, _, ok, rho in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
+        formed = float(eta) < eta_formed
+        assert (rho != "") == formed
+        assert formed or ok == "0"
+
+
+def test_theory_grid_below_one_is_config_error(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path)
+    assert main(["theory", "-c", cfg, "--grid", "0"]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("network", [
+    {"kind": "ring", "n": 5},
+    {"kind": "custom", "n": 4, "adjacency": CYCLE4},
+], ids=["ring", "custom"])
+def test_manifest_config_reproduces_trace(tmp_path, network):
+    cfg, out = write_config(tmp_path, network=network)
+    assert main(["run", "-c", cfg]) == 0
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(json.loads(open(os.path.join(out, "manifest.json")).read())["config"]))
+    assert main(["run", "-c", str(rerun), "--output-dir", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "trace.csv").read_bytes() == \
+        open(os.path.join(out, "trace.csv"), "rb").read()
 
 
 def test_sparse_run_is_byte_deterministic_across_thread_counts(tmp_path):

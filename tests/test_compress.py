@@ -149,8 +149,8 @@ def test_quantizer_constant_agrees_with_monte_carlo(b):
 @pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
 def test_scheme_constants_draw_only_the_samples(kind):
     rng, expected = np.random.default_rng(5), np.random.default_rng(5)
-    make_scheme(kind, 7, rng=rng, n_samples=9)
-    expected.standard_normal(9 * 7)
+    make_scheme(kind, 7, rng=rng)
+    expected.standard_normal(32 * 7)
     assert rng.bit_generator.state == expected.bit_generator.state
 
 

@@ -1,12 +1,13 @@
 import ast
 import json
 import re
-import subprocess
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+from cnext import cli
 from cnext.config import load_config
 from cnext.solver import HyperParams
 
@@ -64,14 +65,20 @@ def test_ridge_benchmark_config_is_the_desk_run():
     assert {v.mode for v in cfg.variants} == {"cnext"} and cfg.seed == 42
 
 
-def test_theory_sweep_script_runs(tmp_path):
-    raw = json.loads((ROOT / "configs" / "theory_identity.json").read_text())
-    raw["output_dir"] = str(tmp_path / "out")
-    cfg = tmp_path / "theory.json"
-    cfg.write_text(json.dumps(raw))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "theory_sweep.py"),
-                           "-c", str(cfg), "--scheme", "topk", "--grid", "2"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "out" / "sweep_topk.csv").read_text().splitlines()
-    assert lines[0] == "eta,gamma,pass,rho_A" and len(lines) == 5
+def test_readme_commands_parse():
+    # every cnext line in README's bash blocks parses, and loads its config with the line's
+    # flags when it names a config file; every repo path README names exists
+    readme = (ROOT / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)
+                for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.strip()]
+    named = re.findall(r"^\| `([^`]*/[^`]*)`", readme, re.M)
+    named += [arg for argv in commands for arg in argv if "/" in arg and "..." not in arg]
+    assert [path for path in named if not (ROOT / path).exists()] == []
+    parser = cli._build_parser()
+    for argv in (argv for argv in commands if argv[0] == "cnext"):
+        args = parser.parse_args(argv[1:])
+        if (ROOT / args.config).is_file():
+            load_config(str(ROOT / args.config), cli._overrides(args))
+    assert ["cnext", "theory", "-c", "configs/theory_identity.json", "--scheme", "topk",
+            "--grid", "20"] in commands
