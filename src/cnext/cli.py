@@ -26,7 +26,7 @@ from .graph import build_circulant_expander, build_custom, build_ring, metropoli
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
-from .theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
+from .theory import Theta, TheoryConstants, evaluate
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
@@ -213,8 +213,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def _measured_scheme(exp: Experiment, path: str) -> CompressionScheme:
-    """The config's scheme with C (and delta) taken from a `cnext verify-ops` table, which
-    must have been built for this instance: the same p, and for the quantizer the same b."""
+    """The config's scheme with delta taken from a `cnext verify-ops` table, which must have
+    been built for this instance: the same p, for the quantizer the same b, and the same C."""
     scheme, sc = exp.scheme, exp.cfg.scheme
     try:
         with open(path) as fh:
@@ -230,7 +230,9 @@ def _measured_scheme(exp: Experiment, path: str) -> CompressionScheme:
     if scheme.kind == QNBBQ and row.get("b") != sc.b:
         raise ConfigError(f"--ops-manifest {path} has qnbbq at b = {row.get('b')}, "
                           f"the config has b = {sc.b}")
-    scheme = make_scheme(scheme.kind, exp.p, b=sc.b, k=sc.k, measured_C=C)
+    if C != scheme.C:
+        raise ConfigError(f"--ops-manifest {path} has {scheme.kind} C = {C!r}, "
+                          f"this instance has C = {scheme.C!r}")
     if row.get("delta_measured"):
         scheme = replace(scheme, delta=row["delta_measured"])
     return scheme
@@ -240,16 +242,14 @@ def _theory_point(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentCon
                   eta: float, gamma: float) -> dict:
     """A(theta), rho(A) and the sufficient-condition report at one (eta, gamma), with the
     config's alphas, tau and eps; {"error"} when a precondition fails."""
-    hp, n = cfg.hyperparams, exp.net.n
+    hp = cfg.hyperparams
     theta = Theta(eta=eta, gamma=gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     try:
         tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, scheme, theta,
                                    tau_x=cfg.tau_x, tau_y=cfg.tau_y)
-        eps = np.asarray(cfg.eps) if cfg.eps is not None else default_epsilon(tc, theta, n)
-        A = build_A(tc, theta, n).A
+        A, conditions = evaluate(tc, theta, exp.net.n, cfg.eps)
     except ValueError as exc:
         return {"error": str(exc)}  # constraint violations are reported, not fatal
-    conditions = check_sufficient_conditions(tc, theta, eps, n)
     return {"A": A.tolist(), "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}
 
 
@@ -266,6 +266,8 @@ def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None, grid: int
                                 "rho_tilde": exp.net.rho_tilde(hp.gamma)},
                     "objective": {"mu": exp.obj.mu, "L": exp.obj.L, "kappa": exp.obj.kappa}}
     report.update(_theory_point(exp, scheme, cfg, hp.eta, hp.gamma))
+    # JSON has no infinity (an unbounded C = 0 cap) or NaN: such numbers print as null
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

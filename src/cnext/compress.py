@@ -28,7 +28,6 @@ class CompressionScheme:
     kind: str
     b: int | None = None  # bit depth (qnbbq)
     k: int | None = None  # kept coordinates (randomk / topk)
-    q: float = np.inf  # norm index; only inf is implemented
     C: float = 0.0
     r: float = 1.0
     delta: float = 1.0

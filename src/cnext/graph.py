@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-RING = "ring"
-CIRCULANT_EXPANDER = "circulant_expander"
-CUSTOM = "custom"
-
 # a W with at most this share of non-zero entries mixes through a CSR copy: on one BLAS
 # thread CSR beats the dense product at n = 128 for a ring (fill 0.023) but not for a
 # 6-regular expander (fill 0.055), and the dense product wins on every graph up to n = 64
@@ -21,10 +17,8 @@ SPARSE_FILL = 1.0 / 32.0
 class Topology:
     """Undirected communication graph with self-loops on every node."""
 
-    kind: str
     n: int
     adjacency: np.ndarray  # boolean n x n, symmetric, True diagonal
-    degree: int | None = None
 
     def degrees(self) -> np.ndarray:
         """Neighbor counts excluding the self-loop."""
@@ -65,7 +59,7 @@ def build_ring(n: int) -> Topology:
     for i in range(n):
         adj[i, (i + 1) % n] = True
         adj[i, (i - 1) % n] = True
-    return Topology(kind=RING, n=n, adjacency=adj)
+    return Topology(n=n, adjacency=adj)
 
 
 def build_circulant_expander(n: int, degree: int) -> Topology:
@@ -81,7 +75,7 @@ def build_circulant_expander(n: int, degree: int) -> Topology:
         for i in range(n):
             adj[i, (i + off) % n] = True
             adj[i, (i - off) % n] = True
-    return Topology(kind=CIRCULANT_EXPANDER, n=n, adjacency=adj, degree=degree)
+    return Topology(n=n, adjacency=adj)
 
 
 def build_custom(adjacency: np.ndarray) -> Topology:
@@ -92,7 +86,7 @@ def build_custom(adjacency: np.ndarray) -> Topology:
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric")
     np.fill_diagonal(adj, True)
-    return Topology(kind=CUSTOM, n=adj.shape[0], adjacency=adj)
+    return Topology(n=adj.shape[0], adjacency=adj)
 
 
 def _edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ and the centralized baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -65,8 +65,8 @@ class Objective:
     lam: float
     A: np.ndarray  # (n, m, p)
     b: np.ndarray  # (n, m)
-    mu: float = 0.0
-    L: float = 0.0
+    mu: float = field(init=False)  # the curvature bounds, computed from the data
+    L: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in (RIDGE, LOGISTIC):
@@ -84,8 +84,7 @@ class Objective:
             self.H = 2.0 * G + 2.0 * self.lam * np.eye(self.p)
             self.c = 2.0 * _mv(_T(self.A), self.b)  # grad f_i(x) = H_i x - c_i
             self._H_inv = np.linalg.inv(self.H)
-        if self.mu == 0.0 and self.L == 0.0:
-            self.mu, self.L = self._curvature_bounds(G)
+        self.mu, self.L = self._curvature_bounds(G)
 
     def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
         """Uniform bounds mu I <= hess f_i(x) <= L I over all agents and points.

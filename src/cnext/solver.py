@@ -24,6 +24,7 @@ from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_I
                        STREAM_Y, agent_streams, compress_round, make_scheme, substream, IDENTITY)
 from .graph import Network
 from .objective import Objective
+from .theory import step_cap
 
 MODE_CNEXT = "cnext"
 MODE_FIRST_ORDER_GT = "first_order_gt"
@@ -86,7 +87,7 @@ class HyperParams:
 def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionScheme) -> list[str]:
     """Flag (without rejecting) hyperparameters outside the sufficient-condition ranges."""
     msgs = []
-    eta_cap = min(2.0 * obj.L / (3.0 * obj.mu), obj.mu / obj.L)
+    eta_cap = step_cap(obj.mu, obj.L)
     if hp.eta > eta_cap:
         msgs.append(f"eta={hp.eta} exceeds min(2L/(3mu), mu/L)={eta_cap:.6g}")
     if max(hp.alpha_x, hp.alpha_y) > 1.0 / scheme.r:

@@ -4,7 +4,9 @@ The coupled evolution of (optimization, consensus, tracking, two compression-mem
 squared errors obeys e(t+1) <= A(theta) e(t) componentwise whenever
 eta <= min(2L/(3mu), mu/L); rho(A) < 1 then yields a linear rate. The sufficient
 conditions bound eta and gamma through a positive certificate vector
-eps = (eps1, eps2, L^2 eps3, eps4, L^2 eps5) with A eps <= (1 - eta/(2 kappa)) eps.
+eps = (eps1, eps2, L^2 eps3, eps4, L^2 eps5) with A eps <= q eps, q = 1 - eta/(2 kappa).
+For eta > 0, A is nonnegative and q < 1, so the certificate alone gives rho(A) <= q < 1
+(the Collatz-Wielandt bound): the search for eps decides no eigenvalue, the report one.
 
 Both yes/no decisions the report rests on are exact for the float64 A, eps and q it is
 given, whose entries are dyadic rationals. rho(A) < 1 is read from float64 eigenvalues
@@ -105,6 +107,11 @@ class TheoryConstants:
                    k3=c2 * beta ** 2, k4=c2 * C * beta ** 2)
 
 
+def step_cap(mu: float, L: float) -> float:
+    """The step-size cap min(2L/(3mu), mu/L) under which e(t+1) <= A(theta) e(t) holds."""
+    return min(2.0 * L / (3.0 * mu), mu / L)
+
+
 def _tau_default(alpha: float, r: float, delta: float) -> float:
     s = 1.0 - alpha * r * delta
     if s < 0:
@@ -123,19 +130,16 @@ class ContractionMatrix:
 def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
     """Fill the 25 entries of the error-coupling matrix.
 
-    Raises on violated preconditions, naming the broken inequality.
+    Raises on violated preconditions, naming the broken inequality; a_x, a_y < 1 hold by
+    TheoryConstants.build.
     """
     mu, L, C = tc.mu, tc.L, tc.C
     eta, gamma = theta.eta, theta.gamma
-    eta_cap = min(2.0 * L / (3.0 * mu), mu / L)
+    eta_cap = step_cap(mu, L)
     if eta > eta_cap:
         raise ValueError(f"eta <= min(2L/(3mu), mu/L) violated: eta={eta} > {eta_cap:.6g}")
     if not (0 < gamma <= 1):
         raise ValueError(f"gamma in (0, 1] violated: gamma={gamma}")
-    if tc.a_x >= 1:
-        raise ValueError(f"a_x < 1 violated: a_x={tc.a_x}")
-    if tc.a_y >= 1:
-        raise ValueError(f"a_y < 1 violated: a_y={tc.a_y}")
     rt = tc.rho_tilde
     rb = 1.0 - rt
     if rb <= 0:
@@ -237,16 +241,12 @@ def _certificate_holds(A: np.ndarray, v: np.ndarray, q: float) -> bool:
                for i in open_rows)
 
 
-def _contraction(tc: TheoryConstants, theta: Theta, n: int) -> tuple:
-    """(A, (rho(A), rho < 1), reason): what the checks need of A(theta), which depends on
-    theta alone. A part that cannot be formed is None, and reason says why."""
-    A = rho = None
+def _formed(tc: TheoryConstants, theta: Theta, n: int) -> tuple[np.ndarray | None, str | None]:
+    """(A(theta), None), or (None, why it cannot be formed)."""
     try:
-        A = build_A(tc, theta, n).A
-        rho = _rho_and_flag(A)
+        return build_A(tc, theta, n).A, None
     except ValueError as exc:
-        return A, rho, str(exc)
-    return A, rho, None
+        return None, str(exc)
 
 
 def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int) -> dict:
@@ -258,11 +258,37 @@ def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarr
     A (eps1, eps2, L^2 eps3, eps4, L^2 eps5) <= (1 - eta/(2 kappa)) * same,
     and rho(A). Never raises on infeasible parameters; it reports them.
     """
-    return _conditions_report(tc, theta, eps, n, _contraction(tc, theta, n))
+    return _conditions_report(tc, theta, eps, n, *_formed(tc, theta, n))
+
+
+def evaluate(tc: TheoryConstants, theta: Theta, n: int,
+             eps: np.ndarray | tuple[float, ...] | None) -> tuple[np.ndarray, dict]:
+    """A(theta) and the check_sufficient_conditions report on eps, or on default_epsilon's
+    vector when eps is None, from one A(theta) and one rho(A) decision. Raises ValueError
+    when A(theta) cannot be formed."""
+    A = build_A(tc, theta, n).A
+    if eps is None:
+        eps = _search(tc, theta, n, A, None)
+    return A, _conditions_report(tc, theta, eps, n, A, None)
+
+
+def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
+    """The stated floor on eps1/eps2."""
+    return 6.0 * tc.kappa ** 4 / n + 6.0 * tc.kappa ** 2 * e3 / (tc.mu ** 2 * n * e2)
+
+
+def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
+    """The stated cap on eps4/eps2; none when C = 0."""
+    if tc.C == 0.0:
+        return np.inf
+    return (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / (8.0 * gamma ** 2 * tc.beta ** 2 * tc.C ** 2)
 
 
 def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
-                       contraction: tuple) -> dict:
+                       A: np.ndarray | None, reason: str | None, decide_rho: bool = True) -> dict:
+    """The check_sufficient_conditions report. Without decide_rho (the certificate search)
+    rho_A stays None and rho_lt_1 is what the certificate proves: A >= 0, v > 0 and
+    A v <= q v with q < 1 give rho(A) <= q (the Collatz-Wielandt bound)."""
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (5,) or np.any(eps <= 0):
         raise ValueError("eps must be 5 strictly positive reals")
@@ -294,45 +320,36 @@ def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: in
     else:
         sys3_rhs = rb * (1.0 - rho) * e3 / (24.0 * gamma * b2)
         sys3_rhs_proof = rt * (1.0 - rho) * e3 / (24.0 * gamma * b2)
-    sys2_rhs = np.inf if C == 0.0 else rb * (1.0 - rho) / (8.0 * gamma ** 2 * b2 * C ** 2)
+    floor1, cap4 = _eps1_floor(tc, e2, e3, n), _eps4_cap(tc, gamma)
     sys3_lhs = 3.0 * e2 + 3.0 * C * e4 + C * e5
     # where statement and derivation disagree typographically, both are reported and
     # the flags follow the derivation (the statement's variant of the third inequality
     # makes its own feasible set empty as gamma -> 0)
     system = {
-        "eps1_over_eps2": {
-            "lhs": e1 / e2,
-            "rhs": 6.0 * kappa ** 4 / n + 6.0 * kappa ** 2 * e3 / (mu ** 2 * n * e2),
-            "ok": e1 / e2 >= 6.0 * kappa ** 4 / n + 6.0 * kappa ** 2 * e3 / (mu ** 2 * n * e2),
-        },
-        "eps4_over_eps2": {
-            "lhs": e4 / e2,
-            "rhs": sys2_rhs,
-            "ok": e4 / e2 <= sys2_rhs,
-        },
-        "eps3_floor": {
-            "lhs": sys3_lhs,
-            "rhs": sys3_rhs,
-            "rhs_proof": sys3_rhs_proof,
-            "ok": sys3_lhs <= sys3_rhs_proof,
-        },
+        "eps1_over_eps2": {"lhs": e1 / e2, "rhs": floor1, "ok": e1 / e2 >= floor1},
+        "eps4_over_eps2": {"lhs": e4 / e2, "rhs": cap4, "ok": e4 / e2 <= cap4},
+        "eps3_floor": {"lhs": sys3_lhs, "rhs": sys3_rhs, "rhs_proof": sys3_rhs_proof,
+                       "ok": sys3_lhs <= sys3_rhs_proof},
     }
 
-    eta_flagged = dict(eta_bounds)
-    eta_flagged["row2_sqrt"] = eta_bounds["row2_sqrt_proof"]
+    eta_flagged = {**eta_bounds, "row2_sqrt": eta_bounds["row2_sqrt_proof"]}
     del eta_flagged["row2_sqrt_proof"]
     stsz_ok = {name: bool(eta <= bound) for name, bound in eta_flagged.items()}
     constsz_ok = {name: bool(gamma <= bound) for name, bound in gamma_bounds.items()}
     system_ok = {name: bool(entry["ok"]) for name, entry in system.items()}
 
-    A, rho_decision, reason = contraction
     direct = {"ok": False, "reason": reason, "rho_A": None, "rho_lt_1": False}
     if A is not None:
         q = 1.0 - eta / (2.0 * kappa)
-        eps_vec = np.array([e1, e2, L ** 2 * e3, e4, L ** 2 * e5])
-        direct["ok"] = _certificate_holds(A, eps_vec, q)
-    if rho_decision is not None:
-        direct["rho_A"], direct["rho_lt_1"] = rho_decision
+        v = np.array([e1, e2, L ** 2 * e3, e4, L ** 2 * e5])
+        direct["ok"] = _certificate_holds(A, v, q)
+        if not decide_rho:
+            direct["rho_lt_1"] = direct["ok"] and q < 1.0 and A.min() >= 0.0 and v.min() > 0.0
+        else:
+            try:
+                direct["rho_A"], direct["rho_lt_1"] = _rho_and_flag(A)
+            except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
+                direct["reason"] = str(exc)
 
     passed = all(stsz_ok.values()) and all(constsz_ok.values()) and all(system_ok.values()) \
         and direct["ok"] and direct["rho_lt_1"]
@@ -363,17 +380,19 @@ def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     cap eps4, rows 4 and 5 floor eps4 and eps5), try eps5 at 1, 1e2, 1e4 and 1e8 times its
     floor under row 3's cap, and feed the eps4/eps5 inflow back into the eps3 floor for up
     to three passes. The last candidate, `_stated_floor_epsilon`, sets eps2 = eps5 = 1 and
-    chains the stated structural inequalities alone into equalities. A(theta) and rho(A)
-    depend on theta only and are formed once for all candidates.
+    chains the stated structural inequalities alone into equalities. A(theta) is formed
+    once for all candidates, and rho(A) < 1 is read from the certificate, not decided.
     """
-    contraction = _contraction(tc, theta, n)  # A(theta) and rho(A) do not depend on eps
-    candidates: list[np.ndarray] = []
-    if contraction[0] is not None:
-        candidates.extend(_chained_candidates(contraction[0], tc, theta, n))
+    return _search(tc, theta, n, *_formed(tc, theta, n))
+
+
+def _search(tc: TheoryConstants, theta: Theta, n: int, A: np.ndarray | None,
+            reason: str | None) -> np.ndarray:
+    candidates = [] if A is None else _chained_candidates(A, tc, theta, n)
     candidates.append(_stated_floor_epsilon(tc, theta, n))
     best, best_key = None, (-1, -np.inf)
     for eps in candidates:
-        rep = _conditions_report(tc, theta, eps, n, contraction)
+        rep = _conditions_report(tc, theta, eps, n, A, reason, decide_rho=False)
         n_ok = sum(rep["system_ok"].values()) + sum(rep["stsz_ok"].values()) \
             + sum(rep["constsz_ok"].values()) + int(rep["direct_contraction"]["ok"])
         key = (int(rep["pass"]), n_ok)
@@ -384,44 +403,37 @@ def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     return best
 
 
-def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int,
-                        margin: float = 1.05) -> list[np.ndarray]:
+def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[np.ndarray]:
     """Chain the certificate rows into explicit floors/caps with a 5% margin.
 
     With eps2 = 1, rows 1 and 3 force floors on eps1 and eps3, row 2 caps eps4, and
     rows 4/5 force floors on eps4/eps5; eps5 is additionally scanned upward because
     the gamma bound of the last stated condition grows with it until saturation.
     """
-    L, kappa, mu, C = tc.L, tc.kappa, tc.mu, tc.C
-    gamma = theta.gamma
+    L, kappa = tc.L, tc.kappa
+    margin = 1.05
     q = 1.0 - theta.eta / (2.0 * kappa)
     out: list[np.ndarray] = []
     if q <= A[0, 0] or q <= A[2, 2] or q <= A[3, 3] or q <= A[4, 4]:
         return out
     e2 = 1.0
     # row 3 ignoring the eps4/eps5 inflow (they are re-added below), then row 1
-    e3 = margin * (A[2, 1] * e2) / ((q - A[2, 2]) * L ** 2)
-    e3 = max(e3, 1e-12)
+    e3 = max(margin * (A[2, 1] * e2) / ((q - A[2, 2]) * L ** 2), 1e-12)
     for _ in range(3):  # short fixed-point pass for the circular eps3/eps1/eps4/eps5 terms
         e1_direct = (A[0, 1] * e2 + A[0, 2] * L ** 2 * e3) / (q - A[0, 0])
-        e1_stated = (6.0 * kappa ** 4 / n + 6.0 * kappa ** 2 * e3 / (mu ** 2 * n)) * e2
-        e1 = margin * max(e1_direct, e1_stated)
+        e1 = margin * max(e1_direct, _eps1_floor(tc, e2, e3, n) * e2)
         # row 2 slack caps eps4 (A[1,3] = 0 for C = 0: unconstrained)
         slack2 = (q - A[1, 1]) * e2 - A[1, 0] * e1 - A[1, 2] * L ** 2 * e3
         if slack2 <= 0:
             return out
         cap4_direct = np.inf if A[1, 3] == 0.0 else slack2 / (A[1, 3] * margin)
-        b2 = tc.beta ** 2
-        cap4_stated = np.inf if C == 0.0 else \
-            (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / (8.0 * gamma ** 2 * b2 * C ** 2)
         floor4 = margin * (A[3, 0] * e1 + A[3, 1] * e2 + A[3, 2] * L ** 2 * e3) / (q - A[3, 3])
-        e4 = min(cap4_direct, cap4_stated, max(floor4, 1.0) * 1e12)
+        e4 = min(cap4_direct, _eps4_cap(tc, theta.gamma), max(floor4, 1.0) * 1e12)
         if e4 < floor4:
             return out
         e4 = max(0.9 * e4, floor4)
-        floor5 = margin * (A[4, 0] * e1 + A[4, 1] * e2 + A[4, 2] * L ** 2 * e3
-                           + A[4, 3] * e4) / ((q - A[4, 4]) * L ** 2)
-        floor5 = max(floor5, 1e-12)
+        floor5 = max(margin * (A[4, 0] * e1 + A[4, 1] * e2 + A[4, 2] * L ** 2 * e3
+                               + A[4, 3] * e4) / ((q - A[4, 4]) * L ** 2), 1e-12)
         # row 3 slack caps eps5 through A[2,4] (zero when C = 0)
         slack3 = (q - A[2, 2]) * L ** 2 * e3 - A[2, 0] * e1 - A[2, 1] * e2 - A[2, 3] * e4
         cap5 = np.inf if A[2, 4] == 0.0 else slack3 / (A[2, 4] * L ** 2 * margin)
@@ -436,9 +448,7 @@ def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int
         e5_ref = min(floor5 * 1e4, cap5) if np.isfinite(cap5) else floor5 * 1e4
         e3_new = margin * (A[2, 0] * e1 + A[2, 1] * e2 + A[2, 3] * e4
                            + A[2, 4] * L ** 2 * max(e5_ref, floor5)) / ((q - A[2, 2]) * L ** 2)
-        if not np.isfinite(e3_new) or e3_new <= 0:
-            break
-        if abs(e3_new - e3) <= 1e-6 * e3:
+        if not np.isfinite(e3_new) or e3_new <= 0 or abs(e3_new - e3) <= 1e-6 * e3:
             break
         e3 = max(e3, e3_new)
     return out
@@ -446,21 +456,11 @@ def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int
 
 def _stated_floor_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     """Chain the stated structural inequalities into equalities with a small margin."""
-    rho, rt, b2 = tc.rho, tc.rho_tilde, tc.beta ** 2
-    rb = 1.0 - rt
-    kappa, mu, C = tc.kappa, tc.mu, tc.C
-    gamma = theta.gamma
+    rho, rt, b2, C = tc.rho, tc.rho_tilde, tc.beta ** 2, tc.C
     margin = 1.0 + 1e-9
-    e2 = 1.0
-    e5 = 1.0
-    if C == 0.0:
-        e4 = 1.0
-    else:
-        e4 = 0.5 * rb * (1.0 - rho) / (8.0 * gamma ** 2 * b2 * C ** 2)
-    if b2 == 0.0:
-        e3 = 1.0
-    else:
-        e3 = margin * 24.0 * gamma * b2 * (3.0 * e2 + 3.0 * C * e4 + C * e5) \
-            / ((1.0 - rho) * rt)
-    e1 = margin * (6.0 * kappa ** 4 / n + 6.0 * kappa ** 2 * e3 / (mu ** 2 * n)) * e2
+    e2 = e5 = 1.0
+    e4 = 1.0 if C == 0.0 else 0.5 * _eps4_cap(tc, theta.gamma)
+    e3 = 1.0 if b2 == 0.0 else \
+        margin * 24.0 * theta.gamma * b2 * (3.0 * e2 + 3.0 * C * e4 + C * e5) / ((1.0 - rho) * rt)
+    e1 = margin * _eps1_floor(tc, e2, e3, n) * e2
     return np.array([e1, e2, e3, e4, e5])

@@ -242,6 +242,38 @@ def test_theory_report_roundtrips(tmp_path, capsys):
     assert "sufficient_conditions" in report and "pass" in report["sufficient_conditions"]
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_theory_prints_strict_json(tmp_path, capsys):
+    # with C = 0 the eps4/eps2 cap is unbounded; JSON has no Infinity, so it prints null
+    cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
+                          hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
+    assert main(["theory", "-c", cfg]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert report["sufficient_conditions"]["system"]["eps4_over_eps2"]["rhs"] is None
+
+
+def test_theory_point_forms_A_once(tmp_path, capsys, monkeypatch):
+    # a point, and each grid cell, forms A(theta) once and decides rho(A) at most once
+    from cnext import theory
+
+    calls = {"build_A": 0, "_rho_and_flag": 0}
+    for name in calls:
+        def counted(*args, real=getattr(theory, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(theory, name, counted)
+    cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
+                          hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
+    for args, points in (([], 1), (["--grid", "2"], 4)):
+        calls.update(build_A=0, _rho_and_flag=0)
+        assert main(["theory", "-c", cfg, *args]) == 0
+        assert calls["build_A"] == points and calls["_rho_and_flag"] <= points
+
+
 def test_theory_reports_violations_without_failing(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
                           hyperparams={"eta": 5.0, "gamma": 0.5, "T": 1})
@@ -286,14 +318,16 @@ def test_verify_ops_constants_equal_run(tmp_path, kind):
         assert table[kind]["C_measured"] == pytest.approx(C, rel=0.05)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (None, "not a verify-ops table"),
-    (lambda ops: ops.pop("schemes"), "not a verify-ops table"),
-    (lambda ops: ops["schemes"]["qnbbq"].pop("C"), "not a verify-ops table"),
-    (lambda ops: ops.update(p=6), "built at p = 6"),
-    (lambda ops: ops["schemes"]["qnbbq"].update(b=3), "qnbbq at b = 3"),
-], ids=["malformed-json", "no-schemes", "no-C", "other-p", "other-b"])
-def test_ops_manifest_that_does_not_fit_is_config_error(tmp_path, capsys, edit, message):
+@pytest.mark.parametrize("edit, message, flags", [
+    (None, "not a verify-ops table", []),
+    (lambda ops: ops.pop("schemes"), "not a verify-ops table", []),
+    (lambda ops: ops["schemes"]["qnbbq"].pop("C"), "not a verify-ops table", []),
+    (lambda ops: ops.update(p=6), "built at p = 6", []),
+    (lambda ops: ops["schemes"]["qnbbq"].update(b=3), "qnbbq at b = 3", []),
+    # the table's C is the seed-42 instance's; the seed-7 instance has its own
+    (lambda ops: None, "qnbbq C = ", ["--seed", "7"]),
+], ids=["malformed-json", "no-schemes", "no-C", "other-p", "other-b", "other-seed"])
+def test_ops_manifest_that_does_not_fit_is_config_error(tmp_path, capsys, edit, message, flags):
     cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq", "b": 2},
                             hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
     assert main(["verify-ops", "-c", cfg]) == 0
@@ -308,7 +342,7 @@ def test_ops_manifest_that_does_not_fit_is_config_error(tmp_path, capsys, edit, 
     with open(path, "w") as fh:
         fh.write(text)
     capsys.readouterr()
-    assert main(["theory", "-c", cfg, "--ops-manifest", path]) == 2
+    assert main(["theory", "-c", cfg, "--ops-manifest", path, *flags]) == 2
     assert message in capsys.readouterr().err
 
 

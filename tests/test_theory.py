@@ -230,7 +230,8 @@ def test_rho_decreases_with_eta_at_feasible_scale(scale, gamma):
 
 
 def test_default_epsilon_builds_A_once(monkeypatch):
-    # A(theta) and rho(A) depend on theta alone, so one certificate search forms each once
+    # A(theta) depends on theta alone, so one certificate search forms it once; the
+    # certificate itself bounds rho(A), so the search decides no eigenvalue
     from cnext import theory
 
     calls = {"build_A": 0, "_rho_and_flag": 0}
@@ -245,7 +246,27 @@ def test_default_epsilon_builds_A_once(monkeypatch):
     theta = Theta(eta=1e-9, gamma=0.01, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=4.0, rho=0.8, beta=1.2, C=0.0, r=1.0, delta=1.0, theta=theta)
     default_epsilon(tc, theta, 10)
-    assert calls == {"build_A": 1, "_rho_and_flag": 1}
+    assert calls == {"build_A": 1, "_rho_and_flag": 0}
+
+
+@pytest.mark.parametrize("kind", ["identity", "topk", "qnbbq"])
+def test_certificate_implies_rho_below_one(kind):
+    # the search counts a certificate A v <= q v (A >= 0, v > 0, q < 1) as rho(A) <= q < 1
+    # without an eigenvalue; over a sweep every point so certified has rho(A) < 1 decided
+    net = metropolis_hastings_weights(build_ring(6))
+    scheme = make_scheme(kind, 8, b=2, k=3)
+    certified = 0
+    for eta in np.geomspace(1e-12, 1e-3, 8):
+        for gamma in np.geomspace(1e-4, 1.0, 8):
+            theta = Theta(eta=float(eta), gamma=float(gamma), alpha_x=0.8, alpha_y=0.8)
+            tc = TheoryConstants.build(1.0, 3.0, net, scheme, theta)
+            rep = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, net.n), net.n)
+            direct = rep["direct_contraction"]
+            if direct["ok"]:
+                certified += 1
+                q = 1.0 - theta.eta / (2.0 * tc.kappa)
+                assert direct["rho_lt_1"] and direct["rho_A"] <= q + 1e-12
+    assert certified > 0
 
 
 # a row-stochastic S with power-of-two entries: rho(S) = 1, and c S is exact in float64
