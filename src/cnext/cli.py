@@ -26,7 +26,7 @@ from .graph import build_circulant_expander, build_custom, build_ring, metropoli
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
-from .theory import Theta, TheoryConstants, evaluate
+from .theory import DomainError, Theta, TheoryConstants, evaluate
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
@@ -241,13 +241,16 @@ def _measured_scheme(exp: Experiment, path: str) -> CompressionScheme:
 def _theory_point(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentConfig,
                   eta: float, gamma: float) -> dict:
     """A(theta), rho(A) and the sufficient-condition report at one (eta, gamma), with the
-    config's alphas, tau and eps; {"error"} when a precondition fails."""
+    config's alphas, tau and eps; {"error"} when a precondition fails. A theta outside the
+    theory's domain (eta <= 0 or gamma <= 0) is a config error."""
     hp = cfg.hyperparams
     theta = Theta(eta=eta, gamma=gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     try:
         tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, scheme, theta,
                                    tau_x=cfg.tau_x, tau_y=cfg.tau_y)
         A, conditions = evaluate(tc, theta, exp.net.n, cfg.eps)
+    except DomainError as exc:
+        raise ConfigError(f"theory: {exc}") from exc
     except ValueError as exc:
         return {"error": str(exc)}  # constraint violations are reported, not fatal
     return {"A": A.tolist(), "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}

@@ -44,11 +44,25 @@ def _T(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def _logistic_hessians(A: np.ndarray, b: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
-    """A^T diag(w) A / m + lam I with w = sigma(m)(1 - sigma(m)), over any leading batch axes."""
-    s = expit(-b * _mv(A, X))
-    w = s * (1.0 - s)  # symmetric in the sign of the margin
+def _sigma(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sigma(-m) = 1 / (1 + e^m) of the margins m = b * A x, over any leading batch axes."""
+    return expit(-b * _mv(A, X))
+
+
+def _weights(s: np.ndarray) -> np.ndarray:
+    """Curvature weights w = sigma(m)(1 - sigma(m)), symmetric in the sign of the margin."""
+    return s * (1.0 - s)
+
+
+def _logistic_hessians(A: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """A^T diag(w) A / m + lam I, over any leading batch axes."""
     return np.matmul(_T(A) * w[..., None, :], A) / A.shape[-2] + lam * np.eye(A.shape[-1])
+
+
+def _logistic_loss(margins: np.ndarray) -> np.ndarray:
+    """log(1 + e^-m), stable for either sign of m: the formula of np.logaddexp(0, -m),
+    through numpy's vectorised exp and log1p rather than its element-wise loop."""
+    return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
 
 @dataclass
@@ -119,9 +133,8 @@ class Objective:
         if self.kind == RIDGE:
             res = _mv(self.A, x) - self.b
             return float(np.sum(res * res)) / self.n + self.lam * float(x @ x)
-        # log(1 + exp(-m)) == logaddexp(0, -m), stable for either sign of m
         margins = self.b * _mv(self.A, x)
-        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.lam * float(x @ x)
+        return float(np.mean(_logistic_loss(margins))) + 0.5 * self.lam * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Global gradient (1/n) sum_i grad f_i(x)."""
@@ -131,24 +144,34 @@ class Objective:
         """Global Hessian (1/n) sum_i hess f_i(x)."""
         return self.hess_stack(np.broadcast_to(x, (self.n, self.p))).mean(axis=0)
 
-    def grad_stack(self, X: np.ndarray) -> np.ndarray:
-        """Row i holds grad f_i(x_i) for the n x p iterate matrix X."""
-        if self.kind == RIDGE:
-            return _mv(self.H, X) - self.c
-        s = expit(-self.b * _mv(self.A, X))  # sigma(-m) = 1/(1+e^m)
-        return _mv(_T(self.A), -self.b * s) / self.m + self.lam * X
+    def grad_stack(self, X: np.ndarray, curvature: bool = False):
+        """Row i holds grad f_i(x_i) for the n x p iterate matrix X.
 
-    def hess_stack(self, X: np.ndarray) -> np.ndarray:
-        """Slice i holds hess f_i(x_i), an (n, p, p) stack."""
+        With curvature, returns (gradients, W): W (n, m) holds the logistic curvature
+        weights at X, which hess_stack and hess_solve take in place of a second pass over
+        the samples; W is None for ridge, whose Hessians are constant.
+        """
+        if self.kind == RIDGE:
+            G = _mv(self.H, X) - self.c
+            return (G, None) if curvature else G
+        s = _sigma(self.A, self.b, X)
+        G = _mv(_T(self.A), -self.b * s) / self.m + self.lam * X
+        return (G, _weights(s)) if curvature else G
+
+    def hess_stack(self, X: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+        """Slice i holds hess f_i(x_i), an (n, p, p) stack; W, if given, holds the
+        curvature weights at X from grad_stack."""
         if self.kind == RIDGE:
             return self.H
-        return _logistic_hessians(self.A, self.b, X, self.lam)
+        if W is None:
+            W = _weights(_sigma(self.A, self.b, X))
+        return _logistic_hessians(self.A, W, self.lam)
 
-    def hess_solve(self, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def hess_solve(self, X: np.ndarray, R: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
         """Rows d_i solving hess f_i(x_i) d_i = r_i; raises LinAlgError if a Hessian is not SPD."""
         if self.kind == RIDGE:
             return _mv(self._H_inv, R)
-        H = self.hess_stack(X)
+        H = self.hess_stack(X, W)
         np.linalg.cholesky(H)  # the SPD check
         return np.linalg.solve(H, R[..., None])[..., 0]
 
@@ -156,7 +179,8 @@ class Objective:
         """Solve hess f_i(x) d = rhs for agent i alone; raises LinAlgError if it is not SPD."""
         if self.kind == RIDGE:
             return self._H_inv[i] @ rhs
-        return cho_solve(cho_factor(_logistic_hessians(self.A[i], self.b[i], x, self.lam)), rhs)
+        w = _weights(_sigma(self.A[i], self.b[i], x))
+        return cho_solve(cho_factor(_logistic_hessians(self.A[i], w, self.lam)), rhs)
 
 
 def _stack(locals_: list[LocalData]) -> tuple[np.ndarray, np.ndarray]:

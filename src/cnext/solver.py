@@ -24,7 +24,7 @@ from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_I
                        STREAM_Y, agent_streams, compress_round, make_scheme, substream, IDENTITY)
 from .graph import Network
 from .objective import Objective
-from .theory import step_cap
+from .theory import alpha_slack, step_cap
 
 MODE_CNEXT = "cnext"
 MODE_FIRST_ORDER_GT = "first_order_gt"
@@ -90,9 +90,9 @@ def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionS
     eta_cap = step_cap(obj.mu, obj.L)
     if hp.eta > eta_cap:
         msgs.append(f"eta={hp.eta} exceeds min(2L/(3mu), mu/L)={eta_cap:.6g}")
-    if max(hp.alpha_x, hp.alpha_y) > 1.0 / scheme.r:
-        msgs.append(f"alpha=({hp.alpha_x}, {hp.alpha_y}) exceeds 1/r={1.0 / scheme.r:.6g} "
-                    f"for scheme {scheme.label()}")
+    if min(alpha_slack(a, scheme.r, scheme.delta) for a in (hp.alpha_x, hp.alpha_y)) < 0:
+        msgs.append(f"alpha=({hp.alpha_x}, {hp.alpha_y}) exceeds 1/(r delta)="
+                    f"{1.0 / (scheme.r * scheme.delta):.6g} for scheme {scheme.label()}")
     for m in msgs:
         warnings.warn(m, stacklevel=2)
     return msgs
@@ -107,6 +107,9 @@ class SolverState:
     comp_y: CompressState
     t: int = 0
     bits_cum: int = 0
+    # logistic curvature weights at X, kept from the gradient refresh beside prev_grad so
+    # the next round's Hessians make no second pass over the samples; None recomputes them
+    weights: np.ndarray | None = None
 
     def copy(self) -> "SolverState":
         return copy.deepcopy(self)
@@ -147,16 +150,18 @@ def init_state(obj: Objective, net: Network, hp: HyperParams, seed: int) -> Solv
     X0 = rng.uniform(size=(n, p))
     Hx0 = rng.uniform(size=(n, p))
     Hy0 = rng.uniform(size=(n, p))
-    g0 = obj.grad_stack(X0)
+    g0, w0 = obj.grad_stack(X0, curvature=True)
     return SolverState(X=X0, Y=g0.copy(), prev_grad=g0,
                        comp_x=CompressState.init(Hx0, net.mix, hp.alpha_x),
-                       comp_y=CompressState.init(Hy0, net.mix, hp.alpha_y))
+                       comp_y=CompressState.init(Hy0, net.mix, hp.alpha_y), weights=w0)
 
 
-def newton_directions(X: np.ndarray, Y: np.ndarray, obj: Objective, t: int = 0) -> np.ndarray:
-    """Rows d_i = [hess f_i(x_i)]^{-1} y_i, all agents in one batched solve."""
+def newton_directions(X: np.ndarray, Y: np.ndarray, obj: Objective, t: int = 0,
+                      W: np.ndarray | None = None) -> np.ndarray:
+    """Rows d_i = [hess f_i(x_i)]^{-1} y_i, all agents in one batched solve; W, if given,
+    holds the curvature weights at X from `Objective.grad_stack`."""
     try:
-        return obj.hess_solve(X, Y)
+        return obj.hess_solve(X, Y, W)
     except np.linalg.LinAlgError:
         for i in range(X.shape[0]):  # name the first agent whose Cholesky fails
             try:
@@ -191,7 +196,7 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     if mode == MODE_FIRST_ORDER_GT:
         D = state.Y
     else:
-        D = newton_directions(state.X, state.Y, obj, t)
+        D = newton_directions(state.X, state.Y, obj, t, state.weights)
 
     # operator errors of this round's encodings, against the streams as compressed
     op_err_x = float(np.sum((rx.Zhat - state.X) ** 2))
@@ -200,7 +205,10 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     X_new = state.X - hp.gamma * (rx.Zhat - rx.Zhat_w) - hp.eta * D
     if not np.all(np.isfinite(X_new)):
         raise DivergenceError("X", t)
-    g_new = obj.grad_stack(X_new)
+    if mode == MODE_FIRST_ORDER_GT:  # reads no Hessian, so keeps no curvature weights
+        g_new, w_new = obj.grad_stack(X_new), None
+    else:
+        g_new, w_new = obj.grad_stack(X_new, curvature=True)
     Y_new = state.Y - hp.gamma * (ry.Zhat - ry.Zhat_w) + g_new - state.prev_grad
     if not np.all(np.isfinite(Y_new)):
         raise DivergenceError("Y", t)
@@ -208,6 +216,7 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     state.X = X_new
     state.Y = Y_new
     state.prev_grad = g_new
+    state.weights = w_new
     state.bits_cum += rx.bits + ry.bits
     state.t = t + 1
     return StepInfo(bits=rx.bits + ry.bits, op_err_x=op_err_x, op_err_y=op_err_y)

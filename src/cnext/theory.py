@@ -45,6 +45,11 @@ _CERT_GAMMA = 6 * _U / (1.0 - 6 * _U)
 _CERT_TINY = np.finfo(float).tiny
 
 
+class DomainError(ValueError):
+    """theta lies outside the domain of the theory (eta <= 0 or gamma <= 0): an input
+    error, unlike a violated sufficient condition, which is reported."""
+
+
 @dataclass(frozen=True)
 class Theta:
     """Hyperparameter vector (eta, gamma, alpha_x, alpha_y)."""
@@ -92,8 +97,8 @@ class TheoryConstants:
         C, r, delta = scheme.C, scheme.r, scheme.delta
         tau_x = _tau_default(theta.alpha_x, r, delta) if tau_x is None else tau_x
         tau_y = _tau_default(theta.alpha_y, r, delta) if tau_y is None else tau_y
-        a_x = tau_x * (1.0 - theta.alpha_x * r * delta)
-        a_y = tau_y * (1.0 - theta.alpha_y * r * delta)
+        a_x = tau_x * alpha_slack(theta.alpha_x, r, delta)
+        a_y = tau_y * alpha_slack(theta.alpha_y, r, delta)
         if tau_x <= 1 or a_x >= 1:
             raise ValueError(f"tau_x={tau_x} must satisfy 1 < tau_x with a_x = tau_x(1 - alpha_x r delta) < 1, got a_x={a_x}")
         if tau_y <= 1 or a_y >= 1:
@@ -112,10 +117,16 @@ def step_cap(mu: float, L: float) -> float:
     return min(2.0 * L / (3.0 * mu), mu / L)
 
 
+def alpha_slack(alpha: float, r: float, delta: float) -> float:
+    """1 - alpha r delta; the theory admits the compression step alpha when it is >= 0."""
+    return 1.0 - alpha * r * delta
+
+
 def _tau_default(alpha: float, r: float, delta: float) -> float:
-    s = 1.0 - alpha * r * delta
+    s = alpha_slack(alpha, r, delta)
     if s < 0:
-        raise ValueError(f"alpha r delta = {alpha * r * delta} exceeds 1; need alpha in (0, 1/r]")
+        raise ValueError(f"alpha r delta = {alpha * r * delta} exceeds 1; "
+                         f"need alpha in (0, 1/(r delta)] = (0, {1.0 / (r * delta):.6g}]")
     if s == 0.0:
         return 2.0
     return 0.5 * (1.0 + 1.0 / s)
@@ -130,15 +141,19 @@ class ContractionMatrix:
 def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
     """Fill the 25 entries of the error-coupling matrix.
 
-    Raises on violated preconditions, naming the broken inequality; a_x, a_y < 1 hold by
-    TheoryConstants.build.
+    Raises on violated preconditions, naming the broken inequality (DomainError for
+    eta <= 0 or gamma <= 0); a_x, a_y < 1 hold by TheoryConstants.build.
     """
     mu, L, C = tc.mu, tc.L, tc.C
     eta, gamma = theta.eta, theta.gamma
     eta_cap = step_cap(mu, L)
+    if not eta > 0:
+        raise DomainError(f"eta > 0 violated: eta={eta}")
+    if not gamma > 0:
+        raise DomainError(f"gamma in (0, 1] violated: gamma={gamma}")
     if eta > eta_cap:
         raise ValueError(f"eta <= min(2L/(3mu), mu/L) violated: eta={eta} > {eta_cap:.6g}")
-    if not (0 < gamma <= 1):
+    if not gamma <= 1:
         raise ValueError(f"gamma in (0, 1] violated: gamma={gamma}")
     rt = tc.rho_tilde
     rb = 1.0 - rt

@@ -282,6 +282,23 @@ def test_theory_reports_violations_without_failing(tmp_path, capsys):
     assert "error" in report and "2L" in report["error"]
 
 
+@pytest.mark.parametrize("flag, value", [("--eta", "0"), ("--eta", "-0.001"), ("--gamma", "0")])
+def test_theory_outside_its_domain_is_config_error(tmp_path, capsys, flag, value):
+    cfg, _ = write_config(tmp_path, scheme={"kind": "identity"})
+    assert main(["theory", "-c", cfg, flag, value]) == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
+def test_qnbbq_config_at_alpha_one_records_no_alpha_warning(tmp_path):
+    # qnbbq has r delta = (1 + C) / (1 + C) = 1, so the theory admits alpha = 1
+    out = str(tmp_path / "out")
+    assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--T", "2",
+                 "--output-dir", out]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert man["resolved"]["hyperparams"]["alpha_x"] == man["resolved"]["hyperparams"]["alpha_y"] == 1.0
+    assert not any("alpha" in w for w in man["resolved"]["theory_warnings"])
+
+
 def test_verify_ops_table_feeds_theory(tmp_path, capsys):
     cfg, out = write_config(tmp_path, scheme={"kind": "qnormsigned"},
                             hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,24 @@ def test_logistic_overflow_safe():
     assert np.all(np.isfinite(obj.grad_stack(X))) and np.all(np.isfinite(obj.hess_stack(X)))
     for i in range(obj.n):
         assert np.isfinite(agent(obj, i).value(X[0]))
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-12, -1e-12, 1.0, -1.0, 40.0, -40.0, 1e4, -1e4])
+def test_logistic_loss_matches_logaddexp(margin):
+    # one sample with feature `margin` and label +1 at x = 1 has exactly that margin
+    lam = 1e-300
+    obj = logistic_objective([LocalData(A=np.array([[margin]]), b=np.ones(1))], lam)
+    x = np.ones(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value RuntimeWarning
+        value = obj.value(x)
+    reference = float(np.mean(np.logaddexp(0.0, -np.array([margin])))) + 0.5 * lam
+    assert abs(value - reference) <= 4 * np.spacing(reference)
+
+
+def test_logistic_loss_is_log2_at_zero():
+    obj = make_logistic()
+    assert obj.value(np.zeros(obj.p)) == np.log(2.0)
 
 
 def test_closed_form_identity_features():

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
+from cnext import solver
 from cnext.compress import make_scheme, agent_streams, ALL_KINDS
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
@@ -209,10 +214,12 @@ def test_bits_accumulate_per_round(small_ridge):
 def test_theory_violation_warnings(small_ridge):
     obj, net = small_ridge
     scheme = make_scheme("qnormsigned", obj.p, measured_C=3.0)
-    hp = HyperParams(eta=10.0, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=1)
+    # qnormsigned has r delta = p (1/p) = 1, so the theory admits alpha up to 1
+    hp = HyperParams(eta=10.0, gamma=0.6, alpha_x=1.5, alpha_y=1.0, T=1)
     with pytest.warns(UserWarning):
         msgs = warn_theory_violations(hp, obj, scheme)
-    assert len(msgs) == 2  # eta cap and alpha > 1/r
+    assert len(msgs) == 2  # eta cap and alpha r delta > 1
+    assert warn_theory_violations(dataclasses.replace(hp, eta=1e-3, alpha_x=1.0), obj, scheme) == []
 
 
 def test_numerical_failure_names_agent_and_round():
@@ -230,6 +237,61 @@ def test_numerical_failure_names_agent_and_round():
         newton_directions(np.zeros((4, 3)), np.ones((4, 3)), obj, t=7)
     assert exc.value.agent == 2
     assert exc.value.t == 7
+
+
+@pytest.mark.parametrize("mode", [MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT])
+def test_cached_curvature_gives_the_hessians_at_x(small_logistic, mode, monkeypatch):
+    # the curvature weights kept from the gradient refresh must give, bit for bit, the
+    # directions of Hessians formed afresh from X
+    obj = small_logistic
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    scheme = make_scheme("qnbbq", obj.p, b=2, rng=np.random.default_rng(0))
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=8)
+    directions = []
+
+    def recorded(X, Y, obj_, t=0, W=None):
+        D = newton_directions(X, Y, obj_, t, W)
+        directions.append((D, obj_.hess_solve(X, Y)))
+        return D
+
+    monkeypatch.setattr(solver, "newton_directions", recorded)
+    state = init_state(obj, net, hp, seed=3)
+    rx, ry = agent_streams(3, 0, net.n), agent_streams(3, 1, net.n)
+    for _ in range(hp.T):
+        step(state, obj, net, scheme, hp, mode, rx, ry)
+    assert len(directions) == (0 if mode == MODE_FIRST_ORDER_GT else hp.T)
+    for D, fresh in directions:
+        assert D.tobytes() == fresh.tobytes()
+
+
+def test_logistic_run_is_byte_deterministic_across_thread_counts():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from conftest import make_logistic\n"
+        "from cnext.cli import records_to_csv\n"
+        "from cnext.compress import make_scheme\n"
+        "from cnext.graph import build_ring, metropolis_hastings_weights\n"
+        "from cnext.solver import HyperParams, MODES, run\n"
+        "obj = make_logistic(m=1000, p=10)\n"
+        "net = metropolis_hastings_weights(build_ring(obj.n))\n"
+        "scheme = make_scheme('qnbbq', obj.p, b=2, rng=np.random.default_rng(0))\n"
+        "hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=40)\n"
+        "for mode in MODES:\n"
+        "    sys.stdout.write(records_to_csv(run(obj, net, scheme, hp, mode, seed=3)))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "tests"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3 * 42
 
 
 def test_first_order_mode_uses_raw_tracker(small_ridge):
