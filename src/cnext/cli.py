@@ -18,8 +18,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .compress import (CompressionScheme, MEASURE_SAMPLES, STREAM_MEASURE, make_scheme, substream,
-                       verify_contract, ALL_KINDS, QNBBQ, QNORMSIGNED)
+from .compress import (CompressionScheme, STREAM_MEASURE, make_scheme, substream, verify_contract,
+                       ALL_KINDS)
 from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
@@ -33,6 +33,7 @@ CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
 BIT_CONVENTION = "bits_cum counts both transmitted streams (X and Y): 2 * n * per-vector cost per round"
 GRID_ETA = (1e-10, 1e-2)  # the eta and gamma ranges `cnext theory --grid` sweeps, log-spaced
 GRID_GAMMA = (1e-4, 1.0)
+VERIFY_SAMPLES = 32  # standard-normal samples behind `cnext verify-ops`' C_measured
 VERIFY_DRAWS = 2000  # Monte Carlo draws per sample behind `cnext verify-ops`' C_measured
 
 
@@ -80,9 +81,7 @@ class Experiment:
         return self.obj.p
 
     def build_scheme(self, sc: SchemeConfig) -> CompressionScheme:
-        """The scheme with its constants computed from the seed's measurement substream."""
-        return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k,
-                           rng=substream(self.cfg.seed, STREAM_MEASURE))
+        return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k)
 
     def manifest(self, hp: HyperParams, mode: str, scheme: CompressionScheme,
                  extra: dict | None = None) -> dict:
@@ -212,41 +211,15 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _measured_scheme(exp: Experiment, path: str) -> CompressionScheme:
-    """The config's scheme with delta taken from a `cnext verify-ops` table, which must have
-    been built for this instance: the same p, for the quantizer the same b, and the same C."""
-    scheme, sc = exp.scheme, exp.cfg.scheme
-    try:
-        with open(path) as fh:
-            table = json.load(fh)
-        p, row = table["p"], table["schemes"].get(scheme.kind)
-        C = None if row is None else row["C"]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"--ops-manifest {path} is not a verify-ops table: {exc!r}") from exc
-    if p != exp.p:
-        raise ConfigError(f"--ops-manifest {path} was built at p = {p}, the config has p = {exp.p}")
-    if row is None or scheme.kind not in (QNBBQ, QNORMSIGNED):
-        return scheme
-    if scheme.kind == QNBBQ and row.get("b") != sc.b:
-        raise ConfigError(f"--ops-manifest {path} has qnbbq at b = {row.get('b')}, "
-                          f"the config has b = {sc.b}")
-    if C != scheme.C:
-        raise ConfigError(f"--ops-manifest {path} has {scheme.kind} C = {C!r}, "
-                          f"this instance has C = {scheme.C!r}")
-    if row.get("delta_measured"):
-        scheme = replace(scheme, delta=row["delta_measured"])
-    return scheme
-
-
-def _theory_point(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentConfig,
-                  eta: float, gamma: float) -> dict:
+def _theory_point(exp: Experiment, eta: float, gamma: float) -> dict:
     """A(theta), rho(A) and the sufficient-condition report at one (eta, gamma), with the
     config's alphas, tau and eps; {"error"} when a precondition fails. A theta outside the
     theory's domain (eta <= 0 or gamma <= 0) is a config error."""
+    cfg = exp.cfg
     hp = cfg.hyperparams
     theta = Theta(eta=eta, gamma=gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     try:
-        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, scheme, theta,
+        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, exp.scheme, theta,
                                    tau_x=cfg.tau_x, tau_y=cfg.tau_y)
         A, conditions = evaluate(tc, theta, exp.net.n, cfg.eps)
     except DomainError as exc:
@@ -256,33 +229,33 @@ def _theory_point(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentCon
     return {"A": A.tolist(), "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}
 
 
-def cmd_theory(cfg: ExperimentConfig, ops_manifest: str | None = None, grid: int | None = None) -> int:
+def cmd_theory(cfg: ExperimentConfig, grid: int | None = None) -> int:
     if grid is not None and grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {grid}")
     exp = Experiment(cfg)
-    scheme = exp.scheme if ops_manifest is None else _measured_scheme(exp, ops_manifest)
     if grid is not None:
-        return _theory_grid(exp, scheme, cfg, grid)
+        return _theory_grid(exp, grid)
     hp = cfg.hyperparams
-    report: dict = {"scheme": _scheme_dict(scheme),
+    report: dict = {"scheme": _scheme_dict(exp.scheme),
                     "network": {"n": exp.net.n, "rho": exp.net.rho, "beta": exp.net.beta,
                                 "rho_tilde": exp.net.rho_tilde(hp.gamma)},
                     "objective": {"mu": exp.obj.mu, "L": exp.obj.L, "kappa": exp.obj.kappa}}
-    report.update(_theory_point(exp, scheme, cfg, hp.eta, hp.gamma))
+    report.update(_theory_point(exp, hp.eta, hp.gamma))
     # JSON has no infinity (an unbounded C = 0 cap) or NaN: such numbers print as null
     report = json.loads(json.dumps(report), parse_constant=lambda _: None)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def _theory_grid(exp: Experiment, scheme: CompressionScheme, cfg: ExperimentConfig, grid: int) -> int:
+def _theory_grid(exp: Experiment, grid: int) -> int:
     """The certified region: sweep_<kind>.csv with the pass flag and rho(A) of every point of
     a grid x grid log grid over GRID_ETA x GRID_GAMMA; rho_A is empty where A cannot be formed."""
+    cfg, scheme = exp.cfg, exp.scheme
     lines = ["eta,gamma,pass,rho_A"]
     n_pass = 0
     for eta in map(float, np.geomspace(*GRID_ETA, grid)):
         for gamma in map(float, np.geomspace(*GRID_GAMMA, grid)):
-            point = _theory_point(exp, scheme, cfg, eta, gamma)
+            point = _theory_point(exp, eta, gamma)
             ok = int("error" not in point and point["sufficient_conditions"]["pass"])
             rho = point.get("rho_A")
             n_pass += ok
@@ -300,16 +273,15 @@ def cmd_verify_ops(cfg: ExperimentConfig) -> int:
     k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
     table = {}
     for kind in ALL_KINDS:
-        # C is the exact constant `run` uses, built as `run` builds it; C_measured is its
-        # Monte Carlo estimate on the same samples, from a fresh measurement substream
+        # C is the supremum `run` uses; C_measured is the worst Monte Carlo ratio over
+        # random samples, which may lie well below it
         scheme = exp.build_scheme(replace(cfg.scheme, kind=kind, k=k))
         rng = substream(cfg.seed, STREAM_MEASURE)
-        samples = [rng.standard_normal(p) for _ in range(MEASURE_SAMPLES)]
-        measured_C, one_minus_delta = verify_contract(scheme, samples, rng, n_draws=VERIFY_DRAWS)
-        table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C,
-                           delta_measured=max(0.01, 1.0 - one_minus_delta))
+        samples = [rng.standard_normal(p) for _ in range(VERIFY_SAMPLES)]
+        measured_C = verify_contract(scheme, samples, rng, n_draws=VERIFY_DRAWS)[0]
+        table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    out = {"p": p, "n_samples": MEASURE_SAMPLES, "n_draws": VERIFY_DRAWS, "schemes": table}
+    out = {"p": p, "n_samples": VERIFY_SAMPLES, "n_draws": VERIFY_DRAWS, "schemes": table}
     path = os.path.join(cfg.output_dir, "ops_manifest.json")
     atomic_write(path, json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -334,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--b", type=int)
         sp.add_argument("--output-dir")
         if name == "theory":
-            sp.add_argument("--ops-manifest", help="reuse measured operator constants")
             sp.add_argument("--grid", type=int,
                             help="map the certified region on an N x N (eta, gamma) grid")
     return ap
@@ -359,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg)
         if args.command == "theory":
-            return cmd_theory(cfg, ops_manifest=args.ops_manifest, grid=args.grid)
+            return cmd_theory(cfg, grid=args.grid)
         return cmd_verify_ops(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

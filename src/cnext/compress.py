@@ -8,6 +8,7 @@ cost in bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ QNORMSIGNED = "qnormsigned"  # q-norm signed compression, q = inf
 
 ALL_KINDS = (IDENTITY, QNBBQ, RANDOMK, TOPK, QNORMSIGNED)
 DRAWING_KINDS = (QNBBQ, RANDOMK)  # the kinds whose encoding draws randomness
-MEASURE_SAMPLES = 32  # standard-normal samples behind a measured contract constant
 
 
 @dataclass(frozen=True)
@@ -149,38 +149,41 @@ def _sum_sq(D: np.ndarray) -> float:
     return float(np.cumsum(np.matmul(D[:, None, :], D[:, :, None]))[-1])
 
 
-def _exact_C(kind: str, b: int | None, X: np.ndarray) -> float:
-    """The contract constant of the quantizer or norm-signed scheme on the nonzero rows x
-    of X: the max over rows of E||Q(x) - x||^2 / ||x||^2, in closed form.
+def _quantizer_C(p: int, b: int) -> float:
+    """The quantizer's contract constant: the supremum over x of E||Q(x) - x||^2 / ||x||^2.
 
-    The quantizer rounds y = h|x_i|/s (h = 2^(b-1), s = ||x||_inf) up with probability
-    f = y - floor(y) and down otherwise, off by (s/h)(1 - f) or (s/h) f, so
-    E||Q(x) - x||^2 = (s/h)^2 sum_i f(1 - f). Norm-signed draws nothing, so its one encode
-    is the expectation; its ratio takes the arithmetic of verify_contract's single draw.
+    With h = 2^(b-1) and s = ||x||_inf, the quantizer rounds y = h|x_i|/s up with
+    probability frac(y) and down otherwise, so E||Q(x) - x||^2 = (s/h)^2 sum_i g(y_i) with
+    g(y) = frac(y)(1 - frac(y)). A largest coordinate has y = h and g = 0, so the ratio
+    is sum_{i>=2} g(y_i) / (h^2 + sum_{i>=2} y_i^2) over y_i in [0, h]. By Dinkelbach
+    (the ratio is at most R iff sum_i (g(y_i) - R y_i^2) <= R h^2) the problem separates,
+    so every y_i takes the same maximiser, and with m = p - 1
+    C* = max over y in [0, h] of m g(y) / (h^2 + m y^2). g has period 1, so moving y
+    down by one keeps the numerator and shrinks the denominator: the maximiser lies in
+    [0, 1], where g = y(1 - y). There the stationary point solves m y^2 + 2 h^2 y - h^2 = 0,
+    y* = h / (h + sqrt(h^2 + m)), where the ratio equals g'(y*) / (2 y*) = 1/(2 y*) - 1:
+    C* = (sqrt(h^2 + m) - h) / (2h) = m / (2h (h + sqrt(h^2 + m))), reached by
+    x = (1, y*/h, ..., y*/h). The float is rounded up a few ulps so that it bounds C*.
     """
-    nx2 = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
-    if kind == QNBBQ:
-        h = 2.0 ** (b - 1)
-        s = np.max(np.abs(X), axis=1)
-        y = h * np.abs(X) / s[:, None]
-        f = y - np.floor(y)
-        err = (s / h) ** 2 * np.sum(f * (1.0 - f), axis=1)
-    else:
-        D = _encode(CompressionScheme(kind), X, None) - X
-        err = np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
-    return float(np.max(err / nx2))
+    m = p - 1
+    if m == 0:
+        return 0.0
+    h = 2.0 ** (b - 1)
+    C = m / (2.0 * h * (h + math.sqrt(h * h + m)))
+    for _ in range(4):
+        C = math.nextafter(C, math.inf)
+    return C
 
 
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
-                measured_C: float | None = None, rng: np.random.Generator | None = None) -> CompressionScheme:
-    """Build a scheme with its (C, r, delta) constants.
+                rng: np.random.Generator | None = None) -> CompressionScheme:
+    """Build a scheme with its (C, r, delta) constants, each a function of (kind, p, b, k).
 
-    Random-k / Top-k carry closed-form constants (C = 1 - k/p, delta = k/p, r = 1).
-    The quantizer and norm-signed schemes have no published constants, so unless C is
-    supplied it is the exact worst ratio E||Q(x) - x||^2 / ||x||^2 over MEASURE_SAMPLES
-    standard-normal p-vectors, the only draws taken from `rng` (see _exact_C). The
-    unbiased quantizer then scales with r = 1 + C (delta = 1/(1+C)); norm-signed uses the
-    worst-case scaling r = p, delta = 1/p.
+    Random-k / Top-k: C = 1 - k/p, delta = k/p, r = 1. The unbiased quantizer: C the
+    supremum of _quantizer_C, scaled with r = 1 + C and delta = 1/(1+C). Norm-signed
+    (see its branch): C = p - 1, with the worst-case scaling r = p, delta = 1/p.
+    `rng` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so it
+    stays until the benchmark's next change drops it there.
     """
     if kind == IDENTITY:
         return CompressionScheme(IDENTITY, C=0.0, r=1.0, delta=1.0)
@@ -192,16 +195,17 @@ def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
         if k is None or not (1 <= k <= p):
             raise ValueError(f"topk needs 1 <= k <= p, got k={k}, p={p}")
         return CompressionScheme(TOPK, k=k, C=1.0 - k / p, r=1.0, delta=k / p)
-    if kind not in (QNBBQ, QNORMSIGNED):
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    b = b if kind == QNBBQ else None
-    if measured_C is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        measured_C = _exact_C(kind, b, rng.standard_normal((MEASURE_SAMPLES, p)))
     if kind == QNBBQ:
-        return CompressionScheme(QNBBQ, b=b, C=measured_C, r=1.0 + measured_C,
-                                 delta=1.0 / (1.0 + measured_C))
-    return CompressionScheme(QNORMSIGNED, C=measured_C, r=float(p), delta=1.0 / p)
+        C = _quantizer_C(p, b)
+        return CompressionScheme(QNBBQ, b=b, C=C, r=1.0 + C, delta=1.0 / (1.0 + C))
+    if kind == QNORMSIGNED:
+        # Q = s sign(x) with s = ||x||_inf. C: ||Q - x||^2 = sum_{x_i != 0} (s - |x_i|)^2,
+        # at most (p - 1) s^2 <= (p - 1)||x||^2 since a largest coordinate adds 0; it tends
+        # to (p - 1)||x||^2 as x -> (1, eps, ..., eps). delta: ||Q/p - x||^2 = ||x||^2
+        # - 2(s/p)||x||_1 + nnz s^2/p^2 <= (1 - 1/p)||x||^2, because ||x||^2 <= s||x||_1
+        # and nnz s^2/p <= s^2 <= s||x||_1.
+        return CompressionScheme(QNORMSIGNED, C=float(p - 1), r=float(p), delta=1.0 / p)
+    raise ValueError(f"unknown scheme kind {kind!r}")
 
 
 @dataclass
@@ -257,7 +261,7 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
 
 
 # substream ids under one root seed: the two compressed streams' per-agent draws, the
-# initial state, and the samples for scheme constants
+# initial state, and `cnext verify-ops`' Monte Carlo samples
 STREAM_X, STREAM_Y, STREAM_INIT, STREAM_MEASURE = 0, 1, 2, 3
 
 

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from cnext.compress import ALL_KINDS, RANDOMK, TOPK, make_scheme
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import LocalData, ridge_objective, logistic_objective, ridge_closed_form_optimum
 from cnext.solver import init_state, newton_directions
+
+
+def all_schemes(p, k=2):
+    """Every scheme kind at dimension p: b = 2 for the quantizer, k kept coordinates for
+    Random-k and Top-k."""
+    return [make_scheme(kind, p, b=2, k=(k if kind in (RANDOMK, TOPK) else None))
+            for kind in ALL_KINDS]
 
 
 def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):

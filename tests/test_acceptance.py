@@ -18,23 +18,17 @@ import numpy as np
 import pytest
 
 from cnext.compress import (CompressState, agent_streams, bits_per_vector, compress_round,
-                            compress_vector, make_scheme, verify_contract, ALL_KINDS)
+                            compress_vector, make_scheme, verify_contract)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           init_state, newton_directions, run, tracking_gap)
 from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
-from conftest import network_giant_reference
+from conftest import all_schemes, network_giant_reference
 
 
 def report(n, ok, msg):
     print(f"\nACCEPTANCE {n} {'PASS' if ok else 'FAIL'}: {msg}")
-
-
-def schemes_for(p, k=2):
-    rng = np.random.default_rng(19)
-    return [make_scheme(kind, p, b=2, k=(k if kind in ("randomk", "topk") else None), rng=rng)
-            for kind in ALL_KINDS]
 
 
 def replay_rounds(obj, net, scheme, hp, seed, on_round):
@@ -58,7 +52,7 @@ def test_c01_gradient_tracking_preservation(small_ridge):
     obj, net = small_ridge
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=200)
     worst = 0.0
-    for scheme in schemes_for(obj.p):
+    for scheme in all_schemes(obj.p):
         state = init_state(obj, net, hp, seed=42)
         rx, ry = agent_streams(42, 0, net.n), agent_streams(42, 1, net.n)
         from cnext.solver import step
@@ -77,7 +71,7 @@ def test_c02_compress_state_identities(small_ridge):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=200)
     worst = 0.0
 
-    for scheme in schemes_for(obj.p):
+    for scheme in all_schemes(obj.p):
         def check(state, out_x, out_y):
             nonlocal worst
             for comp, out in ((state.comp_x, out_x), (state.comp_y, out_y)):
@@ -128,7 +122,7 @@ def test_c04_operator_contracts():
     ok_tk = worst == pytest.approx(1.0 - 3 / p, rel=1e-15)
 
     # dithered quantizer unbiasedness at 1e5 draws, 3 sigma per coordinate
-    qn = make_scheme("qnbbq", p, b=2, measured_C=0.6)
+    qn = make_scheme("qnbbq", p, b=2)
     x = rng.standard_normal(p)
     n_draws = 100_000
     draws = np.empty((n_draws, p))
@@ -140,7 +134,7 @@ def test_c04_operator_contracts():
 
     # every scheme's measured constant is finite and recorded on the scheme object
     table = {}
-    for scheme in schemes_for(p, k=5):
+    for scheme in all_schemes(p, k=5):
         c = verify_contract(scheme, samples, rng, n_draws=2_000)[0]
         table[scheme.kind] = c
         assert np.isfinite(c) and np.isfinite(scheme.C)
@@ -209,8 +203,7 @@ def test_c06_desk_scale_replication(ridge10, kind):
     obj, net, x_star = ridge10
     cfg = _C6[kind]
     scheme = make_scheme(kind, obj.p, b=2,
-                         k=(5 if kind == "randomk" else 3 if kind == "topk" else None),
-                         rng=np.random.default_rng(0))
+                         k=(5 if kind == "randomk" else 3 if kind == "topk" else None))
     hp = HyperParams(eta=cfg["eta"], gamma=0.6, alpha_x=cfg["alpha"], alpha_y=cfg["alpha"],
                      T=5000)
     recs = run(obj, net, scheme, hp, MODE_CNEXT, seed=42, x_star=x_star)
@@ -239,7 +232,7 @@ def _bits_to_target(records, target=1e-6):
 
 def test_c07_second_order_advantage(ridge10):
     obj, net, x_star = ridge10
-    scheme = make_scheme("qnormsigned", obj.p, rng=np.random.default_rng(0))
+    scheme = make_scheme("qnormsigned", obj.p)
     hp = HyperParams(eta=0.021, gamma=0.6, alpha_x=0.25, alpha_y=0.25, T=1000)
     newton = run(obj, net, scheme, hp, MODE_CNEXT, seed=42, x_star=x_star)
     hit_newton = _bits_to_target(newton)
@@ -346,7 +339,7 @@ def test_c09_covtype_accuracy():
         net = metropolis_hastings_weights(topo)
         part = partition_homogeneous(ds, n, 42)
         obj = logistic_objective(build_locals(ds, part), 0.1)
-        scheme = make_scheme("qnbbq", 10, b=2, rng=np.random.default_rng(0))
+        scheme = make_scheme("qnbbq", 10, b=2)
         hp = HyperParams(eta=eta, gamma=gamma, alpha_x=0.5, alpha_y=0.5, T=1000)
         recs = run(obj, net, scheme, hp, MODE_CNEXT, seed=42, test_data=ds.test())
         accs[kind] = recs[-1].accuracy

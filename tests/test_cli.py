@@ -311,56 +311,24 @@ def test_verify_ops_table_feeds_theory(tmp_path, capsys):
     # this config carries k=2, p=4, so the closed form is 1 - k/p = 0.5
     assert table["randomk"]["C_measured"] == pytest.approx(table["randomk"]["C"], abs=0.05)
     assert all(np.isfinite(row["C_measured"]) for row in table.values())
-
-    assert main(["theory", "-c", cfg, "--ops-manifest",
-                 os.path.join(out, "ops_manifest.json")]) == 0
+    # the table's constants are the ones `cnext theory` certifies against
+    assert main(["theory", "-c", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["scheme"]["C"] == pytest.approx(table["qnormsigned"]["C"])
-    assert report["scheme"]["delta"] == pytest.approx(table["qnormsigned"]["delta_measured"])
+    assert report["scheme"] == {key: value for key, value in table["qnormsigned"].items()
+                                if key != "C_measured"}
 
 
 @pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
 def test_verify_ops_constants_equal_run(tmp_path, kind):
-    # with the default sample count both draw their samples from the seed's measurement
-    # substream, so the table carries the very constant `run` certifies and steps with
+    # the table carries the very constant `run` certifies against; its Monte Carlo
+    # estimate on random samples may lie below that supremum, never above it
     cfg, out = write_config(tmp_path, scheme={"kind": kind}, hyperparams={"T": 1})
     assert main(["verify-ops", "-c", cfg]) == 0
     table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
     assert main(["run", "-c", cfg]) == 0
     C = json.loads(open(os.path.join(out, "manifest.json")).read())["resolved"]["scheme"]["C"]
     assert table[kind]["C"] == C
-    if kind == "qnormsigned":  # draws nothing: its one encode is the expectation
-        assert table[kind]["C_measured"] == C
-    else:  # the 2,000-draw estimate lies within 3.5% of C at p = 4 over seeds 0-199
-        assert table[kind]["C_measured"] == pytest.approx(C, rel=0.05)
-
-
-@pytest.mark.parametrize("edit, message, flags", [
-    (None, "not a verify-ops table", []),
-    (lambda ops: ops.pop("schemes"), "not a verify-ops table", []),
-    (lambda ops: ops["schemes"]["qnbbq"].pop("C"), "not a verify-ops table", []),
-    (lambda ops: ops.update(p=6), "built at p = 6", []),
-    (lambda ops: ops["schemes"]["qnbbq"].update(b=3), "qnbbq at b = 3", []),
-    # the table's C is the seed-42 instance's; the seed-7 instance has its own
-    (lambda ops: None, "qnbbq C = ", ["--seed", "7"]),
-], ids=["malformed-json", "no-schemes", "no-C", "other-p", "other-b", "other-seed"])
-def test_ops_manifest_that_does_not_fit_is_config_error(tmp_path, capsys, edit, message, flags):
-    cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq", "b": 2},
-                            hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
-    assert main(["verify-ops", "-c", cfg]) == 0
-    path = os.path.join(out, "ops_manifest.json")
-    text = open(path).read()
-    if edit is None:
-        text = text[:len(text) // 2]
-    else:
-        ops = json.loads(text)
-        edit(ops)
-        text = json.dumps(ops)
-    with open(path, "w") as fh:
-        fh.write(text)
-    capsys.readouterr()
-    assert main(["theory", "-c", cfg, "--ops-manifest", path, *flags]) == 2
-    assert message in capsys.readouterr().err
+    assert table[kind]["C_measured"] <= C * 1.05  # 2,000 draws per sample
 
 
 def _sweep_rows(path):

@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cnext.compress import (CompressState, CompressionScheme, _exact_C, agent_streams,
-                            bits_per_vector, compress_round, compress_vector, make_scheme,
-                            verify_contract, ALL_KINDS)
+from cnext.compress import (CompressState, CompressionScheme, agent_streams, bits_per_vector,
+                            compress_round, compress_vector, make_scheme, verify_contract,
+                            ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
-
-
-def all_schemes(p, k=2, rng=None):
-    rng = np.random.default_rng(11) if rng is None else rng
-    return [make_scheme(kind, p, b=2, k=(k if kind in ("randomk", "topk") else None), rng=rng)
-            for kind in ALL_KINDS]
+from conftest import all_schemes
 
 
 def test_identity_passthrough():
@@ -27,17 +22,17 @@ def test_identity_passthrough():
 
 
 def test_quantizer_zero_guard():
-    scheme = make_scheme("qnbbq", 6, measured_C=0.5)
+    scheme = make_scheme("qnbbq", 6)
     q, _ = compress_vector(scheme, np.zeros(6), np.random.default_rng(0))
     assert np.array_equal(q, np.zeros(6))
-    signed = make_scheme("qnormsigned", 6, measured_C=1.0)
+    signed = make_scheme("qnormsigned", 6)
     q, _ = compress_vector(signed, np.zeros(6), np.random.default_rng(0))
     assert np.array_equal(q, np.zeros(6))
 
 
 def test_quantizer_dithered_unbiasedness():
     # Monte-Carlo oracle over the dither distribution: the mean reconstructs x
-    scheme = make_scheme("qnbbq", 8, measured_C=0.6)
+    scheme = make_scheme("qnbbq", 8)
     rng = np.random.default_rng(123)
     x = rng.standard_normal(8)
     n_draws = 20_000  # the acceptance suite runs the full 1e5-draw version
@@ -91,9 +86,8 @@ def test_verify_contract_values():
 
 
 def test_measured_constants_are_finite_and_recorded():
-    rng = np.random.default_rng(9)
     for kind in ("qnbbq", "qnormsigned"):
-        scheme = make_scheme(kind, 12, k=None, rng=rng)
+        scheme = make_scheme(kind, 12)
         assert np.isfinite(scheme.C) and scheme.C > 0
         assert scheme.r > 0 and 0 < scheme.delta <= 1
 
@@ -116,13 +110,73 @@ def _two_outcome_C(X, b):
     return worst
 
 
+def _ratio_bound_holds(R, p, b):
+    """Exact proof, or refutation, that E||Q(x) - x||^2 <= R ||x||^2 for every x in R^p.
+
+    With y_i = h|x_i|/s the ratio is sum_{i>=2} g(y_i) / (h^2 + sum_{i>=2} y_i^2), the
+    largest coordinate at y = h adding no error, g(y) = frac(y)(1 - frac(y)) and
+    y_i in [0, h]. It is at most R iff (p - 1) max_y (g(y) - R y^2) <= R h^2; on each
+    [k, k + 1], g(y) - R y^2 is a concave quadratic, largest at its vertex clamped to
+    the interval.
+    """
+    R, h = Fraction(R), 2 ** (b - 1)
+    best = Fraction(0)
+    for k in range(h):
+        y = min(max(Fraction(2 * k + 1, 2) / (1 + R), Fraction(k)), Fraction(k + 1))
+        best = max(best, (y - k) * (k + 1 - y) - R * y * y)
+    return (p - 1) * best <= R * h * h
+
+
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [1, 6, 20])
 def test_quantizer_constant_is_exact(b, p):
-    seed = 100 * b + p
-    C = make_scheme("qnbbq", p, b=b, rng=np.random.default_rng(seed)).C
-    reference = _two_outcome_C(np.random.default_rng(seed).standard_normal((32, p)), b)
-    assert C == pytest.approx(float(reference), rel=1e-12, abs=0.0)
+    # C bounds the ratio of every input, and 1e-13 less does not: C is the supremum
+    C = make_scheme("qnbbq", p, b=b).C
+    assert _ratio_bound_holds(C, p, b)
+    if p == 1:  # a lone coordinate is its own largest and always on a level
+        assert C == 0.0
+        return
+    assert not _ratio_bound_holds(Fraction(C) * (1 - Fraction(1, 10 ** 13)), p, b)
+    rng = np.random.default_rng(100 * b + p)
+    X = np.vstack([rng.standard_normal((16, p)), rng.uniform(0.0, 1.0, (16, p))])
+    X[16:, 0] = 1.0  # one largest coordinate over small ones, as at the witness
+    assert _two_outcome_C(X, b) <= Fraction(C)
+
+
+def _quantizer_witness(p, b, nudge=0):
+    """(1, y*/h, ..., y*/h) with y* = h / (h + sqrt(h^2 + p - 1)) moved by `nudge` ulps."""
+    h = 2.0 ** (b - 1)
+    y = h / (h + math.sqrt(h * h + p - 1))
+    for _ in range(abs(nudge)):
+        y = math.nextafter(y, math.copysign(math.inf, nudge))
+    return np.array([1.0] + [y / h] * (p - 1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_contract_constant_reached_at_witness(kind):
+    # for every kind an input whose ratio E||Q(x) - x||^2 / ||x||^2 reaches C
+    p, k = 20, 5
+    rng = np.random.default_rng(61)
+    if kind == "qnbbq":  # the exact ratio, at the float witness and 1 ulp either side
+        for b in (1, 2, 3, 4, 8):
+            C = make_scheme(kind, p, b=b).C
+            ratios = [_two_outcome_C(_quantizer_witness(p, b, nudge)[None, :], b)
+                      for nudge in (-1, 0, 1)]
+            assert max(ratios) <= Fraction(C)
+            assert Fraction(C) - ratios[1] <= Fraction(1, 10 ** 14) * ratios[1]
+        return
+    scheme = make_scheme(kind, p, k=k)
+    if kind == "qnormsigned":  # draws nothing: its single draw is the exact ratio
+        x = np.array([1.0] + [1e-8] * (p - 1))
+        ratio = verify_contract(scheme, [x], rng)[0]
+        assert scheme.C - 1e-6 <= ratio <= scheme.C == p - 1
+    elif kind == "topk":  # uniform magnitudes: whatever is dropped is the worst case
+        assert verify_contract(scheme, [np.ones(p)], rng)[0] == pytest.approx(scheme.C, rel=1e-15)
+    elif kind == "randomk":  # every input's expected ratio is 1 - k/p
+        ratio = verify_contract(scheme, [rng.standard_normal(p)], rng, n_draws=20_000)[0]
+        assert ratio == pytest.approx(scheme.C, rel=0.02)
+    else:
+        assert verify_contract(scheme, [rng.standard_normal(p)], rng)[0] == scheme.C == 0.0
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -131,9 +185,14 @@ def test_quantizer_constant_at_exact_levels(b):
     X = np.array([[1.0, -0.5, 0.25, 0.75, 0.0],
                   [2.0, -1.0, 0.5, 1.5, -2.0],
                   [4.0, 3.0, -0.3, 1.1, 2.5]])
-    assert _exact_C("qnbbq", b, X) == pytest.approx(float(_two_outcome_C(X, b)), rel=1e-12, abs=0.0)
+    scheme = make_scheme("qnbbq", 5, b=b)
+    assert _two_outcome_C(X, b) <= Fraction(scheme.C)
     if b >= 3:  # every coordinate of the first two rows is on a level
-        assert _exact_C("qnbbq", b, X[:2]) == 0.0
+        assert _two_outcome_C(X[:2], b) == 0
+        rng = np.random.default_rng(b)
+        for x in X[:2]:
+            for _ in range(20):
+                assert np.array_equal(compress_vector(scheme, x, rng)[0], x)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -143,24 +202,29 @@ def test_quantizer_constant_agrees_with_monte_carlo(b):
     scheme = CompressionScheme("qnbbq", b=b)
     for x in rng.standard_normal((4, 8)):
         measured = verify_contract(scheme, [x], rng, n_draws=100_000)[0]
-        assert measured == pytest.approx(_exact_C("qnbbq", b, x[None, :]), rel=0.02)
+        assert measured == pytest.approx(float(_two_outcome_C(x[None, :], b)), rel=0.02)
 
 
 @pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
-def test_scheme_constants_draw_only_the_samples(kind):
-    rng, expected = np.random.default_rng(5), np.random.default_rng(5)
-    make_scheme(kind, 7, rng=rng)
-    expected.standard_normal(32 * 7)
-    assert rng.bit_generator.state == expected.bit_generator.state
+def test_scheme_constants_draw_nothing(kind):
+    # the constants are a function of (kind, p, b): a generator passed in is left untouched
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert make_scheme(kind, 7, rng=rng) == make_scheme(kind, 7)
+    assert rng.bit_generator.state == state
 
 
 def test_norm_signed_constant_is_the_single_draw_oracle():
-    for seed in range(20):
-        for p in (1, 2, 5, 20, 54):
-            C = make_scheme("qnormsigned", p, rng=np.random.default_rng(seed)).C
-            rng = np.random.default_rng(seed)
-            samples = [rng.standard_normal(p) for _ in range(32)]
-            assert C == verify_contract(CompressionScheme("qnormsigned"), samples, rng)[0]
+    # norm-signed draws nothing, so verify_contract's single draw is its exact ratio; on
+    # random samples neither ratio passes the constants C = p - 1 and 1 - delta = 1 - 1/p
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 5, 20, 54):
+        scheme = make_scheme("qnormsigned", p)
+        assert (scheme.C, scheme.r, scheme.delta) == (p - 1, p, 1 / p)
+        samples = [rng.standard_normal(p) for _ in range(32)]
+        samples += [rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.5) + np.eye(p)[0]]
+        C, scaled = verify_contract(scheme, samples, rng)
+        assert C <= scheme.C and scaled <= (1.0 - scheme.delta) * (1 + 1e-12)
 
 
 def test_conditional_contract_bound():
@@ -170,7 +234,7 @@ def test_conditional_contract_bound():
     Z = rng.standard_normal((n, p))
     H = rng.standard_normal((n, p))
     gap2 = float(np.sum((Z - H) ** 2))
-    for scheme in all_schemes(p, k=2, rng=rng):
+    for scheme in all_schemes(p, k=2):
         acc = 0.0
         n_draws = 2_000
         for _ in range(n_draws):
@@ -187,18 +251,17 @@ def test_scaled_operator_contract():
     rng = np.random.default_rng(31)
     p = 12
     samples = [rng.standard_normal(p) for _ in range(8)]
-    for scheme in all_schemes(p, k=3, rng=rng):
+    for scheme in all_schemes(p, k=3):
         measured = verify_contract(scheme, samples, rng, n_draws=4_000)[1]
         assert measured <= (1.0 - scheme.delta) * 1.05 + 1e-12
 
 
 def test_measured_contract_within_declared_constant():
-    # fresh samples never exceed C (1 + eps_stat) for the closed-form schemes
+    # fresh samples never exceed C (1 + eps_stat), for every kind
     rng = np.random.default_rng(41)
     p = 10
     samples = [rng.standard_normal(p) for _ in range(6)]
-    for kind, k in (("identity", None), ("randomk", 4), ("topk", 4)):
-        scheme = make_scheme(kind, p, k=k)
+    for scheme in all_schemes(p, k=4):
         measured = verify_contract(scheme, samples, rng, n_draws=4_000)[0]
         assert measured <= scheme.C * 1.05 + 1e-12
 
@@ -206,10 +269,10 @@ def test_measured_contract_within_declared_constant():
 def test_bits_formulas():
     p = 20
     assert bits_per_vector(make_scheme("identity", p), p) == 64 * p
-    assert bits_per_vector(make_scheme("qnbbq", p, b=2, measured_C=0.5), p) == 3 * p
+    assert bits_per_vector(make_scheme("qnbbq", p, b=2), p) == 3 * p
     assert bits_per_vector(make_scheme("randomk", p, k=5), p) == (32 + 5) * 5
     assert bits_per_vector(make_scheme("topk", p, k=3), p) == (64 + 5) * 3
-    assert bits_per_vector(make_scheme("qnormsigned", p, measured_C=1.0), p) == p + 32
+    assert bits_per_vector(make_scheme("qnormsigned", p), p) == p + 32
     assert bits_per_vector(make_scheme("randomk", 1, k=1), 1) == 32
 
 
@@ -270,7 +333,7 @@ def test_compress_round_draws_like_a_per_agent_loop():
     # encodes each agent's row with its own generator; row 3 is a zero innovation
     net = metropolis_hastings_weights(build_ring(5))
     rng = np.random.default_rng(29)
-    for scheme in all_schemes(6, k=2, rng=rng):
+    for scheme in all_schemes(6, k=2):
         state = CompressState.init(rng.standard_normal((5, 6)), net.W, alpha=0.5)
         rngs, loop_rngs = agent_streams(8, 0, 5), agent_streams(8, 0, 5)
         for _ in range(4):
@@ -290,7 +353,7 @@ def test_compress_round_zero_innovation():
     net = metropolis_hastings_weights(build_ring(3))
     rng = np.random.default_rng(12)
     H0 = rng.standard_normal((3, 5))
-    for scheme in all_schemes(5, k=2, rng=rng):
+    for scheme in all_schemes(5, k=2):
         state = CompressState.init(H0, net.W, alpha=0.5)
         out = compress_round(state, H0.copy(), scheme, net.W, agent_streams(1, 0, 3))
         assert np.array_equal(out.Q, np.zeros((3, 5)))
@@ -301,7 +364,7 @@ def test_memory_weight_identity_over_rounds():
     # Hw tracks W H exactly through 50 rounds of the recursion, for every scheme
     net = metropolis_hastings_weights(build_ring(6))
     rng = np.random.default_rng(17)
-    for scheme in all_schemes(8, k=3, rng=rng):
+    for scheme in all_schemes(8, k=3):
         state = CompressState.init(rng.standard_normal((6, 8)), net.W, alpha=0.7)
         rngs = agent_streams(5, 0, 6)
         for _ in range(50):

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext import solver
-from cnext.compress import make_scheme, agent_streams, ALL_KINDS
+from cnext.compress import make_scheme, agent_streams
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import centralized_newton, logistic_objective, ridge_closed_form_optimum
@@ -18,13 +18,7 @@ from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
                           measure_errors, newton_directions, run, step, tracking_gap,
                           warn_theory_violations)
-from conftest import make_ridge, network_giant_reference
-
-
-def schemes_for(p, rng_seed=19):
-    rng = np.random.default_rng(rng_seed)
-    return [make_scheme(kind, p, b=2, k=(2 if kind in ("randomk", "topk") else None), rng=rng)
-            for kind in ALL_KINDS]
+from conftest import all_schemes, make_ridge, network_giant_reference
 
 
 def test_single_agent_reduces_to_damped_newton(small_ridge):
@@ -69,7 +63,7 @@ def test_zero_steps_are_a_no_op(small_ridge):
 def test_tracking_preserved_for_every_scheme(small_ridge):
     obj, net = small_ridge
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=200)
-    for scheme in schemes_for(obj.p):
+    for scheme in all_schemes(obj.p):
         state = init_state(obj, net, hp, seed=11)
         rx, ry = agent_streams(11, 0, net.n), agent_streams(11, 1, net.n)
         for _ in range(hp.T):
@@ -120,7 +114,7 @@ def test_newton_direction_deviation_bound(small_ridge):
     # || D - 1 dbar ||^2 <= ||Y||^2 / mu^2 at every round
     obj, net = small_ridge
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=80)
-    scheme = make_scheme("qnbbq", obj.p, b=2, measured_C=0.6)
+    scheme = make_scheme("qnbbq", obj.p, b=2)
     state = init_state(obj, net, hp, seed=9)
     rx, ry = agent_streams(9, 0, net.n), agent_streams(9, 1, net.n)
     for _ in range(hp.T):
@@ -203,7 +197,7 @@ def test_tol_stops_early(small_ridge):
 
 def test_bits_accumulate_per_round(small_ridge):
     obj, net = small_ridge
-    scheme = make_scheme("qnormsigned", obj.p, measured_C=3.0)
+    scheme = make_scheme("qnormsigned", obj.p)
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.25, alpha_y=0.25, T=10)
     recs = run(obj, net, scheme, hp, MODE_CNEXT, seed=2)
     per_round = 2 * net.n * (obj.p + 32)
@@ -213,7 +207,7 @@ def test_bits_accumulate_per_round(small_ridge):
 
 def test_theory_violation_warnings(small_ridge):
     obj, net = small_ridge
-    scheme = make_scheme("qnormsigned", obj.p, measured_C=3.0)
+    scheme = make_scheme("qnormsigned", obj.p)
     # qnormsigned has r delta = p (1/p) = 1, so the theory admits alpha up to 1
     hp = HyperParams(eta=10.0, gamma=0.6, alpha_x=1.5, alpha_y=1.0, T=1)
     with pytest.warns(UserWarning):
@@ -245,7 +239,7 @@ def test_cached_curvature_gives_the_hessians_at_x(small_logistic, mode, monkeypa
     # directions of Hessians formed afresh from X
     obj = small_logistic
     net = metropolis_hastings_weights(build_ring(obj.n))
-    scheme = make_scheme("qnbbq", obj.p, b=2, rng=np.random.default_rng(0))
+    scheme = make_scheme("qnbbq", obj.p, b=2)
     hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=8)
     directions = []
 
@@ -267,7 +261,6 @@ def test_cached_curvature_gives_the_hessians_at_x(small_logistic, mode, monkeypa
 def test_logistic_run_is_byte_deterministic_across_thread_counts():
     script = (
         "import sys\n"
-        "import numpy as np\n"
         "from conftest import make_logistic\n"
         "from cnext.cli import records_to_csv\n"
         "from cnext.compress import make_scheme\n"
@@ -275,7 +268,7 @@ def test_logistic_run_is_byte_deterministic_across_thread_counts():
         "from cnext.solver import HyperParams, MODES, run\n"
         "obj = make_logistic(m=1000, p=10)\n"
         "net = metropolis_hastings_weights(build_ring(obj.n))\n"
-        "scheme = make_scheme('qnbbq', obj.p, b=2, rng=np.random.default_rng(0))\n"
+        "scheme = make_scheme('qnbbq', obj.p, b=2)\n"
         "hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=40)\n"
         "for mode in MODES:\n"
         "    sys.stdout.write(records_to_csv(run(obj, net, scheme, hp, mode, seed=3)))\n"
@@ -312,8 +305,7 @@ def test_logistic_runs_reach_centralized_optimum(small_logistic, mode):
     obj = small_logistic
     net = metropolis_hastings_weights(build_ring(obj.n))
     x_star, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-12)
-    scheme = make_scheme("qnbbq" if mode == MODE_CNEXT else "identity", obj.p, b=2,
-                         rng=np.random.default_rng(0))
+    scheme = make_scheme("qnbbq" if mode == MODE_CNEXT else "identity", obj.p, b=2)
     hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=300)
     state = init_state(obj, net, hp, seed=3)
     rx, ry = agent_streams(3, 0, net.n), agent_streams(3, 1, net.n)
@@ -383,7 +375,7 @@ def test_csr_mixing_matches_dense(expander256, kind):
 def test_memory_identity_on_the_csr_path(expander256):
     obj, net = expander256
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=40)
-    scheme = make_scheme("qnbbq", obj.p, b=2, measured_C=0.6)
+    scheme = make_scheme("qnbbq", obj.p, b=2)
     state = init_state(obj, net, hp, seed=8)
     rx, ry = agent_streams(8, 0, net.n), agent_streams(8, 1, net.n)
     for _ in range(hp.T + 1):
@@ -406,7 +398,7 @@ def test_run_builds_agent_streams_only_for_schemes_that_draw(small_ridge, monkey
 
     monkeypatch.setattr(solver_mod, "agent_streams", counting_streams)
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=3)
-    for scheme in schemes_for(obj.p):
+    for scheme in all_schemes(obj.p):
         built.clear()
         run(obj, net, scheme, hp, MODE_CNEXT, seed=1)
         assert built == ([0, 1] if scheme.kind in ("qnbbq", "randomk") else []), scheme.kind
