@@ -66,18 +66,17 @@ def bits_per_vector(scheme: CompressionScheme, p: int) -> int:
     raise ValueError(scheme.kind)
 
 
-def _uniforms(rngs: np.random.Generator | list[np.random.Generator], rows: np.ndarray,
-              p: int) -> np.ndarray:
-    """Uniform[0, 1) draws for the given rows, p per row, in row order.
+def _uniforms(rngs: np.random.Generator | list[np.random.Generator], r: int, p: int) -> np.ndarray:
+    """Uniform[0, 1) draws for r rows, p per row, in row order.
 
-    A single generator supplies every row; a list supplies row i from rngs[i], so each
-    agent's stream is consumed exactly as if it encoded its own row alone.
+    A single generator supplies every row; a list (one generator per row) supplies row i
+    from rngs[i], so each agent's stream is consumed as if it encoded its own row alone.
     """
     if isinstance(rngs, np.random.Generator):
-        return rngs.random((rows.size, p))
-    U = np.empty((rows.size, p))
-    for j, i in enumerate(rows):
-        rngs[i].random(out=U[j])
+        return rngs.random((r, p))
+    U = np.empty((r, p))
+    for g, u in zip(rngs, U, strict=True):
+        g.random(out=u)
     return U
 
 
@@ -89,33 +88,36 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     `rngs` (see _uniforms); the other kinds never read it, so it may be None. Zero rows
     map to zero for every scheme, and a zero row under the quantizer draws nothing.
     """
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise ValueError("compress: input has non-finite entries")
-    p = Z.shape[1]
+    r, p = Z.shape
     if scheme.kind == IDENTITY:
         return Z.copy()
     if scheme.kind in (RANDOMK, TOPK) and scheme.k > p:
         raise ValueError(f"{scheme.kind}: k={scheme.k} exceeds p={p}")
     if scheme.kind == RANDOMK:
-        return Z * (_uniforms(rngs, np.arange(Z.shape[0]), p) < scheme.k / p)
+        return Z * (_uniforms(rngs, r, p) < scheme.k / p)
     if scheme.kind == TOPK:
         # stable sort on -|z| breaks magnitude ties by lowest index
         keep = np.argsort(-np.abs(Z), axis=1, kind="stable")[:, :scheme.k]
         Q = np.zeros_like(Z)
         np.put_along_axis(Q, keep, np.take_along_axis(Z, keep, axis=1), axis=1)
         return Q
-    # the quantizer and norm-signed formulas divide by ||z||_inf
-    s = np.max(np.abs(Z), axis=1, keepdims=True)
-    rows = np.flatnonzero(s[:, 0] != 0.0)
-    Zr, sr = Z[rows], s[rows]
-    Q = np.zeros_like(Z)
+    # the quantizer and norm-signed formulas divide by ||z||_inf, so the rare zero rows
+    # are set aside (and draw nothing); in the usual case Z is read whole
+    s = np.abs(Z).max(axis=1, keepdims=True)
+    nonzero = s[:, 0] != 0.0
+    if not nonzero.all():
+        if isinstance(rngs, list):
+            rngs = [g for g, keep in zip(rngs, nonzero, strict=True) if keep]
+        Q = np.zeros_like(Z)
+        Q[nonzero] = _encode(scheme, Z[nonzero], rngs)
+        return Q
     if scheme.kind == QNBBQ:
         half_levels = 2.0 ** (scheme.b - 1)
-        levels = np.floor(half_levels * np.abs(Zr) / sr + _uniforms(rngs, rows, p))
-        Q[rows] = (sr / half_levels) * np.sign(Zr) * levels
-    else:  # QNORMSIGNED
-        Q[rows] = sr * np.sign(Zr)
-    return Q
+        levels = np.floor(half_levels * np.abs(Z) / s + _uniforms(rngs, r, p))
+        return (s / half_levels) * np.sign(Z) * levels
+    return s * np.sign(Z)  # QNORMSIGNED
 
 
 def compress_vector(scheme: CompressionScheme, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -208,23 +210,31 @@ def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
+def _mix(W, M: np.ndarray) -> np.ndarray:
+    """W times each n x p stream of M: one matmul for dense W, one product per stream for CSR."""
+    if M.ndim == 2 or isinstance(W, np.ndarray):
+        return W @ M
+    return np.stack([W @ m for m in M])
+
+
 @dataclass
 class CompressState:
-    """Auxiliary compression memory for one stream: H and its neighbor-weighted copy H^w.
+    """Compression memory H and its neighbor-weighted copy H^w, of one n x p stream or an
+    (s, n, p) stack; alpha is a float, or one per stream of shape (s, 1, 1).
 
     Invariant (given Hw(0) = W H(0)): Hw = W H at every round, up to roundoff.
     """
 
     H: np.ndarray
     Hw: np.ndarray
-    alpha: float
+    alpha: float | np.ndarray
 
     @classmethod
-    def init(cls, H0: np.ndarray, W, alpha: float) -> "CompressState":
-        if not (alpha > 0):
+    def init(cls, H0: np.ndarray, W, alpha) -> "CompressState":
+        if not np.all(np.asarray(alpha) > 0):
             raise ValueError(f"alpha must be positive, got {alpha}")
         H0 = np.asarray(H0, dtype=float).copy()
-        return cls(H=H0, Hw=W @ H0, alpha=alpha)
+        return cls(H=H0, Hw=_mix(W, H0), alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -239,24 +249,25 @@ class CompressedRound:
 
 def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionScheme,
                    W, rngs: list[np.random.Generator] | None) -> CompressedRound:
-    """One round of difference compression for an n x p stream.
+    """One round of difference compression for an n x p stream or an (s, n, p) stack.
 
-    Encode Q = C(Z - H) in one call, row i with agent i's generator (None for a kind
+    Encode Q = C(Z - H) in one call over its s n rows, row j with rngs[j] (None for a kind
     that draws nothing), form the estimates Zhat = Q + H and Zhat_w = Hw + W Q, with W
-    dense or a scipy sparse matrix, then mix the memories
-    H <- (1-alpha) H + alpha Zhat and Hw <- (1-alpha) Hw + alpha Zhat_w.
-    Mutates `state` and returns the round outputs; bits = n * per-vector cost.
+    dense or scipy sparse, then mix the memories in place: H <- (1-alpha) H + alpha Zhat
+    and Hw <- (1-alpha) Hw + alpha Zhat_w. Returns the round outputs; bits = rows * cost.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != state.H.shape:
         raise ValueError(f"shape mismatch: Z {Z.shape} vs state {state.H.shape}")
-    Q = _encode(scheme, Z - state.H, rngs)
-    bits = Z.shape[0] * bits_per_vector(scheme, Z.shape[1])
+    p = Z.shape[-1]
+    Q = _encode(scheme, (Z - state.H).reshape(-1, p), rngs).reshape(Z.shape)
+    bits = Z.size // p * bits_per_vector(scheme, p)
     Zhat = Q + state.H
-    Zhat_w = state.Hw + W @ Q
+    Zhat_w = state.Hw + _mix(W, Q)
     a = state.alpha
-    state.H = (1.0 - a) * state.H + a * Zhat
-    state.Hw = (1.0 - a) * state.Hw + a * Zhat_w
+    for M, est in ((state.H, Zhat), (state.Hw, Zhat_w)):
+        M *= 1.0 - a
+        M += a * est
     return CompressedRound(Zhat=Zhat, Zhat_w=Zhat_w, Q=Q, bits=bits)
 
 

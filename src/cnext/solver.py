@@ -15,6 +15,7 @@ Newton direction for the raw tracker gives the first-order comparator.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -100,11 +101,9 @@ def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionS
 
 @dataclass
 class SolverState:
-    X: np.ndarray  # n x p decision matrix
-    Y: np.ndarray  # n x p tracker matrix
+    XY: np.ndarray  # (2, n, p) stack of the decision matrix X = XY[0] and the tracker Y = XY[1]
     prev_grad: np.ndarray  # grad F(X(t)) cache
-    comp_x: CompressState
-    comp_y: CompressState
+    comp: CompressState  # both streams' memories, stacked like XY; alpha (2, 1, 1)
     t: int = 0
     bits_cum: int = 0
     # logistic curvature weights at X, kept from the gradient refresh beside prev_grad so
@@ -113,6 +112,17 @@ class SolverState:
 
     def copy(self) -> "SolverState":
         return copy.deepcopy(self)
+
+    def _memory(self, i: int) -> CompressState:
+        return CompressState(self.comp.H[i], self.comp.Hw[i], float(self.comp.alpha[i, 0, 0]))
+
+    # views into the stacks: the streams, and each stream's memories
+    X = property(lambda self: self.XY[0])
+    Y = property(lambda self: self.XY[1])
+    comp_x = property(lambda self: self._memory(0))
+    comp_y = property(lambda self: self._memory(1))
+    # rows xbar and ybar, the agents' means of X and of Y
+    means = property(lambda self: np.add.reduce(self.XY, axis=1) / self.XY.shape[1])
 
 
 @dataclass(frozen=True)
@@ -146,14 +156,12 @@ class RoundRecord:
 def init_state(obj: Objective, net: Network, hp: HyperParams, seed: int) -> SolverState:
     """Uniform[0,1] initialization of X and both memories; Y(0) forced to grad F(X(0))."""
     rng = substream(seed, STREAM_INIT)
-    n, p = net.n, obj.p
-    X0 = rng.uniform(size=(n, p))
-    Hx0 = rng.uniform(size=(n, p))
-    Hy0 = rng.uniform(size=(n, p))
+    X0 = rng.uniform(size=(net.n, obj.p))
+    H0 = rng.uniform(size=(2, net.n, obj.p))  # Hx(0), then Hy(0)
     g0, w0 = obj.grad_stack(X0, curvature=True)
-    return SolverState(X=X0, Y=g0.copy(), prev_grad=g0,
-                       comp_x=CompressState.init(Hx0, net.mix, hp.alpha_x),
-                       comp_y=CompressState.init(Hy0, net.mix, hp.alpha_y), weights=w0)
+    alpha = np.array([hp.alpha_x, hp.alpha_y]).reshape(2, 1, 1)
+    return SolverState(XY=np.stack([X0, g0]), prev_grad=g0,
+                       comp=CompressState.init(H0, net.mix, alpha), weights=w0)
 
 
 def newton_directions(X: np.ndarray, Y: np.ndarray, obj: Objective, t: int = 0,
@@ -179,19 +187,20 @@ class StepInfo:
 
 
 def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionScheme,
-         hp: HyperParams, mode: str,
-         rngs_x: list[np.random.Generator] | None,
-         rngs_y: list[np.random.Generator] | None) -> StepInfo:
+         hp: HyperParams, mode: str, rngs: list[np.random.Generator] | None) -> StepInfo:
     """One synchronous round; mutates `state` in place and returns round diagnostics.
 
-    Mixing goes through `net.mix`; the per-agent generators may be None for a scheme
-    that draws nothing.
+    Both streams are compressed and mixed (through `net.mix`) in one stacked round.
+    `rngs` lists the per-agent generators, X's n then Y's n; it may be None for a scheme
+    that draws nothing. The uncompressed mode takes the identity scheme only.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == MODE_UNCOMPRESSED_GIANT and scheme.kind != IDENTITY:
+        raise ValueError(f"mode {mode} communicates uncompressed, got scheme {scheme.label()}")
     t = state.t
-    rx = compress_round(state.comp_x, state.X, scheme, net.mix, rngs_x)
-    ry = compress_round(state.comp_y, state.Y, scheme, net.mix, rngs_y)
+    XY = state.XY
+    r = compress_round(state.comp, XY, scheme, net.mix, rngs)
 
     if mode == MODE_FIRST_ORDER_GT:
         D = state.Y
@@ -199,43 +208,42 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
         D = newton_directions(state.X, state.Y, obj, t, state.weights)
 
     # operator errors of this round's encodings, against the streams as compressed
-    op_err_x = float(np.sum((rx.Zhat - state.X) ** 2))
-    op_err_y = float(np.sum((ry.Zhat - state.Y) ** 2))
+    op_err_x, op_err_y = np.add.reduce(np.square(r.Zhat - XY), axis=(1, 2)).tolist()
 
-    X_new = state.X - hp.gamma * (rx.Zhat - rx.Zhat_w) - hp.eta * D
-    if not np.all(np.isfinite(X_new)):
+    XY_new = XY - hp.gamma * (r.Zhat - r.Zhat_w)
+    X_new, Y_new = XY_new
+    X_new -= hp.eta * D
+    if not np.isfinite(X_new).all():
         raise DivergenceError("X", t)
     if mode == MODE_FIRST_ORDER_GT:  # reads no Hessian, so keeps no curvature weights
         g_new, w_new = obj.grad_stack(X_new), None
     else:
         g_new, w_new = obj.grad_stack(X_new, curvature=True)
-    Y_new = state.Y - hp.gamma * (ry.Zhat - ry.Zhat_w) + g_new - state.prev_grad
-    if not np.all(np.isfinite(Y_new)):
+    Y_new += g_new
+    Y_new -= state.prev_grad
+    if not np.isfinite(Y_new).all():
         raise DivergenceError("Y", t)
 
-    state.X = X_new
-    state.Y = Y_new
+    state.XY = XY_new
     state.prev_grad = g_new
     state.weights = w_new
-    state.bits_cum += rx.bits + ry.bits
+    state.bits_cum += r.bits
     state.t = t + 1
-    return StepInfo(bits=rx.bits + ry.bits, op_err_x=op_err_x, op_err_y=op_err_y)
+    return StepInfo(bits=r.bits, op_err_x=op_err_x, op_err_y=op_err_y)
 
 
-def measure_errors(state: SolverState, obj: Objective, x_star: np.ndarray) -> ErrorVector:
-    """The five squared error norms of the current state (single realization)."""
-    xbar = state.X.mean(axis=0)
-    ybar = state.Y.mean(axis=0)
+def measure_errors(state: SolverState, obj: Objective, x_star: np.ndarray,
+                   means: np.ndarray | None = None) -> ErrorVector:
+    """The five squared error norms of the current state (single realization); `means`,
+    if given, holds `state.means`."""
+    XY = state.XY
+    means = state.means if means is None else means
     with np.errstate(over="ignore"):  # overflow here is caught as divergence below
-        ev = ErrorVector(
-            opt=float(np.sum((xbar - x_star) ** 2)),
-            cons=float(np.sum((state.X - xbar) ** 2)),
-            gt=float(np.sum((state.Y - ybar) ** 2)),
-            comp_x=float(np.sum((state.X - state.comp_x.H) ** 2)),
-            comp_y=float(np.sum((state.Y - state.comp_y.H) ** 2)),
-        )
-    arr = ev.as_array()
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        opt = float(np.add.reduce(np.square(means[0] - x_star)))
+        cons, gt = np.add.reduce(np.square(XY - means[:, None]), axis=(1, 2)).tolist()
+        comp_x, comp_y = np.add.reduce(np.square(XY - state.comp.H), axis=(1, 2)).tolist()
+    ev = ErrorVector(opt=opt, cons=cons, gt=gt, comp_x=comp_x, comp_y=comp_y)
+    if not all(0.0 <= e < math.inf for e in (opt, cons, gt, comp_x, comp_y)):
         raise DivergenceError("error vector", state.t)
     return ev
 
@@ -256,17 +264,16 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     DivergenceError when the state becomes non-finite or the error vector's sum exceeds
     GROWTH_LIMIT times its t = 0 value.
     """
-    if mode == MODE_UNCOMPRESSED_GIANT:
+    if mode == MODE_UNCOMPRESSED_GIANT:  # the one place that mode's scheme is chosen
         scheme = make_scheme(IDENTITY, obj.p)
     if x_star is None:
         x_star = baseline_optimum(obj)
     if f_star is None:
         f_star = obj.value(x_star)
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
-    rngs_x = rngs_y = None  # only the kinds that draw read per-agent streams
+    rngs = None  # only the kinds that draw read per-agent streams
     if scheme.kind in DRAWING_KINDS:
-        rngs_x = agent_streams(seed, STREAM_X, net.n)
-        rngs_y = agent_streams(seed, STREAM_Y, net.n)
+        rngs = agent_streams(seed, STREAM_X, net.n) + agent_streams(seed, STREAM_Y, net.n)
 
     records = [_record(state, obj, x_star, f_star, test_data, StepInfo(0, 0.0, 0.0))]
     e0 = records[0].errors.total()
@@ -274,7 +281,7 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     for _ in range(hp.T):
         if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
             break
-        info = step(state, obj, net, scheme, hp, mode, rngs_x, rngs_y)
+        info = step(state, obj, net, scheme, hp, mode, rngs)
         rec = _record(state, obj, x_star, f_star, test_data, info)
         if rec.errors.total() > limit:
             raise DivergenceError("error vector", rec.t,
@@ -286,7 +293,8 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
 
 def _record(state: SolverState, obj: Objective, x_star: np.ndarray, f_star: float,
             test_data, info: StepInfo) -> RoundRecord:
-    xbar = state.X.mean(axis=0)
+    means = state.means
+    xbar = means[0]
     residual = obj.value(xbar) - f_star
     acc = None
     if test_data is not None:
@@ -294,7 +302,7 @@ def _record(state: SolverState, obj: Objective, x_star: np.ndarray, f_star: floa
         pred = np.where(U @ xbar >= 0.0, 1.0, -1.0)
         acc = float(np.mean(pred == v))
     return RoundRecord(t=state.t, bits_cum=state.bits_cum,
-                       errors=measure_errors(state, obj, x_star),
+                       errors=measure_errors(state, obj, x_star, means),
                        residual=residual, accuracy=acc,
                        op_err_x=info.op_err_x, op_err_y=info.op_err_y)
 

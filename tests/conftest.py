@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnext.compress import ALL_KINDS, RANDOMK, TOPK, make_scheme
+from cnext.compress import ALL_KINDS, RANDOMK, TOPK, agent_streams, make_scheme
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import LocalData, ridge_objective, logistic_objective, ridge_closed_form_optimum
@@ -13,6 +13,11 @@ def all_schemes(p, k=2):
     Random-k and Top-k."""
     return [make_scheme(kind, p, b=2, k=(k if kind in (RANDOMK, TOPK) else None))
             for kind in ALL_KINDS]
+
+
+def xy_streams(seed, n):
+    """The per-agent generators a round draws from: X's n, then Y's n."""
+    return agent_streams(seed, 0, n) + agent_streams(seed, 1, n)
 
 
 def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):

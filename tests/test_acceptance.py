@@ -24,7 +24,7 @@ from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           init_state, newton_directions, run, tracking_gap)
 from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
-from conftest import all_schemes, network_giant_reference
+from conftest import all_schemes, xy_streams, network_giant_reference
 
 
 def report(n, ok, msg):
@@ -36,13 +36,14 @@ def replay_rounds(obj, net, scheme, hp, seed, on_round):
     state = init_state(obj, net, hp, seed)
     rx, ry = agent_streams(seed, 0, net.n), agent_streams(seed, 1, net.n)
     for _ in range(hp.T):
+        # comp_x and comp_y are views, so each call updates the stacked memories in place
         out_x = compress_round(state.comp_x, state.X, scheme, net.W, rx)
         out_y = compress_round(state.comp_y, state.Y, scheme, net.W, ry)
         D = newton_directions(state.X, state.Y, obj)
         X_new = state.X - hp.gamma * (out_x.Zhat - out_x.Zhat_w) - hp.eta * D
         g_new = obj.grad_stack(X_new)
         Y_new = state.Y - hp.gamma * (out_y.Zhat - out_y.Zhat_w) + g_new - state.prev_grad
-        state.X, state.Y, state.prev_grad = X_new, Y_new, g_new
+        state.XY, state.prev_grad = np.stack([X_new, Y_new]), g_new
         state.t += 1
         on_round(state, out_x, out_y)
     return state
@@ -54,10 +55,10 @@ def test_c01_gradient_tracking_preservation(small_ridge):
     worst = 0.0
     for scheme in all_schemes(obj.p):
         state = init_state(obj, net, hp, seed=42)
-        rx, ry = agent_streams(42, 0, net.n), agent_streams(42, 1, net.n)
+        rngs = xy_streams(42, net.n)
         from cnext.solver import step
         for _ in range(hp.T):
-            step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+            step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
             scale = max(1.0, float(np.linalg.norm(state.prev_grad.mean(axis=0))))
             gap = tracking_gap(state) / scale
             worst = max(worst, gap)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from cnext.compress import (CompressState, CompressionScheme, agent_streams, bits_per_vector,
                             compress_round, compress_vector, make_scheme, verify_contract,
@@ -349,6 +350,36 @@ def test_compress_round_draws_like_a_per_agent_loop():
             assert g.bit_generator.state == ref.bit_generator.state, scheme.label()
 
 
+def test_stacked_round_equals_per_stream_rounds():
+    # one call on a (2, n, p) stack gives each stream what its own call gives: the same
+    # Q, estimates, memories and bits, and the same end state of every generator, through
+    # dense and CSR W; a zero innovation row in either stream draws nothing
+    net = metropolis_hastings_weights(build_ring(5))
+    rng = np.random.default_rng(31)
+    alpha = np.array([0.5, 0.8]).reshape(2, 1, 1)
+    for W in (net.W, sparse.csr_array(net.W)):
+        for scheme in all_schemes(6, k=2):
+            H0 = rng.standard_normal((2, 5, 6))
+            stacked = CompressState.init(H0, W, alpha)
+            single = [CompressState.init(H0[s], W, alpha[s, 0, 0]) for s in range(2)]
+            per_stream = [agent_streams(9, 0, 5), agent_streams(9, 1, 5)]
+            rngs = agent_streams(9, 0, 5) + agent_streams(9, 1, 5)
+            for _ in range(4):
+                Z = rng.standard_normal((2, 5, 6))
+                Z[0, 1], Z[1, 3] = stacked.H[0, 1], stacked.H[1, 3]
+                out = compress_round(stacked, Z, scheme, W, rngs)
+                for s in range(2):
+                    ref = compress_round(single[s], Z[s], scheme, W, per_stream[s])
+                    for got, want in ((out.Q[s], ref.Q), (out.Zhat[s], ref.Zhat),
+                                      (out.Zhat_w[s], ref.Zhat_w), (stacked.H[s], single[s].H),
+                                      (stacked.Hw[s], single[s].Hw)):
+                        assert np.array_equal(got, want), scheme.label()
+                assert not out.Q[0, 1].any() and not out.Q[1, 3].any()
+                assert out.bits == 2 * ref.bits
+            for g, ref in zip(rngs, per_stream[0] + per_stream[1]):
+                assert g.bit_generator.state == ref.bit_generator.state, scheme.label()
+
+
 def test_compress_round_zero_innovation():
     net = metropolis_hastings_weights(build_ring(3))
     rng = np.random.default_rng(12)
@@ -398,6 +429,15 @@ def test_input_validation():
     state = CompressState.init(np.zeros((3, 4)), net.W, alpha=0.5)
     with pytest.raises(ValueError):
         compress_round(state, np.zeros((3, 5)), scheme, net.W, agent_streams(0, 0, 3))
+    # a list of generators holds exactly one per row, with or without zero rows
+    Z = np.ones((3, 4))
+    for kind in ("qnbbq", "randomk"):
+        for rngs in (agent_streams(0, 0, 2), agent_streams(0, 0, 4)):
+            with pytest.raises(ValueError):
+                compress_round(state, Z, make_scheme(kind, 4, k=2), net.W, rngs)
+    Z[1] = 0.0
+    with pytest.raises(ValueError):
+        compress_round(state, Z, make_scheme("qnbbq", 4), net.W, agent_streams(0, 0, 4))
 
 
 @settings(deadline=None, max_examples=60)

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext import solver
-from cnext.compress import make_scheme, agent_streams
+from cnext.compress import CompressState, agent_streams, compress_round, make_scheme
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import centralized_newton, logistic_objective, ridge_closed_form_optimum
@@ -18,7 +18,7 @@ from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
                           measure_errors, newton_directions, run, step, tracking_gap,
                           warn_theory_violations)
-from conftest import all_schemes, make_ridge, network_giant_reference
+from conftest import all_schemes, xy_streams, make_ridge, network_giant_reference
 
 
 def test_single_agent_reduces_to_damped_newton(small_ridge):
@@ -54,8 +54,7 @@ def test_zero_steps_are_a_no_op(small_ridge):
     state = init_state(obj, net, hp, seed=3)
     X0, Y0 = state.X.copy(), state.Y.copy()
     scheme = make_scheme("identity", obj.p)
-    step(state, obj, net, scheme, hp, MODE_CNEXT,
-         agent_streams(3, 0, net.n), agent_streams(3, 1, net.n))
+    step(state, obj, net, scheme, hp, MODE_CNEXT, xy_streams(3, net.n))
     assert np.array_equal(state.X, X0)
     assert np.array_equal(state.Y, Y0)
 
@@ -65,9 +64,9 @@ def test_tracking_preserved_for_every_scheme(small_ridge):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=200)
     for scheme in all_schemes(obj.p):
         state = init_state(obj, net, hp, seed=11)
-        rx, ry = agent_streams(11, 0, net.n), agent_streams(11, 1, net.n)
+        rngs = xy_streams(11, net.n)
         for _ in range(hp.T):
-            step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+            step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
             scale = max(1.0, float(np.linalg.norm(state.prev_grad.mean(axis=0))))
             assert tracking_gap(state) <= 1e-10 * scale, scheme.label()
 
@@ -82,10 +81,10 @@ def test_identity_matches_directly_coded_reference(small_ridge):
 
     xs = network_giant_reference(obj, net, hp, seed=21, state0=state0)
     state = state0.copy()
-    rx, ry = agent_streams(21, 0, net.n), agent_streams(21, 1, net.n)
+    rngs = xy_streams(21, net.n)
     scheme = make_scheme("identity", obj.p)
     for t in range(hp.T):
-        step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
         ref = xs[t + 1]
         assert np.allclose(state.X, ref, rtol=1e-9, atol=1e-12)
 
@@ -116,14 +115,14 @@ def test_newton_direction_deviation_bound(small_ridge):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=80)
     scheme = make_scheme("qnbbq", obj.p, b=2)
     state = init_state(obj, net, hp, seed=9)
-    rx, ry = agent_streams(9, 0, net.n), agent_streams(9, 1, net.n)
+    rngs = xy_streams(9, net.n)
     for _ in range(hp.T):
         D = newton_directions(state.X, state.Y, obj)
         dbar = D.mean(axis=0)
         lhs = float(np.sum((D - dbar) ** 2))
         rhs = float(np.sum(state.Y ** 2)) / obj.mu ** 2
         assert lhs <= rhs * (1 + 1e-12)
-        step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
 
 
 def test_gradient_lipschitz_per_round(small_ridge):
@@ -131,10 +130,10 @@ def test_gradient_lipschitz_per_round(small_ridge):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=80)
     scheme = make_scheme("randomk", obj.p, k=2)
     state = init_state(obj, net, hp, seed=13)
-    rx, ry = agent_streams(13, 0, net.n), agent_streams(13, 1, net.n)
+    rngs = xy_streams(13, net.n)
     for _ in range(hp.T):
         X_old, g_old = state.X.copy(), state.prev_grad.copy()
-        step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
         dg = np.linalg.norm(state.prev_grad - g_old)
         dx = np.linalg.norm(state.X - X_old)
         assert dg <= obj.L * dx * (1 + 1e-12)
@@ -145,10 +144,9 @@ def test_measure_errors_at_consensus_optimum(small_ridge):
     x_star = ridge_closed_form_optimum(obj)
     X = np.tile(x_star, (net.n, 1))
     Y = obj.grad_stack(X)
-    from cnext.compress import CompressState
-    state = SolverState(X=X, Y=Y.copy(), prev_grad=Y.copy(),
-                        comp_x=CompressState(X.copy(), net.W @ X, 1.0),
-                        comp_y=CompressState(Y.copy(), net.W @ Y, 1.0))
+    XY = np.stack([X, Y])
+    state = SolverState(XY=XY, prev_grad=Y.copy(),
+                        comp=CompressState(XY.copy(), net.W @ XY, np.ones((2, 1, 1))))
     ev = measure_errors(state, obj, x_star)
     assert ev.opt <= 1e-25
     assert ev.cons <= 1e-25
@@ -239,7 +237,7 @@ def test_cached_curvature_gives_the_hessians_at_x(small_logistic, mode, monkeypa
     # directions of Hessians formed afresh from X
     obj = small_logistic
     net = metropolis_hastings_weights(build_ring(obj.n))
-    scheme = make_scheme("qnbbq", obj.p, b=2)
+    scheme = make_scheme("identity" if mode == MODE_UNCOMPRESSED_GIANT else "qnbbq", obj.p, b=2)
     hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=8)
     directions = []
 
@@ -250,9 +248,9 @@ def test_cached_curvature_gives_the_hessians_at_x(small_logistic, mode, monkeypa
 
     monkeypatch.setattr(solver, "newton_directions", recorded)
     state = init_state(obj, net, hp, seed=3)
-    rx, ry = agent_streams(3, 0, net.n), agent_streams(3, 1, net.n)
+    rngs = xy_streams(3, net.n)
     for _ in range(hp.T):
-        step(state, obj, net, scheme, hp, mode, rx, ry)
+        step(state, obj, net, scheme, hp, mode, rngs)
     assert len(directions) == (0 if mode == MODE_FIRST_ORDER_GT else hp.T)
     for D, fresh in directions:
         assert D.tobytes() == fresh.tobytes()
@@ -293,8 +291,7 @@ def test_first_order_mode_uses_raw_tracker(small_ridge):
     state = init_state(obj, net, hp, seed=6)
     X0, Y0 = state.X.copy(), state.Y.copy()
     scheme = make_scheme("identity", obj.p)
-    step(state, obj, net, scheme, hp, MODE_FIRST_ORDER_GT,
-         agent_streams(6, 0, net.n), agent_streams(6, 1, net.n))
+    step(state, obj, net, scheme, hp, MODE_FIRST_ORDER_GT, xy_streams(6, net.n))
     Wt = (1 - hp.gamma) * np.eye(net.n) + hp.gamma * net.W
     expected = Wt @ X0 - hp.eta * Y0
     assert np.allclose(state.X, expected, rtol=1e-12, atol=1e-12)
@@ -308,9 +305,9 @@ def test_logistic_runs_reach_centralized_optimum(small_logistic, mode):
     scheme = make_scheme("qnbbq" if mode == MODE_CNEXT else "identity", obj.p, b=2)
     hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=300)
     state = init_state(obj, net, hp, seed=3)
-    rx, ry = agent_streams(3, 0, net.n), agent_streams(3, 1, net.n)
+    rngs = xy_streams(3, net.n)
     for _ in range(hp.T):
-        step(state, obj, net, scheme, hp, mode, rx, ry)
+        step(state, obj, net, scheme, hp, mode, rngs)
         scale = max(1.0, float(np.linalg.norm(state.prev_grad.mean(axis=0))))
         assert tracking_gap(state) <= 1e-10 * scale
     assert measure_errors(state, obj, x_star).opt <= 1e-20
@@ -377,13 +374,13 @@ def test_memory_identity_on_the_csr_path(expander256):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=40)
     scheme = make_scheme("qnbbq", obj.p, b=2)
     state = init_state(obj, net, hp, seed=8)
-    rx, ry = agent_streams(8, 0, net.n), agent_streams(8, 1, net.n)
+    rngs = xy_streams(8, net.n)
     for _ in range(hp.T + 1):
         for comp in (state.comp_x, state.comp_y):
             assert isinstance(comp.Hw, np.ndarray)
             gap = np.linalg.norm(comp.Hw - net.W @ comp.H)
             assert gap <= 1e-10 * max(np.linalg.norm(comp.H), 1.0)
-        step(state, obj, net, scheme, hp, MODE_CNEXT, rx, ry)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
 
 
 def test_run_builds_agent_streams_only_for_schemes_that_draw(small_ridge, monkeypatch):
@@ -402,3 +399,73 @@ def test_run_builds_agent_streams_only_for_schemes_that_draw(small_ridge, monkey
         built.clear()
         run(obj, net, scheme, hp, MODE_CNEXT, seed=1)
         assert built == ([0, 1] if scheme.kind in ("qnbbq", "randomk") else []), scheme.kind
+
+
+def test_uncompressed_mode_refuses_a_compressing_scheme(small_ridge):
+    # the uncompressed mode sends full vectors; a compressing scheme would be charged
+    # and applied as if the mode compressed, so step refuses it before touching the state
+    obj, net = small_ridge
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=1)
+    for scheme in all_schemes(obj.p):
+        state = init_state(obj, net, hp, seed=4)
+        XY0, H0 = state.XY.copy(), state.comp.H.copy()
+        if scheme.kind == "identity":
+            assert step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, None).bits == \
+                2 * net.n * 64 * obj.p
+            continue
+        with pytest.raises(ValueError, match="uncompressed"):
+            step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, xy_streams(4, net.n))
+        assert state.t == 0 and state.bits_cum == 0
+        assert np.array_equal(state.XY, XY0) and np.array_equal(state.comp.H, H0)
+
+
+@pytest.mark.parametrize("graph", ["ring10", "expander256"])
+def test_stacked_round_matches_per_stream_rounds(graph, request):
+    # 30 stacked rounds equal, bit for bit, rounds that compress X and Y in two
+    # single-stream calls, each with its own memories and generators (dense W on the desk
+    # ring, CSR on the expander)
+    if graph == "ring10":
+        obj, net, _ = request.getfixturevalue("ridge10")
+    else:
+        obj, net = request.getfixturevalue("expander256")
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.7, T=30)
+    for scheme in all_schemes(obj.p):
+        state = init_state(obj, net, hp, seed=6)
+        X, Y, g = state.X.copy(), state.Y.copy(), state.prev_grad.copy()
+        cx = CompressState.init(state.comp.H[0], net.mix, hp.alpha_x)
+        cy = CompressState.init(state.comp.H[1], net.mix, hp.alpha_y)
+        rngs, rx, ry = xy_streams(6, net.n), agent_streams(6, 0, net.n), agent_streams(6, 1, net.n)
+        for _ in range(hp.T):
+            step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
+            out_x = compress_round(cx, X, scheme, net.mix, rx)
+            out_y = compress_round(cy, Y, scheme, net.mix, ry)
+            D = newton_directions(X, Y, obj)
+            X = X - hp.gamma * (out_x.Zhat - out_x.Zhat_w) - hp.eta * D
+            g_new = obj.grad_stack(X)
+            Y = Y - hp.gamma * (out_y.Zhat - out_y.Zhat_w) + g_new - g
+            g = g_new
+            for got, want in ((state.X, X), (state.Y, Y), (state.comp_x.H, cx.H),
+                              (state.comp_y.H, cy.H), (state.comp_x.Hw, cx.Hw),
+                              (state.comp_y.Hw, cy.Hw)):
+                assert np.array_equal(got, want), scheme.label()
+        assert state.bits_cum == hp.T * (out_x.bits + out_y.bits)
+
+
+@pytest.mark.parametrize("kind", ["qnbbq", "topk"])
+def test_measure_errors_equals_the_five_sums(ridge10, kind):
+    # on a mid-run state, with or without the means passed in, each error is the sum
+    # the plain per-stream formula gives, bit for bit
+    obj, net, x_star = ridge10
+    hp = HyperParams(eta=0.006, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=25)
+    scheme = make_scheme(kind, obj.p, b=2, k=3)
+    state = init_state(obj, net, hp, seed=2)
+    rngs = xy_streams(2, net.n)
+    for _ in range(hp.T):
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
+    X, Y = state.X, state.Y
+    xbar, ybar = X.mean(axis=0), Y.mean(axis=0)
+    expected = (float(np.sum((xbar - x_star) ** 2)), float(np.sum((X - xbar) ** 2)),
+                float(np.sum((Y - ybar) ** 2)), float(np.sum((X - state.comp_x.H) ** 2)),
+                float(np.sum((Y - state.comp_y.H) ** 2)))
+    assert tuple(measure_errors(state, obj, x_star).as_array()) == expected
+    assert tuple(measure_errors(state, obj, x_star, state.means).as_array()) == expected
