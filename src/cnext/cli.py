@@ -26,7 +26,7 @@ from .graph import build_circulant_expander, build_custom, build_ring, metropoli
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
                      baseline_optimum, run, warn_theory_violations)
-from .theory import DomainError, Theta, TheoryConstants, evaluate
+from .theory import DomainError, Theta, TheoryConstants, contraction_rate, evaluate, rho_below
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
@@ -248,18 +248,26 @@ def cmd_theory(cfg: ExperimentConfig, grid: int | None = None) -> int:
 
 
 def _theory_grid(exp: Experiment, grid: int) -> int:
-    """The certified region: sweep_<kind>.csv with the pass flag and rho(A) of every point of
-    a grid x grid log grid over GRID_ETA x GRID_GAMMA; rho_A is empty where A cannot be formed."""
+    """The certified region: sweep_<kind>.csv with, at every point of a grid x grid log grid
+    over GRID_ETA x GRID_GAMMA, the pass flag, rho(A), and the decisions rho(A) < 1 and
+    rho(A) < q = 1 - eta/(2 kappa) (as 1 or 0); the last three are empty where rho(A) is not
+    known (A cannot be formed)."""
     cfg, scheme = exp.cfg, exp.scheme
-    lines = ["eta,gamma,pass,rho_A"]
+    lines = ["eta,gamma,pass,rho_A,rho_lt_1,rho_lt_q"]
     n_pass = 0
     for eta in map(float, np.geomspace(*GRID_ETA, grid)):
+        q = contraction_rate(eta, exp.obj.kappa)
         for gamma in map(float, np.geomspace(*GRID_GAMMA, grid)):
             point = _theory_point(exp, eta, gamma)
             ok = int("error" not in point and point["sufficient_conditions"]["pass"])
             rho = point.get("rho_A")
             n_pass += ok
-            lines.append(f"{eta!r},{gamma!r},{ok},{'' if rho is None else repr(rho)}")
+            if rho is None:
+                lines.append(f"{eta!r},{gamma!r},{ok},,,")
+                continue
+            lt_1 = point["sufficient_conditions"]["direct_contraction"]["rho_lt_1"]
+            lt_q = rho_below(np.array(point["A"]), q, rho)
+            lines.append(f"{eta!r},{gamma!r},{ok},{rho!r},{int(lt_1)},{int(lt_q)}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.output_dir, f"sweep_{scheme.kind}.csv"), "\n".join(lines) + "\n")
     print(f"{n_pass}/{grid * grid} grid points certified (scheme={scheme.label()}, "

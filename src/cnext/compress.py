@@ -98,11 +98,16 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     if scheme.kind == RANDOMK:
         return Z * (_uniforms(rngs, r, p) < scheme.k / p)
     if scheme.kind == TOPK:
-        # stable sort on -|z| breaks magnitude ties by lowest index
-        keep = np.argsort(-np.abs(Z), axis=1, kind="stable")[:, :scheme.k]
-        Q = np.zeros_like(Z)
-        np.put_along_axis(Q, keep, np.take_along_axis(Z, keep, axis=1), axis=1)
-        return Q
+        # keep |z| >= t, the row's k-th largest magnitude; a row whose (k+1)-th largest also
+        # equals t has ties across the cut, which a stable sort on -|z| breaks by lowest index
+        k, mag = scheme.k, np.abs(Z)
+        ranked = np.sort(mag, axis=1)
+        keep = mag >= ranked[:, p - k, None]
+        tied = np.flatnonzero(ranked[:, p - k - 1] == ranked[:, p - k]) if k < p else ()
+        if len(tied):
+            keep[tied] = False
+            keep[tied[:, None], np.argsort(-mag[tied], axis=1, kind="stable")[:, :k]] = True
+        return np.where(keep, Z, 0.0)
     # the quantizer and norm-signed formulas divide by ||z||_inf, so the rare zero rows
     # are set aside (and draw nothing); in the usual case Z is read whole
     s = np.abs(Z).max(axis=1, keepdims=True)

@@ -17,8 +17,10 @@ row's margin clears a forward-error bound, and in `Fraction` only when one does 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +44,7 @@ _U = 2.0 ** -53  # unit roundoff of float64
 # each of the six products, and the bound's own terms, lose at most half a subnormal ulp,
 # 2^-1075, which the smallest normal number, 2^-1022, exceeds many times over.
 _CERT_GAMMA = 6 * _U / (1.0 - 6 * _U)
-_CERT_TINY = np.finfo(float).tiny
+_CERT_TINY = float(np.finfo(float).tiny)
 
 
 class DomainError(ValueError):
@@ -117,6 +119,11 @@ def step_cap(mu: float, L: float) -> float:
     return min(2.0 * L / (3.0 * mu), mu / L)
 
 
+def contraction_rate(eta: float, kappa: float) -> float:
+    """q = 1 - eta/(2 kappa), the rate a certificate A v <= q v proves: rho(A) <= q."""
+    return 1.0 - eta / (2.0 * kappa)
+
+
 def alpha_slack(alpha: float, r: float, delta: float) -> float:
     """1 - alpha r delta; the theory admits the compression step alpha when it is >= 0."""
     return 1.0 - alpha * r * delta
@@ -144,7 +151,7 @@ def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
     Raises on violated preconditions, naming the broken inequality (DomainError for
     eta <= 0 or gamma <= 0); a_x, a_y < 1 hold by TheoryConstants.build.
     """
-    mu, L, C = tc.mu, tc.L, tc.C
+    mu, L, C = float(tc.mu), float(tc.L), tc.C  # Python floats, for speed: the same values
     eta, gamma = theta.eta, theta.gamma
     eta_cap = step_cap(mu, L)
     if not eta > 0:
@@ -161,33 +168,27 @@ def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
         raise ValueError(f"1 - rho_tilde must be positive, got {rb}")
     b2, g2, e2 = tc.beta ** 2, gamma ** 2, eta ** 2
 
-    A = np.zeros((5, 5))
-    A[0, 0] = 1.0 - 1.5 * eta * mu / L + 0.5 * eta ** 3 * mu ** 3 / L ** 3
-    A[0, 1] = e2 * L ** 2 / (mu ** 2 * n) + 2.0 * eta * L ** 3 / (mu ** 3 * n)
-    A[0, 2] = e2 / (mu ** 2 * n) + 2.0 * eta * L / (mu ** 3 * n)
-
-    A[1, 0] = 8.0 * L ** 2 * e2 * n / (mu ** 2 * rb)
-    A[1, 1] = (1.0 + rt ** 2) / 2.0 + 8.0 * L ** 2 * e2 / (mu ** 2 * rb)
-    A[1, 2] = 4.0 * e2 / (mu ** 2 * rb)
-    A[1, 3] = 2.0 * g2 * b2 * C ** 2 / rb
-
-    A[2, 0] = 24.0 * L ** 4 * e2 * n / (mu ** 2 * rb)
-    A[2, 1] = 6.0 * L ** 2 * g2 * b2 / rb + 24.0 * L ** 4 * e2 / (mu ** 2 * rb)
-    A[2, 2] = (1.0 + rt ** 2) / 2.0 + 12.0 * L ** 2 * e2 / (mu ** 2 * rb)
-    A[2, 3] = 6.0 * L ** 2 * g2 * b2 * C / rb
-    A[2, 4] = 2.0 * g2 * b2 * C / rb
-
-    A[3, 0] = 4.0 * L ** 2 * e2 * n * tc.c1 / mu ** 2
-    A[3, 1] = g2 * tc.k1 + 4.0 * L ** 2 * e2 * tc.c1 / mu ** 2
-    A[3, 2] = 2.0 * e2 * tc.c1 / mu ** 2
-    A[3, 3] = tc.a_x + g2 * tc.k2
-
-    A[4, 0] = 12.0 * L ** 4 * e2 * n * tc.c2 / mu ** 2
-    A[4, 1] = 3.0 * L ** 2 * g2 * tc.k3 + 12.0 * L ** 4 * e2 * tc.c2 / mu ** 2
-    A[4, 2] = g2 * tc.k3 + 6.0 * L ** 2 * e2 * tc.c2 / mu ** 2
-    A[4, 3] = 3.0 * L ** 2 * g2 * tc.k4
-    A[4, 4] = tc.a_y + g2 * tc.k3
-    return ContractionMatrix(A=A, theta=theta)
+    try:
+        A = [[1.0 - 1.5 * eta * mu / L + 0.5 * eta ** 3 * mu ** 3 / L ** 3,
+              e2 * L ** 2 / (mu ** 2 * n) + 2.0 * eta * L ** 3 / (mu ** 3 * n),
+              e2 / (mu ** 2 * n) + 2.0 * eta * L / (mu ** 3 * n), 0.0, 0.0],
+             [8.0 * L ** 2 * e2 * n / (mu ** 2 * rb),
+              (1.0 + rt ** 2) / 2.0 + 8.0 * L ** 2 * e2 / (mu ** 2 * rb),
+              4.0 * e2 / (mu ** 2 * rb), 2.0 * g2 * b2 * C ** 2 / rb, 0.0],
+             [24.0 * L ** 4 * e2 * n / (mu ** 2 * rb),
+              6.0 * L ** 2 * g2 * b2 / rb + 24.0 * L ** 4 * e2 / (mu ** 2 * rb),
+              (1.0 + rt ** 2) / 2.0 + 12.0 * L ** 2 * e2 / (mu ** 2 * rb),
+              6.0 * L ** 2 * g2 * b2 * C / rb, 2.0 * g2 * b2 * C / rb],
+             [4.0 * L ** 2 * e2 * n * tc.c1 / mu ** 2,
+              g2 * tc.k1 + 4.0 * L ** 2 * e2 * tc.c1 / mu ** 2,
+              2.0 * e2 * tc.c1 / mu ** 2, tc.a_x + g2 * tc.k2, 0.0],
+             [12.0 * L ** 4 * e2 * n * tc.c2 / mu ** 2,
+              3.0 * L ** 2 * g2 * tc.k3 + 12.0 * L ** 4 * e2 * tc.c2 / mu ** 2,
+              g2 * tc.k3 + 6.0 * L ** 2 * e2 * tc.c2 / mu ** 2,
+              3.0 * L ** 2 * g2 * tc.k4, tc.a_y + g2 * tc.k3]]
+    except ArithmeticError as exc:  # an overflow, or a division by an underflowed power of mu
+        raise ValueError(f"A(theta) leaves the float64 range: {exc}") from exc
+    return ContractionMatrix(A=np.array(A), theta=theta)
 
 
 def spectral_radius(M: ContractionMatrix | np.ndarray) -> float:
@@ -197,20 +198,23 @@ def spectral_radius(M: ContractionMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def _rho_lt_1_exact(A: np.ndarray) -> bool:
-    """rho(A) < 1 for a nonnegative A, decided exactly in rationals.
+def rho_below(A: np.ndarray, s: float, rho: float | None = None) -> bool:
+    """rho(A) < s for a nonnegative A: read from rho, rho(A) from float64 eigenvalues, when
+    it lies farther than _RHO_GATE from s, and otherwise decided exactly in rationals.
 
-    I - A is then a Z-matrix, and rho(A) < 1 holds exactly when I - A is a nonsingular
-    M-matrix, that is when every leading principal minor of I - A is positive (Berman &
+    sI - A is then a Z-matrix, and rho(A) < s holds exactly when sI - A is a nonsingular
+    M-matrix, that is when every leading principal minor of sI - A is positive (Berman &
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6). The k-th pivot of
     Gaussian elimination without pivoting is the ratio of the k-th to the (k-1)-th leading
     minor, so the minors are all positive exactly when every pivot is; elimination stops
     at the first pivot that is not.
     """
+    if rho is not None and abs(rho - s) > _RHO_GATE:
+        return rho < s
     if np.any(A < 0):
-        raise ValueError("the M-matrix criterion for rho(A) < 1 needs a nonnegative A")
-    m = A.shape[0]
-    M = [[(1 if i == j else 0) - Fraction(a) for j, a in enumerate(row)]
+        raise ValueError("the M-matrix criterion for rho(A) < s needs a nonnegative A")
+    m, sf = A.shape[0], Fraction(s)
+    M = [[(sf if i == j else 0) - Fraction(a) for j, a in enumerate(row)]
          for i, row in enumerate(A.tolist())]
     for k in range(m):
         pivot = M[k][k]
@@ -224,35 +228,33 @@ def _rho_lt_1_exact(A: np.ndarray) -> bool:
 
 
 def _rho_and_flag(A: np.ndarray) -> tuple[float, bool]:
-    """(rho(A) from float64 eigenvalues, rho(A) < 1); the flag is decided exactly within
-    _RHO_GATE of the boundary."""
+    """(rho(A) from float64 eigenvalues, rho(A) < 1)."""
     rho = spectral_radius(A)
-    if abs(rho - 1.0) > _RHO_GATE:
-        return rho, rho < 1.0
-    return rho, _rho_lt_1_exact(A)
+    return rho, rho_below(A, 1.0, rho)
 
 
-def _certificate_holds(A: np.ndarray, v: np.ndarray, q: float) -> bool:
-    """A v <= q v componentwise, decided exactly for the float64 A, v and q given.
+def _certificate_holds(A: list[list[float]], v: list[float], q: float) -> bool:
+    """A v <= q v componentwise, decided exactly for the float64 A (its rows), v and q.
 
     float64 decides every row whose margin q v_i - (A v)_i clears the forward-error bound
     _CERT_GAMMA ((|A||v|)_i + |q v_i|) + _CERT_TINY; only the rows it leaves open are
     evaluated in `Fraction`. Non-finite entries fail the certificate.
     """
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(v))):
+    if not all(map(math.isfinite, chain(v, *A))):
         return False
-    qv = q * v
-    margin = qv - A @ v
-    bound = _CERT_GAMMA * (np.abs(A) @ np.abs(v) + np.abs(qv)) + _CERT_TINY
-    # an overflowed margin or bound (inf or nan) fails both comparisons: Fraction decides
-    if np.any(margin < -bound):
-        return False
-    open_rows = np.flatnonzero(~(margin > bound))
-    if open_rows.size == 0:
-        return True
-    vf = [Fraction(x) for x in v.tolist()]
-    qf = Fraction(q)
-    return all(sum(Fraction(a) * x for a, x in zip(A[i].tolist(), vf)) <= qf * vf[i]
+    open_rows = []
+    for i, row in enumerate(A):
+        qv, av, abs_av = q * v[i], 0.0, 0.0
+        for a, x in zip(row, v):
+            av += a * x
+            abs_av += abs(a * x)
+        margin, bound = qv - av, _CERT_GAMMA * (abs_av + abs(qv)) + _CERT_TINY
+        # an overflowed margin or bound (inf or nan) fails both comparisons: Fraction decides
+        if margin < -bound:
+            return False
+        if not margin > bound:
+            open_rows.append(i)
+    return all(sum(Fraction(a) * Fraction(x) for a, x in zip(A[i], v)) <= Fraction(q) * Fraction(v[i])
                for i in open_rows)
 
 
@@ -299,88 +301,96 @@ def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
     return (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / (8.0 * gamma ** 2 * tc.beta ** 2 * tc.C ** 2)
 
 
-def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
-                       A: np.ndarray | None, reason: str | None, decide_rho: bool = True) -> dict:
-    """The check_sufficient_conditions report. Without decide_rho (the certificate search)
-    rho_A stays None and rho_lt_1 is what the certificate proves: A >= 0, v > 0 and
-    A v <= q v with q < 1 give rho(A) <= q (the Collatz-Wielandt bound)."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (5,) or np.any(eps <= 0):
-        raise ValueError("eps must be 5 strictly positive reals")
-    e1, e2, e3, e4, e5 = eps
-    mu, L, kappa, C = tc.mu, tc.L, tc.kappa, tc.C
-    eta, gamma = theta.eta, theta.gamma
-    rho, rt, b2 = tc.rho, tc.rho_tilde, tc.beta ** 2
-    rb = 1.0 - rt
+# the report's names for what _scalar_conditions returns, in its order
+_ETA_BOUNDS = ("eps_ratio", "kappa_sqrt23", "gamma_gap_kappa6", "gamma_over_kappa",
+               "row2_sqrt", "row2_sqrt_proof", "row3_sqrt")
+_GAMMA_BOUNDS = ("one", "row4_sqrt", "row5_sqrt")
+_SYSTEM = {"eps1_over_eps2": ("lhs", "rhs"), "eps4_over_eps2": ("lhs", "rhs"),
+           "eps3_floor": ("lhs", "rhs", "rhs_proof")}
+
+
+def _scalar_conditions(tc: TheoryConstants, theta: Theta, e: list, n: int, A: np.ndarray | None,
+                       reason: str | None, decide_rho: bool, sqrt=math.sqrt) -> tuple:
+    """Every bound, system entry, flag and decision of the report, each computed once from
+    the five scalars e: (eta bounds, gamma bounds, system entries, (eta, gamma, system)
+    flags, (ok, reason, rho_A, rho_lt_1) of the direct check, (pass, count of ok flags))."""
+    e1, e2, e3, e4, e5 = e
+    kappa, k2, k3 = float(tc.kappa), float(tc.kappa ** 2), float(tc.kappa ** 3)
+    eta, gamma, C = theta.eta, theta.gamma, tc.C
+    rho, rt, rb, b2 = tc.rho, tc.rho_tilde, 1.0 - tc.rho_tilde, tc.beta ** 2
     eps_hat = 2.0 * n * e1 + 2.0 * e2 + e3
     eps_bar = tc.k1 * e2 + tc.k2 * e4
     eps_breve = 3.0 * tc.k3 * e2 + tc.k3 * e3 + 3.0 * tc.k4 * e4 + tc.k3 * e5
-
-    eta_bounds = {
-        "eps_ratio": e1 / (3.0 * kappa ** 3 * e2 / n + 3.0 * kappa * e3 / (mu ** 2 * n)),
-        "kappa_sqrt23": kappa * np.sqrt(2.0 / 3.0),
-        "gamma_gap_kappa6": gamma * (1.0 - rho) * kappa / 6.0,
-        "gamma_over_kappa": gamma / kappa,
-        "row2_sqrt": (0.25 / kappa) * np.sqrt(gamma * (1.0 - rho) * rb * e2 / eps_hat),
-        "row2_sqrt_proof": (0.25 / kappa) * np.sqrt(gamma * (1.0 - rho) * rb * e2 / (3.0 * eps_hat)),
-        "row3_sqrt": (1.0 / (12.0 * kappa)) * np.sqrt(gamma * (1.0 - rho) * rb * e3 / eps_hat),
-    }
-    gamma_bounds = {
-        "one": 1.0,
-        "row4_sqrt": np.sqrt((1.0 - tc.a_x) * e4 / (2.0 * tc.c1 * eps_hat + eps_bar + e4 / (2.0 * kappa ** 2))),
-        "row5_sqrt": np.sqrt((1.0 - tc.a_y) * e5 / (6.0 * tc.c2 * eps_hat + eps_breve + e5 / (2.0 * kappa ** 2))),
-    }
+    eta_bounds = (e1 / (3.0 * k3 * e2 / n + 3.0 * kappa * e3 / (float(tc.mu ** 2) * n)),
+                  kappa * sqrt(2.0 / 3.0), gamma * (1.0 - rho) * kappa / 6.0, gamma / kappa,
+                  (0.25 / kappa) * sqrt(gamma * (1.0 - rho) * rb * e2 / eps_hat),
+                  (0.25 / kappa) * sqrt(gamma * (1.0 - rho) * rb * e2 / (3.0 * eps_hat)),
+                  (1.0 / (12.0 * kappa)) * sqrt(gamma * (1.0 - rho) * rb * e3 / eps_hat))
+    gamma_bounds = (1.0,
+                    sqrt((1.0 - tc.a_x) * e4 / (2.0 * tc.c1 * eps_hat + eps_bar + e4 / (2.0 * k2))),
+                    sqrt((1.0 - tc.a_y) * e5 / (6.0 * tc.c2 * eps_hat + eps_breve + e5 / (2.0 * k2))))
     if b2 == 0.0:
-        sys3_rhs = sys3_rhs_proof = np.inf
+        sys3_rhs = sys3_rhs_proof = math.inf
     else:
         sys3_rhs = rb * (1.0 - rho) * e3 / (24.0 * gamma * b2)
         sys3_rhs_proof = rt * (1.0 - rho) * e3 / (24.0 * gamma * b2)
-    floor1, cap4 = _eps1_floor(tc, e2, e3, n), _eps4_cap(tc, gamma)
-    sys3_lhs = 3.0 * e2 + 3.0 * C * e4 + C * e5
-    # where statement and derivation disagree typographically, both are reported and
-    # the flags follow the derivation (the statement's variant of the third inequality
-    # makes its own feasible set empty as gamma -> 0)
-    system = {
-        "eps1_over_eps2": {"lhs": e1 / e2, "rhs": floor1, "ok": e1 / e2 >= floor1},
-        "eps4_over_eps2": {"lhs": e4 / e2, "rhs": cap4, "ok": e4 / e2 <= cap4},
-        "eps3_floor": {"lhs": sys3_lhs, "rhs": sys3_rhs, "rhs_proof": sys3_rhs_proof,
-                       "ok": sys3_lhs <= sys3_rhs_proof},
-    }
-
-    eta_flagged = {**eta_bounds, "row2_sqrt": eta_bounds["row2_sqrt_proof"]}
-    del eta_flagged["row2_sqrt_proof"]
-    stsz_ok = {name: bool(eta <= bound) for name, bound in eta_flagged.items()}
-    constsz_ok = {name: bool(gamma <= bound) for name, bound in gamma_bounds.items()}
-    system_ok = {name: bool(entry["ok"]) for name, entry in system.items()}
-
-    direct = {"ok": False, "reason": reason, "rho_A": None, "rho_lt_1": False}
+    system = ((e1 / e2, float(_eps1_floor(tc, e2, e3, n))), (e4 / e2, _eps4_cap(tc, gamma)),
+              (3.0 * e2 + 3.0 * C * e4 + C * e5, sys3_rhs, sys3_rhs_proof))
+    # where statement and derivation disagree typographically, both are reported and the
+    # flags follow the derivation: row2_sqrt's flag reads row2_sqrt_proof, and eps3_floor's
+    # reads rhs_proof (the statement's variant makes its own feasible set empty as gamma -> 0)
+    (r1, floor1), (r4, cap4), (lhs3, _, rhs3) = system
+    flags = ([eta <= bound for bound in eta_bounds[:4] + eta_bounds[5:]],
+             [gamma <= bound for bound in gamma_bounds], [r1 >= floor1, r4 <= cap4, lhs3 <= rhs3])
+    ok, rho_A, rho_lt_1 = False, None, False
     if A is not None:
-        q = 1.0 - eta / (2.0 * kappa)
-        v = np.array([e1, e2, L ** 2 * e3, e4, L ** 2 * e5])
-        direct["ok"] = _certificate_holds(A, v, q)
-        if not decide_rho:
-            direct["rho_lt_1"] = direct["ok"] and q < 1.0 and A.min() >= 0.0 and v.min() > 0.0
+        q, L2 = contraction_rate(eta, kappa), float(tc.L ** 2)
+        v = [e1, e2, L2 * e3, e4, L2 * e5]
+        ok = _certificate_holds(A.tolist(), v, q)
+        if not decide_rho:  # the search: A >= 0, v > 0, A v <= q v, q < 1 give rho(A) <= q
+            rho_lt_1 = ok and q < 1.0 and A.min() >= 0.0 and min(v) > 0.0
         else:
             try:
-                direct["rho_A"], direct["rho_lt_1"] = _rho_and_flag(A)
+                rho_A, rho_lt_1 = _rho_and_flag(A)
             except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
-                direct["reason"] = str(exc)
+                reason = str(exc)
+    passed = bool(all(map(all, flags)) and ok and rho_lt_1)
+    return eta_bounds, gamma_bounds, system, flags, (ok, reason, rho_A, rho_lt_1), \
+        (passed, sum(map(sum, flags)) + ok)
 
-    passed = all(stsz_ok.values()) and all(constsz_ok.values()) and all(system_ok.values()) \
-        and direct["ok"] and direct["rho_lt_1"]
+
+def _conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.ndarray | None,
+                reason: str | None, decide_rho: bool) -> tuple[list[float], tuple]:
+    """(eps as floats, _scalar_conditions on it) in Python floats; in numpy float64, with IEEE
+    inf and nan, where those raise (a zero division or the root of a negative number)."""
+    eps = np.asarray(eps, dtype=float)
+    e = eps.tolist()
+    if eps.shape != (5,) or any(x <= 0 for x in e):
+        raise ValueError("eps must be 5 strictly positive reals")
+    try:
+        return e, _scalar_conditions(tc, theta, e, n, A, reason, decide_rho)
+    except (ArithmeticError, ValueError):
+        return e, _scalar_conditions(tc, theta, list(eps), n, A, reason, decide_rho, np.sqrt)
+
+
+def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
+                       A: np.ndarray | None, reason: str | None) -> dict:
+    """The check_sufficient_conditions report: _scalar_conditions, named."""
+    e, (eta_bounds, gamma_bounds, system, (stsz, constsz, system_ok), direct, (passed, _)) = \
+        _conditions(tc, theta, eps, n, A, reason, True)
     return {
-        "theta": {"eta": eta, "gamma": gamma, "alpha_x": theta.alpha_x, "alpha_y": theta.alpha_y},
-        "eps": eps.tolist(),
-        "eta_bounds": {k: float(v) for k, v in eta_bounds.items()},
-        "gamma_bounds": {k: float(v) for k, v in gamma_bounds.items()},
-        "stsz_ok": stsz_ok,
-        "constsz_ok": constsz_ok,
-        "system": {k: {kk: (float(vv) if isinstance(vv, (int, float, np.floating)) else bool(vv))
-                       for kk, vv in entry.items()} for k, entry in system.items()},
-        "system_ok": system_ok,
-        "direct_contraction": direct,
-        "rho_A": direct["rho_A"],
-        "pass": bool(passed),
+        "theta": dict(vars(theta)),
+        "eps": e,
+        "eta_bounds": dict(zip(_ETA_BOUNDS, map(float, eta_bounds))),
+        "gamma_bounds": dict(zip(_GAMMA_BOUNDS, map(float, gamma_bounds))),
+        "stsz_ok": dict(zip(_ETA_BOUNDS[:5] + _ETA_BOUNDS[6:], map(bool, stsz))),
+        "constsz_ok": dict(zip(_GAMMA_BOUNDS, map(bool, constsz))),
+        "system": {name: {**dict(zip(keys, map(float, entry))), "ok": bool(flag)}
+                   for (name, keys), entry, flag in zip(_SYSTEM.items(), system, system_ok)},
+        "system_ok": dict(zip(_SYSTEM, map(bool, system_ok))),
+        "direct_contraction": dict(zip(("ok", "reason", "rho_A", "rho_lt_1"), direct)),
+        "rho_A": direct[2],
+        "pass": passed,
     }
 
 
@@ -395,8 +405,7 @@ def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     cap eps4, rows 4 and 5 floor eps4 and eps5), try eps5 at 1, 1e2, 1e4 and 1e8 times its
     floor under row 3's cap, and feed the eps4/eps5 inflow back into the eps3 floor for up
     to three passes. The last candidate, `_stated_floor_epsilon`, sets eps2 = eps5 = 1 and
-    chains the stated structural inequalities alone into equalities. A(theta) is formed
-    once for all candidates, and rho(A) < 1 is read from the certificate, not decided.
+    chains the stated structural inequalities alone into equalities.
     """
     return _search(tc, theta, n, *_formed(tc, theta, n))
 
@@ -405,29 +414,20 @@ def _search(tc: TheoryConstants, theta: Theta, n: int, A: np.ndarray | None,
             reason: str | None) -> np.ndarray:
     candidates = [] if A is None else _chained_candidates(A, tc, theta, n)
     candidates.append(_stated_floor_epsilon(tc, theta, n))
-    best, best_key = None, (-1, -np.inf)
+    best, best_key = None, (False, -1)
     for eps in candidates:
-        rep = _conditions_report(tc, theta, eps, n, A, reason, decide_rho=False)
-        n_ok = sum(rep["system_ok"].values()) + sum(rep["stsz_ok"].values()) \
-            + sum(rep["constsz_ok"].values()) + int(rep["direct_contraction"]["ok"])
-        key = (int(rep["pass"]), n_ok)
+        key = _conditions(tc, theta, eps, n, A, reason, False)[1][-1]  # (pass, ok flags)
         if key > best_key:
             best, best_key = eps, key
-        if rep["pass"]:
+        if key[0]:
             return eps
     return best
 
 
 def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[np.ndarray]:
-    """Chain the certificate rows into explicit floors/caps with a 5% margin.
-
-    With eps2 = 1, rows 1 and 3 force floors on eps1 and eps3, row 2 caps eps4, and
-    rows 4/5 force floors on eps4/eps5; eps5 is additionally scanned upward because
-    the gamma bound of the last stated condition grows with it until saturation.
-    """
-    L, kappa = tc.L, tc.kappa
-    margin = 1.05
-    q = 1.0 - theta.eta / (2.0 * kappa)
+    """The row-chained candidates of default_epsilon. eps5 is scanned upward because the
+    gamma bound of the last stated condition grows with it until saturation."""
+    L, margin, q = tc.L, 1.05, contraction_rate(theta.eta, tc.kappa)
     out: list[np.ndarray] = []
     if q <= A[0, 0] or q <= A[2, 2] or q <= A[3, 3] or q <= A[4, 4]:
         return out

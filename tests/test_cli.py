@@ -10,6 +10,7 @@ import pytest
 from cnext.cli import Experiment, averaged_csv, main, records_to_csv
 from cnext.config import load_config
 from cnext.solver import run
+from cnext.theory import rho_below
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -333,7 +334,7 @@ def test_verify_ops_constants_equal_run(tmp_path, kind):
 
 def _sweep_rows(path):
     header, rows = read_csv(path)
-    assert header == ["eta", "gamma", "pass", "rho_A"]
+    assert header == ["eta", "gamma", "pass", "rho_A", "rho_lt_1", "rho_lt_q"]
     return rows
 
 
@@ -346,8 +347,24 @@ def test_theory_grid_writes_parseable_map(tmp_path, capsys):
     assert "/4 grid points certified (scheme=topk(k=3)" in capsys.readouterr().out
     rows = _sweep_rows(tmp_path / "out" / "sweep_topk.csv")
     assert len(rows) == 4
-    assert [(float(eta), float(gamma)) for eta, gamma, _, _ in rows] == \
+    assert [(float(eta), float(gamma)) for eta, gamma, *_ in rows] == \
         [(1e-10, 1e-4), (1e-10, 1.0), (1e-2, 1e-4), (1e-2, 1.0)]
+
+
+@pytest.mark.parametrize("kind, counts", [("identity", (24, 42, 36)), ("topk", (0, 0, 0))])
+def test_theory_grid_counts_rho_below_one_and_q(tmp_path, capsys, kind, counts):
+    # the 20 x 20 map of theory_identity.json: of the points with rho(A) < 1, those with
+    # rho(A) < q = 1 - eta/(2 kappa), and of those the ones the stated conditions certify
+    raw = json.loads((CONFIGS / "theory_identity.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "theory.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["theory", "-c", str(cfg), "--scheme", kind, "--grid", "20"]) == 0
+    rows = _sweep_rows(tmp_path / "out" / f"sweep_{kind}.csv")
+    flags = [(ok == "1", lt_1 == "1", lt_q == "1") for _, _, ok, _, lt_1, lt_q in rows]
+    assert tuple(map(sum, zip(*flags))) == counts
+    # a certificate gives rho(A) <= q < 1, and rho(A) < q < 1 gives rho(A) < 1
+    assert all(lt_1 for ok, lt_1, _ in flags if ok) and all(lt_1 for _, lt_1, lt_q in flags if lt_q)
 
 
 def test_theory_grid_rows_are_single_points(tmp_path, capsys):
@@ -355,12 +372,17 @@ def test_theory_grid_rows_are_single_points(tmp_path, capsys):
                             hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
                                          "alpha_x": 0.8, "alpha_y": 0.6})
     assert main(["theory", "-c", cfg, "--grid", "2"]) == 0
-    for eta, gamma, ok, rho in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
+    for eta, gamma, ok, rho, lt_1, lt_q in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
         capsys.readouterr()
         assert main(["theory", "-c", cfg, "--eta", eta, "--gamma", gamma]) == 0
         report = json.loads(capsys.readouterr().out)
         assert int(ok) == report["sufficient_conditions"]["pass"]
         assert float(rho) == report["rho_A"]
+        assert int(lt_1) == report["sufficient_conditions"]["direct_contraction"]["rho_lt_1"]
+        # rho(A) < q decided exactly on the point's own A: at eta = 1e-10, rho lies
+        # within 1e-9 of q, where float64 eigenvalues cannot decide
+        q = 1.0 - float(eta) / (2.0 * report["objective"]["kappa"])
+        assert int(lt_q) == rho_below(np.array(report["A"]), q)
 
 
 @pytest.mark.parametrize("updates, eta_formed", [
@@ -374,9 +396,9 @@ def test_theory_grid_rows_are_single_points(tmp_path, capsys):
 def test_theory_grid_leaves_rho_empty_without_A(tmp_path, updates, eta_formed):
     cfg, out = write_config(tmp_path, scheme={"kind": "identity"}, **updates)
     assert main(["theory", "-c", cfg, "--grid", "2"]) == 0
-    for eta, _, ok, rho in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
+    for eta, _, ok, rho, lt_1, lt_q in _sweep_rows(os.path.join(out, "sweep_identity.csv")):
         formed = float(eta) < eta_formed
-        assert (rho != "") == formed
+        assert (rho != "") == (lt_1 != "") == (lt_q != "") == formed
         assert formed or ok == "0"
 
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from cnext.compress import (CompressState, CompressionScheme, agent_streams, bits_per_vector,
-                            compress_round, compress_vector, make_scheme, verify_contract,
-                            ALL_KINDS)
+from cnext.compress import (CompressState, CompressionScheme, _encode, agent_streams,
+                            bits_per_vector, compress_round, compress_vector, make_scheme,
+                            verify_contract, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from conftest import all_schemes
 
@@ -70,6 +70,29 @@ def test_topk_keep_all_and_ties():
     scheme2 = make_scheme("topk", 4, k=2)
     q2, _ = compress_vector(scheme2, np.array([2.0, -2.0, 1.0, 2.0]), np.random.default_rng(0))
     assert np.array_equal(q2, np.array([2.0, -2.0, 0.0, 0.0]))
+
+
+def _topk_by_stable_argsort(Z, k):
+    """Top-k by a full stable sort on -|z|: magnitude ties go to the lowest index."""
+    keep = np.argsort(-np.abs(Z), axis=1, kind="stable")[:, :k]
+    Q = np.zeros_like(Z)
+    np.put_along_axis(Q, keep, np.take_along_axis(Z, keep, axis=1), axis=1)
+    return Q
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 20])
+def test_topk_equals_stable_argsort(p):
+    # integer rows tie across the cut in most rows; zero rows, -0.0 and distinct magnitudes
+    # take the threshold path; signbit tells +0.0 from -0.0 where array_equal does not
+    rng = np.random.default_rng(p)
+    Z = rng.integers(-3, 4, size=(300, p)).astype(float)
+    Z[rng.uniform(size=Z.shape) < 0.15] = -0.0
+    Z[::11] = 0.0
+    Z[5::11] = -0.0
+    Z[7::11] = rng.standard_normal((len(Z[7::11]), p))
+    for k in sorted({1, min(3, p), max(p - 1, 1), p}):
+        got, want = _encode(make_scheme("topk", p, k=k), Z, None), _topk_by_stable_argsort(Z, k)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_verify_contract_values():

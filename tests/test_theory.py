@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnext.compress import make_scheme
+from cnext.compress import ALL_KINDS, make_scheme
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.theory import (ContractionMatrix, Theta, TheoryConstants, build_A, check_sufficient_conditions,
                           default_epsilon, spectral_radius)
@@ -147,6 +147,16 @@ def test_invalid_arguments_name_the_inequality():
                       Theta(eta=0.01, gamma=0.5, alpha_x=1.0, alpha_y=1.0))
 
 
+def test_A_beyond_float64_is_not_formed():
+    # L^4 overflows float64: A(theta) is reported as not formed, rather than holding inf
+    theta = Theta(eta=1e-200, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(1e10, 1e80, 0.5, 1.0, 0.5, 1.0, 0.5, theta)
+    with pytest.raises(ValueError, match="float64"):
+        build_A(tc, theta, n=4)
+    rep = check_sufficient_conditions(tc, theta, np.ones(5), 4)
+    assert not rep["pass"] and "float64" in rep["direct_contraction"]["reason"]
+
+
 def test_feasible_point_report(ridge10):
     obj, net, _ = ridge10
     scheme = make_scheme("identity", obj.p)
@@ -213,6 +223,60 @@ def test_checker_rejects_bad_eps(ridge10):
     tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
     with pytest.raises(ValueError):
         check_sufficient_conditions(tc, theta, np.array([1.0, -1.0, 1.0, 1.0, 1.0]), net.n)
+
+
+def _ranked_as_reported(tc, theta, eps, n):
+    """Check that the (pass, count of ok flags) the eps search ranks eps by is what the
+    report shows, that every flag of the report is a bool and every bound a float; returns
+    (A(theta) formed, pass, a bound is nan)."""
+    from cnext import theory
+
+    A, reason = theory._formed(tc, theta, n)
+    key = theory._conditions(tc, theta, eps, n, A, reason, False)[1][-1]
+    rep = check_sufficient_conditions(tc, theta, eps, n)
+    direct = rep["direct_contraction"]
+    flags = [*rep["stsz_ok"].values(), *rep["constsz_ok"].values(), *rep["system_ok"].values(),
+             direct["ok"]]
+    assert key == (rep["pass"], sum(flags))
+    entries = list(rep["system"].values())
+    flags += [rep["pass"], direct["rho_lt_1"], *(entry.pop("ok") for entry in entries)]
+    assert all(type(flag) is bool for flag in flags)
+    bounds = [*rep["eta_bounds"].values(), *rep["gamma_bounds"].values(),
+              *(v for entry in entries for v in entry.values())]
+    assert all(type(bound) is float for bound in bounds)
+    return A is not None, rep["pass"], bool(np.isnan(bounds).any())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_search_ranks_by_the_reported_flags(ridge10, kind):
+    # the conditions are evaluated once, for the search and for the report: at certified
+    # and rejected points, where A(theta) cannot be formed, and at a NaN eps
+    obj, net, _ = ridge10
+    scheme = make_scheme(kind, obj.p, b=2, k=3)
+    seen = set()
+    for eta in np.geomspace(1e-11, 1e-1, 6):
+        for gamma in np.geomspace(1e-4, 1.0, 5):
+            theta = Theta(eta=float(eta), gamma=float(gamma), alpha_x=1.0, alpha_y=0.5)
+            tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
+            for eps in (default_epsilon(tc, theta, net.n), np.ones(5), np.array([np.nan, 1, 1, 1, 1])):
+                seen.add(_ranked_as_reported(tc, theta, eps, net.n))
+    assert {(False, False, False), (True, False, False), (True, False, True)} <= seen
+    assert ((True, True, False) in seen) is (kind == "identity")
+
+
+def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):
+    # with kappa = 1 and n = 10, eps2 = eps3 = 5e-324 make eps_ratio's denominator underflow
+    # to 0: Python floats refuse the division, numpy float64 gives inf
+    from cnext import theory
+
+    calls = []
+    real = theory._scalar_conditions
+    monkeypatch.setattr(theory, "_scalar_conditions", lambda *a: calls.append(len(a)) or real(*a))
+    theta = Theta(eta=1e-3, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.5, r=1.0, delta=0.5, theta=theta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        assert _ranked_as_reported(tc, theta, np.array([1.0, 5e-324, 5e-324, 1.0, 1.0]), 10)[0]
+    assert calls == [7, 8] * 2  # both the search's and the report's evaluation fell back
 
 
 @settings(deadline=None, max_examples=40)
@@ -303,9 +367,9 @@ def test_rho_flag_agrees_with_eigenvalues_off_the_boundary():
         A = B * (rng.uniform(0.5, 1.5) / rho)
         rho_A = spectral_radius(A)
         if abs(rho_A - 1.0) > 1e-6:
-            assert theory._rho_lt_1_exact(A) is bool(rho_A < 1.0)
+            assert theory.rho_below(A, 1.0) is bool(rho_A < 1.0)
     with pytest.raises(ValueError):
-        theory._rho_lt_1_exact(-STOCHASTIC)
+        theory.rho_below(-STOCHASTIC, 1.0)
 
 
 def fraction_certificate(A, v, q):
@@ -371,7 +435,7 @@ def test_certificate_agrees_with_rationals(case):
     from cnext import theory
 
     A, v, q = case
-    assert theory._certificate_holds(A, v, q) is fraction_certificate(A, v, q)
+    assert theory._certificate_holds(A.tolist(), v.tolist(), q) is fraction_certificate(A, v, q)
 
 
 def test_certificate_agrees_with_rationals_on_fitted_near_ties():
@@ -385,7 +449,7 @@ def test_certificate_agrees_with_rationals_on_fitted_near_ties():
         v = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=5))
         q = float(np.max(A @ v / v))
         q = float(np.nextafter(q, [0.0, q, np.inf][rng.integers(3)]))
-        assert theory._certificate_holds(A, v, q) is fraction_certificate(A, v, q)
+        assert theory._certificate_holds(A.tolist(), v.tolist(), q) is fraction_certificate(A, v, q)
 
 
 def test_certificate_falls_back_to_rationals_only_near_a_tie(monkeypatch):
@@ -401,8 +465,9 @@ def test_certificate_falls_back_to_rationals_only_near_a_tie(monkeypatch):
     A, v, q = tied_certificate([0, 3, -2, 7, 1], 1000, [[16, 0, 0, 0, 0], [4, 4, 4, 4, 0],
                                                       [1, 2, 3, 4, 6], [0, 0, 8, 0, 8],
                                                       [2, 2, 2, 2, 8]])
-    assert theory._certificate_holds(A, v, q) and calls
-    assert not theory._certificate_holds(A, v, float(np.nextafter(q, 0.0)))
+    v = v.tolist()
+    assert theory._certificate_holds(A.tolist(), v, q) and calls
+    assert not theory._certificate_holds(A.tolist(), v, float(np.nextafter(q, 0.0)))
     calls.clear()
-    assert theory._certificate_holds(0.5 * A, v, q) and not calls
-    assert not theory._certificate_holds(2.0 * A, v, q) and not calls
+    assert theory._certificate_holds((0.5 * A).tolist(), v, q) and not calls
+    assert not theory._certificate_holds((2.0 * A).tolist(), v, q) and not calls
