@@ -248,10 +248,9 @@ def cmd_theory(cfg: ExperimentConfig, grid: int | None = None) -> int:
 
 
 def _theory_grid(exp: Experiment, grid: int) -> int:
-    """The certified region: sweep_<kind>.csv with, at every point of a grid x grid log grid
-    over GRID_ETA x GRID_GAMMA, the pass flag, rho(A), and the decisions rho(A) < 1 and
-    rho(A) < q = 1 - eta/(2 kappa) (as 1 or 0); the last three are empty where rho(A) is not
-    known (A cannot be formed)."""
+    """The certified region: sweep_<kind>.csv with, at every point of a grid x grid log grid over
+    GRID_ETA x GRID_GAMMA, the pass flag, rho(A), and rho(A) < 1 and rho(A) < q = 1 - eta/(2 kappa)
+    as 1 or 0; the last three are empty where rho(A) is not known (A cannot be formed)."""
     cfg, scheme = exp.cfg, exp.scheme
     lines = ["eta,gamma,pass,rho_A,rho_lt_1,rho_lt_q"]
     n_pass = 0

@@ -1,3 +1,6 @@
+import ctypes
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -190,3 +193,22 @@ def test_sparse_graphs_mix_through_csr():
     for topo in (build_ring(10), build_ring(64), build_circulant_expander(128, 6)):
         net = metropolis_hastings_weights(topo)
         assert net.mix is net.W
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                     "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_arrays_stay_mapped_after_a_large_free():
+    # glibc's dynamic threshold would rise to the freed n = 2000 matrix's 32 MB and put the next
+    # 8 MiB array in the brk heap; importing cnext fixes the threshold at 4 MiB
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if not hasattr(libc, "mallinfo2") or "MALLOC_MMAP_THRESHOLD_" in os.environ:
+        pytest.skip("needs glibc >= 2.33 and no MALLOC_MMAP_THRESHOLD_ in the environment")
+    libc.mallinfo2.restype = _MallInfo2
+    W = metropolis_hastings_weights(build_circulant_expander(2000, 6)).W
+    del W
+    mapped = libc.mallinfo2().hblkhd
+    a = np.ones(1 << 20)
+    assert libc.mallinfo2().hblkhd - mapped >= a.nbytes
