@@ -12,7 +12,7 @@ if hasattr(_libc, "mallopt") and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
 
 from .compress import CompressionScheme, CompressState, compress_round, compress_vector, make_scheme
 from .graph import Network, Topology, build_circulant_expander, build_ring, metropolis_hastings_weights
-from .objective import LocalData, Objective, logistic_objective, ridge_objective
+from .objective import Objective, logistic_objective, ridge_objective
 from .solver import (ErrorVector, HyperParams, SolverState,
                      MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT,
                      init_state, measure_errors, run, step)
@@ -21,7 +21,7 @@ from .theory import ContractionMatrix, Theta, TheoryConstants, build_A, check_su
 __all__ = [
     "CompressionScheme", "CompressState", "compress_round", "compress_vector", "make_scheme",
     "Network", "Topology", "build_circulant_expander", "build_ring", "metropolis_hastings_weights",
-    "LocalData", "Objective", "logistic_objective", "ridge_objective",
+    "Objective", "logistic_objective", "ridge_objective",
     "ErrorVector", "HyperParams", "SolverState",
     "MODE_CNEXT", "MODE_FIRST_ORDER_GT", "MODE_UNCOMPRESSED_GIANT",
     "init_state", "measure_errors", "run", "step",

@@ -50,7 +50,7 @@ class Experiment:
             elif net_cfg.kind == "expander":
                 topo = build_circulant_expander(net_cfg.n, net_cfg.degree)
             else:
-                topo = build_custom(np.asarray(net_cfg.adjacency, dtype=bool))
+                topo = build_custom(net_cfg.adjacency)
             self.net = metropolis_hastings_weights(topo)
         except ValueError as exc:  # a graph the config describes but that cannot mix
             raise ConfigError(f"network: {exc}") from exc

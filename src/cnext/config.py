@@ -192,7 +192,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         eps = theory_raw.get("eps")
         if eps is not None:
             eps = tuple(float(e) for e in eps)
-            if len(eps) != 5 or any(e <= 0 for e in eps):
+            if len(eps) != 5 or not all(e > 0 for e in eps):  # a NaN entry fails too
                 raise ConfigError("theory.eps must be 5 positive reals")
         return ExperimentConfig(
             objective=objective, network=network, scheme=scheme, hyperparams=hyper,

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import LocalData
-
 SYNTHETIC_RIDGE = "synthetic_ridge"
 COVTYPE = "covtype"
 
@@ -38,7 +36,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Partition:
-    assignments: list[np.ndarray]  # per-agent index lists into the dataset
+    assignments: np.ndarray  # (n, m_i): row i indexes agent i's samples in the dataset
     m_i: int
     dropped: int
 
@@ -122,7 +120,7 @@ def load_covtype(path: str, p_reduced: int = 10, seed: int = 42,
 
 
 def partition_homogeneous(ds: Dataset, n: int, seed: int) -> Partition:
-    """Seeded shuffle of the train split, then contiguous blocks of floor(|train|/n)."""
+    """Seeded shuffle of the train split, then contiguous blocks of floor(|train|/n), one row each."""
     if n < 1:
         raise ValueError(f"need n >= 1 agents, got {n}")
     train = ds.train_idx
@@ -131,9 +129,9 @@ def partition_homogeneous(ds: Dataset, n: int, seed: int) -> Partition:
     rng = np.random.default_rng(seed)
     shuffled = train[rng.permutation(train.size)]
     m = train.size // n
-    assignments = [shuffled[i * m:(i + 1) * m] for i in range(n)]
-    return Partition(assignments=assignments, m_i=m, dropped=train.size - n * m)
+    return Partition(assignments=shuffled[:n * m].reshape(n, m), m_i=m, dropped=train.size - n * m)
 
 
-def build_locals(ds: Dataset, part: Partition) -> list[LocalData]:
-    return [LocalData(A=ds.U[idx], b=ds.v[idx]) for idx in part.assignments]
+def build_locals(ds: Dataset, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's samples as stacks: features (n, m_i, p) and targets (n, m_i), one gather."""
+    return ds.U[part.assignments], ds.v[part.assignments]

@@ -21,20 +21,6 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-@dataclass(frozen=True)
-class LocalData:
-    """One agent's samples: features A (m x p) and targets/labels b (m,)."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
-            raise ValueError(f"inconsistent local data shapes {self.A.shape}, {self.b.shape}")
-        if self.A.shape[0] < 1:
-            raise ValueError("local data needs at least one sample")
-
-
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product over any leading batch axes: (..., r, c) x (..., c) -> (..., r)."""
     return np.matmul(M, v[..., None])[..., 0]
@@ -183,19 +169,14 @@ class Objective:
         return cho_solve(cho_factor(_logistic_hessians(self.A[i], w, self.lam)), rhs)
 
 
-def _stack(locals_: list[LocalData]) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.stack([d.A for d in locals_]), np.stack([d.b for d in locals_])
-    except ValueError as exc:
-        raise ValueError(f"agents need equal sample counts m_i and dimensions p: {exc}") from exc
+def ridge_objective(locals_: tuple[np.ndarray, np.ndarray], lam: float) -> Objective:
+    """Ridge over stacked agent data (A (n, m, p), b (n, m)), as build_locals gives it."""
+    return Objective(RIDGE, lam, *locals_)
 
 
-def ridge_objective(locals_: list[LocalData], lam: float) -> Objective:
-    return Objective(RIDGE, lam, *_stack(locals_))
-
-
-def logistic_objective(locals_: list[LocalData], lam: float) -> Objective:
-    return Objective(LOGISTIC, lam, *_stack(locals_))
+def logistic_objective(locals_: tuple[np.ndarray, np.ndarray], lam: float) -> Objective:
+    """Logistic over stacked agent data (A (n, m, p), b (n, m) in {-1, +1})."""
+    return Objective(LOGISTIC, lam, *locals_)
 
 
 def ridge_closed_form_optimum(obj: Objective) -> np.ndarray:

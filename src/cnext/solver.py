@@ -24,7 +24,7 @@ import numpy as np
 from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_INIT, STREAM_X,
                        STREAM_Y, agent_streams, compress_round, make_scheme, substream, IDENTITY)
 from .graph import Network
-from .objective import Objective
+from .objective import RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
 from .theory import alpha_slack, step_cap
 
 MODE_CNEXT = "cnext"
@@ -309,8 +309,6 @@ def _record(state: SolverState, obj: Objective, x_star: np.ndarray, f_star: floa
 
 def baseline_optimum(obj: Objective) -> np.ndarray:
     """Closed form for ridge, centralized damped Newton for logistic."""
-    from .objective import RIDGE, centralized_newton, ridge_closed_form_optimum
-
     if obj.kind == RIDGE:
         return ridge_closed_form_optimum(obj)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=BASELINE_TOL, max_iter=500)

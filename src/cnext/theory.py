@@ -295,10 +295,9 @@ def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
 
 
 def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
-    """The stated cap on eps4/eps2; none when C = 0."""
-    if tc.C == 0.0:
-        return np.inf
-    return (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / (8.0 * gamma ** 2 * tc.beta ** 2 * tc.C ** 2)
+    """The stated cap on eps4/eps2; none when C = 0, or when gamma^2 beta^2 C^2 underflows."""
+    den = 8.0 * gamma ** 2 * tc.beta ** 2 * tc.C ** 2
+    return np.inf if den == 0.0 else (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / den
 
 
 # the report's names for what _scalar_conditions returns, in its order
@@ -365,7 +364,7 @@ def _conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: n
     inf and nan, where those raise (a zero division or the root of a negative number)."""
     eps = np.asarray(eps, dtype=float)
     e = eps.tolist()
-    if eps.shape != (5,) or any(x <= 0 for x in e):
+    if eps.shape != (5,) or not all(x > 0 for x in e):  # a NaN entry fails too
         raise ValueError("eps must be 5 strictly positive reals")
     try:
         return e, _scalar_conditions(tc, theta, e, n, A, reason, decide_rho)

@@ -4,7 +4,7 @@ import pytest
 from cnext.compress import ALL_KINDS, RANDOMK, TOPK, agent_streams, make_scheme
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
-from cnext.objective import LocalData, ridge_objective, logistic_objective, ridge_closed_form_optimum
+from cnext.objective import ridge_objective, logistic_objective, ridge_closed_form_optimum
 from cnext.solver import init_state, newton_directions
 
 
@@ -28,13 +28,12 @@ def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):
 
 def make_logistic(n_agents=4, p=5, m=12, lam=0.1, seed=3):
     rng = np.random.default_rng(seed)
-    locals_ = []
-    for _ in range(n_agents):
-        A = rng.standard_normal((m, p))
+    A, b = np.empty((n_agents, m, p)), np.empty((n_agents, m))
+    for i in range(n_agents):
+        A[i] = rng.standard_normal((m, p))
         w = rng.standard_normal(p)
-        b = np.where(A @ w + 0.3 * rng.standard_normal(m) >= 0, 1.0, -1.0)
-        locals_.append(LocalData(A=A, b=b))
-    return logistic_objective(locals_, lam)
+        b[i] = np.where(A[i] @ w + 0.3 * rng.standard_normal(m) >= 0, 1.0, -1.0)
+    return logistic_objective((A, b), lam)
 
 
 def network_giant_reference(obj, net, hp, seed, state0=None):

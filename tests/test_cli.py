@@ -275,6 +275,13 @@ def test_theory_point_forms_A_once(tmp_path, capsys, monkeypatch):
         assert calls["build_A"] == points and calls["_rho_and_flag"] <= points
 
 
+def test_theory_nan_eps_is_config_error(tmp_path, capsys):
+    # json reads NaN; a NaN eps entry is not a positive real
+    cfg, _ = write_config(tmp_path, theory={"eps": [float("nan"), 1.0, 1.0, 1.0, 1.0]})
+    assert main(["theory", "-c", cfg]) == 2
+    assert "theory.eps" in capsys.readouterr().err
+
+
 def test_theory_reports_violations_without_failing(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
                           hyperparams={"eta": 5.0, "gamma": 0.5, "T": 1})

@@ -31,7 +31,7 @@ def test_partition_block_sizes():
     ds = generate_ridge_synthetic(500, 20, 42)
     part = partition_homogeneous(ds, 10, 42)
     assert part.m_i == 50 and part.dropped == 0
-    assert all(len(a) == 50 for a in part.assignments)
+    assert part.assignments.shape == (10, 50)
 
     ds2 = generate_ridge_synthetic(505, 20, 42)
     part2 = partition_homogeneous(ds2, 10, 42)
@@ -40,6 +40,26 @@ def test_partition_block_sizes():
     used = np.concatenate(part.assignments)
     assert len(np.unique(used)) == len(used)
     assert set(used).issubset(set(ds.train_idx.tolist()))
+
+
+def test_partition_rows_are_contiguous_blocks_of_the_shuffle():
+    # row i is the i-th block of floor(|train| / n) of the seeded shuffle; the tail is dropped
+    ds = generate_ridge_synthetic(103, 4, 2)
+    part = partition_homogeneous(ds, 5, 8)
+    shuffled = ds.train_idx[np.random.default_rng(8).permutation(103)]
+    assert part.assignments.shape == (5, 20) and part.dropped == 3
+    for i in range(5):
+        assert np.array_equal(part.assignments[i], shuffled[20 * i:20 * (i + 1)])
+
+
+def test_build_locals_rows_are_each_agents_samples():
+    ds = generate_ridge_synthetic(103, 4, 2)
+    part = partition_homogeneous(ds, 5, 8)
+    A, b = build_locals(ds, part)
+    assert A.shape == (5, 20, 4) and b.shape == (5, 20)
+    for i, idx in enumerate(part.assignments):
+        assert np.array_equal(A[i], ds.U[idx])
+        assert np.array_equal(b[i], ds.v[idx])
 
 
 def test_partition_determinism_and_validation():

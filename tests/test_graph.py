@@ -19,22 +19,64 @@ def circulant_mh_rho(n, offsets):
     return float(np.max(np.abs(lam)))
 
 
+def dense(topo):
+    """The boolean n x n adjacency a topology's neighbour rows describe."""
+    adj = np.zeros((topo.n, topo.n), dtype=bool)
+    adj[np.repeat(np.arange(topo.n), np.diff(topo.indptr)), topo.indices] = True
+    return adj
+
+
+def circulant_reference(n, offsets):
+    """Dense reference: i adjacent to i +- each offset (mod n), and to itself, pair by pair."""
+    adj = np.eye(n, dtype=bool)
+    for off in offsets:
+        for i in range(n):
+            adj[i, (i + off) % n] = True
+            adj[i, (i - off) % n] = True
+    return adj
+
+
+def assert_rows_of(topo, adj):
+    """topo holds exactly adj's non-zeros, row by row, each row sorted and without repeats."""
+    i, j = np.nonzero(adj)
+    assert topo.n == adj.shape[0]
+    assert np.array_equal(topo.indptr, np.searchsorted(i, np.arange(topo.n + 1)))
+    assert np.array_equal(topo.indices, j)
+
+
 def test_ring_structure():
     t1 = build_ring(1)
-    assert t1.adjacency.tolist() == [[True]]
+    assert dense(t1).tolist() == [[True]]
     t3 = build_ring(3)
-    assert t3.adjacency.all()  # cycle of 3 is the complete graph
+    assert dense(t3).all()  # cycle of 3 is the complete graph
     t10 = build_ring(10)
     assert (t10.degrees() == 2).all()
-    assert np.array_equal(t10.adjacency, t10.adjacency.T)
-    assert t10.adjacency.diagonal().all()
+    assert np.array_equal(dense(t10), dense(t10).T)
+    assert dense(t10).diagonal().all()
 
 
 def test_expander_structure():
     t = build_circulant_expander(14, 6)
     assert (t.degrees() == 6).all()
     complete = build_circulant_expander(5, 4)
-    assert complete.adjacency.all()
+    assert dense(complete).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 14, 256])
+def test_circulant_rows_match_the_dense_loops(n):
+    assert_rows_of(build_ring(n), circulant_reference(n, [1]))
+    for degree in (2, 4, 6, 12):
+        if degree < n:
+            topo = build_circulant_expander(n, degree)
+            assert_rows_of(topo, circulant_reference(n, range(1, degree // 2 + 1)))
+            assert (topo.degrees() == degree).all()
+
+
+def test_large_expander_holds_no_n_by_n_array():
+    # n = 10^5: a boolean n x n adjacency would take 10 GB; the rows take 7 n + n + 1 integers
+    topo = build_circulant_expander(10**5, 6)
+    assert is_connected(topo)
+    assert topo.indices.nbytes + topo.indptr.nbytes < 8 * 2**20
 
 
 def test_invalid_arguments():
@@ -85,7 +127,7 @@ def test_expander14_rho_oracle():
 
 def _ring_with_chords(n):
     """A ring plus chords i -- i + 5 for even i: connected, irregular and not circulant."""
-    adj = build_ring(n).adjacency.copy()
+    adj = dense(build_ring(n))
     for i in range(0, n, 2):
         adj[i, (i + 5) % n] = adj[(i + 5) % n, i] = True
     return build_custom(adj)
@@ -100,10 +142,11 @@ def test_network_invariants(topo):
     W = net.W
     # the edge-list fill equals the definition written out pair by pair
     deg = topo.degrees()
+    adj = dense(topo)
     ref = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            if i != j and topo.adjacency[i, j]:
+            if i != j and adj[i, j]:
                 ref[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
     assert np.array_equal(W, ref)
@@ -112,7 +155,7 @@ def test_network_invariants(topo):
     assert np.max(np.abs(W.sum(axis=1) - 1)) <= 1e-12
     assert np.array_equal(W, W.T)
     off = ~np.eye(n, dtype=bool)
-    assert np.array_equal(W[off] > 0, topo.adjacency[off])
+    assert np.array_equal(W[off] > 0, adj[off])
     assert np.all(W.diagonal() > 0)
     assert np.allclose(W @ np.ones(n), np.ones(n), atol=1e-12)
     assert 0 <= net.rho < 1
@@ -151,8 +194,8 @@ def test_rho_tilde_below_one(gamma, n):
 
 def test_custom_topology_roundtrip():
     t = build_ring(6)
-    t2 = build_custom(t.adjacency)
-    assert np.array_equal(t.adjacency, t2.adjacency)
+    t2 = build_custom(dense(t))
+    assert np.array_equal(t.indptr, t2.indptr) and np.array_equal(t.indices, t2.indices)
     assert is_connected(t2)
 
 
@@ -174,8 +217,10 @@ def test_is_connected_matches_reachability():
     for _ in range(200):
         n = int(rng.integers(1, 30))
         upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.3), 1)
-        topo = build_custom(upper | upper.T)
-        outcomes.append(bfs_connected(topo.adjacency))
+        adjacency = upper | upper.T
+        topo = build_custom(adjacency)
+        assert_rows_of(topo, adjacency | np.eye(n, dtype=bool))
+        outcomes.append(bfs_connected(adjacency))
         assert is_connected(topo) is outcomes[-1]
     assert set(outcomes) == {True, False}
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cnext.objective import (ConvergenceError, LocalData, centralized_newton, logistic_objective,
+from cnext.objective import (ConvergenceError, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum, ridge_objective)
 from conftest import make_logistic, make_ridge
 
@@ -20,7 +20,7 @@ def central_diff_grad(f, x, h=1e-5):
 def agent(obj, i):
     """Agent i's own objective f_i, built from its slice of the stack."""
     build = ridge_objective if obj.kind == "ridge" else logistic_objective
-    return build([LocalData(A=obj.A[i], b=obj.b[i])], obj.lam)
+    return build((obj.A[i:i + 1], obj.b[i:i + 1]), obj.lam)
 
 
 def at(obj, x):
@@ -29,7 +29,7 @@ def at(obj, x):
 
 
 def test_ridge_pure_regularizer():
-    obj = ridge_objective([LocalData(A=np.zeros((3, 4)), b=np.zeros(3))], 0.7)
+    obj = ridge_objective((np.zeros((1, 3, 4)), np.zeros((1, 3))), 0.7)
     x = np.array([1.0, -2.0, 0.0, 3.0])
     assert obj.value(x) == pytest.approx(0.7 * float(x @ x))
     assert np.allclose(obj.grad_stack(x[None])[0], 2 * 0.7 * x)
@@ -38,7 +38,7 @@ def test_ridge_pure_regularizer():
 
 def test_ridge_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-    obj = ridge_objective([LocalData(A=rng.standard_normal((8, 5)), b=rng.standard_normal(8))], 0.5)
+    obj = ridge_objective((rng.standard_normal((1, 8, 5)), rng.standard_normal((1, 8))), 0.5)
     x = rng.standard_normal(5)
     fd = central_diff_grad(obj.value, x)
     assert np.max(np.abs(obj.grad_stack(x[None])[0] - fd)) <= 1e-6
@@ -74,10 +74,12 @@ def test_stacked_rows_are_the_agents_own(small_logistic):
 
 def test_unequal_sample_counts_rejected():
     rng = np.random.default_rng(1)
-    locals_ = [LocalData(A=rng.standard_normal((m, 3)), b=np.ones(m)) for m in (4, 5)]
-    for build in (ridge_objective, logistic_objective):
-        with pytest.raises(ValueError, match="equal sample counts"):
-            build(locals_, 0.1)
+    # labels for 5 samples per agent against features for 4, and agents with no samples
+    for locals_ in ((rng.standard_normal((2, 4, 3)), np.ones((2, 5))),
+                    (np.zeros((2, 0, 3)), np.ones((2, 0)))):
+        for build in (ridge_objective, logistic_objective):
+            with pytest.raises(ValueError, match=r"need A \(n, m, p\) and b \(n, m\)"):
+                build(locals_, 0.1)
 
 
 def test_logistic_at_zero():
@@ -115,7 +117,7 @@ def test_logistic_overflow_safe():
 def test_logistic_loss_matches_logaddexp(margin):
     # one sample with feature `margin` and label +1 at x = 1 has exactly that margin
     lam = 1e-300
-    obj = logistic_objective([LocalData(A=np.array([[margin]]), b=np.ones(1))], lam)
+    obj = logistic_objective((np.array([[[margin]]]), np.ones((1, 1))), lam)
     x = np.ones(1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or invalid-value RuntimeWarning
@@ -132,16 +134,14 @@ def test_logistic_loss_is_log2_at_zero():
 def test_closed_form_identity_features():
     # all A_i = I, b_i = c 1  =>  x* = c/(1+lambda) 1
     p, c, lam = 4, 2.5, 0.3
-    locals_ = [LocalData(A=np.eye(p), b=c * np.ones(p)) for _ in range(3)]
-    obj = ridge_objective(locals_, lam)
+    obj = ridge_objective((np.tile(np.eye(p), (3, 1, 1)), c * np.ones((3, p))), lam)
     x_star = ridge_closed_form_optimum(obj)
     assert np.allclose(x_star, c / (1 + lam) * np.ones(p), atol=1e-12)
 
 
 def test_closed_form_shrinks_with_lambda():
     rng = np.random.default_rng(14)
-    locals_ = [LocalData(A=rng.standard_normal((10, 4)), b=rng.standard_normal(10))
-               for _ in range(3)]
+    locals_ = rng.standard_normal((3, 10, 4)), rng.standard_normal((3, 10))
     norms = [np.linalg.norm(ridge_closed_form_optimum(ridge_objective(locals_, lam)))
              for lam in (0.1, 1.0, 10.0, 100.0)]
     assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -180,8 +180,7 @@ def test_newton_one_step_on_quadratic():
 
 
 def test_newton_on_separable_logistic():
-    d = LocalData(A=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.array([1.0, -1.0]))
-    obj = logistic_objective([d], 0.1)
+    obj = logistic_objective((np.array([[[1.0, 0.0], [-1.0, 0.0]]]), np.array([[1.0, -1.0]])), 0.1)
     x, f = centralized_newton(obj, np.zeros(2), tol=1e-10, max_iter=100)
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(obj.grad(x)) <= 1e-10
@@ -195,8 +194,7 @@ def test_newton_budget_exhaustion_carries_iterate():
 
 
 def test_mu_L_pure_regularizer():
-    locals_ = [LocalData(A=np.zeros((2, 3)), b=np.zeros(2))]
-    obj = ridge_objective(locals_, 0.4)
+    obj = ridge_objective((np.zeros((1, 2, 3)), np.zeros((1, 2))), 0.4)
     assert obj.mu == pytest.approx(0.8)
     assert obj.L == pytest.approx(0.8)
     assert obj.kappa == pytest.approx(1.0)
@@ -236,6 +234,5 @@ def test_global_strong_convexity_spot_check():
 
 
 def test_label_validation():
-    d = LocalData(A=np.ones((2, 2)), b=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        logistic_objective([d], 0.1)
+        logistic_objective((np.ones((1, 2, 2)), np.array([[1.0, 0.5]])), 0.1)

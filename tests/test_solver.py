@@ -215,13 +215,12 @@ def test_theory_violation_warnings(small_ridge):
 
 
 def test_numerical_failure_names_agent_and_round():
-    from cnext.objective import LocalData, logistic_objective
+    from cnext.objective import logistic_objective
     from cnext.solver import NumericalError
 
     rng = np.random.default_rng(5)
-    locals_ = [LocalData(A=np.zeros((12, 3)) if i == 2 else rng.standard_normal((12, 3)),
-                         b=np.ones(12)) for i in range(4)]
-    obj = logistic_objective(locals_, 0.1)
+    A = np.stack([np.zeros((12, 3)) if i == 2 else rng.standard_normal((12, 3)) for i in range(4)])
+    obj = logistic_objective((A, np.ones((4, 12))), 0.1)
     # agent 2 has no curvature but the regularizer's, so a negative one leaves its
     # Hessian indefinite while the other agents' stay SPD
     obj.lam = -1e-3

@@ -250,7 +250,10 @@ def _ranked_as_reported(tc, theta, eps, n):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_search_ranks_by_the_reported_flags(ridge10, kind):
     # the conditions are evaluated once, for the search and for the report: at certified
-    # and rejected points, where A(theta) cannot be formed, and at a NaN eps
+    # and rejected points, where A(theta) cannot be formed, and at an infinite eps4, whose
+    # row-4 gamma bound is inf/inf; a NaN eps is no certificate vector at all
+    from cnext import theory
+
     obj, net, _ = ridge10
     scheme = make_scheme(kind, obj.p, b=2, k=3)
     seen = set()
@@ -258,10 +261,30 @@ def test_search_ranks_by_the_reported_flags(ridge10, kind):
         for gamma in np.geomspace(1e-4, 1.0, 5):
             theta = Theta(eta=float(eta), gamma=float(gamma), alpha_x=1.0, alpha_y=0.5)
             tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
-            for eps in (default_epsilon(tc, theta, net.n), np.ones(5), np.array([np.nan, 1, 1, 1, 1])):
+            for eps in (default_epsilon(tc, theta, net.n), np.ones(5), np.array([1, 1, 1, np.inf, 1])):
                 seen.add(_ranked_as_reported(tc, theta, eps, net.n))
+            nan_eps = np.array([np.nan, 1, 1, 1, 1])
+            with pytest.raises(ValueError, match="strictly positive"):
+                theory._conditions(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n), False)
+            with pytest.raises(ValueError, match="strictly positive"):
+                check_sufficient_conditions(tc, theta, nan_eps, net.n)
     assert {(False, False, False), (True, False, False), (True, False, True)} <= seen
     assert ((True, True, False) in seen) is (kind == "identity")
+
+
+@pytest.mark.parametrize("kind", ["qnbbq", "topk", "randomk"])
+def test_underflowed_eps4_cap_is_no_certificate(ridge10, kind):
+    # at gamma = 1e-300, 8 gamma^2 beta^2 C^2 underflows to 0: the stated eps4/eps2 cap is
+    # infinite, and the point is reported, not certified, instead of dividing by zero
+    from cnext import theory
+
+    obj, net, _ = ridge10
+    scheme = make_scheme(kind, obj.p, b=2, k=3)
+    theta = Theta(eta=1e-10, gamma=1e-300, alpha_x=1.0, alpha_y=1.0)
+    tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
+    assert scheme.C > 0 and theory._eps4_cap(tc, theta.gamma) == np.inf
+    for eps in (default_epsilon(tc, theta, net.n), np.ones(5)):
+        assert check_sufficient_conditions(tc, theta, eps, net.n)["pass"] is False
 
 
 def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):

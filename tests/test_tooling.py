@@ -5,6 +5,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cnext import cli
@@ -41,6 +42,20 @@ def test_traced_names_exist(monkeypatch):
                     break
                 owner = getattr(owner, attr)
     assert not missing
+
+
+def test_workload_normal_equations_read_the_partition(monkeypatch):
+    # the benchmark's ridge check reads the partition itself (np.concatenate and len of
+    # part.assignments); a change to Partition's type must fail here, not only there
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
+    from cnext.objective import ridge_closed_form_optimum, ridge_objective
+
+    ds = generate_ridge_synthetic(63, 5, 4)
+    part = partition_homogeneous(ds, 6, 4)
+    x_star = ridge_closed_form_optimum(ridge_objective(build_locals(ds, part), 0.3))
+    assert np.allclose(workloads._ridge_normal_equations(ds, part, 0.3), x_star, rtol=1e-10, atol=1e-12)
 
 
 def test_declared_dependencies_match_imports():
