@@ -1,10 +1,10 @@
-"""Experiment harness CLI: run / compare / theory / verify-ops.
+"""Experiment harness CLI: run / compare / theory.
 
 Every run directory receives a trace CSV (fixed column order) and a JSON manifest
 carrying the resolved config, seed, scheme constants, and the bit-accounting
 convention, enough to reproduce the run bit-exactly.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 io error.
+Exit codes: 0 ok, 2 config or usage error, 3 numerical failure, 4 io error.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .compress import (CompressionScheme, STREAM_MEASURE, make_scheme, substream, verify_contract,
-                       ALL_KINDS)
+from .compress import CompressionScheme, make_scheme, ALL_KINDS
 from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
@@ -33,8 +32,6 @@ CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
 BIT_CONVENTION = "bits_cum counts both transmitted streams (X and Y): 2 * n * per-vector cost per round"
 GRID_ETA = (1e-10, 1e-2)  # the eta and gamma ranges `cnext theory --grid` sweeps, log-spaced
 GRID_GAMMA = (1e-4, 1.0)
-VERIFY_SAMPLES = 32  # standard-normal samples behind `cnext verify-ops`' C_measured
-VERIFY_DRAWS = 2000  # Monte Carlo draws per sample behind `cnext verify-ops`' C_measured
 
 
 class Experiment:
@@ -274,32 +271,11 @@ def _theory_grid(exp: Experiment, grid: int) -> int:
     return 0
 
 
-def cmd_verify_ops(cfg: ExperimentConfig) -> int:
-    exp = Experiment(cfg)
-    p = exp.p
-    k = cfg.scheme.k if cfg.scheme.k is not None else min(5, p)
-    table = {}
-    for kind in ALL_KINDS:
-        # C is the supremum `run` uses; C_measured is the worst Monte Carlo ratio over
-        # random samples, which may lie well below it
-        scheme = exp.build_scheme(replace(cfg.scheme, kind=kind, k=k))
-        rng = substream(cfg.seed, STREAM_MEASURE)
-        samples = [rng.standard_normal(p) for _ in range(VERIFY_SAMPLES)]
-        measured_C = verify_contract(scheme, samples, rng, n_draws=VERIFY_DRAWS)[0]
-        table[kind] = dict(_scheme_dict(scheme), C_measured=measured_C)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = {"p": p, "n_samples": VERIFY_SAMPLES, "n_draws": VERIFY_DRAWS, "schemes": table}
-    path = os.path.join(cfg.output_dir, "ops_manifest.json")
-    atomic_write(path, json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cnext", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare", "theory", "verify-ops"):
+    for name in ("run", "compare", "theory"):
         sp = sub.add_parser(name)
         sp.add_argument("-c", "--config", required=True, help="JSON config file")
         sp.add_argument("--seed", type=int)
@@ -336,9 +312,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg)
         if args.command == "compare":
             return cmd_compare(cfg)
-        if args.command == "theory":
-            return cmd_theory(cfg, grid=args.grid)
-        return cmd_verify_ops(cfg)
+        return cmd_theory(cfg, grid=args.grid)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

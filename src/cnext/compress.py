@@ -66,27 +66,22 @@ def bits_per_vector(scheme: CompressionScheme, p: int) -> int:
     raise ValueError(scheme.kind)
 
 
-def _uniforms(rngs: np.random.Generator | list[np.random.Generator], r: int, p: int) -> np.ndarray:
-    """Uniform[0, 1) draws for r rows, p per row, in row order.
-
-    A single generator supplies every row; a list (one generator per row) supplies row i
-    from rngs[i], so each agent's stream is consumed as if it encoded its own row alone.
-    """
-    if isinstance(rngs, np.random.Generator):
-        return rngs.random((r, p))
+def _uniforms(rngs: list[np.random.Generator], r: int, p: int) -> np.ndarray:
+    """Uniform[0, 1) draws for r rows, p per row: row i from rngs[i], so each agent's
+    stream is consumed as if it encoded its own row alone."""
     U = np.empty((r, p))
     for g, u in zip(rngs, U, strict=True):
         g.random(out=u)
     return U
 
 
-def _encode(scheme: CompressionScheme, Z: np.ndarray,
-            rngs: np.random.Generator | list[np.random.Generator] | None) -> np.ndarray:
+def _encode(scheme: CompressionScheme, Z: np.ndarray, rngs: list[np.random.Generator] | None) -> np.ndarray:
     """Apply the operator to every row of the (r, p) matrix Z; returns Q row for row.
 
     All randomness (dither for the quantizer, the Bernoulli mask for Random-k) comes from
-    `rngs` (see _uniforms); the other kinds never read it, so it may be None. Zero rows
-    map to zero for every scheme, and a zero row under the quantizer draws nothing.
+    `rngs`, one generator per row (see _uniforms); the other kinds never read it, so it
+    may be None. Zero rows map to zero for every scheme, and a zero row under the
+    quantizer draws nothing.
     """
     if not np.isfinite(Z).all():
         raise ValueError("compress: input has non-finite entries")
@@ -113,7 +108,7 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     s = np.abs(Z).max(axis=1, keepdims=True)
     nonzero = s[:, 0] != 0.0
     if not nonzero.all():
-        if isinstance(rngs, list):
+        if rngs is not None:
             rngs = [g for g, keep in zip(rngs, nonzero, strict=True) if keep]
         Q = np.zeros_like(Z)
         Q[nonzero] = _encode(scheme, Z[nonzero], rngs)
@@ -123,37 +118,6 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
         levels = np.floor(half_levels * np.abs(Z) / s + _uniforms(rngs, r, p))
         return (s / half_levels) * np.sign(Z) * levels
     return s * np.sign(Z)  # QNORMSIGNED
-
-
-def compress_vector(scheme: CompressionScheme, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Apply the operator to one vector; returns (Q(x), bit cost). The one-row case of _encode."""
-    x = np.asarray(x, dtype=float)
-    return _encode(scheme, x[None, :], rng)[0], bits_per_vector(scheme, x.shape[-1])
-
-
-def verify_contract(scheme: CompressionScheme, samples: list[np.ndarray], rng: np.random.Generator,
-                    n_draws: int = 10_000) -> tuple[float, float]:
-    """Measured contract constants: the max over samples of the empirical E||Q(x) - x||^2 / ||x||^2
-    (the constant C) and of E||Q(x)/r - x||^2 / ||x||^2 (the factor 1 - delta), from the same draws.
-
-    Each sample's draws are encoded in one call, as rows of one matrix.
-    """
-    draws = n_draws if scheme.kind in DRAWING_KINDS else 1
-    worst_C = worst_scaled = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        nx2 = float(x @ x)
-        if nx2 == 0.0:
-            raise ValueError("verify_contract: samples must be nonzero")
-        Q = _encode(scheme, np.tile(x, (draws, 1)), rng)
-        worst_C = max(worst_C, _sum_sq(Q - x) / draws / nx2)
-        worst_scaled = max(worst_scaled, _sum_sq(Q / scheme.r - x) / draws / nx2)
-    return worst_C, worst_scaled
-
-
-def _sum_sq(D: np.ndarray) -> float:
-    """Sum of the rows' squared norms, added one draw at a time in draw order."""
-    return float(np.cumsum(np.matmul(D[:, None, :], D[:, :, None]))[-1])
 
 
 def _quantizer_C(p: int, b: int) -> float:
@@ -276,9 +240,9 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
     return CompressedRound(Zhat=Zhat, Zhat_w=Zhat_w, Q=Q, bits=bits)
 
 
-# substream ids under one root seed: the two compressed streams' per-agent draws, the
-# initial state, and `cnext verify-ops`' Monte Carlo samples
-STREAM_X, STREAM_Y, STREAM_INIT, STREAM_MEASURE = 0, 1, 2, 3
+# substream ids under one root seed: the two compressed streams' per-agent draws and the
+# initial state
+STREAM_X, STREAM_Y, STREAM_INIT = 0, 1, 2
 
 
 def substream(seed: int, stream: int, i: int = 0) -> np.random.Generator:

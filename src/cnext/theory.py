@@ -191,8 +191,7 @@ def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
     return ContractionMatrix(A=np.array(A), theta=theta)
 
 
-def spectral_radius(M: ContractionMatrix | np.ndarray) -> float:
-    A = M.A if isinstance(M, ContractionMatrix) else np.asarray(M)
+def spectral_radius(A: np.ndarray) -> float:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -473,7 +472,8 @@ def _stated_floor_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarr
     rho, rt, b2, C = tc.rho, tc.rho_tilde, tc.beta ** 2, tc.C
     margin = 1.0 + 1e-9
     e2 = e5 = 1.0
-    e4 = 1.0 if C == 0.0 else 0.5 * _eps4_cap(tc, theta.gamma)
+    cap4 = _eps4_cap(tc, theta.gamma)  # none when C = 0 or gamma^2 beta^2 C^2 underflows
+    e4 = 0.5 * cap4 if math.isfinite(cap4) else 1.0
     e3 = 1.0 if b2 == 0.0 else \
         margin * 24.0 * theta.gamma * b2 * (3.0 * e2 + 3.0 * C * e4 + C * e5) / ((1.0 - rho) * rt)
     e1 = margin * _eps1_floor(tc, e2, e3, n) * e2

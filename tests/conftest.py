@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cnext.compress import ALL_KINDS, RANDOMK, TOPK, agent_streams, make_scheme
+from cnext.compress import (ALL_KINDS, DRAWING_KINDS, RANDOMK, TOPK, CompressionScheme, _encode,
+                            agent_streams, make_scheme)
 from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_objective, logistic_objective, ridge_closed_form_optimum
@@ -13,6 +14,31 @@ def all_schemes(p, k=2):
     Random-k and Top-k."""
     return [make_scheme(kind, p, b=2, k=(k if kind in (RANDOMK, TOPK) else None))
             for kind in ALL_KINDS]
+
+
+def verify_contract(scheme: CompressionScheme, samples: list[np.ndarray], rng: np.random.Generator,
+                    n_draws: int = 10_000) -> tuple[float, float]:
+    """Measured contract constants: the max over samples of the empirical E||Q(x) - x||^2 / ||x||^2
+    (the constant C) and of E||Q(x)/r - x||^2 / ||x||^2 (the factor 1 - delta), from the same draws.
+
+    Each sample's draws are encoded in one call, as rows of one matrix, every row from `rng`.
+    """
+    draws = n_draws if scheme.kind in DRAWING_KINDS else 1
+    worst_C = worst_scaled = 0.0
+    for x in samples:
+        x = np.asarray(x, dtype=float)
+        nx2 = float(x @ x)
+        if nx2 == 0.0:
+            raise ValueError("verify_contract: samples must be nonzero")
+        Q = _encode(scheme, np.tile(x, (draws, 1)), [rng] * draws)
+        worst_C = max(worst_C, _sum_sq(Q - x) / draws / nx2)
+        worst_scaled = max(worst_scaled, _sum_sq(Q / scheme.r - x) / draws / nx2)
+    return worst_C, worst_scaled
+
+
+def _sum_sq(D: np.ndarray) -> float:
+    """Sum of the rows' squared norms, added one draw at a time in draw order."""
+    return float(np.cumsum(np.matmul(D[:, None, :], D[:, :, None]))[-1])
 
 
 def xy_streams(seed, n):

@@ -17,14 +17,14 @@ import sys
 import numpy as np
 import pytest
 
-from cnext.compress import (CompressState, agent_streams, bits_per_vector, compress_round,
-                            compress_vector, make_scheme, verify_contract)
+from cnext.compress import (CompressState, _encode, agent_streams, bits_per_vector, compress_round,
+                            make_scheme)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           init_state, newton_directions, run, tracking_gap)
 from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
-from conftest import all_schemes, xy_streams, network_giant_reference
+from conftest import all_schemes, verify_contract, xy_streams, network_giant_reference
 
 
 def report(n, ok, msg):
@@ -128,7 +128,7 @@ def test_c04_operator_contracts():
     n_draws = 100_000
     draws = np.empty((n_draws, p))
     for i in range(n_draws):
-        draws[i], _ = compress_vector(qn, x, rng)
+        draws[i] = _encode(qn, x[None], [rng])[0]
     mean = draws.mean(axis=0)
     sig = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
     ok_unbiased = bool(np.all(np.abs(mean - x) <= 3.0 * sig + 1e-10))

@@ -307,36 +307,13 @@ def test_qnbbq_config_at_alpha_one_records_no_alpha_warning(tmp_path):
     assert not any("alpha" in w for w in man["resolved"]["theory_warnings"])
 
 
-def test_verify_ops_table_feeds_theory(tmp_path, capsys):
-    cfg, out = write_config(tmp_path, scheme={"kind": "qnormsigned"},
-                            hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
-                                         "alpha_x": 0.2, "alpha_y": 0.2})
-    assert main(["verify-ops", "-c", cfg]) == 0
-    capsys.readouterr()
-    table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
-    assert set(table) == {"identity", "qnbbq", "randomk", "topk", "qnormsigned"}
-    assert table["identity"]["C_measured"] == 0.0
-    # this config carries k=2, p=4, so the closed form is 1 - k/p = 0.5
-    assert table["randomk"]["C_measured"] == pytest.approx(table["randomk"]["C"], abs=0.05)
-    assert all(np.isfinite(row["C_measured"]) for row in table.values())
-    # the table's constants are the ones `cnext theory` certifies against
-    assert main(["theory", "-c", cfg]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["scheme"] == {key: value for key, value in table["qnormsigned"].items()
-                                if key != "C_measured"}
-
-
-@pytest.mark.parametrize("kind", ["qnbbq", "qnormsigned"])
-def test_verify_ops_constants_equal_run(tmp_path, kind):
-    # the table carries the very constant `run` certifies against; its Monte Carlo
-    # estimate on random samples may lie below that supremum, never above it
-    cfg, out = write_config(tmp_path, scheme={"kind": kind}, hyperparams={"T": 1})
-    assert main(["verify-ops", "-c", cfg]) == 0
-    table = json.loads(open(os.path.join(out, "ops_manifest.json")).read())["schemes"]
-    assert main(["run", "-c", cfg]) == 0
-    C = json.loads(open(os.path.join(out, "manifest.json")).read())["resolved"]["scheme"]["C"]
-    assert table[kind]["C"] == C
-    assert table[kind]["C_measured"] <= C * 1.05  # 2,000 draws per sample
+def test_verify_ops_is_gone(tmp_path):
+    # the scheme constants are closed-form (README "Scheme constants"); no command samples them
+    cfg, out = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ops", "-c", cfg])
+    assert exc.value.code == 2
+    assert not os.path.exists(os.path.join(out, "ops_manifest.json"))
 
 
 def _sweep_rows(path):

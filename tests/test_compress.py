@@ -8,26 +8,25 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from cnext.compress import (CompressState, CompressionScheme, _encode, agent_streams,
-                            bits_per_vector, compress_round, compress_vector, make_scheme,
-                            verify_contract, ALL_KINDS)
+                            bits_per_vector, compress_round, make_scheme, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
-from conftest import all_schemes
+from conftest import all_schemes, verify_contract
 
 
 def test_identity_passthrough():
     x = np.array([1.0, -2.0, 0.5])
     scheme = make_scheme("identity", 3)
-    q, bits = compress_vector(scheme, x, np.random.default_rng(0))
+    q = _encode(scheme, x[None], [np.random.default_rng(0)])[0]
     assert np.array_equal(q, x)
-    assert bits == 64 * 3
+    assert bits_per_vector(scheme, 3) == 64 * 3
 
 
 def test_quantizer_zero_guard():
     scheme = make_scheme("qnbbq", 6)
-    q, _ = compress_vector(scheme, np.zeros(6), np.random.default_rng(0))
+    q = _encode(scheme, np.zeros((1, 6)), [np.random.default_rng(0)])[0]
     assert np.array_equal(q, np.zeros(6))
     signed = make_scheme("qnormsigned", 6)
-    q, _ = compress_vector(signed, np.zeros(6), np.random.default_rng(0))
+    q = _encode(signed, np.zeros((1, 6)), [np.random.default_rng(0)])[0]
     assert np.array_equal(q, np.zeros(6))
 
 
@@ -39,7 +38,7 @@ def test_quantizer_dithered_unbiasedness():
     n_draws = 20_000  # the acceptance suite runs the full 1e5-draw version
     draws = np.empty((n_draws, 8))
     for i in range(n_draws):
-        draws[i], _ = compress_vector(scheme, x, rng)
+        draws[i] = _encode(scheme, x[None], [rng])[0]
     mean = draws.mean(axis=0)
     sigma_mean = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
     # the max-magnitude coordinate is reconstructed exactly (sigma = 0); allow
@@ -55,7 +54,7 @@ def test_randomk_expected_error():
     n_draws = 20_000  # the acceptance suite runs the full 1e5-draw version
     acc = 0.0
     for _ in range(n_draws):
-        q, _ = compress_vector(scheme, x, rng)
+        q = _encode(scheme, x[None], [rng])[0]
         acc += float(np.sum((q - x) ** 2))
     ratio = acc / n_draws / float(x @ x)
     assert ratio == pytest.approx(0.75, abs=0.02)
@@ -64,11 +63,11 @@ def test_randomk_expected_error():
 def test_topk_keep_all_and_ties():
     scheme = make_scheme("topk", 4, k=4)
     x = np.array([0.1, -3.0, 2.0, 0.0])
-    q, _ = compress_vector(scheme, x, np.random.default_rng(0))
+    q = _encode(scheme, x[None], [np.random.default_rng(0)])[0]
     assert np.array_equal(q, x)
     # magnitude ties break toward the lowest index
     scheme2 = make_scheme("topk", 4, k=2)
-    q2, _ = compress_vector(scheme2, np.array([2.0, -2.0, 1.0, 2.0]), np.random.default_rng(0))
+    q2 = _encode(scheme2, np.array([[2.0, -2.0, 1.0, 2.0]]), [np.random.default_rng(0)])[0]
     assert np.array_equal(q2, np.array([2.0, -2.0, 0.0, 0.0]))
 
 
@@ -216,7 +215,7 @@ def test_quantizer_constant_at_exact_levels(b):
         rng = np.random.default_rng(b)
         for x in X[:2]:
             for _ in range(20):
-                assert np.array_equal(compress_vector(scheme, x, rng)[0], x)
+                assert np.array_equal(_encode(scheme, x[None], [rng])[0], x)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -264,7 +263,7 @@ def test_conditional_contract_bound():
         for _ in range(n_draws):
             err = 0.0
             for i in range(n):
-                q, _ = compress_vector(scheme, Z[i] - H[i], rng)
+                q = _encode(scheme, (Z[i] - H[i])[None], [rng])[0]
                 zhat_i = q + H[i]
                 err += float(np.sum((Z[i] - zhat_i) ** 2))
             acc += err
@@ -445,7 +444,7 @@ def test_round_identities_hold_exactly():
 def test_input_validation():
     scheme = make_scheme("topk", 4, k=2)
     with pytest.raises(ValueError):
-        compress_vector(scheme, np.array([1.0, np.nan, 0.0, 0.0]), np.random.default_rng(0))
+        _encode(scheme, np.array([[1.0, np.nan, 0.0, 0.0]]), [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         make_scheme("randomk", 4, k=9)
     net = metropolis_hastings_weights(build_ring(3))
@@ -469,7 +468,7 @@ def test_topk_worst_case_bound(x):
     # deterministic property: dropping p-k coordinates never removes more than the
     # worst-case (1 - k/p) fraction of the energy
     scheme = make_scheme("topk", 6, k=2)
-    q, _ = compress_vector(scheme, x, np.random.default_rng(0))
+    q = _encode(scheme, x[None], [np.random.default_rng(0)])[0]
     assert float(np.sum((q - x) ** 2)) <= (1.0 - 2 / 6) * float(x @ x) * (1 + 1e-12) + 1e-12
 
 
@@ -481,9 +480,9 @@ _SCHEMES_P5 = all_schemes(5, k=2)
 def test_operators_produce_finite_output(x, seed):
     rng = np.random.default_rng(seed)
     for scheme in _SCHEMES_P5:
-        q, bits = compress_vector(scheme, x, rng)
+        q = _encode(scheme, x[None], [rng])[0]
         assert np.all(np.isfinite(q))
-        assert bits > 0
+        assert bits_per_vector(scheme, 5) > 0
 
 
 def test_agent_streams_are_deterministic_and_independent():

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext import solver
-from cnext.compress import CompressState, agent_streams, compress_round, make_scheme
+from cnext.compress import CompressState, _encode, agent_streams, compress_round, make_scheme
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import centralized_newton, logistic_objective, ridge_closed_form_optimum
@@ -107,6 +107,39 @@ def test_seed_determinism(small_ridge):
     assert a == b
     c = run(obj, net, scheme, hp, MODE_CNEXT, seed=43)
     assert any(ra != rc for ra, rc in zip(a, c))
+
+
+def _spawned(seed, *key):
+    """The generator for spawn key `key` of `seed`, built apart from compress.substream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def test_initial_state_draws_from_spawn_key_2_0(small_ridge):
+    obj, net = small_ridge
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=1)
+    X0 = _spawned(11, 2, 0).uniform(size=(net.n, obj.p))
+    assert np.array_equal(init_state(obj, net, hp, 11).X, X0)
+
+
+def test_quantizer_round_draws_agent_i_from_spawn_keys_0_i_and_1_i(small_ridge, monkeypatch):
+    # row i of a round's X stack encodes with (0, i), row i of its Y stack with (1, i)
+    obj, net = small_ridge
+    p, rounds = obj.p, []
+
+    def spy(comp, Z, scheme, W, rngs):
+        D = (Z - comp.H).reshape(-1, p)
+        out = compress_round(comp, Z, scheme, W, rngs)
+        rounds.append((D, out.Q.reshape(-1, p)))
+        return out
+
+    monkeypatch.setattr(solver, "compress_round", spy)
+    scheme = make_scheme("qnbbq", p)
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=1)
+    run(obj, net, scheme, hp, MODE_CNEXT, 11)
+    (D, Q), = rounds
+    keys = [(s, i) for s in (0, 1) for i in range(net.n)]
+    assert np.array_equal(Q, _encode(scheme, D, [_spawned(11, *key) for key in keys]))
+    assert not np.array_equal(Q, _encode(scheme, D, [_spawned(11, 1 - s, i) for s, i in keys]))
 
 
 def test_newton_direction_deviation_bound(small_ridge):
