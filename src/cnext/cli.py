@@ -71,7 +71,6 @@ class Experiment:
             self.test_data = self.ds.test() if self.ds.test_idx.size else None
         self.scheme = self.build_scheme(cfg.scheme)
         self.x_star = baseline_optimum(self.obj)
-        self.f_star = self.obj.value(self.x_star)
 
     @property
     def p(self) -> int:
@@ -155,7 +154,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     try:
         for seed in seeds:
             records = run(exp.obj, exp.net, scheme, hp, mode, seed,
-                          x_star=exp.x_star, f_star=exp.f_star, test_data=exp.test_data)
+                          x_star=exp.x_star, test_data=exp.test_data)
             per_seed.append(records)
             if len(seeds) > 1:
                 atomic_write(os.path.join(cfg.output_dir, f"trace_seed{seed}.csv"),
@@ -192,7 +191,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                  "hyperparams": asdict(v.hyperparams), "diverged": None}
         try:
             records = run(exp.obj, exp.net, scheme, v.hyperparams, v.mode, cfg.seed,
-                          x_star=exp.x_star, f_star=exp.f_star, test_data=exp.test_data)
+                          x_star=exp.x_star, test_data=exp.test_data)
         except (DivergenceError, NumericalError) as exc:
             # a diverging variant is a comparison outcome, not a harness failure
             entry["diverged"] = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}

@@ -3,6 +3,7 @@ and the centralized baseline."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,8 @@ class Objective:
 
     Agent i holds features A[i] (m x p) and targets or +-1 labels b[i] (m,); every agent
     has the same m. Ridge: f_i(x) = ||A_i x - b_i||^2 + lam ||x||^2, whose Hessians
-    H_i = 2 A_i^T A_i + 2 lam I are constant and are formed and inverted once, here.
+    H_i = 2 A_i^T A_i + 2 lam I are constant and are formed and inverted once, here, as
+    is the Cholesky factor of their mean, the Hessian of f.
     Logistic: f_i(x) = mean log(1 + exp(-b_i * A_i x)) + (lam/2) ||x||^2.
     """
 
@@ -84,6 +86,7 @@ class Objective:
             self.H = 2.0 * G + 2.0 * self.lam * np.eye(self.p)
             self.c = 2.0 * _mv(_T(self.A), self.b)  # grad f_i(x) = H_i x - c_i
             self._H_inv = np.linalg.inv(self.H)
+            self._H_mean_chol = np.linalg.cholesky(self.H.mean(axis=0))  # lower L, L L^T
         self.mu, self.L = self._curvature_bounds(G)
 
     def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
@@ -121,6 +124,44 @@ class Objective:
             return float(np.sum(res * res)) / self.n + self.lam * float(x @ x)
         margins = self.b * _mv(self.A, x)
         return float(np.mean(_logistic_loss(margins))) + 0.5 * self.lam * float(x @ x)
+
+    def residual_fn(self, x_star: np.ndarray) -> Callable[[np.ndarray], float]:
+        """The residual x -> f(x) - f(x*), with all that depends on x* formed here, once.
+
+        Ridge, where x* must be the minimizer: f is quadratic with Hessian L L^T, so the
+        residual is (1/2) ||L^T (x - x*)||^2. A call costs O(p^2), reads no sample, and
+        is >= 0 with no floor at ulp(f*).
+        Logistic, at any x*: sample j adds log1p(sigma(-m*_j) expm1(m*_j - m_j)) to the
+        mean, with m and m* the margins at x and x* and m* - m = b A (x* - x), and the
+        regularizer adds (lam/2) (x - x*)^T (x + x*); no two totals are subtracted. A
+        sample whose loss falls by more than log 2 (where log1p loses digits) or
+        overflows takes the plain difference of its two losses, which is exact enough there.
+        """
+        x_star = np.array(x_star, dtype=float)
+        if self.kind == RIDGE:
+            L = self._H_mean_chol
+
+            def ridge_residual(x: np.ndarray) -> float:
+                v = (x - x_star) @ L
+                return 0.5 * float(v @ v)
+            return ridge_residual
+        m_star = (self.b * _mv(self.A, x_star)).ravel()
+        s_star = expit(-m_star)
+
+        def logistic_residual(x: np.ndarray) -> float:
+            shift = (self.b * _mv(self.A, x_star - x)).ravel()  # m* - m
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                z = np.expm1(shift)
+                z *= s_star
+                far = None
+                if not (z.min() > -0.5 and z.max() < np.inf):
+                    far = np.flatnonzero(~((z > -0.5) & (z < np.inf)))
+                gaps = np.log1p(z, out=z)
+            if far is not None:
+                m_far = m_star[far]
+                gaps[far] = _logistic_loss(m_far - shift[far]) - _logistic_loss(m_far)
+            return float(np.mean(gaps)) + 0.5 * self.lam * float((x - x_star) @ (x + x_star))
+        return logistic_residual
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Global gradient (1/n) sum_i grad f_i(x)."""

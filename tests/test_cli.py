@@ -153,7 +153,7 @@ def test_averaging_one_seed_is_its_trace(tmp_path):
     cfg, _ = write_config(tmp_path)
     exp = Experiment(load_config(cfg))
     records = run(exp.obj, exp.net, exp.scheme, exp.cfg.hyperparams, exp.cfg.mode, 42,
-                  x_star=exp.x_star, f_star=exp.f_star)
+                  x_star=exp.x_star)
     assert averaged_csv([records]) == records_to_csv(records)
 
 

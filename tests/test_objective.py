@@ -1,7 +1,10 @@
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnext.objective import (ConvergenceError, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum, ridge_objective)
@@ -129,6 +132,84 @@ def test_logistic_loss_matches_logaddexp(margin):
 def test_logistic_loss_is_log2_at_zero():
     obj = make_logistic()
     assert obj.value(np.zeros(obj.p)) == np.log(2.0)
+
+
+def test_ridge_residual_matches_an_exact_rational_reference():
+    # an instance whose minimizer is exact in binary: with A_0 = I, choosing b_0 makes the
+    # normal equations sum_i A_i^T b_i = (sum_i A_i^T A_i + n lam I) x* hold exactly
+    lam, x_star = 0.5, np.array([0.5, -0.25])
+    A = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [3.0, -1.0]]])
+    b1 = np.array([1.0, -1.0])
+    rhs = (np.eye(2) + A[1].T @ A[1] + 2 * lam * np.eye(2)) @ x_star
+    obj = ridge_objective((A, np.stack([rhs - A[1].T @ b1, b1])), lam)
+
+    def f(x):  # f(x) in exact arithmetic, at the float x
+        x = [Fraction(v) for v in x]
+        sq = sum((sum(Fraction(a) * v for a, v in zip(row, x)) - Fraction(bj)) ** 2
+                 for Ai, bi in zip(obj.A, obj.b) for row, bj in zip(Ai, bi))
+        return sq / obj.n + Fraction(lam) * sum(v * v for v in x)
+
+    x = x_star + np.array([1e-9, -2e-9])
+    exact = f(x) - f(x_star)
+    assert 0 < exact < 1e-16
+    assert abs(Fraction(obj.residual_fn(x_star)(x)) - exact) <= 1e-14 * exact
+    # the difference of two totals reads roundoff at this distance
+    assert abs(Fraction(obj.value(x) - obj.value(x_star)) - exact) > exact
+
+
+def _decimal_gap(obj, x, x_star):
+    """f(x) - f(x*) for the logistic f, to 60 digits, at the float x and x*."""
+    def f(x):
+        x = [Decimal(float(v)) for v in x]
+        loss = sum((1 + (-Decimal(float(bj)) * sum(Decimal(float(a)) * v for a, v in zip(row, x))).exp()).ln()
+                   for Ai, bi in zip(obj.A, obj.b) for row, bj in zip(Ai, bi))
+        return loss / obj.b.size + Decimal(obj.lam) / 2 * sum(v * v for v in x)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return f(x) - f(x_star)
+
+
+def test_logistic_residual_matches_a_60_digit_reference():
+    obj = make_logistic()
+    rng = np.random.default_rng(11)
+    x_star = rng.standard_normal(obj.p)
+    x = x_star + 1e-9 * rng.standard_normal(obj.p)  # margins move by about 1e-9
+    exact = _decimal_gap(obj, x, x_star)
+    error = abs(Decimal(obj.residual_fn(x_star)(x)) - exact)
+    old_error = abs(Decimal(obj.value(x) - obj.value(x_star)) - exact)
+    assert error <= Decimal(1e-13) * abs(exact)
+    assert old_error > 1000 * error
+
+
+@pytest.mark.parametrize("star_scale, scale", [(1.0, 1e2), (1.0, 1e4), (1e3, 1.0), (1e3, 1e3)])
+def test_logistic_residual_far_from_x_star(star_scale, scale):
+    # margins that overflow expm1, or a loss that falls by more than log 2, take the plain
+    # difference of the two losses; the residual stays finite, silent and accurate
+    obj = make_logistic()
+    rng = np.random.default_rng(12)
+    x_star = star_scale * rng.standard_normal(obj.p)
+    residual = obj.residual_fn(x_star)
+    for _ in range(3):
+        x = x_star + scale * rng.standard_normal(obj.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = residual(x)
+        exact = _decimal_gap(obj, x, x_star)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-13) * abs(exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0), lam=st.floats(1e-3, 10.0))
+def test_ridge_residual_is_nonnegative_and_the_value_gap(seed, scale, lam):
+    rng = np.random.default_rng(seed)
+    obj = ridge_objective((rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 6))), lam)
+    x_star = ridge_closed_form_optimum(obj)
+    f_star = obj.value(x_star)
+    x = x_star + scale * rng.standard_normal(obj.p)
+    got = obj.residual_fn(x_star)(x)
+    assert got >= 0.0
+    assert abs(got - (obj.value(x) - f_star)) <= 1e-12 * abs(f_star)
 
 
 def test_closed_form_identity_features():

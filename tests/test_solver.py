@@ -13,7 +13,8 @@ from cnext import solver
 from cnext.compress import CompressState, _encode, agent_streams, compress_round, make_scheme
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
-from cnext.objective import centralized_newton, logistic_objective, ridge_closed_form_optimum
+from cnext.objective import (Objective, centralized_newton, logistic_objective,
+                             ridge_closed_form_optimum)
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
                           measure_errors, newton_directions, run, step, tracking_gap,
@@ -217,6 +218,18 @@ def test_t_zero_single_record(small_ridge):
     recs = run(obj, net, make_scheme("identity", obj.p), hp, MODE_CNEXT, seed=2)
     assert len(recs) == 1
     assert recs[0].t == 0 and recs[0].bits_cum == 0
+
+
+def test_ridge_rounds_make_no_pass_over_the_samples(small_ridge, monkeypatch):
+    # the ridge residual reads no sample, so a run never evaluates f itself
+    obj, net = small_ridge
+    calls = []
+    value = Objective.value
+    monkeypatch.setattr(Objective, "value", lambda self, x: calls.append(x) or value(self, x))
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=20)
+    recs = run(obj, net, make_scheme("identity", obj.p), hp, MODE_CNEXT, seed=2)
+    assert len(recs) == hp.T + 1 and recs[-1].residual < recs[0].residual
+    assert not calls
 
 
 def test_tol_stops_early(small_ridge):
