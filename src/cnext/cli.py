@@ -24,7 +24,7 @@ from .data import build_locals, generate_ridge_synthetic, load_covtype, partitio
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
-                     baseline_optimum, run, warn_theory_violations)
+                     baseline_optimum, mode_scheme, run, warn_theory_violations)
 from .theory import DomainError, Theta, TheoryConstants, contraction_rate, evaluate, rho_below
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
@@ -188,7 +188,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for v in cfg.variants:
         scheme = exp.build_scheme(v.scheme)
         entry = {"scheme": _scheme_dict(scheme), "mode": v.mode,
-                 "hyperparams": asdict(v.hyperparams), "diverged": None}
+                 "hyperparams": asdict(v.hyperparams), "diverged": None,
+                 "theory_warnings": warn_theory_violations(v.hyperparams, exp.obj,
+                                                           mode_scheme(v.mode, scheme, exp.p))}
         try:
             records = run(exp.obj, exp.net, scheme, v.hyperparams, v.mode, cfg.seed,
                           x_star=exp.x_star, test_data=exp.test_data)

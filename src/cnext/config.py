@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .compress import ALL_KINDS
 from .solver import HyperParams, MODES, MODE_CNEXT
@@ -114,6 +114,18 @@ class ExperimentConfig:
         return d
 
 
+def _known(block: dict, keys, path: str) -> dict:
+    """block, after rejecting its first key outside `keys` as an unknown field of `path`."""
+    unknown = [key for key in block if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown field {path}{unknown[0]} (known: {', '.join(keys)})")
+    return block
+
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _req(block: dict, key: str, path: str):
     if key not in block or block[key] is None:
         raise ConfigError(f"missing required field {path}.{key}")
@@ -130,13 +142,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
     try:
-        obj_raw = _req(raw, "objective", "$")
+        _known(raw, ("objective", "network", "scheme", "hyperparams", "mode", "seed", "seeds",
+                     "output_dir", "compare", "theory"), "")
+        obj_raw = _known(_req(raw, "objective", "$"), ("kind", "lambda", "data"), "objective.")
         kind = _req(obj_raw, "kind", "objective")
         if kind not in ("ridge", "logistic"):
             raise ConfigError(f"objective.kind must be ridge|logistic, got {kind!r}")
         defaults = RIDGE_DEFAULTS if kind == "ridge" else LOGISTIC_DEFAULTS
         lam = float(_opt(obj_raw, "lambda", defaults["lambda"]))
-        data_raw = _opt(obj_raw, "data", {})
+        data_raw = _known(_opt(obj_raw, "data", {}), _names(DataConfig), "objective.data.")
         source = _opt(data_raw, "source", "synthetic" if kind == "ridge" else "covtype")
         if source not in ("synthetic", "covtype"):
             raise ConfigError(f"objective.data.source must be synthetic|covtype, got {source!r}")
@@ -152,7 +166,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           p_reduced=int(_opt(data_raw, "p_reduced", 10)))
         objective = ObjectiveConfig(kind=kind, lam=lam, data=data)
 
-        net_raw = _req(raw, "network", "$")
+        net_raw = _known(_req(raw, "network", "$"), _names(NetworkConfig), "network.")
         net_kind = _req(net_raw, "kind", "network")
         if net_kind not in ("ring", "expander", "custom"):
             raise ConfigError(f"network.kind must be ring|expander|custom, got {net_kind!r}")
@@ -167,7 +181,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     and all(isinstance(row, list) and len(row) == n for row in adj)):
                 raise ConfigError(f"network.adjacency must be an n x n list of rows, n = {n}")
 
-        hp_raw = _opt(raw, "hyperparams", {})
+        hp_raw = _known(_opt(raw, "hyperparams", {}), _names(HyperParams), "hyperparams.")
         scheme, hyper = _resolve(_req(raw, "scheme", "$"), (hp_raw,), objective, net_kind, "")
         mode = _opt(raw, "mode", MODE_CNEXT)
         if mode not in MODES:
@@ -178,8 +192,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             # equal-length traces
             raise ConfigError("seeds: averaging over several seeds needs hyperparams.tol = 0")
         variants = []
-        for i, v in enumerate(_opt(raw, "compare", {}).get("variants", [])):
+        compare = _known(_opt(raw, "compare", {}), ("variants",), "compare.")
+        for i, v in enumerate(compare.get("variants", [])):
             vpath = f"compare.variants[{i}]"
+            _known(v, ("name", "mode", "scheme", "eta", "gamma"), vpath + ".")
             vmode = _opt(v, "mode", MODE_CNEXT)
             if vmode not in MODES:
                 raise ConfigError(f"{vpath}.mode invalid: {vmode!r}")
@@ -188,7 +204,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                        net_kind, f"{vpath}.")
             variants.append(Variant(name=_opt(v, "name", f"{vmode}:{vscheme.kind}"),
                                     mode=vmode, scheme=vscheme, hyperparams=vhyper))
-        theory_raw = _opt(raw, "theory", {})
+        theory_raw = _known(_opt(raw, "theory", {}), ("tau_x", "tau_y", "eps"), "theory.")
         eps = theory_raw.get("eps")
         if eps is not None:
             eps = tuple(float(e) for e in eps)
@@ -216,7 +232,7 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
     (RIDGE_TUNED, or LOGISTIC_GAMMA_ETA by topology), else the objective's default.
     For ridge, an omitted k for random-k / top-k takes the tuned k.
     """
-    kind = _req(scheme_raw, "kind", path + "scheme")
+    kind = _req(_known(scheme_raw, _names(SchemeConfig), path + "scheme."), "kind", path + "scheme")
     if kind not in ALL_KINDS:
         raise ConfigError(f"{path}scheme.kind must be one of {ALL_KINDS}, got {kind!r}")
     if objective.kind == "ridge":

@@ -86,6 +86,11 @@ class HyperParams:
             raise ValueError("T and tol must be nonnegative")
 
 
+def mode_scheme(mode: str, scheme: CompressionScheme, p: int) -> CompressionScheme:
+    """The scheme a run in `mode` communicates with: identity in the uncompressed mode."""
+    return make_scheme(IDENTITY, p) if mode == MODE_UNCOMPRESSED_GIANT else scheme
+
+
 def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionScheme) -> list[str]:
     """Flag (without rejecting) hyperparameters outside the sufficient-condition ranges."""
     msgs = []
@@ -268,8 +273,7 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     `f_star` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so
     it stays until the benchmark's next change drops it there.
     """
-    if mode == MODE_UNCOMPRESSED_GIANT:  # the one place that mode's scheme is chosen
-        scheme = make_scheme(IDENTITY, obj.p)
+    scheme = mode_scheme(mode, scheme, obj.p)
     if x_star is None:
         x_star = baseline_optimum(obj)
     residual = obj.residual_fn(x_star)

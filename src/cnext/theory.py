@@ -6,7 +6,7 @@ eta <= min(2L/(3mu), mu/L); rho(A) < 1 then yields a linear rate. The sufficient
 conditions bound eta and gamma through a positive certificate vector
 eps = (eps1, eps2, L^2 eps3, eps4, L^2 eps5) with A eps <= q eps, q = 1 - eta/(2 kappa).
 For eta > 0, A is nonnegative and q < 1, so the certificate alone gives rho(A) <= q < 1
-(the Collatz-Wielandt bound): the search for eps decides no eigenvalue, the report one.
+(the Collatz-Wielandt bound): `default_epsilon` decides no eigenvalue, the report one.
 
 Both yes/no decisions the report rests on are exact for the float64 A, eps and q it is
 given, whose entries are dyadic rationals. rho(A) < 1 is read from float64 eigenvalues
@@ -284,7 +284,7 @@ def evaluate(tc: TheoryConstants, theta: Theta, n: int,
     when A(theta) cannot be formed."""
     A = build_A(tc, theta, n).A
     if eps is None:
-        eps = _search(tc, theta, n, A, None)
+        eps = _epsilon(tc, theta, n, A)
     return A, _conditions_report(tc, theta, eps, n, A, None)
 
 
@@ -308,10 +308,10 @@ _SYSTEM = {"eps1_over_eps2": ("lhs", "rhs"), "eps4_over_eps2": ("lhs", "rhs"),
 
 
 def _scalar_conditions(tc: TheoryConstants, theta: Theta, e: list, n: int, A: np.ndarray | None,
-                       reason: str | None, decide_rho: bool, sqrt=math.sqrt) -> tuple:
+                       reason: str | None, sqrt=math.sqrt) -> tuple:
     """Every bound, system entry, flag and decision of the report, each computed once from
     the five scalars e: (eta bounds, gamma bounds, system entries, (eta, gamma, system)
-    flags, (ok, reason, rho_A, rho_lt_1) of the direct check, (pass, count of ok flags))."""
+    flags, (ok, reason, rho_A, rho_lt_1) of the direct check, pass)."""
     e1, e2, e3, e4, e5 = e
     kappa, k2, k3 = float(tc.kappa), float(tc.kappa ** 2), float(tc.kappa ** 3)
     eta, gamma, C = theta.eta, theta.gamma, tc.C
@@ -345,20 +345,16 @@ def _scalar_conditions(tc: TheoryConstants, theta: Theta, e: list, n: int, A: np
         q, L2 = contraction_rate(eta, kappa), float(tc.L ** 2)
         v = [e1, e2, L2 * e3, e4, L2 * e5]
         ok = _certificate_holds(A.tolist(), v, q)
-        if not decide_rho:  # the search: A >= 0, v > 0, A v <= q v, q < 1 give rho(A) <= q
-            rho_lt_1 = ok and q < 1.0 and A.min() >= 0.0 and min(v) > 0.0
-        else:
-            try:
-                rho_A, rho_lt_1 = _rho_and_flag(A)
-            except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
-                reason = str(exc)
+        try:
+            rho_A, rho_lt_1 = _rho_and_flag(A)
+        except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
+            reason = str(exc)
     passed = bool(all(map(all, flags)) and ok and rho_lt_1)
-    return eta_bounds, gamma_bounds, system, flags, (ok, reason, rho_A, rho_lt_1), \
-        (passed, sum(map(sum, flags)) + ok)
+    return eta_bounds, gamma_bounds, system, flags, (ok, reason, rho_A, rho_lt_1), passed
 
 
 def _conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.ndarray | None,
-                reason: str | None, decide_rho: bool) -> tuple[list[float], tuple]:
+                reason: str | None) -> tuple[list[float], tuple]:
     """(eps as floats, _scalar_conditions on it) in Python floats; in numpy float64, with IEEE
     inf and nan, where those raise (a zero division or the root of a negative number)."""
     eps = np.asarray(eps, dtype=float)
@@ -366,16 +362,16 @@ def _conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: n
     if eps.shape != (5,) or not all(x > 0 for x in e):  # a NaN entry fails too
         raise ValueError("eps must be 5 strictly positive reals")
     try:
-        return e, _scalar_conditions(tc, theta, e, n, A, reason, decide_rho)
+        return e, _scalar_conditions(tc, theta, e, n, A, reason)
     except (ArithmeticError, ValueError):
-        return e, _scalar_conditions(tc, theta, list(eps), n, A, reason, decide_rho, np.sqrt)
+        return e, _scalar_conditions(tc, theta, list(eps), n, A, reason, np.sqrt)
 
 
 def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
                        A: np.ndarray | None, reason: str | None) -> dict:
     """The check_sufficient_conditions report: _scalar_conditions, named."""
-    e, (eta_bounds, gamma_bounds, system, (stsz, constsz, system_ok), direct, (passed, _)) = \
-        _conditions(tc, theta, eps, n, A, reason, True)
+    e, (eta_bounds, gamma_bounds, system, (stsz, constsz, system_ok), direct, passed) = \
+        _conditions(tc, theta, eps, n, A, reason)
     return {
         "theta": dict(vars(theta)),
         "eps": e,
@@ -393,78 +389,81 @@ def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: in
 
 
 def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
-    """Deterministic construction of the certificate vector for check_sufficient_conditions.
-
-    Candidates are checked in order, and the first that passes every check is returned;
-    if none passes, the one passing the most individual checks (the earliest on a tie).
-    When A(theta) can be formed, `_chained_candidates` come first: with eps2 = 1 and
-    q = 1 - eta/(2 kappa), they chain the rows of A(theta) into floors and caps with a 5%
-    margin (rows 1 and 3 floor eps1 and eps3, row 2's slack and the stated eps4/eps2 bound
-    cap eps4, rows 4 and 5 floor eps4 and eps5), try eps5 at 1, 1e2, 1e4 and 1e8 times its
-    floor under row 3's cap, and feed the eps4/eps5 inflow back into the eps3 floor for up
-    to three passes. The last candidate, `_stated_floor_epsilon`, sets eps2 = eps5 = 1 and
-    chains the stated structural inequalities alone into equalities.
-    """
-    return _search(tc, theta, n, *_formed(tc, theta, n))
+    """The certificate vector for check_sufficient_conditions: the least one in the rows of
+    A(theta), or `_stated_floor_epsilon` where none exists or A(theta) cannot be formed."""
+    return _epsilon(tc, theta, n, _formed(tc, theta, n)[0])
 
 
-def _search(tc: TheoryConstants, theta: Theta, n: int, A: np.ndarray | None,
-            reason: str | None) -> np.ndarray:
-    candidates = [] if A is None else _chained_candidates(A, tc, theta, n)
-    candidates.append(_stated_floor_epsilon(tc, theta, n))
-    best, best_key = None, (False, -1)
-    for eps in candidates:
-        key = _conditions(tc, theta, eps, n, A, reason, False)[1][-1]  # (pass, ok flags)
-        if key > best_key:
-            best, best_key = eps, key
-        if key[0]:
-            return eps
-    return best
+def _epsilon(tc: TheoryConstants, theta: Theta, n: int, A: np.ndarray | None) -> np.ndarray:
+    try:
+        e = None if A is None else _least_certificate(_rows(A, tc, theta, n))
+    except ArithmeticError:  # rho_tilde or 1 - rho is 0, or a power of kappa overflows
+        e = None
+    return _stated_floor_epsilon(tc, theta, n) if e is None else e
 
 
-def _chained_candidates(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[np.ndarray]:
-    """The row-chained candidates of default_epsilon. eps5 is scanned upward because the
-    gamma bound of the last stated condition grows with it until saturation."""
-    L, margin, q = tc.L, 1.05, contraction_rate(theta.eta, tc.kappa)
-    out: list[np.ndarray] = []
-    if q <= A[0, 0] or q <= A[2, 2] or q <= A[3, 3] or q <= A[4, 4]:
-        return out
-    e2 = 1.0
-    # row 3 ignoring the eps4/eps5 inflow (they are re-added below), then row 1
-    e3 = max(margin * (A[2, 1] * e2) / ((q - A[2, 2]) * L ** 2), 1e-12)
-    for _ in range(3):  # short fixed-point pass for the circular eps3/eps1/eps4/eps5 terms
-        e1_direct = (A[0, 1] * e2 + A[0, 2] * L ** 2 * e3) / (q - A[0, 0])
-        e1 = margin * max(e1_direct, _eps1_floor(tc, e2, e3, n) * e2)
-        # row 2 slack caps eps4 (A[1,3] = 0 for C = 0: unconstrained)
-        slack2 = (q - A[1, 1]) * e2 - A[1, 0] * e1 - A[1, 2] * L ** 2 * e3
-        if slack2 <= 0:
-            return out
-        cap4_direct = np.inf if A[1, 3] == 0.0 else slack2 / (A[1, 3] * margin)
-        floor4 = margin * (A[3, 0] * e1 + A[3, 1] * e2 + A[3, 2] * L ** 2 * e3) / (q - A[3, 3])
-        e4 = min(cap4_direct, _eps4_cap(tc, theta.gamma), max(floor4, 1.0) * 1e12)
-        if e4 < floor4:
-            return out
-        e4 = max(0.9 * e4, floor4)
-        floor5 = max(margin * (A[4, 0] * e1 + A[4, 1] * e2 + A[4, 2] * L ** 2 * e3
-                               + A[4, 3] * e4) / ((q - A[4, 4]) * L ** 2), 1e-12)
-        # row 3 slack caps eps5 through A[2,4] (zero when C = 0)
-        slack3 = (q - A[2, 2]) * L ** 2 * e3 - A[2, 0] * e1 - A[2, 1] * e2 - A[2, 3] * e4
-        cap5 = np.inf if A[2, 4] == 0.0 else slack3 / (A[2, 4] * L ** 2 * margin)
-        for mult5 in (1.0, 1e2, 1e4, 1e8):
-            e5 = min(floor5 * mult5, cap5)
-            if e5 < floor5:
-                continue
-            eps = np.array([e1, e2, e3, e4, e5])
-            if np.all(eps > 0) and np.all(np.isfinite(eps)):
-                out.append(eps)
-        # feed the eps4/eps5 inflow back into the row-3 floor
-        e5_ref = min(floor5 * 1e4, cap5) if np.isfinite(cap5) else floor5 * 1e4
-        e3_new = margin * (A[2, 0] * e1 + A[2, 1] * e2 + A[2, 3] * e4
-                           + A[2, 4] * L ** 2 * max(e5_ref, floor5)) / ((q - A[2, 2]) * L ** 2)
-        if not np.isfinite(e3_new) or e3_new <= 0 or abs(e3_new - e3) <= 1e-6 * e3:
-            break
-        e3 = max(e3, e3_new)
-    return out
+# the eps entry each row of `_rows` bounds from below, the rows of each entry, the pivots
+_ROW_ENTRY = (0, 1, 2, 3, 4, 0, 0, 1, 1, 2, 2, 3, 4)
+_GROUPS = [[k for k, i in enumerate(_ROW_ENTRY) if i == entry] for entry in range(5)]
+_PIVOTS = (np.arange(13), np.array(_ROW_ENTRY))
+
+
+def _rows(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[list[float]]:
+    """The 13 checks of the report that read eps, squared or cross-multiplied into rows of
+    M that hold when M[k] @ eps >= 0. Row k bounds entry i = _ROW_ENTRY[k]: M[k][i] is its
+    pivot coefficient and the other entries are <= 0. Rows 0-4 are the certificate (qI - A) D,
+    D = diag(1, 1, L^2, 1, L^2), with pivots (q - A_ii) D_ii, exact as q and A_ii are floats
+    near 1; then eps_ratio and the eps1/eps2 floor, row2_sqrt_proof and the eps4/eps2 cap,
+    row3_sqrt and the eps3 floor's rhs_proof, row4_sqrt, and row5_sqrt."""
+    eta, gamma, g2, C, rho, rt = theta.eta, theta.gamma, theta.gamma ** 2, tc.C, tc.rho, tc.rho_tilde
+    kappa, k2, mu2, L2 = float(tc.kappa), float(tc.kappa ** 2), float(tc.mu ** 2), float(tc.L ** 2)
+    # q less two ulps: float64 misses the exact rate 1 - eta mu/(2L), which is at least 1/2
+    # under the step cap, by less than that, so a certificate for this q holds for both
+    q, d = contraction_rate(eta, kappa) - 2.0 ** -52, (1.0, 1.0, L2, 1.0, L2)
+    M = [[(q - a if i == j else -a) * dj for j, (a, dj) in enumerate(zip(row, d))]
+         for i, row in enumerate(A.tolist())]
+    ke, sq = k2 * eta ** 2, gamma * (1.0 - rho) * (1.0 - rt)  # the sqrt bounds, squared
+    inv_cap = 8.0 * g2 * tc.beta ** 2 * C ** 2 / ((1.0 - rt) * (1.0 - rho))  # 1 / _eps4_cap
+    f3 = 24.0 * gamma * tc.beta ** 2 / (rt * (1.0 - rho))  # the eps3 floor, per unit of lhs3
+    return M + [
+        [1.0, -3.0 * eta * float(tc.kappa ** 3) / n, -3.0 * eta * kappa / (mu2 * n), 0.0, 0.0],
+        [1.0, -6.0 * float(tc.kappa ** 4) / n, -6.0 * k2 / (mu2 * n), 0.0, 0.0],
+        [-96.0 * n * ke, sq - 96.0 * ke, -48.0 * ke, 0.0, 0.0],
+        [0.0, 1.0, 0.0, -inv_cap, 0.0],
+        [-288.0 * n * ke, -288.0 * ke, sq - 144.0 * ke, 0.0, 0.0],
+        [0.0, -3.0 * f3, 1.0, -3.0 * C * f3, -C * f3],
+        [-4.0 * n * tc.c1 * g2, -g2 * (4.0 * tc.c1 + tc.k1), -2.0 * tc.c1 * g2,
+         1.0 - tc.a_x - g2 * (tc.k2 + 0.5 / k2), 0.0],
+        [-12.0 * n * tc.c2 * g2, -g2 * (12.0 * tc.c2 + 3.0 * tc.k3), -g2 * (6.0 * tc.c2 + tc.k3),
+         -3.0 * tc.k4 * g2, 1.0 - tc.a_y - g2 * (tc.k3 + 0.5 / k2)]]
+
+
+def _least_certificate(M: list[list[float]]) -> np.ndarray | None:
+    """The least e with e_i >= 1 + P[k] @ e for each row k of entry i = _ROW_ENTRY[k], where
+    P[k] = -M[k] / M[k][i] off the pivot, so that M[k] @ e >= M[k][i], by Howard's policy
+    iteration: solve (I - P_policy) e = 1 for one row per entry, move each entry to its
+    largest row at e, and stop when none grows; none of the 3 * 3 * 3 * 2 * 2 = 108 policies
+    recurs. None when a pivot is <= 0 or a solve is singular or not positive: then
+    rho(P_policy) >= 1 (Collatz-Wielandt), and no e > 0 has M e > 0."""
+    pivot = [M[k][i] for k, i in enumerate(_ROW_ENTRY)]
+    if not all(p > 0 for p in pivot):  # a row whose other terms are positive cannot hold
+        return None
+    P = np.array(M) / -np.array(pivot)[:, None]
+    P[_PIVOTS] = 0.0
+    policy = list(range(5))
+    for _ in range(108):
+        try:
+            e = np.linalg.solve(np.eye(5) - P[policy], np.ones(5))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(e > 0):  # also a NaN
+            return None
+        gain = (P @ e).tolist()
+        best = [max(group, key=gain.__getitem__) for group in _GROUPS]
+        if all(gain[k] <= gain[j] for k, j in zip(best, policy)):
+            return e
+        policy = best
+    return None
 
 
 def _stated_floor_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:

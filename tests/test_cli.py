@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cnext.cli import Experiment, averaged_csv, main, records_to_csv
-from cnext.config import load_config
+from cnext.config import ConfigError, load_config
 from cnext.solver import run
 from cnext.theory import rho_below
 
@@ -232,6 +233,46 @@ def test_compare_tolerates_diverging_variant(tmp_path):
     assert man["variants"]["newton"]["diverged"] is None
 
 
+def test_compare_records_each_variants_theory_warnings(tmp_path):
+    # each variant is checked at its own step and scheme, the uncompressed one against the
+    # identity it runs with: 1.5 r delta is 0.75 for random-k(2 of 4) but 1.5 for identity
+    variants = [
+        {"name": "rk", "mode": "cnext", "scheme": {"kind": "randomk", "k": 2}},
+        {"name": "steep", "mode": "cnext", "scheme": {"kind": "randomk", "k": 2}, "eta": 0.9},
+        {"name": "giant", "mode": "uncompressed_giant", "scheme": {"kind": "randomk", "k": 2}},
+    ]
+    cfg, out = write_config(tmp_path, compare={"variants": variants},
+                            hyperparams={"T": 2, "eta": 0.002, "gamma": 0.6,
+                                         "alpha_x": 1.5, "alpha_y": 1.5})
+    assert main(["compare", "-c", cfg]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    warned = {name: v["theory_warnings"] for name, v in man["variants"].items()}
+    assert warned["rk"] == []
+    assert len(warned["steep"]) == 1 and "eta=0.9 exceeds min(2L/(3mu), mu/L)" in warned["steep"][0]
+    assert len(warned["giant"]) == 1 and "for scheme identity" in warned["giant"][0]
+
+
+@pytest.mark.parametrize("block, value, path", [
+    ("hyperparams", {"alpha": 0.25}, "hyperparams.alpha"),
+    ("compare", {"variants": [{"name": "a", "scheme": {"kind": "topk"}, "alpha_x": 0.25},
+                              {"name": "b", "scheme": {"kind": "qnbbq"}}]},
+     "compare.variants[0].alpha_x"),
+    ("objective", {"kind": "ridge", "data": {"n_sample": 60}}, "objective.data.n_sample"),
+    ("sede", 7, "sede"),
+])
+def test_unknown_config_field_is_config_error(tmp_path, capsys, block, value, path):
+    # a top-k ridge config that sets no alpha_x or alpha_y would resolve the tuned 0.5
+    # where "alpha": 0.25 was meant; every block names its unknown field instead
+    raw = {"objective": {"kind": "ridge"}, "network": {"kind": "ring", "n": 5},
+           "scheme": {"kind": "topk"}, "hyperparams": {"T": 2}, block: value}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=f"unknown field {re.escape(path)} "):
+        load_config(str(cfg))
+    assert main(["run", "-c", str(cfg)]) == 2
+    assert f"unknown field {path} " in capsys.readouterr().err
+
+
 def test_theory_report_roundtrips(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
                           hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1,
@@ -335,7 +376,7 @@ def test_theory_grid_writes_parseable_map(tmp_path, capsys):
         [(1e-10, 1e-4), (1e-10, 1.0), (1e-2, 1e-4), (1e-2, 1.0)]
 
 
-@pytest.mark.parametrize("kind, counts", [("identity", (24, 42, 36)), ("topk", (0, 0, 0))])
+@pytest.mark.parametrize("kind, counts", [("identity", (25, 42, 36)), ("topk", (0, 0, 0))])
 def test_theory_grid_counts_rho_below_one_and_q(tmp_path, capsys, kind, counts):
     # the 20 x 20 map of theory_identity.json: of the points with rho(A) < 1, those with
     # rho(A) < q = 1 - eta/(2 kappa), and of those the ones the stated conditions certify

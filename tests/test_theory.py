@@ -222,21 +222,17 @@ def test_checker_rejects_bad_eps(ridge10):
         check_sufficient_conditions(tc, theta, np.array([1.0, -1.0, 1.0, 1.0, 1.0]), net.n)
 
 
-def _ranked_as_reported(tc, theta, eps, n):
-    """Check that the (pass, count of ok flags) the eps search ranks eps by is what the
-    report shows, that every flag of the report is a bool and every bound a float; returns
+def _report_types(tc, theta, eps, n):
+    """Check that every flag of the report is a bool and every bound a float; returns
     (A(theta) formed, pass, a bound is nan)."""
     from cnext import theory
 
-    A, reason = theory._formed(tc, theta, n)
-    key = theory._conditions(tc, theta, eps, n, A, reason, False)[1][-1]
+    A, _ = theory._formed(tc, theta, n)
     rep = check_sufficient_conditions(tc, theta, eps, n)
     direct = rep["direct_contraction"]
-    flags = [*rep["stsz_ok"].values(), *rep["constsz_ok"].values(), *rep["system_ok"].values(),
-             direct["ok"]]
-    assert key == (rep["pass"], sum(flags))
     entries = list(rep["system"].values())
-    flags += [rep["pass"], direct["rho_lt_1"], *(entry.pop("ok") for entry in entries)]
+    flags = [*rep["stsz_ok"].values(), *rep["constsz_ok"].values(), *rep["system_ok"].values(),
+             direct["ok"], rep["pass"], direct["rho_lt_1"], *(entry.pop("ok") for entry in entries)]
     assert all(type(flag) is bool for flag in flags)
     bounds = [*rep["eta_bounds"].values(), *rep["gamma_bounds"].values(),
               *(v for entry in entries for v in entry.values())]
@@ -246,9 +242,9 @@ def _ranked_as_reported(tc, theta, eps, n):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_search_ranks_by_the_reported_flags(ridge10, kind):
-    # the conditions are evaluated once, for the search and for the report: at certified
-    # and rejected points, where A(theta) cannot be formed, and at an infinite eps4, whose
-    # row-4 gamma bound is inf/inf; a NaN eps is no certificate vector at all
+    # the report's flags and bounds keep their types at certified and rejected points,
+    # where A(theta) cannot be formed, and at an infinite eps4, whose row-4 gamma bound is
+    # inf/inf; a NaN eps is no certificate vector at all
     from cnext import theory
 
     obj, net, _ = ridge10
@@ -259,14 +255,61 @@ def test_search_ranks_by_the_reported_flags(ridge10, kind):
             theta = Theta(eta=float(eta), gamma=float(gamma), alpha_x=1.0, alpha_y=0.5)
             tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
             for eps in (default_epsilon(tc, theta, net.n), np.ones(5), np.array([1, 1, 1, np.inf, 1])):
-                seen.add(_ranked_as_reported(tc, theta, eps, net.n))
+                seen.add(_report_types(tc, theta, eps, net.n))
             nan_eps = np.array([np.nan, 1, 1, 1, 1])
             with pytest.raises(ValueError, match="strictly positive"):
-                theory._conditions(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n), False)
+                theory._conditions(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n))
             with pytest.raises(ValueError, match="strictly positive"):
                 check_sufficient_conditions(tc, theta, nan_eps, net.n)
     assert {(False, False, False), (True, False, False), (True, False, True)} <= seen
     assert ((True, True, False) in seen) is (kind == "identity")
+
+
+NET10 = metropolis_hastings_weights(build_ring(10))
+# the report flag of each row of theory._rows after the five certificate rows
+ROW_FLAGS = (("stsz_ok", "eps_ratio"), ("system_ok", "eps1_over_eps2"), ("stsz_ok", "row2_sqrt"),
+             ("system_ok", "eps4_over_eps2"), ("stsz_ok", "row3_sqrt"), ("system_ok", "eps3_floor"),
+             ("constsz_ok", "row4_sqrt"), ("constsz_ok", "row5_sqrt"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(ALL_KINDS), st.floats(1.0, 30.0), st.floats(-12.0, 0.0),
+       st.floats(-5.0, 0.0), st.floats(0.05, 0.99),
+       st.lists(st.floats(-8.0, 8.0), min_size=5, max_size=5),
+       st.lists(st.floats(-1.0, 1.0), min_size=13, max_size=13))
+def test_each_row_holds_exactly_when_its_report_flag_does(kind, kappa, log_eta, log_gamma,
+                                                          alpha, log_eps, log_shift):
+    # the search's one-sided rows restate the report's checks, squared or cross-multiplied;
+    # certificate row i is the report's direct check on row i of A alone, with q lowered by
+    # two ulps. Each row is tried at an eps whose bounded entry is up to 10x either side of
+    # the row's tie; a row within 1e-9 of its terms' scale (for a certificate row, q v_i and
+    # (A v)_i) of zero is a float tie, and decides nothing
+    from cnext import theory
+
+    scheme = make_scheme(kind, 20, b=2, k=5)
+    a = alpha / (scheme.r * scheme.delta)
+    theta = Theta(eta=10.0 ** log_eta * min(2.0 * kappa / 3.0, 1.0 / kappa),
+                  gamma=10.0 ** log_gamma, alpha_x=a, alpha_y=a)
+    tc = TheoryConstants.build(1.0, kappa, NET10, scheme, theta)
+    A = build_A(tc, theta, NET10.n).A
+    M = np.array(theory._rows(A, tc, theta, NET10.n))
+    q, L2 = theory.contraction_rate(theta.eta, tc.kappa), float(tc.L ** 2)
+    for k, i in enumerate(theory._ROW_ENTRY):
+        eps = 10.0 ** np.array(log_eps)
+        others = M[k, i] * eps[i] - M[k] @ eps
+        if M[k, i] > 0 and others > 0:
+            eps[i] = 10.0 ** log_shift[k] * others / M[k, i]
+        value, v = M[k] @ eps, eps * [1.0, 1.0, L2, 1.0, L2]
+        if abs(value) <= 1e-9 * (q * v[k] + A[k] @ v if k < 5 else np.abs(M[k]) @ eps):
+            continue
+        if k < 5:  # the report's exact decision on row k of A alone
+            only_k = np.zeros((5, 5))
+            only_k[k] = A[k]
+            flag = theory._certificate_holds(only_k.tolist(), v.tolist(), q)
+        else:
+            block, name = ROW_FLAGS[k - 5]
+            flag = check_sufficient_conditions(tc, theta, eps, NET10.n)[block][name]
+        assert flag is bool(value >= 0), k
 
 
 @pytest.mark.parametrize("kind", ["qnbbq", "topk", "randomk"])
@@ -298,8 +341,8 @@ def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):
     theta = Theta(eta=1e-3, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.5, r=1.0, delta=0.5, theta=theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        assert _ranked_as_reported(tc, theta, np.array([1.0, 5e-324, 5e-324, 1.0, 1.0]), 10)[0]
-    assert calls == [7, 8] * 2  # both the search's and the report's evaluation fell back
+        assert _report_types(tc, theta, np.array([1.0, 5e-324, 5e-324, 1.0, 1.0]), 10)[0]
+    assert calls == [6, 7]  # the report's evaluation fell back
 
 
 @settings(deadline=None, max_examples=40)
@@ -338,8 +381,8 @@ def test_default_epsilon_builds_A_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["identity", "topk", "qnbbq"])
 def test_certificate_implies_rho_below_one(kind):
-    # the search counts a certificate A v <= q v (A >= 0, v > 0, q < 1) as rho(A) <= q < 1
-    # without an eigenvalue; over a sweep every point so certified has rho(A) < 1 decided
+    # a certificate A v <= q v (A >= 0, v > 0, q < 1) gives rho(A) <= q < 1 without an
+    # eigenvalue; over a sweep every point whose default eps is one has rho(A) < 1 decided
     net = metropolis_hastings_weights(build_ring(6))
     scheme = make_scheme(kind, 8, b=2, k=3)
     certified = 0

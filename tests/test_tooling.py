@@ -113,3 +113,44 @@ def test_readme_commands_parse():
             load_config(str(ROOT / args.config), cli._overrides(args))
     assert ["cnext", "theory", "-c", "configs/theory_identity.json", "--scheme", "topk",
             "--grid", "20"] in commands
+
+
+def test_certified_points_pass_the_benchmark_rational_check(monkeypatch, ridge10):
+    # on c05's two 20 x 20 sweeps, every eps default_epsilon certifies also passes the
+    # benchmark's re-check, which uses the exact q = 1 - eta mu/(2L), not contraction_rate
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from cnext.compress import make_scheme
+    from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
+
+    obj, net, _ = ridge10
+    certified = {}
+    for kind, k in (("identity", None), ("randomk", 5)):
+        scheme = make_scheme(kind, obj.p, k=k)
+        certified[kind] = 0
+        for eta in np.geomspace(1e-10, 1e-2, 20):
+            for gamma in np.geomspace(1e-4, 1.0, 20):
+                theta = Theta(eta=float(eta), gamma=float(gamma), alpha_x=1.0, alpha_y=1.0)
+                tc = TheoryConstants.build(obj.mu, obj.L, net, scheme, theta)
+                eps = default_epsilon(tc, theta, net.n)
+                if check_sufficient_conditions(tc, theta, eps, net.n)["pass"]:
+                    certified[kind] += 1
+                    A = build_A(tc, theta, net.n).A
+                    assert workloads.exact_certificate_holds(A, eps, obj.L, theta.eta, obj.mu)
+    assert certified == {"identity": 25, "randomk": 0}
+
+
+def test_readme_grid_figures_match_the_map(tmp_path, capsys):
+    # README's sentence on the 20 x 20 identity map of theory_identity.json gives the
+    # counts of rho(A) < 1, rho(A) < q and certified points that the map has
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.search(r"identity has rho\(A\) < 1 at (\d+) of 400 points, rho\(A\) < q at "
+                       r"(\d+), and certifies (\d+)", text)
+    assert stated is not None
+    out = tmp_path / "out"
+    assert cli.main(["theory", "-c", str(ROOT / "configs" / "theory_identity.json"),
+                     "--grid", "20", "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("25/400 grid points certified")
+    rows = [line.split(",") for line in (out / "sweep_identity.csv").read_text().splitlines()[1:]]
+    counts = tuple(sum(row[col] == "1" for row in rows) for col in (4, 5, 2))
+    assert counts == (42, 36, 25) == tuple(map(int, stated.groups()))
