@@ -289,8 +289,11 @@ def evaluate(tc: TheoryConstants, theta: Theta, n: int,
 
 
 def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
-    """The stated floor on eps1/eps2."""
-    return 6.0 * tc.kappa ** 4 / n + 6.0 * tc.kappa ** 2 * e3 / (tc.mu ** 2 * n * e2)
+    """The stated floor on eps1/eps2; infinite where it overflows float64 (kappa^4 > 1.8e308)."""
+    try:
+        return 6.0 * tc.kappa ** 4 / n + 6.0 * tc.kappa ** 2 * e3 / (tc.mu ** 2 * n * e2)
+    except (OverflowError, ZeroDivisionError):  # the latter where mu^2 underflows
+        return math.inf
 
 
 def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
@@ -473,7 +476,11 @@ def _stated_floor_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarr
     e2 = e5 = 1.0
     cap4 = _eps4_cap(tc, theta.gamma)  # none when C = 0 or gamma^2 beta^2 C^2 underflows
     e4 = 0.5 * cap4 if math.isfinite(cap4) else 1.0
-    e3 = 1.0 if b2 == 0.0 else \
-        margin * 24.0 * theta.gamma * b2 * (3.0 * e2 + 3.0 * C * e4 + C * e5) / ((1.0 - rho) * rt)
-    e1 = margin * _eps1_floor(tc, e2, e3, n) * e2
+    # where (1 - rho) rho_tilde is 0 (rho = 0 at gamma = 1) the eps3 floor's rhs_proof is 0,
+    # and where the eps1 floor is infinite no finite eps1 meets it: finite entries, rejected
+    den3 = (1.0 - rho) * rt
+    e3 = 1.0 if b2 == 0.0 or den3 == 0.0 else \
+        margin * 24.0 * theta.gamma * b2 * (3.0 * e2 + 3.0 * C * e4 + C * e5) / den3
+    floor1 = _eps1_floor(tc, e2, e3, n)
+    e1 = margin * floor1 * e2 if math.isfinite(floor1) else 1.0
     return np.array([e1, e2, e3, e4, e5])

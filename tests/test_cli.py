@@ -427,6 +427,21 @@ def test_theory_grid_leaves_rho_empty_without_A(tmp_path, updates, eta_formed):
         assert formed or ok == "0"
 
 
+def test_theory_marks_zero_rho_tilde_uncertified(tmp_path, capsys):
+    # the 2-ring's rho is 0, so rho_tilde = 0 at gamma = 1, the grid's last column: the point
+    # is reported as not certified, not a ZeroDivisionError
+    cfg, out = write_config(tmp_path, network={"kind": "ring", "n": 2}, scheme={"kind": "identity"},
+                            hyperparams={"eta": 1e-6, "gamma": 1.0, "T": 1,
+                                         "alpha_x": 1.0, "alpha_y": 1.0})
+    assert main(["theory", "-c", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["network"]["rho_tilde"] == 0.0
+    assert report["sufficient_conditions"]["pass"] is False
+    assert main(["theory", "-c", cfg, "--grid", "2"]) == 0
+    rows = _sweep_rows(os.path.join(out, "sweep_identity.csv"))
+    assert [ok for _, gamma, ok, *_ in rows if float(gamma) == 1.0] == ["0", "0"]
+
+
 def test_theory_grid_below_one_is_config_error(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     assert main(["theory", "-c", cfg, "--grid", "0"]) == 2

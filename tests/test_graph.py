@@ -1,5 +1,7 @@
 import ctypes
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,11 +172,21 @@ def test_rho_is_second_singular_value():
         assert net.rho == pytest.approx(s[1], abs=1e-12)
 
 
+def _relabelled(topo, seed=0):
+    """The same graph with its nodes permuted: rows no longer shifts of row 0."""
+    perm = np.random.default_rng(seed).permutation(topo.n)
+    adj = np.zeros((topo.n, topo.n), dtype=bool)
+    adj[perm[:, None], perm[None, :]] = dense(topo)
+    return build_custom(adj)
+
+
 def test_spectral_gap_norm_oracle():
-    # rho and beta come from one eigendecomposition of W; check both against their
-    # definitions, on graphs that mix through W itself and through its CSR copy
+    # rho and beta come from an eigendecomposition of a dense W, or from the DFT of row 0 of
+    # a circulant CSR W; check both against their definitions, on graphs that mix through W
+    # itself and through CSR, circulant (a build_custom copy of a ring too) or not
     topologies = ([build_ring(n) for n in (1, 2, 3, 7, 20, 256)]
-                  + [build_circulant_expander(n, 6) for n in (30, 256)] + [_ring_with_chords(40)])
+                  + [build_circulant_expander(n, 6) for n in (30, 256, 2000)] + [_ring_with_chords(40)]
+                  + [build_custom(dense(build_ring(256))), _relabelled(build_ring(256))])
     for topo in topologies:
         net = metropolis_hastings_weights(topo)
         n = topo.n
@@ -190,6 +202,88 @@ def test_rho_tilde_below_one(gamma, n):
     net = metropolis_hastings_weights(build_ring(n))
     assert net.rho < 1
     assert net.rho_tilde(gamma) < 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_constants_are_never_negative_zero(n):
+    # the 2-ring's max(-ev[0], ev[-2]) is max(-0.0, 0.0), which is -0.0
+    net = metropolis_hastings_weights(build_ring(n))
+    assert math.copysign(1.0, net.rho) == 1.0
+    assert math.copysign(1.0, net.beta) == 1.0
+
+
+def test_csr_weights_hold_no_n_by_n_array():
+    # n = 10^5: a dense W would take 80 GB; the CSR weights and the DFT of row 0 take a few MB
+    topo = build_circulant_expander(10**5, 6)
+    tracemalloc.start()
+    try:
+        net = metropolis_hastings_weights(topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sparse.issparse(net.mix) and "W" not in vars(net)
+
+
+def test_csr_w_is_formed_on_first_read():
+    net = metropolis_hastings_weights(build_circulant_expander(2000, 6))
+    assert "W" not in vars(net)
+    W = net.W
+    assert net.W is W and np.array_equal(W, net.mix.toarray())
+    dense_net = metropolis_hastings_weights(build_ring(10))
+    assert dense_net.W is dense_net.mix
+
+
+def test_only_circulant_csr_rows_skip_the_eigensolve(monkeypatch):
+    # rows that are shifts of row 0, however the topology was built, take the DFT of row 0;
+    # other CSR graphs and every dense one take eigvalsh
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    for topo, solves in ((build_circulant_expander(2000, 6), 0), (build_custom(dense(build_ring(256))), 0),
+                         (_relabelled(build_ring(256)), 1), (build_ring(10), 1)):
+        calls.clear()
+        metropolis_hastings_weights(topo)
+        assert len(calls) == solves
+
+
+def _dense_weights(topo):
+    """The off-diagonal weights, pair by pair in one vectorised fill, and the row sums numpy
+    takes over them in the dense n x n layout."""
+    adj = dense(topo)
+    np.fill_diagonal(adj, False)
+    deg = topo.degrees()
+    ref = np.where(adj, 1.0 / (1.0 + np.maximum(deg[:, None], deg[None, :])), 0.0)
+    return ref, ref.sum(axis=1)
+
+
+@pytest.mark.parametrize("topo", [build_ring(200), build_circulant_expander(256, 6),
+                                  build_circulant_expander(2000, 6), _relabelled(build_ring(256)),
+                                  _ring_with_chords(256)], ids=["ring200", "expander256",
+                                  "expander2000", "relabelled-ring256", "ring-with-chords256"])
+def test_csr_weights_drift_from_the_dense_fill_by_roundoff(topo):
+    # the CSR build sums each row in column order, the dense fill in numpy's pairwise order:
+    # off-diagonal weights are equal, and the diagonals differ by at most 1 ulp of the row sum
+    # (none on rows of two neighbours, where both orders add the same two numbers)
+    net = metropolis_hastings_weights(topo)
+    assert sparse.issparse(net.mix)
+    ref, rowsum = _dense_weights(topo)
+    off = ~np.eye(topo.n, dtype=bool)
+    assert np.array_equal(net.W[off], ref[off])
+    diag = net.W.diagonal()
+    assert np.all(np.abs(diag - (1.0 - rowsum)) <= np.spacing(rowsum))
+    two = topo.degrees() == 2
+    assert np.array_equal(diag[two], 1.0 - rowsum[two])
+
+
+@pytest.mark.parametrize("n, offsets, connected", [
+    (10, [2], False), (10, [3], True), (10, [2, 5], True), (12, [4, 6], False),
+    (12, [3, 4], True), (7, [0], False), (1, [0], True)])
+def test_circulant_connectivity_is_the_gcd(n, offsets, connected):
+    # a build_custom circulant: the shifts generate Z_n iff gcd(n, shifts) = 1
+    adj = circulant_reference(n, offsets)
+    assert is_connected(build_custom(adj)) is connected
+    assert bfs_connected(adj) is connected
 
 
 def test_custom_topology_roundtrip():

@@ -330,6 +330,36 @@ def test_underflowed_eps4_cap_is_no_certificate(ridge10, kind):
         assert check_sufficient_conditions(tc, theta, eps, net.n)["pass"] is False
 
 
+def test_zero_rho_tilde_is_no_certificate():
+    # the 2-ring has rho = 0, so rho_tilde = 0 at gamma = 1: the eps3 floor's rhs_proof is 0,
+    # which no eps meets; the default eps is finite and the report rejects it, where the
+    # stated-floor candidate divided by rho_tilde
+    net = metropolis_hastings_weights(build_ring(2))
+    theta = Theta(eta=1e-6, gamma=1.0, alpha_x=1.0, alpha_y=1.0)
+    tc = TheoryConstants.build(1.0, 2.0, net, make_scheme("identity", 4), theta)
+    assert tc.rho_tilde == 0.0
+    eps = default_epsilon(tc, theta, net.n)
+    assert np.all(np.isfinite(eps)) and np.all(eps > 0)
+    report = check_sufficient_conditions(tc, theta, eps, net.n)
+    assert report["pass"] is False and report["system_ok"]["eps3_floor"] is False
+
+
+@pytest.mark.parametrize("mu, L", [(1e-80, 1.0), (1e-170, 1e-169)], ids=["kappa4-overflows", "mu2-underflows"])
+def test_infinite_eps1_floor_is_no_certificate(mu, L):
+    # kappa = 1e80, so kappa^4 overflows float64, or mu^2 underflows to 0: the eps1/eps2 floor
+    # is infinite and no finite eps1 meets it; neither the default eps nor the report raises
+    theta = Theta(eta=1e-90, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(mu, L, 0.5, 1.0, 0.0, 1.0, 1.0, theta)
+    eps = default_epsilon(tc, theta, 2)
+    assert np.all(np.isfinite(eps)) and np.all(eps > 0)
+    for eps in (eps, np.ones(5)):
+        with np.errstate(divide="ignore"):  # the report's numpy path divides by mu^2 = 0
+            report = check_sufficient_conditions(tc, theta, eps, 2)
+        assert report["pass"] is False
+        assert report["system"]["eps1_over_eps2"]["rhs"] == np.inf
+        assert report["system_ok"]["eps1_over_eps2"] is False
+
+
 def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):
     # with kappa = 1 and n = 10, eps2 = eps3 = 5e-324 make eps_ratio's denominator underflow
     # to 0: Python floats refuse the division, numpy float64 gives inf

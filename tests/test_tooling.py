@@ -58,6 +58,22 @@ def test_workload_normal_equations_read_the_partition(monkeypatch):
     assert np.allclose(workloads._ridge_normal_equations(ds, part, 0.3), x_star, rtol=1e-10, atol=1e-12)
 
 
+def test_agents_setup_checks_hold_on_the_library(monkeypatch):
+    # the benchmark's agents-expander set-up checks, run on its own set-up: W (expanded from
+    # the CSR weights) is circulant, and rho and beta match its FFT spectrum; a change that
+    # breaks them must fail here, not only as the benchmark's outputs_incorrect
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    net = workloads._agents_setup(1)[0]
+    assert net.n == workloads.AGENTS["n"] == 2000
+    W = net.W
+    rolled = np.stack([np.roll(W[0], i) for i in range(net.n)])
+    assert np.max(np.abs(W - rolled)) <= 1e-15
+    rho, beta = workloads.circulant_spectrum(W)
+    assert abs(net.rho - rho) <= 1e-9 and abs(net.beta - beta) <= 1e-9
+
+
 def test_declared_dependencies_match_imports():
     # every third-party top-level module imported anywhere under src/cnext (scipy.sparse
     # counts as scipy) is declared in pyproject.toml, and every declared one is imported
