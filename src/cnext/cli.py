@@ -151,27 +151,30 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     seeds = cfg.seeds if cfg.seeds else (cfg.seed,)
     per_seed = []
+    stop = {}  # seed -> why its run ended: "T", "tol", "divergence" or "numerical"
     try:
         for seed in seeds:
             records = run(exp.obj, exp.net, scheme, hp, mode, seed,
                           x_star=exp.x_star, test_data=exp.test_data)
             per_seed.append(records)
+            stop[str(seed)] = "T" if len(records) == hp.T + 1 else "tol"
             if len(seeds) > 1:
                 atomic_write(os.path.join(cfg.output_dir, f"trace_seed{seed}.csv"),
                              records_to_csv(records))
     except (DivergenceError, NumericalError) as exc:
+        stop[str(seed)] = "divergence" if isinstance(exc, DivergenceError) else "numerical"
         err = {"error": type(exc).__name__, "message": str(exc),
                "t": exc.t, "quantity": getattr(exc, "quantity", None),
                "agent": getattr(exc, "agent", None)}
         atomic_write(os.path.join(cfg.output_dir, "manifest.json"),
-                     json.dumps(exp.manifest(hp, mode, scheme, {"divergence": err}),
+                     json.dumps(exp.manifest(hp, mode, scheme, {"divergence": err, "stop": stop}),
                                 indent=2, sort_keys=True) + "\n")
         print(json.dumps(err), file=sys.stderr)
         return 3
     csv_text = records_to_csv(per_seed[0]) if len(per_seed) == 1 else averaged_csv(per_seed)
     atomic_write(os.path.join(cfg.output_dir, "trace.csv"), csv_text)
     atomic_write(os.path.join(cfg.output_dir, "manifest.json"),
-                 json.dumps(exp.manifest(hp, mode, scheme, {"seeds": list(seeds)}),
+                 json.dumps(exp.manifest(hp, mode, scheme, {"seeds": list(seeds), "stop": stop}),
                             indent=2, sort_keys=True) + "\n")
     print(f"wrote {os.path.join(cfg.output_dir, 'trace.csv')} "
           f"({len(per_seed[0])} rows per seed, {len(seeds)} seed(s))")

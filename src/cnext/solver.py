@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_INIT, STREAM_X,
-                       STREAM_Y, agent_streams, compress_round, make_scheme, substream, IDENTITY)
+                       STREAM_Y, Draws, agent_streams, compress_round, make_scheme, substream,
+                       IDENTITY)
 from .graph import Network
 from .objective import RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
 from .theory import alpha_slack, step_cap
@@ -193,12 +194,13 @@ class StepInfo:
 
 
 def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionScheme,
-         hp: HyperParams, mode: str, rngs: list[np.random.Generator] | None) -> StepInfo:
+         hp: HyperParams, mode: str, rngs: Draws | list[np.random.Generator] | None) -> StepInfo:
     """One synchronous round; mutates `state` in place and returns round diagnostics.
 
     Both streams are compressed and mixed (through `net.mix`) in one stacked round.
-    `rngs` lists the per-agent generators, X's n then Y's n; it may be None for a scheme
-    that draws nothing. The uncompressed mode takes the identity scheme only.
+    `rngs` holds the per-agent generators, X's n then Y's n, as a list or as the `Draws`
+    `run` builds; it may be None for a scheme that draws nothing. The uncompressed mode
+    takes the identity scheme only.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -244,10 +246,12 @@ def measure_errors(state: SolverState, obj: Objective, x_star: np.ndarray,
     if given, holds `state.means`."""
     XY = state.XY
     means = state.means if means is None else means
+    dev = np.empty((4,) + XY.shape[1:])  # deviations from the means, then from the memories
     with np.errstate(over="ignore"):  # overflow here is caught as divergence below
         opt = float(np.add.reduce(np.square(means[0] - x_star)))
-        cons, gt = np.add.reduce(np.square(XY - means[:, None]), axis=(1, 2)).tolist()
-        comp_x, comp_y = np.add.reduce(np.square(XY - state.comp.H), axis=(1, 2)).tolist()
+        np.subtract(XY, means[:, None], out=dev[:2])
+        np.subtract(XY, state.comp.H, out=dev[2:])
+        cons, gt, comp_x, comp_y = np.add.reduce(np.square(dev, out=dev), axis=(1, 2)).tolist()
     ev = ErrorVector(opt=opt, cons=cons, gt=gt, comp_x=comp_x, comp_y=comp_y)
     if not all(0.0 <= e < math.inf for e in (opt, cons, gt, comp_x, comp_y)):
         raise DivergenceError("error vector", state.t)
@@ -266,7 +270,9 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     """Iterate `step` for T rounds (or until the mean-gradient norm reaches tol > 0).
 
     Returns one record per round including t = 0. A supplied `state0` overrides the
-    seeded initialization (the operator substreams still come from `seed`). Raises
+    seeded initialization (the operator substreams still come from `seed`). Those
+    substreams are read in blocks (`compress.Draws.for_run`), so each may be read up to
+    B - 1 rounds past the run's last round; nothing reads their end state. Raises
     DivergenceError when the state becomes non-finite or the error vector's sum exceeds
     GROWTH_LIMIT times its t = 0 value. Each record's residual is f(xbar) - f(x*), from
     `Objective.residual_fn(x_star)`; `x_star`, if given, must be the minimizer.
@@ -280,7 +286,8 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
     rngs = None  # only the kinds that draw read per-agent streams
     if scheme.kind in DRAWING_KINDS:
-        rngs = agent_streams(seed, STREAM_X, net.n) + agent_streams(seed, STREAM_Y, net.n)
+        rngs = Draws.for_run(agent_streams(seed, STREAM_X, net.n) +
+                             agent_streams(seed, STREAM_Y, net.n), obj.p, hp.T)
 
     records = [_record(state, obj, x_star, residual, test_data, StepInfo(0, 0.0, 0.0))]
     e0 = records[0].errors.total()

@@ -181,6 +181,47 @@ def test_growth_divergence_exit_3(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def _stop(out):
+    return json.loads(open(os.path.join(out, "manifest.json")).read())["stop"]
+
+
+def test_manifest_stop_reason_T(tmp_path):
+    cfg, out = write_config(tmp_path, seeds=[1, 2], hyperparams={"T": 5})
+    assert main(["run", "-c", cfg]) == 0
+    assert _stop(out) == {"1": "T", "2": "T"}
+
+
+def test_manifest_stop_reason_tol(tmp_path):
+    # the stopping rule is met at t = 0; trace.csv keeps its one row
+    cfg, out = write_config(tmp_path, hyperparams={"tol": 1e9})
+    assert main(["run", "-c", cfg]) == 0
+    assert _stop(out) == {"42": "tol"}
+    assert len(read_csv(os.path.join(out, "trace.csv"))[1]) == 1
+
+
+def test_manifest_stop_reason_divergence(tmp_path):
+    cfg, out = write_config(tmp_path, mode="first_order_gt", hyperparams={"eta": 0.9, "T": 300})
+    assert main(["run", "-c", cfg]) == 3
+    assert _stop(out) == {"42": "divergence"}
+
+
+def test_manifest_stop_reason_numerical(tmp_path, monkeypatch):
+    # a Hessian solve that fails at round 3, as an indefinite local Hessian makes it
+    from cnext import solver
+
+    newton = solver.newton_directions
+
+    def failing(X, Y, obj, t=0, W=None):
+        if t == 3:
+            raise solver.NumericalError(1, t)
+        return newton(X, Y, obj, t, W)
+
+    monkeypatch.setattr(solver, "newton_directions", failing)
+    cfg, out = write_config(tmp_path)
+    assert main(["run", "-c", cfg]) == 3
+    assert _stop(out) == {"42": "numerical"}
+
+
 def test_ridge_compare_runs_both_modes(tmp_path):
     out = tmp_path / "out"
     assert main(["compare", "-c", str(CONFIGS / "ridge_compare.json"),

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from cnext.compress import (CompressState, CompressionScheme, _encode, agent_streams,
-                            bits_per_vector, compress_round, make_scheme, ALL_KINDS)
+from cnext.compress import (DRAW_BUDGET, CompressState, CompressionScheme, Draws, _encode,
+                            agent_streams, bits_per_vector, compress_round, make_scheme, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
-from conftest import all_schemes, verify_contract
+from conftest import all_schemes, verify_contract, xy_streams
 
 
 def test_identity_passthrough():
@@ -492,3 +492,89 @@ def test_agent_streams_are_deterministic_and_independent():
         assert np.array_equal(ga.random(5), gb.random(5))
     c = agent_streams(42, 1, 3)
     assert not np.array_equal(agent_streams(42, 0, 1)[0].random(5), c[0].random(5))
+
+
+def _stack_rounds(net, scheme, rounds, rngs, zero_rows=None, seed=41):
+    """Q, H and Hw of each of `rounds` stacked (2, n, p) compression rounds drawing from
+    `rngs`; zero_rows maps a round to the rows (of the 2n) whose innovation is zero."""
+    n, p = net.n, 20
+    rng = np.random.default_rng(seed)
+    state = CompressState.init(rng.standard_normal((2, n, p)), net.mix,
+                               np.array([0.5, 0.8]).reshape(2, 1, 1))
+    out = []
+    for t in range(rounds):
+        Z = rng.standard_normal((2, n, p))
+        for j in (zero_rows or {}).get(t, ()):
+            Z.reshape(-1, p)[j] = state.H.reshape(-1, p)[j]
+        Q = compress_round(state, Z, scheme, net.mix, rngs).Q
+        out.append((Q, state.H.copy(), state.Hw.copy()))
+    return out
+
+
+@pytest.mark.parametrize("n", [10, 96])
+@pytest.mark.parametrize("kind", ["qnbbq", "randomk"])
+def test_blocks_serve_what_lists_draw(kind, n):
+    # 30 rounds from blocks of 7 rounds give the Q, H and Hw that per-round lists give,
+    # bit for bit, through dense W (ring 10) and CSR W (ring 96)
+    net = metropolis_hastings_weights(build_ring(n))
+    assert isinstance(net.mix, np.ndarray) == (n == 10)
+    scheme = make_scheme(kind, 20, b=2, k=5)
+    blocks = _stack_rounds(net, scheme, 30, Draws(xy_streams(3, n), 20, 7))
+    lists = _stack_rounds(net, scheme, 30, xy_streams(3, n))
+    for got, want in zip(blocks, lists):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_zero_rows_leave_their_block_cursor_behind():
+    # under the quantizer a zero row draws nothing, so its cursor falls behind the other
+    # rows' mid-block; it still gets the doubles a list gives it, and a refill calls only
+    # the generators whose block is used up
+    net = metropolis_hastings_weights(build_ring(10))
+    scheme = make_scheme("qnbbq", 20, b=2)
+    B, rounds = 4, 19
+    zero_rows = {1: (3,), 2: (3, 17), 5: (0, 3, 19), 6: (17,), 9: (3,), 13: (8,)}
+    draws = Draws(xy_streams(5, 10), 20, B)
+    blocks = _stack_rounds(net, scheme, rounds, draws, zero_rows)
+    lists = _stack_rounds(net, scheme, rounds, xy_streams(5, 10), zero_rows)
+    for got, want in zip(blocks, lists):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    taken = np.array([rounds - sum(j in rows for rows in zero_rows.values()) for j in range(20)])
+    assert np.array_equal(draws.pos, (taken - 1) % B + 1)
+    assert len(set(draws.pos.tolist())) > 1
+    for g, ref, m in zip(draws.rngs, xy_streams(5, 10), taken):
+        ref.random(-(-m // B) * B * 20)  # the doubles of the blocks row j has opened
+        assert g.bit_generator.state == ref.bit_generator.state
+
+
+def test_draws_must_match_the_rows():
+    net = metropolis_hastings_weights(build_ring(3))
+    state = CompressState.init(np.zeros((2, 3, 4)), net.W, np.ones((2, 1, 1)))
+    Z = np.ones((2, 3, 4))
+    for kind in ("qnbbq", "randomk"):
+        scheme = make_scheme(kind, 4, k=2)
+        for draws in (Draws(agent_streams(0, 0, 3), 4, 5), Draws(xy_streams(0, 4), 4, 5),
+                      Draws(xy_streams(0, 3), 5, 5)):
+            with pytest.raises(ValueError):
+                compress_round(state, Z, scheme, net.W, draws)
+
+
+def test_block_buffer_is_bounded_at_many_agents():
+    # at n = 10^4 agents and p = 20 one round of uniforms (3.2 MB) outgrows DRAW_BUDGET,
+    # so a run's blocks hold one round, and a take allocates nothing of that size
+    import tracemalloc
+
+    n, p = 10_000, 20
+    rngs = xy_streams(1, n)
+    round_bytes = 2 * n * p * 8
+    tracemalloc.start()
+    try:
+        draws = Draws.for_run(rngs, p, 5000)
+        U = draws.take()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (2 * n, p) and draws.buf.shape[1] == 1
+    assert peak <= max(DRAW_BUDGET, round_bytes) + 2 ** 16
+    assert Draws.for_run(xy_streams(1, 10), p, 5000).buf.nbytes <= DRAW_BUDGET

@@ -10,7 +10,8 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext import solver
-from cnext.compress import CompressState, _encode, agent_streams, compress_round, make_scheme
+from cnext.compress import (DRAW_BUDGET, CompressState, _encode, agent_streams, compress_round,
+                            make_scheme)
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import (Objective, centralized_newton, logistic_objective,
@@ -514,3 +515,76 @@ def test_measure_errors_equals_the_five_sums(ridge10, kind):
                 float(np.sum((Y - state.comp_y.H) ** 2)))
     assert tuple(measure_errors(state, obj, x_star).as_array()) == expected
     assert tuple(measure_errors(state, obj, x_star, state.means).as_array()) == expected
+
+
+# the desk runs' (eta, alpha) for the two kinds that draw
+_DESK_STEPS = {"qnbbq": (0.0095, 1.0), "randomk": (0.0012, 0.5)}
+
+
+def _desk_hp(kind, T, tol=0.0):
+    eta, alpha = _DESK_STEPS[kind]
+    return HyperParams(eta=eta, gamma=0.6, alpha_x=alpha, alpha_y=alpha, T=T, tol=tol)
+
+
+def _replayed(obj, net, scheme, hp, seed, x_star, rounds):
+    """Records of `rounds` rounds of `step` drawing from plain per-agent lists, taken as
+    `run` takes them, and the mean-gradient norm that `run`'s tol reads before each round."""
+    state = init_state(obj, net, hp, seed)
+    rngs = xy_streams(seed, net.n)
+    residual = obj.residual_fn(x_star)
+    records = [solver._record(state, obj, x_star, residual, None, solver.StepInfo(0, 0.0, 0.0))]
+    norms = [float(np.linalg.norm(state.prev_grad.mean(axis=0)))]
+    for _ in range(rounds):
+        info = step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
+        records.append(solver._record(state, obj, x_star, residual, None, info))
+        norms.append(float(np.linalg.norm(state.prev_grad.mean(axis=0))))
+    return records, norms
+
+
+@pytest.mark.parametrize("kind", ["qnbbq", "randomk"])
+def test_run_draws_in_blocks_what_step_draws_from_lists(ridge10, kind):
+    # on the desk ring a run's blocks hold 655 rounds, so T = 1000 ends mid-block
+    obj, net, x_star = ridge10
+    scheme = make_scheme(kind, obj.p, b=2, k=5)
+    hp = _desk_hp(kind, 1000)
+    B = DRAW_BUDGET // (2 * net.n * obj.p * 8)
+    assert 1 < B < hp.T and hp.T % B
+    assert run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star=x_star) == \
+        _replayed(obj, net, scheme, hp, 4, x_star, hp.T)[0]
+
+
+def test_run_stopped_by_tol_equals_the_replay(ridge10):
+    # the tol picks a stop mid-block; the generators' read-ahead changes no record
+    obj, net, x_star = ridge10
+    scheme = make_scheme("qnbbq", obj.p, b=2)
+    records, norms = _replayed(obj, net, scheme, _desk_hp("qnbbq", 300), 4, x_star, 300)
+    tol = norms[250]
+    stop = next(t for t, g in enumerate(norms) if g <= tol)
+    hp = _desk_hp("qnbbq", 5000, tol)
+    B = DRAW_BUDGET // (2 * net.n * obj.p * 8)
+    assert 0 < stop < B
+    assert run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star=x_star) == records[:stop + 1]
+
+
+def test_run_calls_each_generator_once_per_block(ridge10, monkeypatch):
+    # a desk random-k run calls Generator.random 2n times per block of B rounds, where
+    # per-round lists call it 2n times a round; the trace does not change
+    obj, net, x_star = ridge10
+    calls = []
+
+    class Counted:
+        def __init__(self, g):
+            self.g = g
+
+        def random(self, *args, **kwargs):
+            calls.append(1)
+            return self.g.random(*args, **kwargs)
+
+    scheme = make_scheme("randomk", obj.p, k=5)
+    hp = _desk_hp("randomk", 1500)
+    plain = run(obj, net, scheme, hp, MODE_CNEXT, 1, x_star=x_star)
+    monkeypatch.setattr(solver, "agent_streams",
+                        lambda seed, stream, n: [Counted(g) for g in agent_streams(seed, stream, n)])
+    assert run(obj, net, scheme, hp, MODE_CNEXT, 1, x_star=x_star) == plain
+    B = min(DRAW_BUDGET // (2 * net.n * obj.p * 8), hp.T)
+    assert len(calls) == 2 * net.n * -(-hp.T // B) < 2 * net.n * hp.T
