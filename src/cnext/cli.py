@@ -53,22 +53,24 @@ class Experiment:
             raise ConfigError(f"network: {exc}") from exc
 
         data_cfg = cfg.objective.data
-        if data_cfg.source == "synthetic":
-            self.ds = generate_ridge_synthetic(data_cfg.n_samples, data_cfg.p, cfg.seed,
-                                               data_cfg.noise_std)
-        else:
-            if not data_cfg.path:
-                raise ConfigError("covtype source needs objective.data.path or $CNEXT_COVTYPE_PATH")
-            self.ds = load_covtype(data_cfg.path, data_cfg.p_reduced, cfg.seed, net_cfg.n)
-        part = partition_homogeneous(self.ds, net_cfg.n, cfg.seed)
-        self.partition = part
-        locals_ = build_locals(self.ds, part)
-        if cfg.objective.kind == "ridge":
-            self.obj = ridge_objective(locals_, cfg.objective.lam)
-            self.test_data = None
-        else:
-            self.obj = logistic_objective(locals_, cfg.objective.lam)
-            self.test_data = self.ds.test() if self.ds.test_idx.size else None
+        if data_cfg.source == "covtype" and not data_cfg.path:
+            raise ConfigError("covtype source needs objective.data.path or $CNEXT_COVTYPE_PATH")
+        try:  # values the config parser admits but the data cannot meet; a missing file is io
+            if data_cfg.source == "synthetic":
+                self.ds = generate_ridge_synthetic(data_cfg.n_samples, data_cfg.p, cfg.seed,
+                                                   data_cfg.noise_std)
+            else:
+                self.ds = load_covtype(data_cfg.path, data_cfg.p_reduced, cfg.seed, net_cfg.n)
+            self.partition = partition_homogeneous(self.ds, net_cfg.n, cfg.seed)
+            locals_ = build_locals(self.ds, self.partition)
+        except ValueError as exc:
+            raise ConfigError(f"objective.data: {exc}") from exc
+        ridge = cfg.objective.kind == "ridge"
+        try:
+            self.obj = (ridge_objective if ridge else logistic_objective)(locals_, cfg.objective.lam)
+        except ValueError as exc:
+            raise ConfigError(f"objective: {exc}") from exc
+        self.test_data = self.ds.test() if not ridge and self.ds.test_idx.size else None
         self.scheme = self.build_scheme(cfg.scheme)
         self.x_star = baseline_optimum(self.obj)
 
@@ -145,6 +147,13 @@ def averaged_csv(per_seed: list[list[RoundRecord]]) -> str:
                 for rows in zip(*per_seed))
 
 
+def _stop(hp: HyperParams, outcome: list[RoundRecord] | Exception) -> str:
+    """Why a run ended, from its records or its error: "T", "tol", "divergence" or "numerical"."""
+    if isinstance(outcome, Exception):
+        return "divergence" if isinstance(outcome, DivergenceError) else "numerical"
+    return "T" if len(outcome) == hp.T + 1 else "tol"
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     exp = Experiment(cfg)
     hp, mode, scheme = cfg.hyperparams, cfg.mode, exp.scheme
@@ -157,12 +166,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             records = run(exp.obj, exp.net, scheme, hp, mode, seed,
                           x_star=exp.x_star, test_data=exp.test_data)
             per_seed.append(records)
-            stop[str(seed)] = "T" if len(records) == hp.T + 1 else "tol"
+            stop[str(seed)] = _stop(hp, records)
             if len(seeds) > 1:
                 atomic_write(os.path.join(cfg.output_dir, f"trace_seed{seed}.csv"),
                              records_to_csv(records))
     except (DivergenceError, NumericalError) as exc:
-        stop[str(seed)] = "divergence" if isinstance(exc, DivergenceError) else "numerical"
+        stop[str(seed)] = _stop(hp, exc)
         err = {"error": type(exc).__name__, "message": str(exc),
                "t": exc.t, "quantity": getattr(exc, "quantity", None),
                "agent": getattr(exc, "agent", None)}
@@ -197,9 +206,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         try:
             records = run(exp.obj, exp.net, scheme, v.hyperparams, v.mode, cfg.seed,
                           x_star=exp.x_star, test_data=exp.test_data)
+            entry["stop"] = _stop(v.hyperparams, records)
         except (DivergenceError, NumericalError) as exc:
             # a diverging variant is a comparison outcome, not a harness failure
             entry["diverged"] = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
+            entry["stop"] = _stop(v.hyperparams, exc)
             records = []
         lines.extend(f"{v.name},{row}" for row in records_to_csv(records).splitlines()[1:])
         entry["final_residual"] = records[-1].residual if records else None

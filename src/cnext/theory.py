@@ -13,6 +13,10 @@ given, whose entries are dyadic rationals. rho(A) < 1 is read from float64 eigen
 away from 1 and, within 1e-9 of it, from the signs of the pivots of I - A in `Fraction`
 arithmetic (the M-matrix criterion). The certificate is decided in float64 when every
 row's margin clears a forward-error bound, and in `Fraction` only when one does not.
+
+The eight conditions that read eps are stated once, as the rows of `_condition_rows`: the
+report's flags for them are the rows' signs at eps, and `default_epsilon`'s search reads
+the same rows, so the two cannot disagree. The bounds printed beside those flags are display.
 """
 
 from __future__ import annotations
@@ -226,12 +230,6 @@ def rho_below(A: np.ndarray, s: float, rho: float | None = None) -> bool:
     return True
 
 
-def _rho_and_flag(A: np.ndarray) -> tuple[float, bool]:
-    """(rho(A) from float64 eigenvalues, rho(A) < 1)."""
-    rho = spectral_radius(A)
-    return rho, rho_below(A, 1.0, rho)
-
-
 def _certificate_holds(A: list[list[float]], v: list[float], q: float) -> bool:
     """A v <= q v componentwise, decided exactly for the float64 A (its rows), v and q.
 
@@ -274,7 +272,7 @@ def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarr
     A (eps1, eps2, L^2 eps3, eps4, L^2 eps5) <= (1 - eta/(2 kappa)) * same,
     and rho(A). Never raises on infeasible parameters; it reports them.
     """
-    return _conditions_report(tc, theta, eps, n, *_formed(tc, theta, n))
+    return _report(tc, theta, eps, n, *_formed(tc, theta, n))
 
 
 def evaluate(tc: TheoryConstants, theta: Theta, n: int,
@@ -285,7 +283,7 @@ def evaluate(tc: TheoryConstants, theta: Theta, n: int,
     A = build_A(tc, theta, n).A
     if eps is None:
         eps = _epsilon(tc, theta, n, A)
-    return A, _conditions_report(tc, theta, eps, n, A, None)
+    return A, _report(tc, theta, eps, n, A, None)
 
 
 def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
@@ -302,93 +300,74 @@ def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
     return np.inf if den == 0.0 else (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / den
 
 
-# the report's names for what _scalar_conditions returns, in its order
-_ETA_BOUNDS = ("eps_ratio", "kappa_sqrt23", "gamma_gap_kappa6", "gamma_over_kappa",
-               "row2_sqrt", "row2_sqrt_proof", "row3_sqrt")
-_GAMMA_BOUNDS = ("one", "row4_sqrt", "row5_sqrt")
-_SYSTEM = {"eps1_over_eps2": ("lhs", "rhs"), "eps4_over_eps2": ("lhs", "rhs"),
-           "eps3_floor": ("lhs", "rhs", "rhs_proof")}
-
-
-def _scalar_conditions(tc: TheoryConstants, theta: Theta, e: list, n: int, A: np.ndarray | None,
-                       reason: str | None, sqrt=math.sqrt) -> tuple:
-    """Every bound, system entry, flag and decision of the report, each computed once from
-    the five scalars e: (eta bounds, gamma bounds, system entries, (eta, gamma, system)
-    flags, (ok, reason, rho_A, rho_lt_1) of the direct check, pass)."""
-    e1, e2, e3, e4, e5 = e
-    kappa, k2, k3 = float(tc.kappa), float(tc.kappa ** 2), float(tc.kappa ** 3)
-    eta, gamma, C = theta.eta, theta.gamma, tc.C
-    rho, rt, rb, b2 = tc.rho, tc.rho_tilde, 1.0 - tc.rho_tilde, tc.beta ** 2
-    eps_hat = 2.0 * n * e1 + 2.0 * e2 + e3
-    eps_bar = tc.k1 * e2 + tc.k2 * e4
-    eps_breve = 3.0 * tc.k3 * e2 + tc.k3 * e3 + 3.0 * tc.k4 * e4 + tc.k3 * e5
-    eta_bounds = (e1 / (3.0 * k3 * e2 / n + 3.0 * kappa * e3 / (float(tc.mu ** 2) * n)),
-                  kappa * sqrt(2.0 / 3.0), gamma * (1.0 - rho) * kappa / 6.0, gamma / kappa,
-                  (0.25 / kappa) * sqrt(gamma * (1.0 - rho) * rb * e2 / eps_hat),
-                  (0.25 / kappa) * sqrt(gamma * (1.0 - rho) * rb * e2 / (3.0 * eps_hat)),
-                  (1.0 / (12.0 * kappa)) * sqrt(gamma * (1.0 - rho) * rb * e3 / eps_hat))
-    gamma_bounds = (1.0,
-                    sqrt((1.0 - tc.a_x) * e4 / (2.0 * tc.c1 * eps_hat + eps_bar + e4 / (2.0 * k2))),
-                    sqrt((1.0 - tc.a_y) * e5 / (6.0 * tc.c2 * eps_hat + eps_breve + e5 / (2.0 * k2))))
-    if b2 == 0.0:
-        sys3_rhs = sys3_rhs_proof = math.inf
-    else:
-        sys3_rhs = rb * (1.0 - rho) * e3 / (24.0 * gamma * b2)
-        sys3_rhs_proof = rt * (1.0 - rho) * e3 / (24.0 * gamma * b2)
-    system = ((e1 / e2, float(_eps1_floor(tc, e2, e3, n))), (e4 / e2, _eps4_cap(tc, gamma)),
-              (3.0 * e2 + 3.0 * C * e4 + C * e5, sys3_rhs, sys3_rhs_proof))
-    # where statement and derivation disagree typographically, both are reported and the
-    # flags follow the derivation: row2_sqrt's flag reads row2_sqrt_proof, and eps3_floor's
-    # reads rhs_proof (the statement's variant makes its own feasible set empty as gamma -> 0)
-    (r1, floor1), (r4, cap4), (lhs3, _, rhs3) = system
-    flags = ([eta <= bound for bound in eta_bounds[:4] + eta_bounds[5:]],
-             [gamma <= bound for bound in gamma_bounds], [r1 >= floor1, r4 <= cap4, lhs3 <= rhs3])
-    ok, rho_A, rho_lt_1 = False, None, False
-    if A is not None:
-        q, L2 = contraction_rate(eta, kappa), float(tc.L ** 2)
-        v = [e1, e2, L2 * e3, e4, L2 * e5]
-        ok = _certificate_holds(A.tolist(), v, q)
-        try:
-            rho_A, rho_lt_1 = _rho_and_flag(A)
-        except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
-            reason = str(exc)
-    passed = bool(all(map(all, flags)) and ok and rho_lt_1)
-    return eta_bounds, gamma_bounds, system, flags, (ok, reason, rho_A, rho_lt_1), passed
-
-
-def _conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.ndarray | None,
-                reason: str | None) -> tuple[list[float], tuple]:
-    """(eps as floats, _scalar_conditions on it) in Python floats; in numpy float64, with IEEE
-    inf and nan, where those raise (a zero division or the root of a negative number)."""
+def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.ndarray | None,
+            reason: str | None, num: type = float) -> dict:
+    """The check_sufficient_conditions report, each entry computed once from eps in the scalar
+    type num: Python floats, or numpy float64, with IEEE inf and nan, where those raise (a zero
+    division, the root of a negative number or an overflowed power). Where statement and
+    derivation disagree typographically, both bounds are printed and the flag is the
+    derivation's row: row2_sqrt's is row2_sqrt_proof's, and eps3_floor's is rhs_proof's (the
+    statement's makes its own feasible set empty as gamma -> 0)."""
     eps = np.asarray(eps, dtype=float)
     e = eps.tolist()
     if eps.shape != (5,) or not all(x > 0 for x in e):  # a NaN entry fails too
         raise ValueError("eps must be 5 strictly positive reals")
+    sqrt = math.sqrt if num is float else np.sqrt
+    e1, e2, e3, e4, e5 = map(num, e)
+    eta, gamma, C, kappa = float(theta.eta), float(theta.gamma), tc.C, num(tc.kappa)
     try:
-        return e, _scalar_conditions(tc, theta, e, n, A, reason)
+        rho, rt, rb, b2, k2 = tc.rho, tc.rho_tilde, 1.0 - tc.rho_tilde, tc.beta ** 2, kappa ** 2
+        eps_hat = 2.0 * n * e1 + 2.0 * e2 + e3
+        eps_bar = tc.k1 * e2 + tc.k2 * e4
+        eps_breve = 3.0 * tc.k3 * e2 + tc.k3 * e3 + 3.0 * tc.k4 * e4 + tc.k3 * e5
+        gap = gamma * (1.0 - rho) * rb
+        eta_bounds = {
+            "eps_ratio": e1 / (3.0 * kappa ** 3 * e2 / n + 3.0 * kappa * e3 / (num(tc.mu) ** 2 * n)),
+            "kappa_sqrt23": kappa * sqrt(2.0 / 3.0), "gamma_gap_kappa6": gamma * (1.0 - rho) * kappa / 6.0,
+            "gamma_over_kappa": gamma / kappa, "row2_sqrt": (0.25 / kappa) * sqrt(gap * e2 / eps_hat),
+            "row2_sqrt_proof": (0.25 / kappa) * sqrt(gap * e2 / (3.0 * eps_hat)),
+            "row3_sqrt": (1.0 / (12.0 * kappa)) * sqrt(gap * e3 / eps_hat)}
+        gamma_bounds = {
+            "one": 1.0,
+            "row4_sqrt": sqrt((1.0 - tc.a_x) * e4 / (2.0 * tc.c1 * eps_hat + eps_bar + e4 / (2.0 * k2))),
+            "row5_sqrt": sqrt((1.0 - tc.a_y) * e5 / (6.0 * tc.c2 * eps_hat + eps_breve + e5 / (2.0 * k2)))}
+        rhs3 = [r * (1.0 - rho) * e3 / (24.0 * gamma * b2) if b2 != 0.0 else math.inf for r in (rb, rt)]
+        system = {"eps1_over_eps2": {"lhs": e1 / e2, "rhs": _eps1_floor(tc, e2, e3, n)},
+                  "eps4_over_eps2": {"lhs": e4 / e2, "rhs": _eps4_cap(tc, gamma)},
+                  "eps3_floor": {"lhs": 3.0 * e2 + 3.0 * C * e4 + C * e5, "rhs": rhs3[0], "rhs_proof": rhs3[1]}}
+        ratio, floor1, row2, cap4, row3, floor3, row4, row5 = [
+            bool(m1 * e1 + m2 * e2 + m3 * e3 + m4 * e4 + m5 * e5 >= 0)
+            for m1, m2, m3, m4, m5 in _condition_rows(tc, theta, n, num)]
     except (ArithmeticError, ValueError):
-        return e, _scalar_conditions(tc, theta, list(eps), n, A, reason, np.sqrt)
-
-
-def _conditions_report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int,
-                       A: np.ndarray | None, reason: str | None) -> dict:
-    """The check_sufficient_conditions report: _scalar_conditions, named."""
-    e, (eta_bounds, gamma_bounds, system, (stsz, constsz, system_ok), direct, passed) = \
-        _conditions(tc, theta, eps, n, A, reason)
-    return {
-        "theta": dict(vars(theta)),
-        "eps": e,
-        "eta_bounds": dict(zip(_ETA_BOUNDS, map(float, eta_bounds))),
-        "gamma_bounds": dict(zip(_GAMMA_BOUNDS, map(float, gamma_bounds))),
-        "stsz_ok": dict(zip(_ETA_BOUNDS[:5] + _ETA_BOUNDS[6:], map(bool, stsz))),
-        "constsz_ok": dict(zip(_GAMMA_BOUNDS, map(bool, constsz))),
-        "system": {name: {**dict(zip(keys, map(float, entry))), "ok": bool(flag)}
-                   for (name, keys), entry, flag in zip(_SYSTEM.items(), system, system_ok)},
-        "system_ok": dict(zip(_SYSTEM, map(bool, system_ok))),
-        "direct_contraction": dict(zip(("ok", "reason", "rho_A", "rho_lt_1"), direct)),
-        "rho_A": direct[2],
-        "pass": passed,
-    }
+        if num is not float:
+            raise
+        with np.errstate(all="ignore"):  # its infinities and NaNs are the point
+            return _report(tc, theta, eps, n, A, reason, np.float64)
+    eta_bounds = {name: float(x) for name, x in eta_bounds.items()}
+    stsz_ok = {"eps_ratio": ratio, "kappa_sqrt23": eta <= eta_bounds["kappa_sqrt23"],
+               "gamma_gap_kappa6": eta <= eta_bounds["gamma_gap_kappa6"],
+               "gamma_over_kappa": eta <= eta_bounds["gamma_over_kappa"], "row2_sqrt": row2, "row3_sqrt": row3}
+    constsz_ok = {"one": gamma <= 1.0, "row4_sqrt": row4, "row5_sqrt": row5}
+    system_ok = {"eps1_over_eps2": floor1, "eps4_over_eps2": cap4, "eps3_floor": floor3}
+    ok, rho_A, rho_lt_1 = False, None, False
+    if A is not None:
+        L2 = float(tc.L ** 2)
+        ok = _certificate_holds(A.tolist(), [e[0], e[1], L2 * e[2], e[3], L2 * e[4]],
+                                contraction_rate(eta, float(tc.kappa)))
+        try:
+            rho = spectral_radius(A)
+            rho_A, rho_lt_1 = rho, rho_below(A, 1.0, rho)
+        except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
+            reason = str(exc)
+    return {"theta": dict(vars(theta)), "eps": e, "eta_bounds": eta_bounds,
+            "gamma_bounds": {name: float(x) for name, x in gamma_bounds.items()},
+            "stsz_ok": stsz_ok, "constsz_ok": constsz_ok,
+            "system": {name: {**{k: float(x) for k, x in entry.items()}, "ok": system_ok[name]}
+                       for name, entry in system.items()},
+            "system_ok": system_ok,
+            "direct_contraction": {"ok": ok, "reason": reason, "rho_A": rho_A, "rho_lt_1": rho_lt_1},
+            "rho_A": rho_A,
+            "pass": all((*stsz_ok.values(), *constsz_ok.values(), *system_ok.values(), ok, rho_lt_1))}
 
 
 def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
@@ -412,25 +391,32 @@ _PIVOTS = (np.arange(13), np.array(_ROW_ENTRY))
 
 
 def _rows(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[list[float]]:
-    """The 13 checks of the report that read eps, squared or cross-multiplied into rows of
-    M that hold when M[k] @ eps >= 0. Row k bounds entry i = _ROW_ENTRY[k]: M[k][i] is its
-    pivot coefficient and the other entries are <= 0. Rows 0-4 are the certificate (qI - A) D,
-    D = diag(1, 1, L^2, 1, L^2), with pivots (q - A_ii) D_ii, exact as q and A_ii are floats
-    near 1; then eps_ratio and the eps1/eps2 floor, row2_sqrt_proof and the eps4/eps2 cap,
-    row3_sqrt and the eps3 floor's rhs_proof, row4_sqrt, and row5_sqrt."""
-    eta, gamma, g2, C, rho, rt = theta.eta, theta.gamma, theta.gamma ** 2, tc.C, tc.rho, tc.rho_tilde
-    kappa, k2, mu2, L2 = float(tc.kappa), float(tc.kappa ** 2), float(tc.mu ** 2), float(tc.L ** 2)
+    """The 13 rows of M the certificate search reads, each holding when M[k] @ eps >= 0. Row k
+    bounds entry i = _ROW_ENTRY[k]: M[k][i] is its pivot coefficient and the other entries are
+    <= 0. Rows 0-4 are the certificate (qI - A) D, D = diag(1, 1, L^2, 1, L^2), with pivots
+    (q - A_ii) D_ii, exact as q and A_ii are floats near 1; rows 5-12 are `_condition_rows`."""
+    L2 = float(tc.L ** 2)
     # q less two ulps: float64 misses the exact rate 1 - eta mu/(2L), which is at least 1/2
     # under the step cap, by less than that, so a certificate for this q holds for both
-    q, d = contraction_rate(eta, kappa) - 2.0 ** -52, (1.0, 1.0, L2, 1.0, L2)
-    M = [[(q - a if i == j else -a) * dj for j, (a, dj) in enumerate(zip(row, d))]
-         for i, row in enumerate(A.tolist())]
+    q, d = contraction_rate(theta.eta, float(tc.kappa)) - 2.0 ** -52, (1.0, 1.0, L2, 1.0, L2)
+    return [[(q - a if i == j else -a) * dj for j, (a, dj) in enumerate(zip(row, d))]
+            for i, row in enumerate(A.tolist())] + _condition_rows(tc, theta, n)
+
+
+def _condition_rows(tc: TheoryConstants, theta: Theta, n: int, num: type = float) -> list[list]:
+    """The eight report checks that read eps, squared or cross-multiplied into rows that hold
+    when row @ eps >= 0, in the scalar type num of `_report` (Python floats raise where
+    rho_tilde or gamma is 0 or a power of kappa overflows): eps_ratio and the eps1/eps2 floor,
+    row2_sqrt_proof and the eps4/eps2 cap, row3_sqrt and the eps3 floor's rhs_proof,
+    row4_sqrt, and row5_sqrt."""
+    eta, gamma, C, rho, rt, kappa = map(num, (theta.eta, theta.gamma, tc.C, tc.rho, tc.rho_tilde, tc.kappa))
+    g2, k2, mu2, b2 = gamma ** 2, kappa ** 2, num(tc.mu) ** 2, num(tc.beta) ** 2
     ke, sq = k2 * eta ** 2, gamma * (1.0 - rho) * (1.0 - rt)  # the sqrt bounds, squared
-    inv_cap = 8.0 * g2 * tc.beta ** 2 * C ** 2 / ((1.0 - rt) * (1.0 - rho))  # 1 / _eps4_cap
-    f3 = 24.0 * gamma * tc.beta ** 2 / (rt * (1.0 - rho))  # the eps3 floor, per unit of lhs3
-    return M + [
-        [1.0, -3.0 * eta * float(tc.kappa ** 3) / n, -3.0 * eta * kappa / (mu2 * n), 0.0, 0.0],
-        [1.0, -6.0 * float(tc.kappa ** 4) / n, -6.0 * k2 / (mu2 * n), 0.0, 0.0],
+    inv_cap = 8.0 * g2 * b2 * C ** 2 / ((1.0 - rt) * (1.0 - rho))  # 1 / _eps4_cap
+    f3 = 24.0 * gamma * b2 / (rt * (1.0 - rho))  # the eps3 floor, per unit of lhs3
+    return [
+        [1.0, -3.0 * eta * kappa ** 3 / n, -3.0 * eta * kappa / (mu2 * n), 0.0, 0.0],
+        [1.0, -6.0 * kappa ** 4 / n, -6.0 * k2 / (mu2 * n), 0.0, 0.0],
         [-96.0 * n * ke, sq - 96.0 * ke, -48.0 * ke, 0.0, 0.0],
         [0.0, 1.0, 0.0, -inv_cap, 0.0],
         [-288.0 * n * ke, -288.0 * ke, sq - 144.0 * ke, 0.0, 0.0],

@@ -274,6 +274,25 @@ def test_compare_tolerates_diverging_variant(tmp_path):
     assert man["variants"]["newton"]["diverged"] is None
 
 
+def test_compare_records_each_variants_stop_reason(tmp_path):
+    # the stop reasons of `cnext run`'s manifest, one per variant; compare.csv is unchanged
+    variants = [
+        {"name": "at-tol", "mode": "cnext", "scheme": {"kind": "identity"}},
+        {"name": "all-T", "mode": "cnext", "scheme": {"kind": "identity"}, "eta": 1e-6},
+        {"name": "raw-gt", "mode": "first_order_gt", "scheme": {"kind": "identity"}, "eta": 0.9},
+    ]
+    cfg, out = write_config(tmp_path, compare={"variants": variants},
+                            hyperparams={"T": 300, "tol": 1.0, "eta": 0.05, "gamma": 0.6,
+                                         "alpha_x": 1.0, "alpha_y": 1.0})
+    assert main(["compare", "-c", cfg]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert {name: v["stop"] for name, v in man["variants"].items()} == \
+        {"all-T": "T", "at-tol": "tol", "raw-gt": "divergence"}
+    _, rows = read_csv(os.path.join(out, "compare.csv"))
+    rounds = [sum(r[0] == name for r in rows) for name in ("at-tol", "all-T", "raw-gt")]
+    assert 1 < rounds[0] < 301 and rounds[1:] == [301, 0]
+
+
 def test_compare_records_each_variants_theory_warnings(tmp_path):
     # each variant is checked at its own step and scheme, the uncompressed one against the
     # identity it runs with: 1.5 r delta is 0.75 for random-k(2 of 4) but 1.5 for identity
@@ -342,7 +361,7 @@ def test_theory_point_forms_A_once(tmp_path, capsys, monkeypatch):
     # a point, and each grid cell, forms A(theta) once and decides rho(A) at most once
     from cnext import theory
 
-    calls = {"build_A": 0, "_rho_and_flag": 0}
+    calls = {"build_A": 0, "spectral_radius": 0}
     for name in calls:
         def counted(*args, real=getattr(theory, name), name=name):
             calls[name] += 1
@@ -352,9 +371,9 @@ def test_theory_point_forms_A_once(tmp_path, capsys, monkeypatch):
     cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
                           hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
     for args, points in (([], 1), (["--grid", "2"], 4)):
-        calls.update(build_A=0, _rho_and_flag=0)
+        calls.update(build_A=0, spectral_radius=0)
         assert main(["theory", "-c", cfg, *args]) == 0
-        assert calls["build_A"] == points and calls["_rho_and_flag"] <= points
+        assert calls["build_A"] == points and calls["spectral_radius"] <= points
 
 
 def test_theory_nan_eps_is_config_error(tmp_path, capsys):
@@ -530,6 +549,37 @@ def test_missing_covtype_path_is_config_error(tmp_path, capsys, monkeypatch):
                           hyperparams={"eta": 0.093, "gamma": 0.35, "T": 2})
     assert main(["run", "-c", cfg]) == 2
     assert "covtype" in capsys.readouterr().err
+
+
+LOGISTIC_COVTYPE = {"kind": "logistic", "lambda": 0.1, "data": {"source": "covtype"}}
+
+
+@pytest.mark.parametrize("objective, message", [
+    ({"kind": "ridge", "lambda": 0, "data": {"source": "synthetic", "n_samples": 50, "p": 4}},
+     "objective: lambda must be positive"),
+    ({"kind": "ridge", "lambda": 0.5, "data": {"source": "synthetic", "n_samples": 3, "p": 4}},
+     "objective.data: more agents (5) than training samples (3)"),
+    ({"kind": "ridge", "lambda": 0.5, "data": {"source": "synthetic", "n_samples": 50, "p": 0}},
+     "objective.data: need N, p >= 1"),
+    (LOGISTIC_COVTYPE, "objective.data: expected 55 columns"),
+], ids=["lambda-0", "fewer-samples-than-agents", "p-0", "covtype-3-columns"])
+def test_set_up_rejections_are_config_errors(tmp_path, capsys, monkeypatch, objective, message):
+    # values the config parser admits but the data or objective refuses exit 2, naming the block
+    csv = tmp_path / "covtype.csv"
+    csv.write_text("1,2,3\n4,5,6\n")
+    monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(csv))
+    cfg, out = write_config(tmp_path, objective=objective, scheme={"kind": "identity", "k": None},
+                            hyperparams={"eta": 0.002, "gamma": 0.6, "T": 2})
+    assert main(["run", "-c", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_missing_covtype_file_is_io_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(tmp_path / "absent.csv"))
+    cfg, _ = write_config(tmp_path, objective=LOGISTIC_COVTYPE, hyperparams={"T": 2})
+    assert main(["run", "-c", cfg]) == 4
+    assert "io error" in capsys.readouterr().err
 
 
 def test_ridge_defaults_converge_for_randomk(tmp_path):

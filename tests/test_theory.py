@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from cnext.compress import ALL_KINDS, make_scheme
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.theory import (Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon,
                           spectral_radius)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def constants_for(mu, L, rho, beta, C, r, delta, theta, tau_x=None, tau_y=None):
@@ -258,7 +261,7 @@ def test_search_ranks_by_the_reported_flags(ridge10, kind):
                 seen.add(_report_types(tc, theta, eps, net.n))
             nan_eps = np.array([np.nan, 1, 1, 1, 1])
             with pytest.raises(ValueError, match="strictly positive"):
-                theory._conditions(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n))
+                theory._report(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n))
             with pytest.raises(ValueError, match="strictly positive"):
                 check_sufficient_conditions(tc, theta, nan_eps, net.n)
     assert {(False, False, False), (True, False, False), (True, False, True)} <= seen
@@ -266,10 +269,21 @@ def test_search_ranks_by_the_reported_flags(ridge10, kind):
 
 
 NET10 = metropolis_hastings_weights(build_ring(10))
-# the report flag of each row of theory._rows after the five certificate rows
+# the report flag of each of theory._condition_rows, rows 5-12 of theory._rows
 ROW_FLAGS = (("stsz_ok", "eps_ratio"), ("system_ok", "eps1_over_eps2"), ("stsz_ok", "row2_sqrt"),
              ("system_ok", "eps4_over_eps2"), ("stsz_ok", "row3_sqrt"), ("system_ok", "eps3_floor"),
              ("constsz_ok", "row4_sqrt"), ("constsz_ok", "row5_sqrt"))
+
+
+def _displayed(report, theta):
+    """Rows 5-12 decided on what the report prints beside their flags: the eta or gamma
+    bound, or the system lhs against its rhs (rhs_proof for the eps3 floor)."""
+    eta_b, gamma_b, system = report["eta_bounds"], report["gamma_bounds"], report["system"]
+    floor1, cap4, floor3 = system["eps1_over_eps2"], system["eps4_over_eps2"], system["eps3_floor"]
+    return (theta.eta <= eta_b["eps_ratio"], floor1["lhs"] >= floor1["rhs"],
+            theta.eta <= eta_b["row2_sqrt_proof"], cap4["lhs"] <= cap4["rhs"],
+            theta.eta <= eta_b["row3_sqrt"], floor3["lhs"] <= floor3["rhs_proof"],
+            theta.gamma <= gamma_b["row4_sqrt"], theta.gamma <= gamma_b["row5_sqrt"])
 
 
 @settings(deadline=None, max_examples=300)
@@ -279,11 +293,12 @@ ROW_FLAGS = (("stsz_ok", "eps_ratio"), ("system_ok", "eps1_over_eps2"), ("stsz_o
        st.lists(st.floats(-1.0, 1.0), min_size=13, max_size=13))
 def test_each_row_holds_exactly_when_its_report_flag_does(kind, kappa, log_eta, log_gamma,
                                                           alpha, log_eps, log_shift):
-    # the search's one-sided rows restate the report's checks, squared or cross-multiplied;
+    # the search's one-sided rows state the checks that read eps, squared or cross-multiplied;
     # certificate row i is the report's direct check on row i of A alone, with q lowered by
-    # two ulps. Each row is tried at an eps whose bounded entry is up to 10x either side of
-    # the row's tie; a row within 1e-9 of its terms' scale (for a certificate row, q v_i and
-    # (A v)_i) of zero is a float tie, and decides nothing
+    # two ulps, and rows 5-12 are the report's flags, which must agree with the bounds and
+    # system entries printed beside them. Each row is tried at an eps whose bounded entry is
+    # up to 10x either side of the row's tie; a row within 1e-9 of its terms' scale (for a
+    # certificate row, q v_i and (A v)_i) of zero is a float tie, and decides nothing
     from cnext import theory
 
     scheme = make_scheme(kind, 20, b=2, k=5)
@@ -305,11 +320,79 @@ def test_each_row_holds_exactly_when_its_report_flag_does(kind, kappa, log_eta, 
         if k < 5:  # the report's exact decision on row k of A alone
             only_k = np.zeros((5, 5))
             only_k[k] = A[k]
-            flag = theory._certificate_holds(only_k.tolist(), v.tolist(), q)
+            assert theory._certificate_holds(only_k.tolist(), v.tolist(), q) is bool(value >= 0), k
         else:
+            report = check_sufficient_conditions(tc, theta, eps, NET10.n)
             block, name = ROW_FLAGS[k - 5]
-            flag = check_sufficient_conditions(tc, theta, eps, NET10.n)[block][name]
-        assert flag is bool(value >= 0), k
+            assert report[block][name] is bool(value >= 0) is _displayed(report, theta)[k - 5], k
+
+
+def test_search_and_report_agree_on_every_map_point():
+    # the report's pass at default_epsilon's vector and the search's "a certificate exists"
+    # read the same rows: on theory_identity.json's 20 x 20 map (alpha = 1) they agree at every
+    # point of every kind, where identity certifies 25 points and the other kinds none
+    from cnext import theory
+    from cnext.cli import GRID_ETA, GRID_GAMMA, Experiment
+    from cnext.config import load_config
+
+    exp = Experiment(load_config(str(CONFIGS / "theory_identity.json")))
+    mu, L, n = exp.obj.mu, exp.obj.L, exp.net.n
+    certified = dict.fromkeys(ALL_KINDS, 0)
+    for kind in ALL_KINDS:
+        scheme = make_scheme(kind, exp.p, k=3)
+        for eta in map(float, np.geomspace(*GRID_ETA, 20)):
+            for gamma in map(float, np.geomspace(*GRID_GAMMA, 20)):
+                theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
+                tc = TheoryConstants.build(mu, L, exp.net, scheme, theta)
+                A, _ = theory._formed(tc, theta, n)
+                found = A is not None and theory._least_certificate(theory._rows(A, tc, theta, n)) is not None
+                passed = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, n), n)["pass"]
+                assert passed is found, (kind, eta, gamma)
+                certified[kind] += passed
+    assert certified == {**dict.fromkeys(ALL_KINDS, 0), "identity": 25}
+
+
+# the report's key tree, block by block, in its order; `bench/` reads "pass"
+REPORT_KEYS = {
+    "theta": ["eta", "gamma", "alpha_x", "alpha_y"],
+    "eps": None,
+    "eta_bounds": ["eps_ratio", "kappa_sqrt23", "gamma_gap_kappa6", "gamma_over_kappa", "row2_sqrt",
+                   "row2_sqrt_proof", "row3_sqrt"],
+    "gamma_bounds": ["one", "row4_sqrt", "row5_sqrt"],
+    "stsz_ok": ["eps_ratio", "kappa_sqrt23", "gamma_gap_kappa6", "gamma_over_kappa", "row2_sqrt", "row3_sqrt"],
+    "constsz_ok": ["one", "row4_sqrt", "row5_sqrt"],
+    "system": {"eps1_over_eps2": ["lhs", "rhs", "ok"], "eps4_over_eps2": ["lhs", "rhs", "ok"],
+               "eps3_floor": ["lhs", "rhs", "rhs_proof", "ok"]},
+    "system_ok": ["eps1_over_eps2", "eps4_over_eps2", "eps3_floor"],
+    "direct_contraction": ["ok", "reason", "rho_A", "rho_lt_1"],
+    "rho_A": None,
+    "pass": None,
+}
+
+
+def _key_tree(value):
+    if not isinstance(value, dict):
+        return None
+    if all(not isinstance(v, dict) for v in value.values()):
+        return list(value)
+    return {k: _key_tree(v) for k, v in value.items()}
+
+
+@pytest.mark.parametrize("eta, gamma, passed", [(1e-10, 0.005, True), (1e-2, 0.5, False), (0.9, 0.5, False),
+                                               (1e-10, 1e-300, False)],
+                         ids=["certified", "rejected", "A-not-formed", "numpy-path"])
+def test_report_keys_are_pinned(ridge10, monkeypatch, eta, gamma, passed):
+    from cnext import theory
+
+    calls = []
+    real = theory._report
+    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[6:]) or real(*a))
+    obj, net, _ = ridge10
+    theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
+    tc = TheoryConstants.build(obj.mu, obj.L, net, make_scheme("identity", obj.p), theta)
+    report = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, net.n), net.n)
+    assert json.dumps(_key_tree(report)) == json.dumps(REPORT_KEYS)
+    assert report["pass"] is passed and len(calls) == 1 + (gamma == 1e-300)
 
 
 @pytest.mark.parametrize("kind", ["qnbbq", "topk", "randomk"])
@@ -366,13 +449,13 @@ def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):
     from cnext import theory
 
     calls = []
-    real = theory._scalar_conditions
-    monkeypatch.setattr(theory, "_scalar_conditions", lambda *a: calls.append(len(a)) or real(*a))
+    real = theory._report
+    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[6:]) or real(*a))
     theta = Theta(eta=1e-3, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.5, r=1.0, delta=0.5, theta=theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         assert _report_types(tc, theta, np.array([1.0, 5e-324, 5e-324, 1.0, 1.0]), 10)[0]
-    assert calls == [6, 7]  # the report's evaluation fell back
+    assert calls == [(), (np.float64,)]  # the report's evaluation fell back
 
 
 @settings(deadline=None, max_examples=40)
@@ -394,7 +477,7 @@ def test_default_epsilon_builds_A_once(monkeypatch):
     # certificate itself bounds rho(A), so the search decides no eigenvalue
     from cnext import theory
 
-    calls = {"build_A": 0, "_rho_and_flag": 0}
+    calls = {"build_A": 0, "spectral_radius": 0, "rho_below": 0}
     for name in calls:
         real = getattr(theory, name)
 
@@ -406,7 +489,7 @@ def test_default_epsilon_builds_A_once(monkeypatch):
     theta = Theta(eta=1e-9, gamma=0.01, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=4.0, rho=0.8, beta=1.2, C=0.0, r=1.0, delta=1.0, theta=theta)
     default_epsilon(tc, theta, 10)
-    assert calls == {"build_A": 1, "_rho_and_flag": 0}
+    assert calls == {"build_A": 1, "spectral_radius": 0, "rho_below": 0}
 
 
 @pytest.mark.parametrize("kind", ["identity", "topk", "qnbbq"])
@@ -443,12 +526,13 @@ STOCHASTIC = np.array([[0.125, 0.125, 0.25, 0.5, 0.0],
 @pytest.mark.parametrize("c,below", [(1.0 - 2.0 ** -40, True), (1.0 + 2.0 ** -40, False),
                                      (1.0, False), (1.0 - 2.0 ** -53, True)])
 def test_rho_flag_is_exact_at_the_boundary(c, below):
+    # the report's rho_lt_1 is rho_below(A, 1, rho) at the float64 rho it prints
     from cnext import theory
 
     A = c * STOCHASTIC
     assert np.array_equal(A / c, STOCHASTIC)  # exact scaling: rho(A) is c
-    rho, flag = theory._rho_and_flag(A)
-    assert abs(rho - 1.0) <= 1e-9 and flag is below
+    rho = spectral_radius(A)
+    assert abs(rho - 1.0) <= 1e-9 and theory.rho_below(A, 1.0, rho) is below
 
 
 def test_rho_flag_agrees_with_eigenvalues_off_the_boundary():
