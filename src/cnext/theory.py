@@ -6,24 +6,28 @@ eta <= min(2L/(3mu), mu/L); rho(A) < 1 then yields a linear rate. The sufficient
 conditions bound eta and gamma through a positive certificate vector
 eps = (eps1, eps2, L^2 eps3, eps4, L^2 eps5) with A eps <= q eps, q = 1 - eta/(2 kappa).
 For eta > 0, A is nonnegative and q < 1, so the certificate alone gives rho(A) <= q < 1
-(the Collatz-Wielandt bound): `default_epsilon` decides no eigenvalue, the report one.
+(the Collatz-Wielandt bound): `default_epsilon` decides no eigenvalue, and the report
+eliminates only where the certificate does not settle rho(A) < 1.
 
 Both yes/no decisions the report rests on are exact for the float64 A, eps and q it is
-given, whose entries are dyadic rationals. rho(A) < 1 is read from float64 eigenvalues
-away from 1 and, within 1e-9 of it, from the signs of the pivots of I - A in `Fraction`
-arithmetic (the M-matrix criterion). The certificate is decided in float64 when every
-row's margin clears a forward-error bound, and in `Fraction` only when one does not.
+given. Each float64 is an integer times a power of two, so over one common power of two
+(`_dyadic`) they are integers, and the exact decisions run in Python integers. rho(A) < 1
+is read from float64 eigenvalues away from 1 and, within 1e-9 of it, from the signs of the
+leading principal minors of I - A (the M-matrix criterion), which Bareiss's fraction-free
+elimination yields as its pivots; where the certificate holds with q < 1, it is true
+without elimination. The certificate is decided in float64 when every row's margin clears
+a forward-error bound, and in integers only for the rows where one does not.
 
 The eight conditions that read eps are stated once, as the rows of `_condition_rows`: the
 report's flags for them are the rows' signs at eps, and `default_epsilon`'s search reads
 the same rows, so the two cannot disagree. The bounds printed beside those flags are display.
+A(theta) and those rows are formed once per point (`_point`), for the search and the report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -196,37 +200,53 @@ def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
 
 
 def spectral_radius(A: np.ndarray) -> float:
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+    return max(map(abs, np.linalg.eigvals(A).tolist()))
+
+
+def _dyadic(xs: list[float]) -> list[int]:
+    """The floats xs times their largest denominator, a power of two: integers in the same
+    ratios and with the same signs, so that sums, products and comparisons of them are exact.
+    A non-finite entry raises as `Fraction` does: OverflowError for inf, ValueError for NaN."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    top = max(den for _, den in ratios).bit_length()
+    return [num << (top - den.bit_length()) for num, den in ratios]
 
 
 def rho_below(A: np.ndarray, s: float, rho: float | None = None) -> bool:
     """rho(A) < s for a nonnegative A: read from rho, rho(A) from float64 eigenvalues, when
-    it lies farther than _RHO_GATE from s, and otherwise decided exactly in rationals.
+    it lies farther than _RHO_GATE from s, and otherwise decided exactly in integers.
 
     sI - A is then a Z-matrix, and rho(A) < s holds exactly when sI - A is a nonsingular
     M-matrix, that is when every leading principal minor of sI - A is positive (Berman &
-    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6). The k-th pivot of
-    Gaussian elimination without pivoting is the ratio of the k-th to the (k-1)-th leading
-    minor, so the minors are all positive exactly when every pivot is; elimination stops
-    at the first pivot that is not.
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6). `_minors_positive`
+    decides that on sI - A scaled to integers by `_dyadic`, which scales each minor by a
+    positive factor.
     """
     if rho is not None and abs(rho - s) > _RHO_GATE:
         return rho < s
     if np.any(A < 0):
         raise ValueError("the M-matrix criterion for rho(A) < s needs a nonnegative A")
-    m, sf = A.shape[0], Fraction(s)
-    M = [[(sf if i == j else 0) - Fraction(a) for j, a in enumerate(row)]
-         for i, row in enumerate(A.tolist())]
-    for k in range(m):
-        pivot = M[k][k]
+    m = A.shape[0]
+    si, *a = _dyadic([s, *A.ravel().tolist()])
+    return _minors_positive([[(si if i == j else 0) - a[i * m + j] for j in range(m)] for i in range(m)])
+
+
+def _minors_positive(M: list[list[int]]) -> bool:
+    """Every leading principal minor of the square integer matrix M is positive, by Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968), which it overwrites: its k-th pivot is
+    the k-th leading minor, and each division by the previous pivot is exact. It stops at
+    the first pivot that is not positive."""
+    prev = 1
+    for k, top in enumerate(M):
+        pivot = top[k]
         if pivot <= 0:
             return False
-        for i in range(k + 1, m):
-            f = M[i][k] / pivot
-            if f:
-                M[i][k + 1:] = [x - f * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
+        for row in M[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
     return True
 
 
@@ -235,7 +255,9 @@ def _certificate_holds(A: list[list[float]], v: list[float], q: float) -> bool:
 
     float64 decides every row whose margin q v_i - (A v)_i clears the forward-error bound
     _CERT_GAMMA ((|A||v|)_i + |q v_i|) + _CERT_TINY; only the rows it leaves open are
-    evaluated in `Fraction`. Non-finite entries fail the certificate.
+    evaluated exactly, in integers: row i and q over one power of two, and v over another,
+    which scales both sides of the row by the same positive factor. Non-finite entries fail
+    the certificate.
     """
     if not all(map(math.isfinite, chain(v, *A))):
         return False
@@ -246,21 +268,61 @@ def _certificate_holds(A: list[list[float]], v: list[float], q: float) -> bool:
             av += a * x
             abs_av += abs(a * x)
         margin, bound = qv - av, _CERT_GAMMA * (abs_av + abs(qv)) + _CERT_TINY
-        # an overflowed margin or bound (inf or nan) fails both comparisons: Fraction decides
+        # an overflowed margin or bound (inf or nan) fails both comparisons: integers decide
         if margin < -bound:
             return False
         if not margin > bound:
             open_rows.append(i)
-    return all(sum(Fraction(a) * Fraction(x) for a, x in zip(A[i], v)) <= Fraction(q) * Fraction(v[i])
-               for i in open_rows)
+    if not open_rows:
+        return True
+    vi = _dyadic(v)
+    for i in open_rows:
+        qi, *row = _dyadic([q, *A[i]])
+        if sum(a * x for a, x in zip(row, vi)) > qi * vi[i]:
+            return False
+    return True
+
+
+class _Point:
+    """What one (tc, theta, n) fixes, each formed once: A(theta), read-only, or the ValueError
+    that refuses it, and the float condition rows, built on first read."""
+
+    __slots__ = ("tc", "theta", "n", "A", "error", "_rows")
+
+    def __init__(self, tc: TheoryConstants, theta: Theta, n: int):
+        self.tc, self.theta, self.n, self._rows = tc, theta, n, None
+        try:
+            self.A, self.error = build_A(tc, theta, n).A, None
+            self.A.flags.writeable = False
+        except ValueError as exc:
+            self.A, self.error = None, exc
+
+    def condition_rows(self) -> list[list[float]]:
+        if self._rows is None:
+            self._rows = _condition_rows(self.tc, self.theta, self.n)
+        return self._rows
+
+
+_last: _Point | None = None
+
+
+def _point(tc: TheoryConstants, theta: Theta, n: int) -> _Point:
+    """The point of (tc, theta, n), shared by `default_epsilon` and `check_sufficient_conditions`
+    (or `evaluate`) at one theta through a one-entry memo. The memo is keyed on the objects,
+    not on their values: it holds them, so a match is the same immutable constants, where
+    equal values could still differ in a signed zero. Threads that race on it can only form
+    a point twice."""
+    global _last
+    p = _last
+    if p is None or p.tc is not tc or p.theta is not theta or p.n != n:
+        p = _last = _Point(tc, theta, n)
+    return p
 
 
 def _formed(tc: TheoryConstants, theta: Theta, n: int) -> tuple[np.ndarray | None, str | None]:
     """(A(theta), None), or (None, why it cannot be formed)."""
-    try:
-        return build_A(tc, theta, n).A, None
-    except ValueError as exc:
-        return None, str(exc)
+    p = _point(tc, theta, n)
+    return p.A, None if p.error is None else str(p.error)
 
 
 def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int) -> dict:
@@ -279,11 +341,13 @@ def evaluate(tc: TheoryConstants, theta: Theta, n: int,
              eps: np.ndarray | tuple[float, ...] | None) -> tuple[np.ndarray, dict]:
     """A(theta) and the check_sufficient_conditions report on eps, or on default_epsilon's
     vector when eps is None, from one A(theta) and one rho(A) decision. Raises ValueError
-    when A(theta) cannot be formed."""
-    A = build_A(tc, theta, n).A
+    when A(theta) cannot be formed. The A returned is the point's own, read-only."""
+    p = _point(tc, theta, n)
+    if p.error is not None:
+        raise p.error
     if eps is None:
-        eps = _epsilon(tc, theta, n, A)
-    return A, _report(tc, theta, eps, n, A, None)
+        eps = _epsilon(p)
+    return p.A, _report(tc, theta, eps, n, p.A, None)
 
 
 def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
@@ -337,7 +401,8 @@ def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.nd
                   "eps3_floor": {"lhs": 3.0 * e2 + 3.0 * C * e4 + C * e5, "rhs": rhs3[0], "rhs_proof": rhs3[1]}}
         ratio, floor1, row2, cap4, row3, floor3, row4, row5 = [
             bool(m1 * e1 + m2 * e2 + m3 * e3 + m4 * e4 + m5 * e5 >= 0)
-            for m1, m2, m3, m4, m5 in _condition_rows(tc, theta, n, num)]
+            for m1, m2, m3, m4, m5 in (_point(tc, theta, n).condition_rows() if num is float
+                                       else _condition_rows(tc, theta, n, num))]
     except (ArithmeticError, ValueError):
         if num is not float:
             raise
@@ -351,12 +416,15 @@ def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.nd
     system_ok = {"eps1_over_eps2": floor1, "eps4_over_eps2": cap4, "eps3_floor": floor3}
     ok, rho_A, rho_lt_1 = False, None, False
     if A is not None:
-        L2 = float(tc.L ** 2)
-        ok = _certificate_holds(A.tolist(), [e[0], e[1], L2 * e[2], e[3], L2 * e[4]],
-                                contraction_rate(eta, float(tc.kappa)))
+        L2, rows = float(tc.L ** 2), A.tolist()
+        v, q = [e[0], e[1], L2 * e[2], e[3], L2 * e[4]], contraction_rate(eta, float(tc.kappa))
+        ok = _certificate_holds(rows, v, q)
+        # A v <= q v with A >= 0, v > 0 and q < 1 gives rho(A) <= q < 1 (Collatz-Wielandt):
+        # rho(A) < 1 without an elimination. Not where q rounds to 1 (eta/(2 kappa) < 2^-53)
+        bounded = ok and q < 1.0 and min(v) > 0.0 and min(map(min, rows)) >= 0.0
         try:
             rho = spectral_radius(A)
-            rho_A, rho_lt_1 = rho, rho_below(A, 1.0, rho)
+            rho_A, rho_lt_1 = rho, bounded or rho_below(A, 1.0, rho)
         except ValueError as exc:  # a non-finite A, or a negative one near rho(A) = 1
             reason = str(exc)
     return {"theta": dict(vars(theta)), "eps": e, "eta_bounds": eta_bounds,
@@ -373,15 +441,15 @@ def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.nd
 def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
     """The certificate vector for check_sufficient_conditions: the least one in the rows of
     A(theta), or `_stated_floor_epsilon` where none exists or A(theta) cannot be formed."""
-    return _epsilon(tc, theta, n, _formed(tc, theta, n)[0])
+    return _epsilon(_point(tc, theta, n))
 
 
-def _epsilon(tc: TheoryConstants, theta: Theta, n: int, A: np.ndarray | None) -> np.ndarray:
+def _epsilon(p: _Point) -> np.ndarray:
     try:
-        e = None if A is None else _least_certificate(_rows(A, tc, theta, n))
+        e = None if p.A is None else _least_certificate(_rows(p))
     except ArithmeticError:  # rho_tilde or 1 - rho is 0, or a power of kappa overflows
         e = None
-    return _stated_floor_epsilon(tc, theta, n) if e is None else e
+    return _stated_floor_epsilon(p.tc, p.theta, p.n) if e is None else e
 
 
 # the eps entry each row of `_rows` bounds from below, the rows of each entry, the pivots
@@ -390,17 +458,17 @@ _GROUPS = [[k for k, i in enumerate(_ROW_ENTRY) if i == entry] for entry in rang
 _PIVOTS = (np.arange(13), np.array(_ROW_ENTRY))
 
 
-def _rows(A: np.ndarray, tc: TheoryConstants, theta: Theta, n: int) -> list[list[float]]:
-    """The 13 rows of M the certificate search reads, each holding when M[k] @ eps >= 0. Row k
-    bounds entry i = _ROW_ENTRY[k]: M[k][i] is its pivot coefficient and the other entries are
-    <= 0. Rows 0-4 are the certificate (qI - A) D, D = diag(1, 1, L^2, 1, L^2), with pivots
+def _rows(p: _Point) -> list[list[float]]:
+    """The 13 rows of M the certificate search reads at the point p, each holding when
+    M[k] @ eps >= 0. Row k bounds entry i = _ROW_ENTRY[k]: M[k][i] is its pivot coefficient
+    and the other entries are <= 0. Rows 0-4 are the certificate (qI - A) D, D = diag(1, 1, L^2, 1, L^2), with pivots
     (q - A_ii) D_ii, exact as q and A_ii are floats near 1; rows 5-12 are `_condition_rows`."""
-    L2 = float(tc.L ** 2)
+    L2 = float(p.tc.L ** 2)
     # q less two ulps: float64 misses the exact rate 1 - eta mu/(2L), which is at least 1/2
     # under the step cap, by less than that, so a certificate for this q holds for both
-    q, d = contraction_rate(theta.eta, float(tc.kappa)) - 2.0 ** -52, (1.0, 1.0, L2, 1.0, L2)
+    q, d = contraction_rate(p.theta.eta, float(p.tc.kappa)) - 2.0 ** -52, (1.0, 1.0, L2, 1.0, L2)
     return [[(q - a if i == j else -a) * dj for j, (a, dj) in enumerate(zip(row, d))]
-            for i, row in enumerate(A.tolist())] + _condition_rows(tc, theta, n)
+            for i, row in enumerate(p.A.tolist())] + p.condition_rows()
 
 
 def _condition_rows(tc: TheoryConstants, theta: Theta, n: int, num: type = float) -> list[list]:
@@ -408,10 +476,13 @@ def _condition_rows(tc: TheoryConstants, theta: Theta, n: int, num: type = float
     when row @ eps >= 0, in the scalar type num of `_report` (Python floats raise where
     rho_tilde or gamma is 0 or a power of kappa overflows): eps_ratio and the eps1/eps2 floor,
     row2_sqrt_proof and the eps4/eps2 cap, row3_sqrt and the eps3 floor's rhs_proof,
-    row4_sqrt, and row5_sqrt."""
+    row4_sqrt, and row5_sqrt. The rows of row2_sqrt_proof and row3_sqrt are divided by |eta|
+    where kappa^2 eta^2 would underflow and take their eta terms with it."""
     eta, gamma, C, rho, rt, kappa = map(num, (theta.eta, theta.gamma, tc.C, tc.rho, tc.rho_tilde, tc.kappa))
     g2, k2, mu2, b2 = gamma ** 2, kappa ** 2, num(tc.mu) ** 2, num(tc.beta) ** 2
     ke, sq = k2 * eta ** 2, gamma * (1.0 - rho) * (1.0 - rt)  # the sqrt bounds, squared
+    if ke < _CERT_TINY and eta != 0.0:  # kappa^2 eta^2 underflows: rows 2 and 4 over |eta|
+        ke, sq = k2 * abs(eta), sq / abs(eta)
     inv_cap = 8.0 * g2 * b2 * C ** 2 / ((1.0 - rt) * (1.0 - rho))  # 1 / _eps4_cap
     f3 = 24.0 * gamma * b2 / (rt * (1.0 - rho))  # the eps3 floor, per unit of lhs3
     return [

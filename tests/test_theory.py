@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cnext.compress import ALL_KINDS, make_scheme
 from cnext.graph import build_ring, metropolis_hastings_weights
@@ -307,7 +307,7 @@ def test_each_row_holds_exactly_when_its_report_flag_does(kind, kappa, log_eta, 
                   gamma=10.0 ** log_gamma, alpha_x=a, alpha_y=a)
     tc = TheoryConstants.build(1.0, kappa, NET10, scheme, theta)
     A = build_A(tc, theta, NET10.n).A
-    M = np.array(theory._rows(A, tc, theta, NET10.n))
+    M = np.array(theory._rows(theory._point(tc, theta, NET10.n)))
     q, L2 = theory.contraction_rate(theta.eta, tc.kappa), float(tc.L ** 2)
     for k, i in enumerate(theory._ROW_ENTRY):
         eps = 10.0 ** np.array(log_eps)
@@ -345,7 +345,8 @@ def test_search_and_report_agree_on_every_map_point():
                 theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
                 tc = TheoryConstants.build(mu, L, exp.net, scheme, theta)
                 A, _ = theory._formed(tc, theta, n)
-                found = A is not None and theory._least_certificate(theory._rows(A, tc, theta, n)) is not None
+                found = A is not None and \
+                    theory._least_certificate(theory._rows(theory._point(tc, theta, n))) is not None
                 passed = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, n), n)["pass"]
                 assert passed is found, (kind, eta, gamma)
                 certified[kind] += passed
@@ -633,15 +634,17 @@ def test_certificate_agrees_with_rationals_on_fitted_near_ties():
 
 
 def test_certificate_falls_back_to_rationals_only_near_a_tie(monkeypatch):
+    # the exact path is the rows float64 leaves open, evaluated in integers (theory._dyadic)
     from cnext import theory
 
     calls = []
+    real = theory._dyadic
 
-    def counted(*args):
-        calls.append(args)
-        return Fraction(*args)
+    def counted(xs):
+        calls.append(xs)
+        return real(xs)
 
-    monkeypatch.setattr(theory, "Fraction", counted)
+    monkeypatch.setattr(theory, "_dyadic", counted)
     A, v, q = tied_certificate([0, 3, -2, 7, 1], 1000, [[16, 0, 0, 0, 0], [4, 4, 4, 4, 0],
                                                       [1, 2, 3, 4, 6], [0, 0, 8, 0, 8],
                                                       [2, 2, 2, 2, 8]])
@@ -651,3 +654,242 @@ def test_certificate_falls_back_to_rationals_only_near_a_tie(monkeypatch):
     calls.clear()
     assert theory._certificate_holds((0.5 * A).tolist(), v, q) and not calls
     assert not theory._certificate_holds((2.0 * A).tolist(), v, q) and not calls
+
+
+def fraction_minors_positive(A, s):
+    """rho(A) < s for a nonnegative A by the M-matrix criterion, in rationals: every pivot of
+    Gaussian elimination of sI - A without pivoting is positive."""
+    m = A.shape[0]
+    M = [[(Fraction(s) if i == j else 0) - Fraction(a) for j, a in enumerate(row)]
+         for i, row in enumerate(A.tolist())]
+    for k in range(m):
+        if M[k][k] <= 0:
+            return False
+        for i in range(k + 1, m):
+            f = M[i][k] / M[k][k]
+            M[i][k + 1:] = [x - f * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
+    return True
+
+
+@st.composite
+def near_unit_radius(draw):
+    """(A, s): a nonnegative 5 x 5 A with rho(A) within 1e-9 of s, at s = 1 or s = q < 1."""
+    s = draw(st.sampled_from([1.0, draw(st.floats(0.5, 1.0, exclude_max=True))]))
+    if draw(st.booleans()):  # the exactly scaled stochastic matrix, and its near misses
+        c = draw(st.sampled_from([1.0, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -53]))
+        return c * s * STOCHASTIC, s
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.uniform(0.0, 1.0, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.7)
+    # subnormal entries put the common denominator at up to 2^1074
+    B[rng.uniform(size=(5, 5)) < draw(st.sampled_from([0.0, 0.2]))] = 5e-324 * rng.integers(1, 2 ** 20)
+    rho = spectral_radius(B)
+    assume(rho > 0.0)
+    A = B * (s / rho) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+    assume(abs(spectral_radius(A) - s) <= 1e-9)
+    return A, s
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_unit_radius())
+def test_rho_below_agrees_with_rational_elimination(case):
+    # inside the 1e-9 band rho_below decides on integers (Bareiss); the rational
+    # elimination it replaced is the oracle
+    from cnext import theory
+
+    A, s = case
+    assert theory.rho_below(A, s) is fraction_minors_positive(A, s)
+
+
+@pytest.mark.parametrize("bad, error", [(np.inf, OverflowError), (np.nan, ValueError)])
+def test_rho_below_raises_on_non_finite_entries_as_rationals_do(bad, error):
+    from cnext import theory
+
+    A = STOCHASTIC.copy()
+    A[2, 3] = bad
+    with pytest.raises(error):
+        Fraction(bad)
+    with pytest.raises(error):
+        theory.rho_below(A, 1.0)
+    with pytest.raises(error):
+        theory.rho_below(STOCHASTIC, float(bad))
+
+
+def _count_eliminations(monkeypatch):
+    from cnext import theory
+
+    calls = []
+    real = theory._minors_positive
+    monkeypatch.setattr(theory, "_minors_positive", lambda M: calls.append(len(M)) or real(M))
+    return calls
+
+
+def _identity_map_points():
+    """(map, tc, theta, n) at each point of theory_identity.json's 20 x 20 identity map, then of the
+    benchmark's theory-sweep instance (seed 1)."""
+    import sys
+
+    from cnext.cli import GRID_ETA, GRID_GAMMA, Experiment
+    from cnext.config import load_config
+
+    exp = Experiment(load_config(str(CONFIGS / "theory_identity.json")))
+    sys.path.insert(0, str(CONFIGS.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(CONFIGS.parent / "bench"))
+    net, obj, schemes, _, _ = workloads._theory_setup(1)
+    for name, mu, L, network, scheme in (
+            ("config", exp.obj.mu, exp.obj.L, exp.net, make_scheme("identity", exp.p)),
+            ("bench", obj.mu, obj.L, net, schemes["identity"])):
+        for eta in map(float, np.geomspace(*GRID_ETA, 20)):
+            for gamma in map(float, np.geomspace(*GRID_GAMMA, 20)):
+                theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
+                yield name, TheoryConstants.build(mu, L, network, scheme, theta), theta, network.n
+
+
+def test_certificate_settles_rho_below_one_without_elimination(monkeypatch):
+    # where the report's certificate A v <= q v holds with q < 1, rho(A) <= q < 1 needs no
+    # elimination; it agrees with rho_below forced through the exact path. On both maps
+    # some certified points have rho(A) within 1e-9 of 1, where rho_below eliminates
+    from cnext import theory
+
+    eliminations = _count_eliminations(monkeypatch)
+    certified, inside_band = {"config": 0, "bench": 0}, 0
+    for name, tc, theta, n in _identity_map_points():
+        eps = default_epsilon(tc, theta, n)
+        eliminations.clear()
+        direct = check_sufficient_conditions(tc, theta, eps, n)["direct_contraction"]
+        # spectral_radius takes abs and max in Python: the same float as numpy's
+        A = build_A(tc, theta, n).A
+        assert direct["rho_A"] == float(np.max(np.abs(np.linalg.eigvals(A))))
+        if not direct["ok"]:
+            continue
+        certified[name] += 1
+        assert direct["rho_lt_1"] is True and eliminations == []
+        assert theory.rho_below(A, 1.0) is True and eliminations == [5]
+        inside_band += abs(direct["rho_A"] - 1.0) <= 1e-9
+    assert min(certified.values()) > 0 and inside_band > 0
+
+
+def test_certificate_at_a_rounded_rate_still_eliminates(monkeypatch):
+    # at eta = 1e-17, q = 1 - eta/(2 kappa) rounds to 1.0: A v <= q v bounds rho(A) by 1, not
+    # below it. The row-stochastic STOCHASTIC with v = 1 meets that certificate with equality
+    # and has rho = 1, so rho_lt_1 must come from the elimination, and be false
+    from cnext import theory
+
+    eliminations = _count_eliminations(monkeypatch)
+    theta = Theta(eta=1e-17, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.0, r=1.0, delta=1.0, theta=theta)
+    assert theory.contraction_rate(theta.eta, tc.kappa) == 1.0
+    direct = theory._report(tc, theta, np.ones(5), 4, STOCHASTIC, None)["direct_contraction"]
+    assert direct["ok"] is True and direct["rho_lt_1"] is False and eliminations == [5]
+    # on the map's own A(theta) too, the report eliminates at such an eta
+    for _, tc, theta, n in _identity_map_points():
+        theta = Theta(eta=1e-17, gamma=theta.gamma, alpha_x=1.0, alpha_y=1.0)
+        eliminations.clear()
+        rep = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, n), n)
+        assert abs(rep["rho_A"] - 1.0) <= 1e-9 and len(eliminations) == 1
+        break
+
+
+def test_grid_rate_column_still_eliminates(tmp_path, capsys, monkeypatch):
+    # the certificate gives rho(A) <= q, not rho(A) < q: the --grid map's rho_lt_q is decided
+    # by elimination wherever rho(A) lies within 1e-9 of q, certified points included
+    from cnext import cli
+
+    eliminations = _count_eliminations(monkeypatch)
+    decided = []
+    real = cli.rho_below
+
+    def recorded(A, s, rho=None):
+        before = len(eliminations)
+        result = real(A, s, rho)
+        decided.append((bool(abs(rho - s) <= 1e-9), len(eliminations) > before))
+        return result
+
+    monkeypatch.setattr(cli, "rho_below", recorded)
+    raw = json.loads((CONFIGS / "theory_identity.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "theory.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["theory", "-c", str(cfg), "--scheme", "identity", "--grid", "20"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "sweep_identity.csv").read_text().splitlines()[1:]]
+    passed = [ok == "1" for _, _, ok, rho, *_ in rows if rho]
+    assert len(decided) == len(passed) and all(near is eliminated for near, eliminated in decided)
+    assert any(ok and near for ok, (near, _) in zip(passed, decided))
+
+
+def test_one_point_forms_A_and_condition_rows_once(monkeypatch):
+    # default_epsilon followed by check_sufficient_conditions, as the benchmark and the CLI
+    # run them, and evaluate, each form A(theta) once and the float condition rows once
+    from cnext import theory
+
+    calls = {"build_A": 0, "_condition_rows": 0}
+    for name in calls:
+        def counted(*args, real=getattr(theory, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(theory, name, counted)
+    for eta, gamma in ((1e-10, 0.005), (1e-2, 0.5), (0.9, 0.5)):  # certified, rejected, not formed
+        theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
+        tc = TheoryConstants.build(1.0, 4.0, NET10, make_scheme("identity", 20), theta)
+        calls.update(build_A=0, _condition_rows=0)
+        check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, NET10.n), NET10.n)
+        assert calls == {"build_A": 1, "_condition_rows": 1}, eta
+        theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)  # a new point
+        calls.update(build_A=0, _condition_rows=0)
+        try:
+            theory.evaluate(tc, theta, NET10.n, None)
+        except ValueError:
+            assert eta == 0.9 and calls == {"build_A": 1, "_condition_rows": 0}
+        else:
+            assert calls == {"build_A": 1, "_condition_rows": 1}, eta
+
+
+def test_points_never_share_an_A():
+    # the memo is keyed on the constants and theta themselves: two schemes at one theta, and
+    # two equal-valued constants that differ in a signed zero, each get their own A(theta)
+    from dataclasses import replace
+
+    from cnext import theory
+
+    theta = Theta(eta=1e-6, gamma=0.5, alpha_x=0.5, alpha_y=0.5)
+    tcs = [TheoryConstants.build(1.0, 4.0, NET10, make_scheme(kind, 20, k=5), theta)
+           for kind in ("identity", "topk")]
+    tcs.append(replace(tcs[0], C=-0.0))
+    assert tcs[2] == tcs[0]
+    for tc in (*tcs, *tcs):
+        A, report = theory.evaluate(tc, theta, NET10.n, None)
+        fresh = build_A(tc, theta, NET10.n).A
+        assert np.array_equal(A, fresh) and np.array_equal(np.signbit(A), np.signbit(fresh))
+        assert report["rho_A"] == spectral_radius(fresh)
+        assert not A.flags.writeable and fresh.flags.writeable
+    assert not np.array_equal(theory.evaluate(tcs[0], theta, NET10.n, None)[0],
+                              theory.evaluate(tcs[1], theta, NET10.n, None)[0])
+    assert np.signbit(theory.evaluate(tcs[2], theta, NET10.n, None)[0]).sum() > 0
+
+
+@pytest.mark.parametrize("eps", [[1e300, 1e-300, 1.0, 1e300, 1e-300], [1e300, 1.0, 1e-300, 1.0, 1.0],
+                                 [1.0, 1.0, 1.0, 1.0, 1.0]])
+def test_sqrt_rows_keep_eta_where_its_square_underflows(eps):
+    # at eta = 1e-300, kappa^2 eta^2 underflows float64: row2_sqrt_proof and row3_sqrt still
+    # decide 48 kappa^2 eta^2 eps_hat <= gap eps2 and 144 kappa^2 eta^2 eps_hat <= gap eps3
+    # exactly as rationals do, eps_hat = 2 n eps1 + 2 eps2 + eps3
+    from cnext import theory
+
+    n, theta = 3, Theta(eta=1e-300, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    tc = constants_for(mu=1.0, L=2.0, rho=0.5, beta=1.0, C=0.0, r=1.0, delta=1.0, theta=theta)
+    e = [Fraction(x) for x in eps]
+    ke = Fraction(tc.kappa) ** 2 * Fraction(theta.eta) ** 2
+    gap = Fraction(theta.gamma) * (1 - Fraction(tc.rho)) * (1 - Fraction(tc.rho_tilde))
+    eps_hat = 2 * n * e[0] + 2 * e[1] + e[2]
+    stsz = check_sufficient_conditions(tc, theta, np.array(eps), n)["stsz_ok"]
+    assert stsz["row2_sqrt"] is (48 * ke * eps_hat <= gap * e[1])
+    assert stsz["row3_sqrt"] is (144 * ke * eps_hat <= gap * e[2])
+    # where the square does not underflow, the rows are the unscaled statement, float for float
+    theta = Theta(eta=1e-10, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+    ke, sq = tc.kappa ** 2 * theta.eta ** 2, theta.gamma * (1.0 - tc.rho) * (1.0 - tc.rho_tilde)
+    rows = theory._condition_rows(tc, theta, n)
+    assert rows[2] == [-96.0 * n * ke, sq - 96.0 * ke, -48.0 * ke, 0.0, 0.0]
+    assert rows[4] == [-288.0 * n * ke, -288.0 * ke, sq - 144.0 * ke, 0.0, 0.0]
