@@ -36,7 +36,7 @@ GRID_GAMMA = (1e-4, 1.0)
 
 class Experiment:
     """Everything a run needs, assembled once from a config: network, data, objective,
-    the top-level scheme and the baseline optimum."""
+    the scheme the top-level mode sends with and the baseline optimum."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -71,15 +71,17 @@ class Experiment:
         except ValueError as exc:
             raise ConfigError(f"objective: {exc}") from exc
         self.test_data = self.ds.test() if not ridge and self.ds.test_idx.size else None
-        self.scheme = self.build_scheme(cfg.scheme)
+        self.scheme = self.build_scheme(cfg.scheme, cfg.mode)
         self.x_star = baseline_optimum(self.obj)
 
     @property
     def p(self) -> int:
         return self.obj.p
 
-    def build_scheme(self, sc: SchemeConfig) -> CompressionScheme:
-        return make_scheme(sc.kind, self.p, b=sc.b, k=sc.k)
+    def build_scheme(self, sc: SchemeConfig, mode: str) -> CompressionScheme:
+        """The scheme a run in `mode` sends with: `sc`'s, or identity in the uncompressed
+        mode, so a manifest and a theory report name the scheme that ran."""
+        return mode_scheme(mode, make_scheme(sc.kind, self.p, b=sc.b, k=sc.k), self.p)
 
     def manifest(self, hp: HyperParams, mode: str, scheme: CompressionScheme,
                  extra: dict | None = None) -> dict:
@@ -116,10 +118,13 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_json(path: str, obj: dict) -> None:
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _values(r: RoundRecord) -> tuple[float | None, ...]:
     """The columns of one trace row after t and bits_cum, in CSV_COLUMNS order."""
-    e = r.errors
-    return (e.opt, e.cons, e.gt, e.comp_x, e.comp_y, r.residual, r.accuracy)
+    return (*r.errors, r.residual, r.accuracy)
 
 
 def _line(t: int, bits: int, values) -> str:
@@ -147,44 +152,42 @@ def averaged_csv(per_seed: list[list[RoundRecord]]) -> str:
                 for rows in zip(*per_seed))
 
 
-def _stop(hp: HyperParams, outcome: list[RoundRecord] | Exception) -> str:
-    """Why a run ended, from its records or its error: "T", "tol", "divergence" or "numerical"."""
-    if isinstance(outcome, Exception):
-        return "divergence" if isinstance(outcome, DivergenceError) else "numerical"
-    return "T" if len(outcome) == hp.T + 1 else "tol"
+def _attempt(exp: Experiment, scheme: CompressionScheme, hp: HyperParams, mode: str,
+             seed: int) -> tuple[list[RoundRecord], str, dict | None]:
+    """One member's run: its records, why it ended ("T", "tol", "divergence" or
+    "numerical"), and for a run that failed, no records and its error entry."""
+    try:
+        records = run(exp.obj, exp.net, scheme, hp, mode, seed,
+                      x_star=exp.x_star, test_data=exp.test_data)
+    except (DivergenceError, NumericalError) as exc:
+        return [], "divergence" if isinstance(exc, DivergenceError) else "numerical", {
+            "error": type(exc).__name__, "message": str(exc), "t": exc.t,
+            "quantity": getattr(exc, "quantity", None), "agent": getattr(exc, "agent", None)}
+    return records, "T" if len(records) == hp.T + 1 else "tol", None
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     exp = Experiment(cfg)
     hp, mode, scheme = cfg.hyperparams, cfg.mode, exp.scheme
     os.makedirs(cfg.output_dir, exist_ok=True)
+    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
     seeds = cfg.seeds if cfg.seeds else (cfg.seed,)
     per_seed = []
-    stop = {}  # seed -> why its run ended: "T", "tol", "divergence" or "numerical"
-    try:
-        for seed in seeds:
-            records = run(exp.obj, exp.net, scheme, hp, mode, seed,
-                          x_star=exp.x_star, test_data=exp.test_data)
-            per_seed.append(records)
-            stop[str(seed)] = _stop(hp, records)
-            if len(seeds) > 1:
-                atomic_write(os.path.join(cfg.output_dir, f"trace_seed{seed}.csv"),
-                             records_to_csv(records))
-    except (DivergenceError, NumericalError) as exc:
-        stop[str(seed)] = _stop(hp, exc)
-        err = {"error": type(exc).__name__, "message": str(exc),
-               "t": exc.t, "quantity": getattr(exc, "quantity", None),
-               "agent": getattr(exc, "agent", None)}
-        atomic_write(os.path.join(cfg.output_dir, "manifest.json"),
-                     json.dumps(exp.manifest(hp, mode, scheme, {"divergence": err, "stop": stop}),
-                                indent=2, sort_keys=True) + "\n")
-        print(json.dumps(err), file=sys.stderr)
-        return 3
+    stop = {}  # seed -> why its run ended
+    for seed in seeds:
+        records, stop[str(seed)], err = _attempt(exp, scheme, hp, mode, seed)
+        if err:
+            _write_json(manifest_path, exp.manifest(hp, mode, scheme,
+                                                    {"divergence": err, "stop": stop}))
+            print(json.dumps(err), file=sys.stderr)
+            return 3
+        per_seed.append(records)
+        if len(seeds) > 1:
+            atomic_write(os.path.join(cfg.output_dir, f"trace_seed{seed}.csv"),
+                         records_to_csv(records))
     csv_text = records_to_csv(per_seed[0]) if len(per_seed) == 1 else averaged_csv(per_seed)
     atomic_write(os.path.join(cfg.output_dir, "trace.csv"), csv_text)
-    atomic_write(os.path.join(cfg.output_dir, "manifest.json"),
-                 json.dumps(exp.manifest(hp, mode, scheme, {"seeds": list(seeds), "stop": stop}),
-                            indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, exp.manifest(hp, mode, scheme, {"seeds": list(seeds), "stop": stop}))
     print(f"wrote {os.path.join(cfg.output_dir, 'trace.csv')} "
           f"({len(per_seed[0])} rows per seed, {len(seeds)} seed(s))")
     return 0
@@ -198,27 +201,18 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     lines = ["variant," + ",".join(CSV_COLUMNS)]
     summary = {}
     for v in cfg.variants:
-        scheme = exp.build_scheme(v.scheme)
-        entry = {"scheme": _scheme_dict(scheme), "mode": v.mode,
-                 "hyperparams": asdict(v.hyperparams), "diverged": None,
-                 "theory_warnings": warn_theory_violations(v.hyperparams, exp.obj,
-                                                           mode_scheme(v.mode, scheme, exp.p))}
-        try:
-            records = run(exp.obj, exp.net, scheme, v.hyperparams, v.mode, cfg.seed,
-                          x_star=exp.x_star, test_data=exp.test_data)
-            entry["stop"] = _stop(v.hyperparams, records)
-        except (DivergenceError, NumericalError) as exc:
-            # a diverging variant is a comparison outcome, not a harness failure
-            entry["diverged"] = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
-            entry["stop"] = _stop(v.hyperparams, exc)
-            records = []
-        lines.extend(f"{v.name},{row}" for row in records_to_csv(records).splitlines()[1:])
-        entry["final_residual"] = records[-1].residual if records else None
-        summary[v.name] = entry
+        scheme = exp.build_scheme(v.scheme, v.mode)
+        # a diverging variant is a comparison outcome, not a harness failure
+        records, stop, err = _attempt(exp, scheme, v.hyperparams, v.mode, cfg.seed)
+        lines.extend(f"{v.name},{_line(r.t, r.bits_cum, _values(r))}" for r in records)
+        summary[v.name] = {
+            "scheme": _scheme_dict(scheme), "mode": v.mode,
+            "hyperparams": asdict(v.hyperparams), "diverged": err, "stop": stop,
+            "theory_warnings": warn_theory_violations(v.hyperparams, exp.obj, scheme),
+            "final_residual": records[-1].residual if records else None}
     atomic_write(os.path.join(cfg.output_dir, "compare.csv"), "\n".join(lines) + "\n")
-    atomic_write(os.path.join(cfg.output_dir, "manifest.json"),
-                 json.dumps(exp.manifest(cfg.hyperparams, cfg.mode, exp.scheme,
-                                         {"variants": summary}), indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(cfg.output_dir, "manifest.json"),
+                exp.manifest(cfg.hyperparams, cfg.mode, exp.scheme, {"variants": summary}))
     print(f"wrote {os.path.join(cfg.output_dir, 'compare.csv')} ({len(cfg.variants)} variants)")
     return 0
 

@@ -19,6 +19,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,7 @@ class SolverState:
     means = property(lambda self: np.add.reduce(self.XY, axis=1) / self.XY.shape[1])
 
 
-@dataclass(frozen=True)
-class ErrorVector:
+class ErrorVector(NamedTuple):
     """Single-realization squared norms of the five coupled errors."""
 
     opt: float
@@ -142,15 +142,8 @@ class ErrorVector:
     comp_x: float
     comp_y: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.opt, self.cons, self.gt, self.comp_x, self.comp_y])
 
-    def total(self) -> float:
-        return self.opt + self.cons + self.gt + self.comp_x + self.comp_y
-
-
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     t: int
     bits_cum: int
     errors: ErrorVector
@@ -186,16 +179,11 @@ def newton_directions(X: np.ndarray, Y: np.ndarray, obj: Objective, t: int = 0,
         raise
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    bits: int
-    op_err_x: float
-    op_err_y: float
-
-
 def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionScheme,
-         hp: HyperParams, mode: str, rngs: Draws | list[np.random.Generator] | None) -> StepInfo:
-    """One synchronous round; mutates `state` in place and returns round diagnostics.
+         hp: HyperParams, mode: str,
+         rngs: Draws | list[np.random.Generator] | None) -> tuple[float, float]:
+    """One synchronous round; mutates `state` in place and returns the round's operator
+    errors ||Xhat - X||_F^2 and ||Yhat - Y||_F^2.
 
     Both streams are compressed and mixed (through `net.mix`) in one stacked round.
     `rngs` holds the per-agent generators, X's n then Y's n, as a list or as the `Draws`
@@ -237,10 +225,10 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     state.weights = w_new
     state.bits_cum += r.bits
     state.t = t + 1
-    return StepInfo(bits=r.bits, op_err_x=op_err_x, op_err_y=op_err_y)
+    return op_err_x, op_err_y
 
 
-def measure_errors(state: SolverState, obj: Objective, x_star: np.ndarray,
+def measure_errors(state: SolverState, x_star: np.ndarray,
                    means: np.ndarray | None = None) -> ErrorVector:
     """The five squared error norms of the current state (single realization); `means`,
     if given, holds `state.means`."""
@@ -252,8 +240,8 @@ def measure_errors(state: SolverState, obj: Objective, x_star: np.ndarray,
         np.subtract(XY, means[:, None], out=dev[:2])
         np.subtract(XY, state.comp.H, out=dev[2:])
         cons, gt, comp_x, comp_y = np.add.reduce(np.square(dev, out=dev), axis=(1, 2)).tolist()
-    ev = ErrorVector(opt=opt, cons=cons, gt=gt, comp_x=comp_x, comp_y=comp_y)
-    if not all(0.0 <= e < math.inf for e in (opt, cons, gt, comp_x, comp_y)):
+    ev = ErrorVector(opt, cons, gt, comp_x, comp_y)
+    if not all(0.0 <= e < math.inf for e in ev):
         raise DivergenceError("error vector", state.t)
     return ev
 
@@ -289,24 +277,24 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
         rngs = Draws.for_run(agent_streams(seed, STREAM_X, net.n) +
                              agent_streams(seed, STREAM_Y, net.n), obj.p, hp.T)
 
-    records = [_record(state, obj, x_star, residual, test_data, StepInfo(0, 0.0, 0.0))]
-    e0 = records[0].errors.total()
+    records = [_record(state, x_star, residual, test_data)]
+    e0 = sum(records[0].errors)
     limit = GROWTH_LIMIT * e0 if e0 > 0 else np.inf
     for _ in range(hp.T):
         if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
             break
-        info = step(state, obj, net, scheme, hp, mode, rngs)
-        rec = _record(state, obj, x_star, residual, test_data, info)
-        if rec.errors.total() > limit:
+        op_err = step(state, obj, net, scheme, hp, mode, rngs)
+        rec = _record(state, x_star, residual, test_data, op_err)
+        if (total := sum(rec.errors)) > limit:
             raise DivergenceError("error vector", rec.t,
-                                  f"error vector sum {rec.errors.total():.3g} exceeds "
+                                  f"error vector sum {total:.3g} exceeds "
                                   f"{GROWTH_LIMIT:g} times its t = 0 value {e0:.3g}")
         records.append(rec)
     return records
 
 
-def _record(state: SolverState, obj: Objective, x_star: np.ndarray,
-            residual: Callable[[np.ndarray], float], test_data, info: StepInfo) -> RoundRecord:
+def _record(state: SolverState, x_star: np.ndarray, residual: Callable[[np.ndarray], float],
+            test_data, op_err: tuple[float, float] = (0.0, 0.0)) -> RoundRecord:
     means = state.means
     xbar = means[0]
     acc = None
@@ -314,10 +302,8 @@ def _record(state: SolverState, obj: Objective, x_star: np.ndarray,
         U, v = test_data
         pred = np.where(U @ xbar >= 0.0, 1.0, -1.0)
         acc = float(np.mean(pred == v))
-    return RoundRecord(t=state.t, bits_cum=state.bits_cum,
-                       errors=measure_errors(state, obj, x_star, means),
-                       residual=residual(xbar), accuracy=acc,
-                       op_err_x=info.op_err_x, op_err_y=info.op_err_y)
+    return RoundRecord(state.t, state.bits_cum, measure_errors(state, x_star, means),
+                       residual(xbar), acc, *op_err)
 
 
 def baseline_optimum(obj: Objective) -> np.ndarray:

@@ -258,7 +258,7 @@ def _mean_error_traces(obj, net, scheme, hp, n_seeds, state0):
     acc = None
     for seed in range(n_seeds):
         recs = run(obj, net, scheme, hp, MODE_CNEXT, seed=seed, state0=state0)
-        errs = np.stack([r.errors.as_array() for r in recs])
+        errs = np.array([r.errors for r in recs])
         acc = errs if acc is None else acc + errs
     return acc / n_seeds
 

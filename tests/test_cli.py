@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnext.cli import Experiment, averaged_csv, main, records_to_csv
+from cnext.cli import CSV_COLUMNS, Experiment, _scheme_dict, averaged_csv, main, records_to_csv
+from cnext.compress import make_scheme
 from cnext.config import ConfigError, load_config
-from cnext.solver import run
+from cnext.solver import ErrorVector, RoundRecord, run
 from cnext.theory import rho_below
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -88,6 +89,21 @@ def test_seed_averaging(tmp_path):
     recomputed = np.mean(per_seed, axis=0)
     assert np.allclose(avg[:, 2:], recomputed[:, 2:], rtol=1e-12)
     assert np.array_equal(avg[:, 0], per_seed[0][:, 0])
+
+
+def test_averaging_nine_seeds_is_numpys_mean(tmp_path):
+    # numpy sums 8 or more values pairwise, so at 9 seeds an in-order sum could differ:
+    # every averaged value is float(np.mean) of the nine per-seed values read back
+    seeds = list(range(1, 10))
+    cfg, out = write_config(tmp_path, seeds=seeds, hyperparams={"T": 20})
+    assert main(["run", "-c", cfg]) == 0
+    per_seed = [read_csv(os.path.join(out, f"trace_seed{s}.csv"))[1] for s in seeds]
+    _, avg_rows = read_csv(os.path.join(out, "trace.csv"))
+    assert len(avg_rows) == 21
+    for i, row in enumerate(avg_rows):
+        assert row[:2] == per_seed[0][i][:2] and row[8] == ""
+        for j in range(2, 8):
+            assert float(row[j]) == float(np.mean([float(rows[i][j]) for rows in per_seed]))
 
 
 def test_flag_overrides_beat_file_values(tmp_path):
@@ -310,6 +326,98 @@ def test_compare_records_each_variants_theory_warnings(tmp_path):
     assert warned["rk"] == []
     assert len(warned["steep"]) == 1 and "eta=0.9 exceeds min(2L/(3mu), mu/L)" in warned["steep"][0]
     assert len(warned["giant"]) == 1 and "for scheme identity" in warned["giant"][0]
+
+
+def test_run_manifest_names_the_scheme_that_ran(tmp_path):
+    # the uncompressed mode sends identity whatever the config's scheme, so the manifest
+    # names identity, its bits are identity's 64p per vector, and its warnings are checked
+    # against identity: 1.5 r delta is 0.75 for random-k(2 of 4) but 1.5 for identity
+    out = tmp_path / "qnbbq"
+    assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--mode", "uncompressed_giant",
+                 "--T", "1", "--output-dir", str(out)]) == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert resolved["scheme"] == _scheme_dict(make_scheme("identity", 20))
+    assert read_csv(out / "trace.csv")[1][1][1] == str(2 * 10 * 64 * 20)
+
+    cfg, out = write_config(tmp_path, mode="uncompressed_giant",
+                            hyperparams={"alpha_x": 1.5, "alpha_y": 1.5, "T": 2})
+    assert main(["run", "-c", cfg]) == 0
+    resolved = json.loads(open(os.path.join(out, "manifest.json")).read())["resolved"]
+    assert resolved["scheme"]["label"] == "identity" and resolved["scheme"]["C"] == 0.0
+    assert [int(r[1]) for r in read_csv(os.path.join(out, "trace.csv"))[1]] == \
+        [2 * 5 * 64 * 4 * t for t in range(3)]
+    assert len(resolved["theory_warnings"]) == 1
+    assert "for scheme identity" in resolved["theory_warnings"][0]
+
+
+def test_compare_records_the_scheme_each_variant_ran(tmp_path):
+    variants = [
+        {"name": "tk", "mode": "cnext", "scheme": {"kind": "topk", "k": 3}},
+        {"name": "giant", "mode": "uncompressed_giant", "scheme": {"kind": "topk", "k": 3}},
+    ]
+    cfg, out = write_config(tmp_path, compare={"variants": variants}, hyperparams={"T": 2})
+    assert main(["compare", "-c", cfg]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    labels = {name: v["scheme"]["label"] for name, v in man["variants"].items()}
+    assert labels == {"tk": "topk(k=3)", "giant": "identity"}
+    _, rows = read_csv(os.path.join(out, "compare.csv"))
+    assert {r[0]: int(r[2]) for r in rows if r[1] == "1"}["giant"] == 2 * 5 * 64 * 4
+
+
+def test_theory_reports_the_scheme_the_mode_sends(tmp_path, capsys):
+    # ridge_qnbbq.json sets every step, so naming identity changes only the scheme
+    config = str(CONFIGS / "ridge_qnbbq.json")
+    reports = {}
+    for name, flags in (("giant", ["--mode", "uncompressed_giant"]),
+                        ("identity", ["--scheme", "identity"]), ("qnbbq", [])):
+        assert main(["theory", "-c", config, *flags]) == 0
+        reports[name] = json.loads(capsys.readouterr().out)
+    assert reports["giant"] == reports["identity"]
+    assert reports["giant"]["scheme"]["label"] == "identity"
+    assert reports["giant"]["rho_A"] != reports["qnbbq"]["rho_A"]
+
+
+def test_compare_records_a_diverging_variant_as_run_does(tmp_path):
+    # one error entry: compare's `diverged` is the `divergence` that `run` writes for the
+    # same member, with all five keys
+    variants = [
+        {"name": "raw-gt", "mode": "first_order_gt", "scheme": {"kind": "identity"}},
+        {"name": "newton", "mode": "cnext", "scheme": {"kind": "identity"}, "eta": 0.01},
+    ]
+    cfg, out = write_config(tmp_path, mode="first_order_gt", scheme={"kind": "identity"},
+                            compare={"variants": variants},
+                            hyperparams={"T": 300, "eta": 0.9, "gamma": 0.6,
+                                         "alpha_x": 1.0, "alpha_y": 1.0})
+    assert main(["run", "-c", cfg]) == 3
+    err = json.loads(open(os.path.join(out, "manifest.json")).read())["divergence"]
+    assert main(["compare", "-c", cfg]) == 0
+    variants = json.loads(open(os.path.join(out, "manifest.json")).read())["variants"]
+    diverged = variants["raw-gt"]["diverged"]
+    assert diverged == err
+    assert set(diverged) == {"error", "message", "t", "quantity", "agent"}
+    assert diverged["error"] == "DivergenceError" and diverged["agent"] is None
+    assert diverged["quantity"] in ("X", "Y", "error vector")
+
+
+def test_record_fields_map_onto_the_trace_columns():
+    # cli._values unpacks a record's errors by position, so the field order is the column order
+    assert [f"{name}_err" for name in ErrorVector._fields] == list(CSV_COLUMNS[2:7])
+    assert RoundRecord._fields[:2] == CSV_COLUMNS[:2]
+    assert RoundRecord._fields[3:5] == CSV_COLUMNS[7:]
+
+
+def test_records_keep_the_names_the_benchmark_reads(tmp_path):
+    # bench/workloads.py reads t, bits_cum, residual, accuracy, errors.opt and errors.cons
+    exp = Experiment(load_config(write_config(tmp_path)[0]))
+    hp = exp.cfg.hyperparams
+    records = run(exp.obj, exp.net, exp.scheme, hp, exp.cfg.mode, 42, x_star=exp.x_star)
+    lines = records_to_csv(records).splitlines()[1:]
+    for rec, line in zip(records, lines):
+        t, bits, opt, cons, *_, residual, acc = line.split(",")
+        assert (rec.t, rec.bits_cum, rec.accuracy) == (int(t), int(bits), None) and acc == ""
+        assert (rec.errors.opt, rec.errors.cons, rec.residual) == \
+            (float(opt), float(cons), float(residual))
+    assert [rec.t for rec in records] == list(range(hp.T + 1))
 
 
 @pytest.mark.parametrize("block, value, path", [

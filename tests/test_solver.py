@@ -182,7 +182,7 @@ def test_measure_errors_at_consensus_optimum(small_ridge):
     XY = np.stack([X, Y])
     state = SolverState(XY=XY, prev_grad=Y.copy(),
                         comp=CompressState(XY.copy(), net.W @ XY, np.ones((2, 1, 1))))
-    ev = measure_errors(state, obj, x_star)
+    ev = measure_errors(state, x_star)
     assert ev.opt <= 1e-25
     assert ev.cons <= 1e-25
     assert ev.comp_x <= 1e-25
@@ -195,12 +195,12 @@ def test_gt_error_direct_summation_oracle(small_ridge):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=0)
     state = init_state(obj, net, hp, seed=33)
     x_star = ridge_closed_form_optimum(obj)
-    ev = measure_errors(state, obj, x_star)
+    ev = measure_errors(state, x_star)
     g = obj.grad_stack(state.X)
     gbar = g.mean(axis=0)
     oracle = sum(float(np.sum((g[i] - gbar) ** 2)) for i in range(net.n))
     assert ev.gt == pytest.approx(oracle, rel=1e-12)
-    arr = ev.as_array()
+    arr = np.array(ev)
     assert np.all(arr >= 0) and np.all(np.isfinite(arr))
 
 
@@ -356,7 +356,7 @@ def test_logistic_runs_reach_centralized_optimum(small_logistic, mode):
         step(state, obj, net, scheme, hp, mode, rngs)
         scale = max(1.0, float(np.linalg.norm(state.prev_grad.mean(axis=0))))
         assert tracking_gap(state) <= 1e-10 * scale
-    assert measure_errors(state, obj, x_star).opt <= 1e-20
+    assert measure_errors(state, x_star).opt <= 1e-20
     assert np.max(np.abs(state.X - x_star)) <= 1e-9
 
 
@@ -456,8 +456,8 @@ def test_uncompressed_mode_refuses_a_compressing_scheme(small_ridge):
         state = init_state(obj, net, hp, seed=4)
         XY0, H0 = state.XY.copy(), state.comp.H.copy()
         if scheme.kind == "identity":
-            assert step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, None).bits == \
-                2 * net.n * 64 * obj.p
+            step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, None)
+            assert state.bits_cum == 2 * net.n * 64 * obj.p
             continue
         with pytest.raises(ValueError, match="uncompressed"):
             step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, xy_streams(4, net.n))
@@ -513,8 +513,8 @@ def test_measure_errors_equals_the_five_sums(ridge10, kind):
     expected = (float(np.sum((xbar - x_star) ** 2)), float(np.sum((X - xbar) ** 2)),
                 float(np.sum((Y - ybar) ** 2)), float(np.sum((X - state.comp_x.H) ** 2)),
                 float(np.sum((Y - state.comp_y.H) ** 2)))
-    assert tuple(measure_errors(state, obj, x_star).as_array()) == expected
-    assert tuple(measure_errors(state, obj, x_star, state.means).as_array()) == expected
+    assert measure_errors(state, x_star) == expected
+    assert measure_errors(state, x_star, state.means) == expected
 
 
 # the desk runs' (eta, alpha) for the two kinds that draw
@@ -532,11 +532,11 @@ def _replayed(obj, net, scheme, hp, seed, x_star, rounds):
     state = init_state(obj, net, hp, seed)
     rngs = xy_streams(seed, net.n)
     residual = obj.residual_fn(x_star)
-    records = [solver._record(state, obj, x_star, residual, None, solver.StepInfo(0, 0.0, 0.0))]
+    records = [solver._record(state, x_star, residual, None, (0.0, 0.0))]
     norms = [float(np.linalg.norm(state.prev_grad.mean(axis=0)))]
     for _ in range(rounds):
-        info = step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
-        records.append(solver._record(state, obj, x_star, residual, None, info))
+        op_err = step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
+        records.append(solver._record(state, x_star, residual, None, op_err))
         norms.append(float(np.linalg.norm(state.prev_grad.mean(axis=0))))
     return records, norms
 

@@ -112,13 +112,19 @@ def test_ridge_benchmark_config_is_the_desk_run():
     assert {v.mode for v in cfg.variants} == {"cnext"} and cfg.seed == 42
 
 
+def _readme_commands() -> list[list[str]]:
+    """The lines of README's bash blocks, split as a shell splits them."""
+    readme = (ROOT / "README.md").read_text()
+    return [shlex.split(line, comments=True)
+            for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+            for line in block.splitlines() if line.strip()]
+
+
 def test_readme_commands_parse():
     # every cnext line in README's bash blocks parses, and loads its config with the line's
     # flags when it names a config file; every repo path README names exists
     readme = (ROOT / "README.md").read_text()
-    commands = [shlex.split(line, comments=True)
-                for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
-                for line in block.splitlines() if line.strip()]
+    commands = _readme_commands()
     named = re.findall(r"^\| `([^`]*/[^`]*)`", readme, re.M)
     named += [arg for argv in commands for arg in argv if "/" in arg and "..." not in arg]
     assert [path for path in named if not (ROOT / path).exists()] == []
@@ -129,6 +135,21 @@ def test_readme_commands_parse():
             load_config(str(ROOT / args.config), cli._overrides(args))
     assert ["cnext", "theory", "-c", "configs/theory_identity.json", "--scheme", "topk",
             "--grid", "20"] in commands
+
+
+def test_readme_commands_run(tmp_path):
+    # every cnext line of README whose config exists runs offline with its own flags, cut
+    # to T = 5 and writing under tmp_path, and exits 0
+    parser = cli._build_parser()
+    ran = 0
+    for argv in (argv for argv in _readme_commands() if argv[0] == "cnext"):
+        config = parser.parse_args(argv[1:]).config
+        if not (ROOT / config).is_file():
+            continue
+        args = [str(ROOT / a) if a == config else a for a in argv[1:]]
+        assert cli.main([*args, "--T", "5", "--output-dir", str(tmp_path / f"cmd{ran}")]) == 0, argv
+        ran += 1
+    assert ran >= 8  # the CLI and Experiments sections' lines
 
 
 def test_certified_points_pass_the_benchmark_rational_check(monkeypatch, ridge10):
