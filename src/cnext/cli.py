@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ GRID_GAMMA = (1e-4, 1.0)
 
 class Experiment:
     """Everything a run needs, assembled once from a config: network, data, objective,
-    the scheme the top-level mode sends with and the baseline optimum."""
+    the scheme the top-level mode sends with and, on first read, the baseline optimum."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -72,7 +73,11 @@ class Experiment:
             raise ConfigError(f"objective: {exc}") from exc
         self.test_data = self.ds.test() if not ridge and self.ds.test_idx.size else None
         self.scheme = self.build_scheme(cfg.scheme, cfg.mode)
-        self.x_star = baseline_optimum(self.obj)
+
+    @cached_property
+    def x_star(self) -> np.ndarray:
+        """The baseline optimum, which runs read and `cnext theory` does not."""
+        return baseline_optimum(self.obj)
 
     @property
     def p(self) -> int:
@@ -168,6 +173,7 @@ def _attempt(exp: Experiment, scheme: CompressionScheme, hp: HyperParams, mode: 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     exp = Experiment(cfg)
+    exp.x_star  # solved before any file is written, so a baseline that fails leaves none
     hp, mode, scheme = cfg.hyperparams, cfg.mode, exp.scheme
     os.makedirs(cfg.output_dir, exist_ok=True)
     manifest_path = os.path.join(cfg.output_dir, "manifest.json")
@@ -197,6 +203,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least 2 variants in compare.variants")
     exp = Experiment(cfg)
+    exp.x_star  # solved before any file is written, as in cmd_run
     os.makedirs(cfg.output_dir, exist_ok=True)
     lines = ["variant," + ",".join(CSV_COLUMNS)]
     summary = {}
@@ -218,21 +225,19 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def _theory_point(exp: Experiment, eta: float, gamma: float) -> dict:
-    """A(theta), rho(A) and the sufficient-condition report at one (eta, gamma), with the
-    config's alphas, tau and eps; {"error"} when a precondition fails. A theta outside the
-    theory's domain (eta <= 0 or gamma <= 0) is a config error."""
-    cfg = exp.cfg
-    hp = cfg.hyperparams
+    """A(theta), read-only, rho(A) and the sufficient-condition report at one (eta, gamma),
+    with the config's alphas and eps; {"error"} when a precondition fails. A theta outside
+    the theory's domain (eta <= 0 or gamma <= 0) is a config error."""
+    hp = exp.cfg.hyperparams
     theta = Theta(eta=eta, gamma=gamma, alpha_x=hp.alpha_x, alpha_y=hp.alpha_y)
     try:
-        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, exp.scheme, theta,
-                                   tau_x=cfg.tau_x, tau_y=cfg.tau_y)
-        A, conditions = evaluate(tc, theta, exp.net.n, cfg.eps)
+        tc = TheoryConstants.build(exp.obj.mu, exp.obj.L, exp.net, exp.scheme, theta)
+        A, conditions = evaluate(tc, theta, exp.net.n, exp.cfg.eps)
     except DomainError as exc:
         raise ConfigError(f"theory: {exc}") from exc
     except ValueError as exc:
         return {"error": str(exc)}  # constraint violations are reported, not fatal
-    return {"A": A.tolist(), "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}
+    return {"A": A, "rho_A": conditions["rho_A"], "sufficient_conditions": conditions}
 
 
 def cmd_theory(cfg: ExperimentConfig, grid: int | None = None) -> int:
@@ -247,8 +252,9 @@ def cmd_theory(cfg: ExperimentConfig, grid: int | None = None) -> int:
                                 "rho_tilde": exp.net.rho_tilde(hp.gamma)},
                     "objective": {"mu": exp.obj.mu, "L": exp.obj.L, "kappa": exp.obj.kappa}}
     report.update(_theory_point(exp, hp.eta, hp.gamma))
-    # JSON has no infinity (an unbounded C = 0 cap) or NaN: such numbers print as null
-    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    # A is the point's array, listed once here; JSON has no infinity (an unbounded C = 0
+    # cap) or NaN: such numbers print as null
+    report = json.loads(json.dumps(report, default=np.ndarray.tolist), parse_constant=lambda _: None)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -271,7 +277,7 @@ def _theory_grid(exp: Experiment, grid: int) -> int:
                 lines.append(f"{eta!r},{gamma!r},{ok},,,")
                 continue
             lt_1 = point["sufficient_conditions"]["direct_contraction"]["rho_lt_1"]
-            lt_q = rho_below(np.array(point["A"]), q, rho)
+            lt_q = rho_below(point["A"], q, rho)
             lines.append(f"{eta!r},{gamma!r},{ok},{rho!r},{int(lt_1)},{int(lt_q)}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.output_dir, f"sweep_{scheme.kind}.csv"), "\n".join(lines) + "\n")

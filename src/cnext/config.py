@@ -86,8 +86,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] | None = None
     output_dir: str = "results/run"
     variants: tuple[Variant, ...] = ()
-    tau_x: float | None = None
-    tau_y: float | None = None
     eps: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
@@ -108,9 +106,8 @@ class ExperimentConfig:
             d["compare"] = {"variants": [
                 {"name": v.name, "mode": v.mode, "scheme": asdict(v.scheme),
                  "hyperparams": asdict(v.hyperparams)} for v in self.variants]}
-        if self.eps is not None or self.tau_x is not None or self.tau_y is not None:
-            d["theory"] = {"tau_x": self.tau_x, "tau_y": self.tau_y,
-                           "eps": list(self.eps) if self.eps else None}
+        if self.eps is not None:
+            d["theory"] = {"eps": list(self.eps)}
         return d
 
 
@@ -204,7 +201,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                        net_kind, f"{vpath}.")
             variants.append(Variant(name=_opt(v, "name", f"{vmode}:{vscheme.kind}"),
                                     mode=vmode, scheme=vscheme, hyperparams=vhyper))
-        theory_raw = _known(_opt(raw, "theory", {}), ("tau_x", "tau_y", "eps"), "theory.")
+        theory_raw = _known(_opt(raw, "theory", {}), ("eps",), "theory.")
         eps = theory_raw.get("eps")
         if eps is not None:
             eps = tuple(float(e) for e in eps)
@@ -215,8 +212,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             mode=mode, seed=int(_opt(raw, "seed", 42)),
             seeds=tuple(int(s) for s in seeds) if seeds else None,
             output_dir=str(_opt(raw, "output_dir", "results/run")),
-            variants=tuple(variants),
-            tau_x=theory_raw.get("tau_x"), tau_y=theory_raw.get("tau_y"), eps=eps)
+            variants=tuple(variants), eps=eps)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -21,7 +21,8 @@ a forward-error bound, and in integers only for the rows where one does not.
 The eight conditions that read eps are stated once, as the rows of `_condition_rows`: the
 report's flags for them are the rows' signs at eps, and `default_epsilon`'s search reads
 the same rows, so the two cannot disagree. The bounds printed beside those flags are display.
-A(theta) and those rows are formed once per point (`_point`), for the search and the report.
+A(theta) and those rows are formed once per point (`_point`), and the search and the report
+each read both from that one point.
 """
 
 from __future__ import annotations
@@ -94,19 +95,18 @@ class TheoryConstants:
 
     @classmethod
     def build(cls, mu: float, L: float, net: Network, scheme: CompressionScheme,
-              theta: Theta, tau_x: float | None = None, tau_y: float | None = None
-              ) -> "TheoryConstants":
+              theta: Theta) -> "TheoryConstants":
         """Derive every constant from the problem, network, scheme and theta.
 
-        tau defaults to the midpoint of its admissible open interval
-        (1, 1/(1 - alpha r delta)); when alpha r delta = 1 the interval is (1, inf)
-        and tau = 2 is used.
+        tau is the midpoint of its admissible open interval (1, 1/(1 - alpha r delta));
+        when alpha r delta = 1 the interval is (1, inf) and tau = 2 is used. The guards
+        below still fire where alpha r delta is so small that the midpoint rounds to 1.
         """
         rho, beta = net.rho, net.beta
         rho_tilde = net.rho_tilde(theta.gamma)
         C, r, delta = scheme.C, scheme.r, scheme.delta
-        tau_x = _tau_default(theta.alpha_x, r, delta) if tau_x is None else tau_x
-        tau_y = _tau_default(theta.alpha_y, r, delta) if tau_y is None else tau_y
+        tau_x = _tau_midpoint(theta.alpha_x, r, delta)
+        tau_y = _tau_midpoint(theta.alpha_y, r, delta)
         a_x = tau_x * alpha_slack(theta.alpha_x, r, delta)
         a_y = tau_y * alpha_slack(theta.alpha_y, r, delta)
         if tau_x <= 1 or a_x >= 1:
@@ -137,7 +137,7 @@ def alpha_slack(alpha: float, r: float, delta: float) -> float:
     return 1.0 - alpha * r * delta
 
 
-def _tau_default(alpha: float, r: float, delta: float) -> float:
+def _tau_midpoint(alpha: float, r: float, delta: float) -> float:
     s = alpha_slack(alpha, r, delta)
     if s < 0:
         raise ValueError(f"alpha r delta = {alpha * r * delta} exceeds 1; "
@@ -319,12 +319,6 @@ def _point(tc: TheoryConstants, theta: Theta, n: int) -> _Point:
     return p
 
 
-def _formed(tc: TheoryConstants, theta: Theta, n: int) -> tuple[np.ndarray | None, str | None]:
-    """(A(theta), None), or (None, why it cannot be formed)."""
-    p = _point(tc, theta, n)
-    return p.A, None if p.error is None else str(p.error)
-
-
 def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int) -> dict:
     """Evaluate the sufficient step-size conditions and the eps-certificate they imply.
 
@@ -334,7 +328,7 @@ def check_sufficient_conditions(tc: TheoryConstants, theta: Theta, eps: np.ndarr
     A (eps1, eps2, L^2 eps3, eps4, L^2 eps5) <= (1 - eta/(2 kappa)) * same,
     and rho(A). Never raises on infeasible parameters; it reports them.
     """
-    return _report(tc, theta, eps, n, *_formed(tc, theta, n))
+    return _report(_point(tc, theta, n), eps)
 
 
 def evaluate(tc: TheoryConstants, theta: Theta, n: int,
@@ -347,7 +341,7 @@ def evaluate(tc: TheoryConstants, theta: Theta, n: int,
         raise p.error
     if eps is None:
         eps = _epsilon(p)
-    return p.A, _report(tc, theta, eps, n, p.A, None)
+    return p.A, _report(p, eps)
 
 
 def _eps1_floor(tc: TheoryConstants, e2: float, e3: float, n: int) -> float:
@@ -364,14 +358,15 @@ def _eps4_cap(tc: TheoryConstants, gamma: float) -> float:
     return np.inf if den == 0.0 else (1.0 - tc.rho_tilde) * (1.0 - tc.rho) / den
 
 
-def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.ndarray | None,
-            reason: str | None, num: type = float) -> dict:
-    """The check_sufficient_conditions report, each entry computed once from eps in the scalar
-    type num: Python floats, or numpy float64, with IEEE inf and nan, where those raise (a zero
+def _report(p: _Point, eps: np.ndarray, num: type = float) -> dict:
+    """The check_sufficient_conditions report on the point p: its A(theta), or the refusal
+    of it, and its condition rows. Each entry is computed once from eps in the scalar type
+    num: Python floats, or numpy float64, with IEEE inf and nan, where those raise (a zero
     division, the root of a negative number or an overflowed power). Where statement and
     derivation disagree typographically, both bounds are printed and the flag is the
     derivation's row: row2_sqrt's is row2_sqrt_proof's, and eps3_floor's is rhs_proof's (the
     statement's makes its own feasible set empty as gamma -> 0)."""
+    tc, theta, n, A = p.tc, p.theta, p.n, p.A
     eps = np.asarray(eps, dtype=float)
     e = eps.tolist()
     if eps.shape != (5,) or not all(x > 0 for x in e):  # a NaN entry fails too
@@ -401,13 +396,13 @@ def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.nd
                   "eps3_floor": {"lhs": 3.0 * e2 + 3.0 * C * e4 + C * e5, "rhs": rhs3[0], "rhs_proof": rhs3[1]}}
         ratio, floor1, row2, cap4, row3, floor3, row4, row5 = [
             bool(m1 * e1 + m2 * e2 + m3 * e3 + m4 * e4 + m5 * e5 >= 0)
-            for m1, m2, m3, m4, m5 in (_point(tc, theta, n).condition_rows() if num is float
+            for m1, m2, m3, m4, m5 in (p.condition_rows() if num is float
                                        else _condition_rows(tc, theta, n, num))]
     except (ArithmeticError, ValueError):
         if num is not float:
             raise
         with np.errstate(all="ignore"):  # its infinities and NaNs are the point
-            return _report(tc, theta, eps, n, A, reason, np.float64)
+            return _report(p, eps, np.float64)
     eta_bounds = {name: float(x) for name, x in eta_bounds.items()}
     stsz_ok = {"eps_ratio": ratio, "kappa_sqrt23": eta <= eta_bounds["kappa_sqrt23"],
                "gamma_gap_kappa6": eta <= eta_bounds["gamma_gap_kappa6"],
@@ -415,6 +410,7 @@ def _report(tc: TheoryConstants, theta: Theta, eps: np.ndarray, n: int, A: np.nd
     constsz_ok = {"one": gamma <= 1.0, "row4_sqrt": row4, "row5_sqrt": row5}
     system_ok = {"eps1_over_eps2": floor1, "eps4_over_eps2": cap4, "eps3_floor": floor3}
     ok, rho_A, rho_lt_1 = False, None, False
+    reason = None if p.error is None else str(p.error)
     if A is not None:
         L2, rows = float(tc.L ** 2), A.tolist()
         v, q = [e[0], e[1], L2 * e[2], e[3], L2 * e[4]], contraction_rate(eta, float(tc.kappa))

@@ -116,6 +116,51 @@ def test_flag_overrides_beat_file_values(tmp_path):
     assert man["resolved"]["scheme"]["kind"] == "identity"
 
 
+def test_seed_flag_matches_the_config_seed(tmp_path):
+    # --seed 7 writes the same bytes as a config that sets "seed": 7
+    flagged, out = write_config(tmp_path, "flagged.json")
+    seeded, _ = write_config(tmp_path, "seeded.json", seed=7)
+    written = []
+    for argv in (["-c", flagged, "--seed", "7"], ["-c", seeded]):
+        assert main(["run", *argv]) == 0
+        written.append([Path(out, name).read_bytes() for name in ("trace.csv", "manifest.json")])
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["resolved"]["seed"] == 7
+
+
+def test_b_flag_sets_the_quantizer_bits(tmp_path):
+    # --b 3 records qnbbq(b=3) and charges (1 + b) p bits per vector, for both streams
+    cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq"}, hyperparams={"T": 2})
+    assert main(["run", "-c", cfg, "--b", "3"]) == 0
+    man = json.loads(Path(out, "manifest.json").read_text())
+    assert man["config"]["scheme"]["b"] == 3 and man["resolved"]["scheme"]["label"] == "qnbbq(b=3)"
+    _, rows = read_csv(os.path.join(out, "trace.csv"))
+    n, p = BASE["network"]["n"], BASE["objective"]["data"]["p"]
+    assert [int(row[1]) for row in rows] == [t * 2 * n * (1 + 3) * p for t in range(3)]
+
+
+def test_uncompressed_giant_runs_the_configured_steps_without_compression(tmp_path, capsys):
+    # the run is the configured experiment without compression: its steps resolve by the
+    # config's scheme (qnbbq's tuned eta and alpha), config.scheme names that scheme and
+    # resolved.scheme the identity it sends with. Identity has no tuned steps of its own,
+    # so asking for it by name leaves eta unset, a config error
+    bench = str(CONFIGS / "ridge_benchmark.json")
+    out = tmp_path / "giant"
+    assert main(["run", "-c", bench, "--mode", "uncompressed_giant", "--T", "1",
+                 "--output-dir", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["config"]["scheme"]["kind"], man["resolved"]["scheme"]["kind"]) == ("qnbbq", "identity")
+    hp = man["resolved"]["hyperparams"]
+    assert (hp["eta"], hp["alpha_x"], hp["alpha_y"]) == (0.0095, 1.0, 1.0)
+    _, rows = read_csv(str(out / "trace.csv"))
+    assert int(rows[1][1]) == 2 * 10 * 64 * 20  # identity's 64p bits per vector, n = 10, p = 20
+    capsys.readouterr()
+    assert main(["run", "-c", bench, "--mode", "uncompressed_giant", "--scheme", "identity",
+                 "--T", "1", "--output-dir", str(tmp_path / "identity")]) == 2
+    assert "hyperparams.eta is required (no tuned default for scheme 'identity')" in capsys.readouterr().err
+    assert not (tmp_path / "identity").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"network": {"kind": "ring", "n": 5}}))
@@ -427,6 +472,7 @@ def test_records_keep_the_names_the_benchmark_reads(tmp_path):
      "compare.variants[0].alpha_x"),
     ("objective", {"kind": "ridge", "data": {"n_sample": 60}}, "objective.data.n_sample"),
     ("sede", 7, "sede"),
+    ("theory", {"tau_x": 1.5}, "theory.tau_x"),
 ])
 def test_unknown_config_field_is_config_error(tmp_path, capsys, block, value, path):
     # a top-k ridge config that sets no alpha_x or alpha_y would resolve the tuned 0.5
@@ -720,6 +766,35 @@ def test_baseline_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "-c", cfg]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConvergenceError" and "tol=1e-10" in err["message"]
+
+
+def test_theory_solves_no_baseline(tmp_path, capsys, monkeypatch):
+    # `cnext theory` reads no x*: with a baseline that cannot converge it prints the same
+    # report and map, while run and compare still exit 3 before they write any file
+    from cnext import cli
+    from cnext.objective import ConvergenceError
+
+    def fail(obj):
+        raise ConvergenceError("Newton failed to reach tol=1e-10 in 500 iterations", np.zeros(obj.p))
+
+    variants = [{"name": kind, "scheme": {"kind": kind}} for kind in ("identity", "qnbbq")]
+    cfg, out = write_config(tmp_path, scheme={"kind": "identity"}, compare={"variants": variants},
+                            hyperparams={"eta": 1e-8, "gamma": 0.01, "T": 1})
+    written = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(cli, "baseline_optimum", fail)
+        grid = tmp_path / f"grid{int(patched)}"
+        assert main(["theory", "-c", cfg]) == 0
+        report = capsys.readouterr().out
+        assert main(["theory", "-c", cfg, "--grid", "3", "--output-dir", str(grid)]) == 0
+        capsys.readouterr()
+        written.append((report, (grid / "sweep_identity.csv").read_bytes()))
+    assert written[0] == written[1]
+    for command in ("run", "compare"):
+        assert main([command, "-c", cfg]) == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConvergenceError"
+        assert not os.path.exists(out)
 
 
 def test_compare_variants_without_hyperparams_match_single_runs(tmp_path):

@@ -14,7 +14,7 @@ from cnext.theory import (Theta, TheoryConstants, build_A, check_sufficient_cond
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def constants_for(mu, L, rho, beta, C, r, delta, theta, tau_x=None, tau_y=None):
+def constants_for(mu, L, rho, beta, C, r, delta, theta):
     """Assemble TheoryConstants without a Network (test-local shim)."""
 
     class _Net:
@@ -30,7 +30,7 @@ def constants_for(mu, L, rho, beta, C, r, delta, theta, tau_x=None, tau_y=None):
 
     s = _Scheme()
     s.C, s.r, s.delta = C, r, delta
-    return TheoryConstants.build(mu, L, _Net(), s, theta, tau_x=tau_x, tau_y=tau_y)
+    return TheoryConstants.build(mu, L, _Net(), s, theta)
 
 
 def hand_coded_A(mu, L, rho, beta, C, a_x, a_y, c1, c2, eta, gamma, n):
@@ -230,7 +230,7 @@ def _report_types(tc, theta, eps, n):
     (A(theta) formed, pass, a bound is nan)."""
     from cnext import theory
 
-    A, _ = theory._formed(tc, theta, n)
+    A = theory._point(tc, theta, n).A
     rep = check_sufficient_conditions(tc, theta, eps, n)
     direct = rep["direct_contraction"]
     entries = list(rep["system"].values())
@@ -261,7 +261,7 @@ def test_search_ranks_by_the_reported_flags(ridge10, kind):
                 seen.add(_report_types(tc, theta, eps, net.n))
             nan_eps = np.array([np.nan, 1, 1, 1, 1])
             with pytest.raises(ValueError, match="strictly positive"):
-                theory._report(tc, theta, nan_eps, net.n, *theory._formed(tc, theta, net.n))
+                theory._report(theory._point(tc, theta, net.n), nan_eps)
             with pytest.raises(ValueError, match="strictly positive"):
                 check_sufficient_conditions(tc, theta, nan_eps, net.n)
     assert {(False, False, False), (True, False, False), (True, False, True)} <= seen
@@ -344,9 +344,8 @@ def test_search_and_report_agree_on_every_map_point():
             for gamma in map(float, np.geomspace(*GRID_GAMMA, 20)):
                 theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
                 tc = TheoryConstants.build(mu, L, exp.net, scheme, theta)
-                A, _ = theory._formed(tc, theta, n)
-                found = A is not None and \
-                    theory._least_certificate(theory._rows(theory._point(tc, theta, n))) is not None
+                point = theory._point(tc, theta, n)
+                found = point.A is not None and theory._least_certificate(theory._rows(point)) is not None
                 passed = check_sufficient_conditions(tc, theta, default_epsilon(tc, theta, n), n)["pass"]
                 assert passed is found, (kind, eta, gamma)
                 certified[kind] += passed
@@ -387,7 +386,7 @@ def test_report_keys_are_pinned(ridge10, monkeypatch, eta, gamma, passed):
 
     calls = []
     real = theory._report
-    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[6:]) or real(*a))
+    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[2:]) or real(*a))
     obj, net, _ = ridge10
     theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
     tc = TheoryConstants.build(obj.mu, obj.L, net, make_scheme("identity", obj.p), theta)
@@ -451,7 +450,7 @@ def test_search_ranks_by_the_reported_flags_on_the_numpy_path(monkeypatch):
 
     calls = []
     real = theory._report
-    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[6:]) or real(*a))
+    monkeypatch.setattr(theory, "_report", lambda *a: calls.append(a[2:]) or real(*a))
     theta = Theta(eta=1e-3, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.5, r=1.0, delta=0.5, theta=theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -781,7 +780,9 @@ def test_certificate_at_a_rounded_rate_still_eliminates(monkeypatch):
     theta = Theta(eta=1e-17, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
     tc = constants_for(mu=1.0, L=1.0, rho=0.5, beta=1.0, C=0.0, r=1.0, delta=1.0, theta=theta)
     assert theory.contraction_rate(theta.eta, tc.kappa) == 1.0
-    direct = theory._report(tc, theta, np.ones(5), 4, STOCHASTIC, None)["direct_contraction"]
+    point = theory._Point(tc, theta, 4)
+    point.A = STOCHASTIC
+    direct = theory._report(point, np.ones(5))["direct_contraction"]
     assert direct["ok"] is True and direct["rho_lt_1"] is False and eliminations == [5]
     # on the map's own A(theta) too, the report eliminates at such an eta
     for _, tc, theta, n in _identity_map_points():

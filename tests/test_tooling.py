@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cnext import cli
-from cnext.config import load_config
+from cnext.config import ConfigError, load_config, parse_config
 from cnext.solver import HyperParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +135,35 @@ def test_readme_commands_parse():
             load_config(str(ROOT / args.config), cli._overrides(args))
     assert ["cnext", "theory", "-c", "configs/theory_identity.json", "--scheme", "topk",
             "--grid", "20"] in commands
+
+
+def _accepted_keys() -> dict[str, list[str]]:
+    """Each config block's accepted keys, by the block's path, as the "(known: ...)" list of
+    the unknown-field error that parse_config raises for that block."""
+    accepted = {}
+    for path in ("", "objective.", "objective.data.", "network.", "scheme.", "hyperparams.",
+                 "compare.", "compare.variants[0].", "theory."):
+        raw = {"objective": {"kind": "ridge", "data": {}}, "network": {"kind": "ring", "n": 5},
+               "scheme": {"kind": "topk"}, "hyperparams": {}, "theory": {},
+               "compare": {"variants": [{"scheme": {"kind": "topk"}}]}}
+        block = raw
+        for part in re.findall(r"\w+", path):
+            block = block[int(part) if part.isdigit() else part]
+        block["unknown"] = 1
+        with pytest.raises(ConfigError, match=f"unknown field {re.escape(path)}unknown ") as info:
+            parse_config(raw)
+        accepted[path] = re.search(r"\(known: (.*)\)$", str(info.value)).group(1).split(", ")
+    return accepted
+
+
+def test_readme_names_every_config_key():
+    # README names each key a config block accepts, quoted or in backticks (`theory.eps`
+    # counts for eps), and no key that parse_config no longer accepts
+    readme = (ROOT / "README.md").read_text()
+    unnamed = [path + key for path, keys in _accepted_keys().items() for key in keys
+               if not re.search(rf'["`.]{re.escape(key)}["`]', readme)]
+    assert unnamed == []
+    assert [key for key in ("tau_x", "tau_y") if key in readme] == []
 
 
 def test_readme_commands_run(tmp_path):
