@@ -234,23 +234,31 @@ def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
     Baseline optimizer for residual plots; stops at ||grad f(x)|| <= tol. The Armijo test
     allows 4 ulps of |f(x)| for roundoff: near the optimum the predicted decrease falls
     below float64 resolution, and without the allowance every step backtracks to nothing.
+
+    Each iteration makes one pass over the samples for the gradient, whose curvature
+    weights form the Hessian, and evaluates f once per line-search trial; f at the new
+    iterate is the accepted trial's. f is evaluated apart from a trial only at x0 and at a
+    step backtracked below t = 1e-14, which is taken without a trial.
     """
     x = np.asarray(x0, dtype=float).copy()
+    f = obj.value(x)
     for _ in range(max_iter):
-        g = obj.grad(x)
+        X = np.broadcast_to(x, (obj.n, obj.p))
+        G, W = obj.grad_stack(X, curvature=True)
+        g = G.mean(axis=0)
         if np.linalg.norm(g) <= tol:
-            return x, obj.value(x)
-        H = obj.hess(x)
+            return x, f
+        H = obj.hess_stack(X, W).mean(axis=0)
         d = cho_solve(cho_factor(H), -g)
-        f0 = obj.value(x)
         slope = float(g @ d)
-        roundoff = 4.0 * np.finfo(float).eps * abs(f0)
+        roundoff = 4.0 * np.finfo(float).eps * abs(f)
         t = 1.0
-        while obj.value(x + t * d) > f0 + 1e-4 * t * slope + roundoff:
+        while (f_t := obj.value(x + t * d)) > f + 1e-4 * t * slope + roundoff:
             t *= 0.5
-            if t < 1e-14:
+            if t < 1e-14:  # this step is taken without a trial
+                f_t = obj.value(x + t * d)
                 break
-        x = x + t * d
+        x, f = x + t * d, f_t
     if np.linalg.norm(obj.grad(x)) <= tol:
-        return x, obj.value(x)
+        return x, f
     raise ConvergenceError(f"Newton failed to reach tol={tol} in {max_iter} iterations", x)

@@ -20,7 +20,8 @@ a forward-error bound, and in integers only for the rows where one does not.
 
 The eight conditions that read eps are stated once, as the rows of `_condition_rows`: the
 report's flags for them are the rows' signs at eps, and `default_epsilon`'s search reads
-the same rows, so the two cannot disagree. The bounds printed beside those flags are display.
+the same rows, so the two cannot disagree (but for row2_sqrt and row3_sqrt at a subnormal
+eta, where no certificate exists). The bounds printed beside those flags are display.
 A(theta) and those rows are formed once per point (`_point`), and the search and the report
 each read both from that one point.
 """
@@ -394,10 +395,11 @@ def _report(p: _Point, eps: np.ndarray, num: type = float) -> dict:
         system = {"eps1_over_eps2": {"lhs": e1 / e2, "rhs": _eps1_floor(tc, e2, e3, n)},
                   "eps4_over_eps2": {"lhs": e4 / e2, "rhs": _eps4_cap(tc, gamma)},
                   "eps3_floor": {"lhs": 3.0 * e2 + 3.0 * C * e4 + C * e5, "rhs": rhs3[0], "rhs_proof": rhs3[1]}}
+        rows = p.condition_rows() if num is float else _condition_rows(tc, theta, n, num)
         ratio, floor1, row2, cap4, row3, floor3, row4, row5 = [
-            bool(m1 * e1 + m2 * e2 + m3 * e3 + m4 * e4 + m5 * e5 >= 0)
-            for m1, m2, m3, m4, m5 in (p.condition_rows() if num is float
-                                       else _condition_rows(tc, theta, n, num))]
+            bool(m1 * e1 + m2 * e2 + m3 * e3 + m4 * e4 + m5 * e5 >= 0) for m1, m2, m3, m4, m5 in rows]
+        if rows[2][1] == math.inf and all(map(math.isfinite, e[:3])):
+            row2, row3 = _sqrt_rows_exact(tc, theta, n, e)  # gap / |eta| overflowed in the rows
     except (ArithmeticError, ValueError):
         if num is not float:
             raise
@@ -432,6 +434,17 @@ def _report(p: _Point, eps: np.ndarray, num: type = float) -> dict:
             "direct_contraction": {"ok": ok, "reason": reason, "rho_A": rho_A, "rho_lt_1": rho_lt_1},
             "rho_A": rho_A,
             "pass": all((*stsz_ok.values(), *constsz_ok.values(), *system_ok.values(), ok, rho_lt_1))}
+
+
+def _sqrt_rows_exact(tc: TheoryConstants, theta: Theta, n: int, e: list[float]) -> tuple[bool, bool]:
+    """row2_sqrt_proof and row3_sqrt decided in integers: 48 kappa^2 eta^2 eps_hat <= gap eps2
+    and 144 kappa^2 eta^2 eps_hat <= gap eps3, eps_hat = 2 n eps1 + 2 eps2 + eps3 and
+    gap = gamma (1 - rho)(1 - rho_tilde), for the rows' float kappa, eta, gamma, rho and rho_tilde."""
+    one, kappa, eta, gamma, rho, rt, e1, e2, e3 = _dyadic(
+        [1.0, tc.kappa, theta.eta, theta.gamma, tc.rho, tc.rho_tilde, *e[:3]])
+    lhs = kappa ** 2 * eta ** 2 * (2 * n * e1 + 2 * e2 + e3)  # each side of degree 5 in the scale `one`
+    gap = one * gamma * (one - rho) * (one - rt)
+    return 48 * lhs <= gap * e2, 144 * lhs <= gap * e3
 
 
 def default_epsilon(tc: TheoryConstants, theta: Theta, n: int) -> np.ndarray:
@@ -473,7 +486,9 @@ def _condition_rows(tc: TheoryConstants, theta: Theta, n: int, num: type = float
     rho_tilde or gamma is 0 or a power of kappa overflows): eps_ratio and the eps1/eps2 floor,
     row2_sqrt_proof and the eps4/eps2 cap, row3_sqrt and the eps3 floor's rhs_proof,
     row4_sqrt, and row5_sqrt. The rows of row2_sqrt_proof and row3_sqrt are divided by |eta|
-    where kappa^2 eta^2 would underflow and take their eta terms with it."""
+    where kappa^2 eta^2 would underflow and take their eta terms with it. Where eta is so
+    small that their pivot gap / |eta| overflows too, they hold for every eps, and `_report`
+    decides those two flags in integers instead; no certificate exists there, as q rounds to 1."""
     eta, gamma, C, rho, rt, kappa = map(num, (theta.eta, theta.gamma, tc.C, tc.rho, tc.rho_tilde, tc.kappa))
     g2, k2, mu2, b2 = gamma ** 2, kappa ** 2, num(tc.mu) ** 2, num(tc.beta) ** 2
     ke, sq = k2 * eta ** 2, gamma * (1.0 - rho) * (1.0 - rt)  # the sqrt bounds, squared

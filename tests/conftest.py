@@ -3,7 +3,7 @@ import pytest
 
 from cnext.compress import (ALL_KINDS, DRAWING_KINDS, RANDOMK, TOPK, CompressionScheme, _encode,
                             agent_streams, make_scheme)
-from cnext.data import build_locals, generate_ridge_synthetic, partition_homogeneous
+from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_objective, logistic_objective, ridge_closed_form_optimum
 from cnext.solver import init_state, newton_directions
@@ -60,6 +60,27 @@ def make_logistic(n_agents=4, p=5, m=12, lam=0.1, seed=3):
         w = rng.standard_normal(p)
         b[i] = np.where(A[i] @ w + 0.3 * rng.standard_normal(m) >= 0, 1.0, -1.0)
     return logistic_objective((A, b), lam)
+
+
+def make_sign_logistic(seed):
+    """+-1 labels over 25000 noisy linear scores, 2000 training samples on each of 10 agents:
+    the shape of the benchmark's logistic workload."""
+    ds = generate_ridge_synthetic(25000, 10, seed, noise_std=1.5)
+    ds = Dataset(U=ds.U, v=np.where(ds.v >= 0.0, 1.0, -1.0), train_idx=np.arange(20000),
+                 test_idx=np.arange(20000, 25000), provenance="sign of " + ds.provenance)
+    return logistic_objective(build_locals(ds, partition_homogeneous(ds, 10, seed)), 0.1)
+
+
+def covtype_fixture_csv(path, n_rows=80, seed=0):
+    """A CovType-format CSV at path: 54 Gaussian features, one of them constant, and a class
+    label in 1..7 per row. Returns the features and labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_rows, 54))
+    X[:, 20] = 0.0  # constant column: the standardizer must not divide by zero
+    labels = rng.integers(1, 8, size=n_rows)
+    rows = np.column_stack([X, labels.astype(float)])
+    np.savetxt(path, rows, delimiter=",")
+    return X, labels
 
 
 def network_giant_reference(obj, net, hp, seed, state0=None):

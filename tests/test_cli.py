@@ -13,6 +13,7 @@ from cnext.compress import make_scheme
 from cnext.config import ConfigError, load_config
 from cnext.solver import ErrorVector, RoundRecord, run
 from cnext.theory import rho_below
+from conftest import covtype_fixture_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -727,6 +728,30 @@ def test_set_up_rejections_are_config_errors(tmp_path, capsys, monkeypatch, obje
     assert main(["run", "-c", cfg]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_logistic_run_and_compare_on_a_covtype_fixture(tmp_path):
+    # the logistic path end to end, offline: a CovType-format CSV, a ring of 4, explicit
+    # hyperparams; every trace row holds an accuracy in [0, 1] and a residual >= 0
+    csv = tmp_path / "covtype.csv"
+    covtype_fixture_csv(csv)
+    logistic = {"kind": "logistic", "lambda": 0.1,
+                "data": {"source": "covtype", "path": str(csv), "p_reduced": 5}}
+    variants = [{"name": "cnext", "mode": "cnext", "scheme": {"kind": "qnbbq", "b": 2}},
+                {"name": "first-order", "mode": "first_order_gt", "scheme": {"kind": "qnbbq", "b": 2}}]
+    cfg, out = write_config(tmp_path, objective=logistic, network={"kind": "ring", "n": 4},
+                            scheme={"kind": "qnbbq", "b": 2, "k": None}, compare={"variants": variants},
+                            hyperparams={"eta": 0.05, "gamma": 0.35, "alpha_x": 0.5, "alpha_y": 0.5,
+                                         "T": 20})
+    assert main(["run", "-c", cfg]) == 0
+    header, rows = read_csv(os.path.join(out, "trace.csv"))
+    assert main(["compare", "-c", cfg]) == 0
+    compare_header, compare_rows = read_csv(os.path.join(out, "compare.csv"))
+    assert compare_header[1:] == header and len(rows) == 21 and len(compare_rows) == 2 * 21
+    for row in rows + [r[1:] for r in compare_rows]:
+        assert 0.0 <= float(row[header.index("accuracy")]) <= 1.0
+        assert float(row[header.index("residual")]) >= 0.0
+    assert {r[0] for r in compare_rows} == {"cnext", "first-order"}
 
 
 def test_missing_covtype_file_is_io_error(tmp_path, capsys, monkeypatch):

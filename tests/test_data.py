@@ -4,6 +4,7 @@ import pytest
 from cnext.data import (build_locals, covtype_split_counts, generate_ridge_synthetic,
                         load_covtype, partition_homogeneous)
 from cnext.objective import ridge_closed_form_optimum, ridge_objective
+from conftest import covtype_fixture_csv
 
 
 def test_synthetic_determinism():
@@ -81,16 +82,6 @@ def test_covtype_split_counts_match_published_table():
     train, test = covtype_split_counts(1000, 10)
     assert train + test == 1000
     assert train == round(1000 * 400000 / 566602)
-
-
-def covtype_fixture_csv(path, n_rows=80, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_rows, 54))
-    X[:, 20] = 0.0  # constant column: the standardizer must not divide by zero
-    labels = rng.integers(1, 8, size=n_rows)
-    rows = np.column_stack([X, labels.astype(float)])
-    np.savetxt(path, rows, delimiter=",")
-    return X, labels
 
 
 def test_covtype_loader_on_fixture(tmp_path):

@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
-from cnext.objective import (ConvergenceError, centralized_newton, logistic_objective,
+from cnext import objective
+from cnext.objective import (ConvergenceError, Objective, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum, ridge_objective)
-from conftest import make_logistic, make_ridge
+from conftest import make_logistic, make_ridge, make_sign_logistic
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -246,10 +248,42 @@ def test_closed_form_is_minimum():
         assert obj.value(x_star - 1e-3 * v) >= f_star
 
 
+def oracle_newton(obj, x0, tol=1e-10, max_iter=200):
+    """centralized_newton as it was written before it shared the gradient's sigmoid pass with
+    the Hessian and carried f between iterations: one grad, one hess and one f at each
+    iterate, besides the line search's trials."""
+    x = np.asarray(x0, dtype=float).copy()
+    for _ in range(max_iter):
+        g = obj.grad(x)
+        if np.linalg.norm(g) <= tol:
+            return x, obj.value(x)
+        H = obj.hess(x)
+        d = cho_solve(cho_factor(H), -g)
+        f0 = obj.value(x)
+        slope = float(g @ d)
+        roundoff = 4.0 * np.finfo(float).eps * abs(f0)
+        t = 1.0
+        while obj.value(x + t * d) > f0 + 1e-4 * t * slope + roundoff:
+            t *= 0.5
+            if t < 1e-14:
+                break
+        x = x + t * d
+    if np.linalg.norm(obj.grad(x)) <= tol:
+        return x, obj.value(x)
+    raise ConvergenceError(f"Newton failed to reach tol={tol} in {max_iter} iterations", x)
+
+
+def assert_same_solve(obj, x0, **kw):
+    x, f = centralized_newton(obj, x0, **kw)
+    x_ref, f_ref = oracle_newton(obj, x0, **kw)
+    assert np.array_equal(x, x_ref) and f == f_ref
+    return x, f
+
+
 def test_newton_matches_closed_form():
     obj = make_ridge(n_agents=4, p=6, N=80, lam=0.5, seed=11)
     x_star = ridge_closed_form_optimum(obj)
-    x, f = centralized_newton(obj, np.zeros(6), tol=1e-11, max_iter=20)
+    x, f = assert_same_solve(obj, np.zeros(6), tol=1e-11, max_iter=20)
     assert np.linalg.norm(x - x_star) <= 1e-8
 
 
@@ -268,10 +302,72 @@ def test_newton_on_separable_logistic():
 
 
 def test_newton_budget_exhaustion_carries_iterate():
+    for obj, max_iter in ((make_logistic(), 1), (make_sign_logistic(12), 2)):
+        with pytest.raises(ConvergenceError) as exc:
+            centralized_newton(obj, np.zeros(obj.p), tol=1e-15, max_iter=max_iter)
+        assert exc.value.last_iterate.shape == (obj.p,)
+        with pytest.raises(ConvergenceError) as ref:
+            oracle_newton(obj, np.zeros(obj.p), tol=1e-15, max_iter=max_iter)
+        assert np.array_equal(exc.value.last_iterate, ref.value.last_iterate)
+
+
+@pytest.mark.parametrize("seed", [12, 18])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_newton_is_bit_identical_to_its_oracle_on_logistic(seed, tol):
+    obj = make_sign_logistic(seed)
+    assert_same_solve(obj, np.zeros(obj.p), tol=tol, max_iter=500)
+
+
+def test_newton_evaluates_f_after_a_step_taken_below_the_smallest_trial(monkeypatch):
+    # f is raised by 1 away from x0 = 0, so no trial from x0 passes the Armijo test: the
+    # first step is taken at t < 1e-14 unevaluated, and f there must be evaluated afresh
     obj = make_logistic()
-    with pytest.raises(ConvergenceError) as exc:
-        centralized_newton(obj, np.zeros(obj.p), tol=1e-15, max_iter=1)
-    assert exc.value.last_iterate.shape == (obj.p,)
+    value, calls = Objective.value, []
+
+    def lifted(self, x):
+        calls.append(np.array(x))
+        return value(self, x) + float(np.any(x != 0.0))
+    monkeypatch.setattr(Objective, "value", lifted)
+    x, f = centralized_newton(obj, np.zeros(obj.p), tol=1e-10, max_iter=100)
+    # f at x0, 47 rejected trials from t = 1 down to 2^-46, then f at the step 2^-47 d
+    assert np.array_equal(calls[48], 0.5 ** 47 * calls[1])
+    x_ref, f_ref = oracle_newton(obj, np.zeros(obj.p), tol=1e-10, max_iter=100)
+    assert np.array_equal(x, x_ref) and f == f_ref == value(obj, x) + 1.0
+
+
+def test_newton_makes_one_sigmoid_pass_per_gradient(monkeypatch):
+    # on the benchmark's logistic shape: each gradient's sigmoid pass also forms that
+    # iterate's Hessian, and f is evaluated once at x0 and once per line-search trial
+    obj = make_sign_logistic(1)
+    counts = dict.fromkeys(("sigma", "hessians", "value"), 0)
+    iterates, directions = [], []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(objective, "_sigma", counted("sigma", objective._sigma))
+    monkeypatch.setattr(objective, "_logistic_hessians", counted("hessians", objective._logistic_hessians))
+    monkeypatch.setattr(Objective, "value", counted("value", Objective.value))
+    grad_stack, solve = Objective.grad_stack, objective.cho_solve
+
+    def recorded_grad_stack(self, X, **kwargs):
+        iterates.append(np.array(X[0]))
+        return grad_stack(self, X, **kwargs)
+
+    def recorded_solve(*args):
+        directions.append(solve(*args))
+        return directions[-1]
+    monkeypatch.setattr(Objective, "grad_stack", recorded_grad_stack)
+    monkeypatch.setattr(objective, "cho_solve", recorded_solve)
+    x, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-10)
+    assert np.array_equal(iterates[-1], x)
+    # the line search halves t from 1: x_{k+1} = x_k + 2^-j d_k after j + 1 trials
+    trials = sum(next(j for j in range(48) if np.array_equal(x_k + 0.5 ** j * d, x_next)) + 1
+                 for x_k, d, x_next in zip(iterates, directions, iterates[1:]))
+    assert len(iterates) == len(directions) + 1 >= 2
+    assert counts == {"sigma": len(iterates), "hessians": len(directions), "value": trials + 1}
 
 
 def test_mu_L_pure_regularizer():

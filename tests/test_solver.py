@@ -13,14 +13,13 @@ from cnext import solver
 from cnext.compress import (DRAW_BUDGET, CompressState, _encode, agent_streams, compress_round,
                             make_scheme)
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
-from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
 from cnext.objective import (Objective, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum)
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
                           measure_errors, newton_directions, run, step, tracking_gap,
                           warn_theory_violations)
-from conftest import all_schemes, xy_streams, make_ridge, network_giant_reference
+from conftest import all_schemes, xy_streams, make_ridge, make_sign_logistic, network_giant_reference
 
 
 def test_single_agent_reduces_to_damped_newton(small_ridge):
@@ -360,18 +359,10 @@ def test_logistic_runs_reach_centralized_optimum(small_logistic, mode):
     assert np.max(np.abs(state.X - x_star)) <= 1e-9
 
 
-def _sign_logistic(seed):
-    """+-1 labels over 25000 noisy linear scores, 2000 training samples on each of 10 agents."""
-    ds = generate_ridge_synthetic(25000, 10, seed, noise_std=1.5)
-    ds = Dataset(U=ds.U, v=np.where(ds.v >= 0.0, 1.0, -1.0), train_idx=np.arange(20000),
-                 test_idx=np.arange(20000, 25000), provenance="sign of " + ds.provenance)
-    return logistic_objective(build_locals(ds, partition_homogeneous(ds, 10, seed)), 0.1)
-
-
 @pytest.mark.parametrize("seed", [12, 18])
 def test_logistic_baseline_reaches_its_tolerance(seed):
     # on these seeds the damped Newton baseline once stalled above ||grad|| = 1e-12
-    obj = _sign_logistic(seed)
+    obj = make_sign_logistic(seed)
     x = baseline_optimum(obj)
     assert np.linalg.norm(obj.grad(x)) <= BASELINE_TOL
 
@@ -379,7 +370,7 @@ def test_logistic_baseline_reaches_its_tolerance(seed):
 def test_centralized_newton_passes_the_roundoff_floor():
     # seed 18 is where the Armijo test without a roundoff allowance stalled worst, at
     # ||grad|| = 6.3e-11: every step backtracked to t < 1e-14
-    obj = _sign_logistic(18)
+    obj = make_sign_logistic(18)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-12, max_iter=500)
     assert np.linalg.norm(obj.grad(x)) <= 1e-12
 

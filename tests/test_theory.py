@@ -872,22 +872,28 @@ def test_points_never_share_an_A():
 
 
 @pytest.mark.parametrize("eps", [[1e300, 1e-300, 1.0, 1e300, 1e-300], [1e300, 1.0, 1e-300, 1.0, 1.0],
-                                 [1.0, 1.0, 1.0, 1.0, 1.0]])
+                                 [1.0, 1.0, 1.0, 1.0, 1.0], [1e308, 5e-324, 1.0, 1.0, 1.0]])
 def test_sqrt_rows_keep_eta_where_its_square_underflows(eps):
-    # at eta = 1e-300, kappa^2 eta^2 underflows float64: row2_sqrt_proof and row3_sqrt still
-    # decide 48 kappa^2 eta^2 eps_hat <= gap eps2 and 144 kappa^2 eta^2 eps_hat <= gap eps3
+    # at eta = 1e-300, kappa^2 eta^2 underflows float64, and at eta = 1e-310 the rows' pivot
+    # gap / |eta| overflows too: row2_sqrt_proof and row3_sqrt still decide
+    # 48 kappa^2 eta^2 eps_hat <= gap eps2 and 144 kappa^2 eta^2 eps_hat <= gap eps3
     # exactly as rationals do, eps_hat = 2 n eps1 + 2 eps2 + eps3
     from cnext import theory
 
-    n, theta = 3, Theta(eta=1e-300, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
-    tc = constants_for(mu=1.0, L=2.0, rho=0.5, beta=1.0, C=0.0, r=1.0, delta=1.0, theta=theta)
-    e = [Fraction(x) for x in eps]
-    ke = Fraction(tc.kappa) ** 2 * Fraction(theta.eta) ** 2
-    gap = Fraction(theta.gamma) * (1 - Fraction(tc.rho)) * (1 - Fraction(tc.rho_tilde))
-    eps_hat = 2 * n * e[0] + 2 * e[1] + e[2]
-    stsz = check_sufficient_conditions(tc, theta, np.array(eps), n)["stsz_ok"]
-    assert stsz["row2_sqrt"] is (48 * ke * eps_hat <= gap * e[1])
-    assert stsz["row3_sqrt"] is (144 * ke * eps_hat <= gap * e[2])
+    n = 3
+    for eta in (1e-300, 1e-310):
+        theta = Theta(eta=eta, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
+        tc = constants_for(mu=1.0, L=2.0, rho=0.5, beta=1.0, C=0.0, r=1.0, delta=1.0, theta=theta)
+        e = [Fraction(x) for x in eps]
+        ke = Fraction(tc.kappa) ** 2 * Fraction(theta.eta) ** 2
+        gap = Fraction(theta.gamma) * (1 - Fraction(tc.rho)) * (1 - Fraction(tc.rho_tilde))
+        eps_hat = 2 * n * e[0] + 2 * e[1] + e[2]
+        report = check_sufficient_conditions(tc, theta, np.array(eps), n)
+        assert report["stsz_ok"]["row2_sqrt"] is (48 * ke * eps_hat <= gap * e[1]), eta
+        assert report["stsz_ok"]["row3_sqrt"] is (144 * ke * eps_hat <= gap * e[2]), eta
+        assert report["pass"] is False  # q rounds to 1: no certificate
+    # an infinite eps1 takes the float rows, as it does at any eta
+    assert not check_sufficient_conditions(tc, theta, np.array([np.inf, *eps[1:]]), n)["pass"]
     # where the square does not underflow, the rows are the unscaled statement, float for float
     theta = Theta(eta=1e-10, gamma=0.5, alpha_x=1.0, alpha_y=1.0)
     ke, sq = tc.kappa ** 2 * theta.eta ** 2, theta.gamma * (1.0 - tc.rho) * (1.0 - tc.rho_tilde)
