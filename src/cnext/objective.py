@@ -4,7 +4,7 @@ and the centralized baseline."""
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -31,19 +31,17 @@ def _T(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def _sigma(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sigma(-m) = 1 / (1 + e^m) of the margins m = b * A x, over any leading batch axes."""
-    return expit(-b * _mv(A, X))
-
-
 def _weights(s: np.ndarray) -> np.ndarray:
     """Curvature weights w = sigma(m)(1 - sigma(m)), symmetric in the sign of the margin."""
     return s * (1.0 - s)
 
 
-def _logistic_hessians(A: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """A^T diag(w) A / m + lam I, over any leading batch axes."""
-    return np.matmul(_T(A) * w[..., None, :], A) / A.shape[-2] + lam * np.eye(A.shape[-1])
+def _logistic_hessians(Abar: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """Abar^T diag(w) Abar / m + lam I, over any leading batch axes. einsum scales Abar's
+    rows by w in long loops, where a broadcast product runs p-long ones, into Abar's layout:
+    the matmul and its bits are the same (a -0 product becomes +0; + lam I erases the sign)."""
+    Aw = np.einsum("...jk,...j->...jk", Abar, w)
+    return np.matmul(_T(Aw), Abar) / Abar.shape[-2] + lam * np.eye(Abar.shape[-1])
 
 
 def _logistic_loss(margins: np.ndarray) -> np.ndarray:
@@ -56,37 +54,47 @@ def _logistic_loss(margins: np.ndarray) -> np.ndarray:
 class Objective:
     """Average of n local functions over stacked agent data, with global curvature bounds.
 
-    Agent i holds features A[i] (m x p) and targets or +-1 labels b[i] (m,); every agent
-    has the same m. Ridge: f_i(x) = ||A_i x - b_i||^2 + lam ||x||^2, whose Hessians
-    H_i = 2 A_i^T A_i + 2 lam I are constant and are formed and inverted once, here, as
-    is the Cholesky factor of their mean, the Hessian of f.
-    Logistic: f_i(x) = mean log(1 + exp(-b_i * A_i x)) + (lam/2) ||x||^2.
+    Built from features A (n, m, p) and targets or +-1 labels b (n, m): agent i holds
+    A[i] (m x p) and b[i] (m,), and every agent has the same m.
+    Ridge: f_i(x) = ||A_i x - b_i||^2 + lam ||x||^2. The objective holds A and b, and the
+    Hessians H_i = 2 A_i^T A_i + 2 lam I, which are constant and are formed and inverted
+    once, here, as is the Cholesky factor of their mean, the Hessian of f.
+    Logistic: f_i(x) = mean log(1 + exp(-b_i * A_i x)) + (lam/2) ||x||^2. The objective
+    holds only the signed features Abar = -b * A, a new array in A's layout, so that the
+    margins b * A x are -Abar x and no pass over the samples multiplies by a label.
+    Negation is exact and rounding is symmetric in sign, so every product of Abar equals
+    the product of A and b that it replaces, bit for bit.
     """
 
     kind: str
     lam: float
-    A: np.ndarray  # (n, m, p)
-    b: np.ndarray  # (n, m)
+    A: InitVar[np.ndarray]  # (n, m, p)
+    b: InitVar[np.ndarray]  # (n, m)
     mu: float = field(init=False)  # the curvature bounds, computed from the data
     L: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, A: np.ndarray, b: np.ndarray):
         if self.kind not in (RIDGE, LOGISTIC):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.A.ndim != 3 or self.b.shape != self.A.shape[:2] or self.A.shape[1] < 1:
-            raise ValueError(f"need A (n, m, p) and b (n, m) with m >= 1, got {self.A.shape}, {self.b.shape}")
-        if self.kind == LOGISTIC and not np.all(np.isin(self.b, (-1.0, 1.0))):
-            raise ValueError("logistic labels must be in {-1, +1}")
-        G = np.matmul(_T(self.A), self.A)  # A_i^T A_i
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[1] < 1:
+            raise ValueError(f"need A (n, m, p) and b (n, m) with m >= 1, got {A.shape}, {b.shape}")
+        self.n, self.m, self.p = A.shape
         if self.kind == RIDGE:
+            self.A, self.b = A, b
+            G = np.matmul(_T(A), A)  # A_i^T A_i
             self.H = 2.0 * G + 2.0 * self.lam * np.eye(self.p)
-            self.c = 2.0 * _mv(_T(self.A), self.b)  # grad f_i(x) = H_i x - c_i
+            self.c = 2.0 * _mv(_T(A), b)  # grad f_i(x) = H_i x - c_i
             self._H_inv = np.linalg.inv(self.H)
             self._H_mean_chol = np.linalg.cholesky(self.H.mean(axis=0))  # lower L, L L^T
+        else:
+            if not np.all(np.isin(b, (-1.0, 1.0))):
+                raise ValueError("logistic labels must be in {-1, +1}")
+            self.Abar = np.multiply(A, -b[..., None], out=np.empty_like(A))
+            G = np.matmul(_T(self.Abar), self.Abar)  # = A_i^T A_i
         self.mu, self.L = self._curvature_bounds(G)
 
     def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
@@ -102,28 +110,21 @@ class Objective:
         return self.lam, self.lam + ev[:, -1].max() / 4.0
 
     @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[2]
-
-    @property
     def kappa(self) -> float:
         return self.L / self.mu
 
     def value(self, x: np.ndarray) -> float:
         """Global objective (1/n) sum_i f_i(x)."""
+        return self._value(x)[0]
+
+    def _value(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """f(x), with the signed margins Abar x that it read (None for ridge), which
+        `_grad_stack` takes at the same point in place of a second pass over the samples."""
         if self.kind == RIDGE:
             res = _mv(self.A, x) - self.b
-            return float(np.sum(res * res)) / self.n + self.lam * float(x @ x)
-        margins = self.b * _mv(self.A, x)
-        return float(np.mean(_logistic_loss(margins))) + 0.5 * self.lam * float(x @ x)
+            return float(np.sum(res * res)) / self.n + self.lam * float(x @ x), None
+        Z = _mv(self.Abar, x)
+        return float(np.mean(_logistic_loss(-Z))) + 0.5 * self.lam * float(x @ x), Z
 
     def residual_fn(self, x_star: np.ndarray) -> Callable[[np.ndarray], float]:
         """The residual x -> f(x) - f(x*), with all that depends on x* formed here, once.
@@ -132,7 +133,7 @@ class Objective:
         residual is (1/2) ||L^T (x - x*)||^2. A call costs O(p^2), reads no sample, and
         is >= 0 with no floor at ulp(f*).
         Logistic, at any x*: sample j adds log1p(sigma(-m*_j) expm1(m*_j - m_j)) to the
-        mean, with m and m* the margins at x and x* and m* - m = b A (x* - x), and the
+        mean, with m and m* the margins at x and x* and m* - m = Abar (x - x*), and the
         regularizer adds (lam/2) (x - x*)^T (x + x*); no two totals are subtracted. A
         sample whose loss falls by more than log 2 (where log1p loses digits) or
         overflows takes the plain difference of its two losses, which is exact enough there.
@@ -145,11 +146,11 @@ class Objective:
                 v = (x - x_star) @ L
                 return 0.5 * float(v @ v)
             return ridge_residual
-        m_star = (self.b * _mv(self.A, x_star)).ravel()
+        m_star = -_mv(self.Abar, x_star).ravel()
         s_star = expit(-m_star)
 
         def logistic_residual(x: np.ndarray) -> float:
-            shift = (self.b * _mv(self.A, x_star - x)).ravel()  # m* - m
+            shift = _mv(self.Abar, x - x_star).ravel()  # m* - m
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 z = np.expm1(shift)
                 z *= s_star
@@ -163,14 +164,6 @@ class Objective:
             return float(np.mean(gaps)) + 0.5 * self.lam * float((x - x_star) @ (x + x_star))
         return logistic_residual
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Global gradient (1/n) sum_i grad f_i(x)."""
-        return self.grad_stack(np.broadcast_to(x, (self.n, self.p))).mean(axis=0)
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        """Global Hessian (1/n) sum_i hess f_i(x)."""
-        return self.hess_stack(np.broadcast_to(x, (self.n, self.p))).mean(axis=0)
-
     def grad_stack(self, X: np.ndarray, curvature: bool = False):
         """Row i holds grad f_i(x_i) for the n x p iterate matrix X.
 
@@ -178,11 +171,15 @@ class Objective:
         weights at X, which hess_stack and hess_solve take in place of a second pass over
         the samples; W is None for ridge, whose Hessians are constant.
         """
+        return self._grad_stack(X, curvature)
+
+    def _grad_stack(self, X: np.ndarray, curvature: bool, Z: np.ndarray | None = None):
+        """grad_stack, from the signed margins Z = Abar X when the caller holds them."""
         if self.kind == RIDGE:
             G = _mv(self.H, X) - self.c
             return (G, None) if curvature else G
-        s = _sigma(self.A, self.b, X)
-        G = _mv(_T(self.A), -self.b * s) / self.m + self.lam * X
+        s = expit(_mv(self.Abar, X) if Z is None else Z)  # sigma(-m), m = b * A x
+        G = _mv(_T(self.Abar), s) / self.m + self.lam * X
         return (G, _weights(s)) if curvature else G
 
     def hess_stack(self, X: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
@@ -191,8 +188,8 @@ class Objective:
         if self.kind == RIDGE:
             return self.H
         if W is None:
-            W = _weights(_sigma(self.A, self.b, X))
-        return _logistic_hessians(self.A, W, self.lam)
+            W = _weights(expit(_mv(self.Abar, X)))
+        return _logistic_hessians(self.Abar, W, self.lam)
 
     def hess_solve(self, X: np.ndarray, R: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
         """Rows d_i solving hess f_i(x_i) d_i = r_i; raises LinAlgError if a Hessian is not SPD."""
@@ -206,8 +203,8 @@ class Objective:
         """Solve hess f_i(x) d = rhs for agent i alone; raises LinAlgError if it is not SPD."""
         if self.kind == RIDGE:
             return self._H_inv[i] @ rhs
-        w = _weights(_sigma(self.A[i], self.b[i], x))
-        return cho_solve(cho_factor(_logistic_hessians(self.A[i], w, self.lam)), rhs)
+        w = _weights(expit(_mv(self.Abar[i], x)))
+        return cho_solve(cho_factor(_logistic_hessians(self.Abar[i], w, self.lam)), rhs)
 
 
 def ridge_objective(locals_: tuple[np.ndarray, np.ndarray], lam: float) -> Objective:
@@ -235,16 +232,17 @@ def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
     allows 4 ulps of |f(x)| for roundoff: near the optimum the predicted decrease falls
     below float64 resolution, and without the allowance every step backtracks to nothing.
 
-    Each iteration makes one pass over the samples for the gradient, whose curvature
-    weights form the Hessian, and evaluates f once per line-search trial; f at the new
-    iterate is the accepted trial's. f is evaluated apart from a trial only at x0 and at a
-    step backtracked below t = 1e-14, which is taken without a trial.
+    f is evaluated at x0 and once per line-search trial, each time in one pass over the
+    samples for the margins; f at the new iterate is the accepted trial's, and the
+    iteration's gradient, whose curvature weights form the Hessian, reads that trial's
+    margins. f is evaluated apart from a trial only at a step backtracked below
+    t = 1e-14, which is taken without a trial.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = obj.value(x)
+    f, Z = obj._value(x)
     for _ in range(max_iter):
         X = np.broadcast_to(x, (obj.n, obj.p))
-        G, W = obj.grad_stack(X, curvature=True)
+        G, W = obj._grad_stack(X, True, Z)
         g = G.mean(axis=0)
         if np.linalg.norm(g) <= tol:
             return x, f
@@ -253,12 +251,12 @@ def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
         slope = float(g @ d)
         roundoff = 4.0 * np.finfo(float).eps * abs(f)
         t = 1.0
-        while (f_t := obj.value(x + t * d)) > f + 1e-4 * t * slope + roundoff:
+        while (trial := obj._value(x + t * d))[0] > f + 1e-4 * t * slope + roundoff:
             t *= 0.5
             if t < 1e-14:  # this step is taken without a trial
-                f_t = obj.value(x + t * d)
+                trial = obj._value(x + t * d)
                 break
-        x, f = x + t * d, f_t
-    if np.linalg.norm(obj.grad(x)) <= tol:
+        x, (f, Z) = x + t * d, trial
+    if np.linalg.norm(obj._grad_stack(np.broadcast_to(x, (obj.n, obj.p)), False, Z).mean(axis=0)) <= tol:
         return x, f
     raise ConvergenceError(f"Newton failed to reach tol={tol} in {max_iter} iterations", x)

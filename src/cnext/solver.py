@@ -263,10 +263,18 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     B - 1 rounds past the run's last round; nothing reads their end state. Raises
     DivergenceError when the state becomes non-finite or the error vector's sum exceeds
     GROWTH_LIMIT times its t = 0 value. Each record's residual is f(xbar) - f(x*), from
-    `Objective.residual_fn(x_star)`; `x_star`, if given, must be the minimizer.
+    `Objective.residual_fn(x_star)`; `x_star`, if given, must be the minimizer. With
+    `test_data` (U, v), each record's accuracy is the share of test points whose label
+    v in {-1, +1} is the sign of U xbar, a score of 0 counting as +1; raises ValueError
+    on another label.
     `f_star` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so
     it stays until the benchmark's next change drops it there.
     """
+    if test_data is not None:  # scored against the label mask v > 0, formed once
+        U, v = test_data
+        if not np.all(np.isin(v, (-1.0, 1.0))):
+            raise ValueError("test labels must be in {-1, +1}")
+        test_data = U, v > 0
     scheme = mode_scheme(mode, scheme, obj.p)
     if x_star is None:
         x_star = baseline_optimum(obj)
@@ -298,10 +306,9 @@ def _record(state: SolverState, x_star: np.ndarray, residual: Callable[[np.ndarr
     means = state.means
     xbar = means[0]
     acc = None
-    if test_data is not None:
-        U, v = test_data
-        pred = np.where(U @ xbar >= 0.0, 1.0, -1.0)
-        acc = float(np.mean(pred == v))
+    if test_data is not None:  # (U, v > 0) from run; the count is exact, so this is the mean
+        U, pos = test_data
+        acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
     return RoundRecord(state.t, state.bits_cum, measure_errors(state, x_star, means),
                        residual(xbar), acc, *op_err)
 

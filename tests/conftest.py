@@ -52,23 +52,43 @@ def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):
     return ridge_objective(build_locals(ds, part), lam)
 
 
-def make_logistic(n_agents=4, p=5, m=12, lam=0.1, seed=3):
+def logistic_data(n_agents=4, p=5, m=12, seed=3):
+    """Stacked features A (n, m, p) and +-1 labels b (n, m), each agent's labels the signs
+    of its own noisy linear scores."""
     rng = np.random.default_rng(seed)
     A, b = np.empty((n_agents, m, p)), np.empty((n_agents, m))
     for i in range(n_agents):
         A[i] = rng.standard_normal((m, p))
         w = rng.standard_normal(p)
         b[i] = np.where(A[i] @ w + 0.3 * rng.standard_normal(m) >= 0, 1.0, -1.0)
-    return logistic_objective((A, b), lam)
+    return A, b
 
 
-def make_sign_logistic(seed):
+def make_logistic(n_agents=4, p=5, m=12, lam=0.1, seed=3):
+    return logistic_objective(logistic_data(n_agents, p, m, seed), lam)
+
+
+def sign_logistic_data(seed):
     """+-1 labels over 25000 noisy linear scores, 2000 training samples on each of 10 agents:
-    the shape of the benchmark's logistic workload."""
+    the shape of the benchmark's logistic workload, as stacks (A, b)."""
     ds = generate_ridge_synthetic(25000, 10, seed, noise_std=1.5)
     ds = Dataset(U=ds.U, v=np.where(ds.v >= 0.0, 1.0, -1.0), train_idx=np.arange(20000),
                  test_idx=np.arange(20000, 25000), provenance="sign of " + ds.provenance)
-    return logistic_objective(build_locals(ds, partition_homogeneous(ds, 10, seed)), 0.1)
+    return build_locals(ds, partition_homogeneous(ds, 10, seed))
+
+
+def make_sign_logistic(seed):
+    return logistic_objective(sign_logistic_data(seed), 0.1)
+
+
+def grad(obj, x):
+    """Global gradient (1/n) sum_i grad f_i(x), the mean of the stacked gradients at x."""
+    return obj.grad_stack(np.broadcast_to(x, (obj.n, obj.p))).mean(axis=0)
+
+
+def hess(obj, x):
+    """Global Hessian (1/n) sum_i hess f_i(x), the mean of the stacked Hessians at x."""
+    return obj.hess_stack(np.broadcast_to(x, (obj.n, obj.p))).mean(axis=0)
 
 
 def covtype_fixture_csv(path, n_rows=80, seed=0):

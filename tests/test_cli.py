@@ -732,7 +732,8 @@ def test_set_up_rejections_are_config_errors(tmp_path, capsys, monkeypatch, obje
 
 def test_logistic_run_and_compare_on_a_covtype_fixture(tmp_path):
     # the logistic path end to end, offline: a CovType-format CSV, a ring of 4, explicit
-    # hyperparams; every trace row holds an accuracy in [0, 1] and a residual >= 0
+    # hyperparams; every trace row holds an accuracy in [0, 1] and a residual >= 0, and
+    # every cell is a plain number (no numpy scalar's repr, such as np.float64(0.5))
     csv = tmp_path / "covtype.csv"
     covtype_fixture_csv(csv)
     logistic = {"kind": "logistic", "lambda": 0.1,
@@ -749,6 +750,8 @@ def test_logistic_run_and_compare_on_a_covtype_fixture(tmp_path):
     compare_header, compare_rows = read_csv(os.path.join(out, "compare.csv"))
     assert compare_header[1:] == header and len(rows) == 21 and len(compare_rows) == 2 * 21
     for row in rows + [r[1:] for r in compare_rows]:
+        assert not any("np." in cell for cell in row)
+        assert all(np.isfinite(float(cell)) for cell in row)
         assert 0.0 <= float(row[header.index("accuracy")]) <= 1.0
         assert float(row[header.index("residual")]) >= 0.0
     assert {r[0] for r in compare_rows} == {"cnext", "first-order"}

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
 
 from cnext import objective
-from cnext.objective import (ConvergenceError, Objective, centralized_newton, logistic_objective,
-                             ridge_closed_form_optimum, ridge_objective)
-from conftest import make_logistic, make_ridge, make_sign_logistic
+from cnext.objective import (ConvergenceError, Objective, _T, _logistic_loss, _mv, centralized_newton,
+                             logistic_objective, ridge_closed_form_optimum, ridge_objective)
+from conftest import (grad, hess, logistic_data, make_logistic, make_ridge, make_sign_logistic,
+                      sign_logistic_data)
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -22,10 +24,10 @@ def central_diff_grad(f, x, h=1e-5):
     return g
 
 
-def agent(obj, i):
-    """Agent i's own objective f_i, built from its slice of the stack."""
-    build = ridge_objective if obj.kind == "ridge" else logistic_objective
-    return build((obj.A[i:i + 1], obj.b[i:i + 1]), obj.lam)
+def agent(build, locals_, lam, i):
+    """Agent i's own objective f_i, built from its slice of the stacks (A, b)."""
+    A, b = locals_
+    return build((A[i:i + 1], b[i:i + 1]), lam)
 
 
 def at(obj, x):
@@ -50,31 +52,35 @@ def test_ridge_gradient_matches_finite_differences():
 
 
 def test_logistic_gradient_matches_finite_differences():
-    obj = make_logistic()
+    locals_ = logistic_data()
+    obj = logistic_objective(locals_, 0.1)
     rng = np.random.default_rng(6)
     x = rng.standard_normal(obj.p)
     grads = obj.grad_stack(at(obj, x))
     for i in range(obj.n):
-        fd = central_diff_grad(agent(obj, i).value, x)
+        fd = central_diff_grad(agent(logistic_objective, locals_, obj.lam, i).value, x)
         assert np.max(np.abs(grads[i] - fd)) <= 1e-6
 
 
-def test_stacked_rows_are_the_agents_own(small_logistic):
+def test_stacked_rows_are_the_agents_own():
     # each row of the stacked quantities is agent i's own function at its own iterate
-    for obj in (make_ridge(), small_logistic):
+    ridge = make_ridge()
+    for build, locals_, lam in ((ridge_objective, (ridge.A, ridge.b), ridge.lam),
+                                (logistic_objective, logistic_data(), 0.1)):
+        obj = build(locals_, lam)
         rng = np.random.default_rng(7)
         X = rng.standard_normal((obj.n, obj.p))
         R = rng.standard_normal((obj.n, obj.p))
         G, Hs, D = obj.grad_stack(X), obj.hess_stack(X), obj.hess_solve(X, R)
         for i in range(obj.n):
-            own = agent(obj, i)
-            assert np.allclose(G[i], own.grad(X[i]), rtol=1e-12, atol=1e-12)
-            assert np.allclose(Hs[i], own.hess(X[i]), rtol=1e-12, atol=1e-12)
+            own = agent(build, locals_, lam, i)
+            assert np.allclose(G[i], grad(own, X[i]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(Hs[i], hess(own, X[i]), rtol=1e-12, atol=1e-12)
             assert np.allclose(Hs[i] @ D[i], R[i], rtol=1e-10, atol=1e-10)
             assert np.allclose(D[i], obj.hess_solve_i(i, X[i], R[i]), rtol=1e-10, atol=1e-12)
         x = X[0]
-        assert obj.value(x) == pytest.approx(np.mean([agent(obj, i).value(x) for i in range(obj.n)]),
-                                             rel=1e-12)
+        own_values = [agent(build, locals_, lam, i).value(x) for i in range(obj.n)]
+        assert obj.value(x) == pytest.approx(np.mean(own_values), rel=1e-12)
 
 
 def test_unequal_sample_counts_rejected():
@@ -88,34 +94,37 @@ def test_unequal_sample_counts_rejected():
 
 
 def test_logistic_at_zero():
-    obj = make_logistic()
+    A, b = logistic_data()
+    obj = logistic_objective((A, b), 0.1)
     x = np.zeros(obj.p)
     grads = obj.grad_stack(at(obj, x))
     for i in range(obj.n):
-        assert agent(obj, i).value(x) == pytest.approx(np.log(2.0), rel=1e-12)
-        expected = -(obj.b[i][:, None] * obj.A[i]).sum(axis=0) / (2.0 * obj.m)
+        assert agent(logistic_objective, (A, b), obj.lam, i).value(x) == pytest.approx(np.log(2.0), rel=1e-12)
+        expected = -(b[i][:, None] * A[i]).sum(axis=0) / (2.0 * obj.m)
         assert np.allclose(grads[i], expected, atol=1e-14)
 
 
 def test_logistic_hessian_eigenvalue_band():
-    obj = make_logistic()
+    A, _ = locals_ = logistic_data()
+    obj = logistic_objective(locals_, 0.1)
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = 2.0 * rng.standard_normal(obj.p)
         for i, hess in enumerate(obj.hess_stack(at(obj, x))):
             ev = np.linalg.eigvalsh(hess)
-            cap = obj.lam + np.max(np.sum(obj.A[i] ** 2, axis=1)) / 4.0
+            cap = obj.lam + np.max(np.sum(A[i] ** 2, axis=1)) / 4.0
             assert ev[0] >= obj.lam - 1e-12
             assert ev[-1] <= cap + 1e-12
 
 
 def test_logistic_overflow_safe():
-    obj = make_logistic()
+    locals_ = logistic_data()
+    obj = logistic_objective(locals_, 0.1)
     X = at(obj, 1e4 * np.ones(obj.p))
     assert np.isfinite(obj.value(X[0]))
     assert np.all(np.isfinite(obj.grad_stack(X))) and np.all(np.isfinite(obj.hess_stack(X)))
     for i in range(obj.n):
-        assert np.isfinite(agent(obj, i).value(X[0]))
+        assert np.isfinite(agent(logistic_objective, locals_, obj.lam, i).value(X[0]))
 
 
 @pytest.mark.parametrize("margin", [0.0, 1e-12, -1e-12, 1.0, -1.0, 40.0, -40.0, 1e4, -1e4])
@@ -159,13 +168,16 @@ def test_ridge_residual_matches_an_exact_rational_reference():
     assert abs(Fraction(obj.value(x) - obj.value(x_star)) - exact) > exact
 
 
-def _decimal_gap(obj, x, x_star):
-    """f(x) - f(x*) for the logistic f, to 60 digits, at the float x and x*."""
+def _decimal_gap(locals_, lam, x, x_star):
+    """f(x) - f(x*) for the logistic f on the stacks (A, b), to 60 digits, at the float x
+    and x*."""
+    A, b = locals_
+
     def f(x):
         x = [Decimal(float(v)) for v in x]
         loss = sum((1 + (-Decimal(float(bj)) * sum(Decimal(float(a)) * v for a, v in zip(row, x))).exp()).ln()
-                   for Ai, bi in zip(obj.A, obj.b) for row, bj in zip(Ai, bi))
-        return loss / obj.b.size + Decimal(obj.lam) / 2 * sum(v * v for v in x)
+                   for Ai, bi in zip(A, b) for row, bj in zip(Ai, bi))
+        return loss / b.size + Decimal(lam) / 2 * sum(v * v for v in x)
 
     with localcontext() as ctx:
         ctx.prec = 60
@@ -173,11 +185,12 @@ def _decimal_gap(obj, x, x_star):
 
 
 def test_logistic_residual_matches_a_60_digit_reference():
-    obj = make_logistic()
+    locals_ = logistic_data()
+    obj = logistic_objective(locals_, 0.1)
     rng = np.random.default_rng(11)
     x_star = rng.standard_normal(obj.p)
     x = x_star + 1e-9 * rng.standard_normal(obj.p)  # margins move by about 1e-9
-    exact = _decimal_gap(obj, x, x_star)
+    exact = _decimal_gap(locals_, obj.lam, x, x_star)
     error = abs(Decimal(obj.residual_fn(x_star)(x)) - exact)
     old_error = abs(Decimal(obj.value(x) - obj.value(x_star)) - exact)
     assert error <= Decimal(1e-13) * abs(exact)
@@ -188,7 +201,8 @@ def test_logistic_residual_matches_a_60_digit_reference():
 def test_logistic_residual_far_from_x_star(star_scale, scale):
     # margins that overflow expm1, or a loss that falls by more than log 2, take the plain
     # difference of the two losses; the residual stays finite, silent and accurate
-    obj = make_logistic()
+    locals_ = logistic_data()
+    obj = logistic_objective(locals_, 0.1)
     rng = np.random.default_rng(12)
     x_star = star_scale * rng.standard_normal(obj.p)
     residual = obj.residual_fn(x_star)
@@ -197,7 +211,7 @@ def test_logistic_residual_far_from_x_star(star_scale, scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = residual(x)
-        exact = _decimal_gap(obj, x, x_star)
+        exact = _decimal_gap(locals_, obj.lam, x, x_star)
         assert abs(Decimal(got) - exact) <= Decimal(1e-13) * abs(exact)
 
 
@@ -233,7 +247,7 @@ def test_closed_form_shrinks_with_lambda():
 def test_closed_form_zeroes_gradient():
     obj = make_ridge(n_agents=4, p=6, N=60, lam=0.5, seed=9)
     x_star = ridge_closed_form_optimum(obj)
-    assert np.linalg.norm(obj.grad(x_star)) <= 1e-9
+    assert np.linalg.norm(grad(obj, x_star)) <= 1e-9
 
 
 def test_closed_form_is_minimum():
@@ -250,14 +264,14 @@ def test_closed_form_is_minimum():
 
 def oracle_newton(obj, x0, tol=1e-10, max_iter=200):
     """centralized_newton as it was written before it shared the gradient's sigmoid pass with
-    the Hessian and carried f between iterations: one grad, one hess and one f at each
-    iterate, besides the line search's trials."""
+    the Hessian, carried f between iterations and read the accepted trial's margins: one
+    grad, one hess and one f at each iterate, besides the line search's trials."""
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(max_iter):
-        g = obj.grad(x)
+        g = grad(obj, x)
         if np.linalg.norm(g) <= tol:
             return x, obj.value(x)
-        H = obj.hess(x)
+        H = hess(obj, x)
         d = cho_solve(cho_factor(H), -g)
         f0 = obj.value(x)
         slope = float(g @ d)
@@ -268,7 +282,7 @@ def oracle_newton(obj, x0, tol=1e-10, max_iter=200):
             if t < 1e-14:
                 break
         x = x + t * d
-    if np.linalg.norm(obj.grad(x)) <= tol:
+    if np.linalg.norm(grad(obj, x)) <= tol:
         return x, obj.value(x)
     raise ConvergenceError(f"Newton failed to reach tol={tol} in {max_iter} iterations", x)
 
@@ -291,14 +305,14 @@ def test_newton_one_step_on_quadratic():
     # the full step is accepted and lands on the optimum of a quadratic
     obj = make_ridge(n_agents=3, p=4, N=30, lam=0.5, seed=12)
     x, _ = centralized_newton(obj, np.ones(4), tol=1e-9, max_iter=2)
-    assert np.linalg.norm(obj.grad(x)) <= 1e-9
+    assert np.linalg.norm(grad(obj, x)) <= 1e-9
 
 
 def test_newton_on_separable_logistic():
     obj = logistic_objective((np.array([[[1.0, 0.0], [-1.0, 0.0]]]), np.array([[1.0, -1.0]])), 0.1)
     x, f = centralized_newton(obj, np.zeros(2), tol=1e-10, max_iter=100)
     assert np.all(np.isfinite(x))
-    assert np.linalg.norm(obj.grad(x)) <= 1e-10
+    assert np.linalg.norm(grad(obj, x)) <= 1e-10
 
 
 def test_newton_budget_exhaustion_carries_iterate():
@@ -321,25 +335,28 @@ def test_newton_is_bit_identical_to_its_oracle_on_logistic(seed, tol):
 def test_newton_evaluates_f_after_a_step_taken_below_the_smallest_trial(monkeypatch):
     # f is raised by 1 away from x0 = 0, so no trial from x0 passes the Armijo test: the
     # first step is taken at t < 1e-14 unevaluated, and f there must be evaluated afresh
+    # (Objective.value reads f through Objective._value, so the oracle sees the same lift)
     obj = make_logistic()
-    value, calls = Objective.value, []
+    value, calls = Objective._value, []
 
     def lifted(self, x):
         calls.append(np.array(x))
-        return value(self, x) + float(np.any(x != 0.0))
-    monkeypatch.setattr(Objective, "value", lifted)
+        f, Z = value(self, x)
+        return f + float(np.any(x != 0.0)), Z
+    monkeypatch.setattr(Objective, "_value", lifted)
     x, f = centralized_newton(obj, np.zeros(obj.p), tol=1e-10, max_iter=100)
     # f at x0, 47 rejected trials from t = 1 down to 2^-46, then f at the step 2^-47 d
     assert np.array_equal(calls[48], 0.5 ** 47 * calls[1])
     x_ref, f_ref = oracle_newton(obj, np.zeros(obj.p), tol=1e-10, max_iter=100)
-    assert np.array_equal(x, x_ref) and f == f_ref == value(obj, x) + 1.0
+    assert np.array_equal(x, x_ref) and f == f_ref == value(obj, x)[0] + 1.0
 
 
 def test_newton_makes_one_sigmoid_pass_per_gradient(monkeypatch):
     # on the benchmark's logistic shape: each gradient's sigmoid pass also forms that
-    # iterate's Hessian, and f is evaluated once at x0 and once per line-search trial
+    # iterate's Hessian, f is evaluated once at x0 and once per line-search trial, and
+    # each evaluation's pass for the margins Abar x also serves the gradient at that point
     obj = make_sign_logistic(1)
-    counts = dict.fromkeys(("sigma", "hessians", "value"), 0)
+    counts = dict.fromkeys(("sigma", "hessians", "value", "margins"), 0)
     iterates, directions = [], []
 
     def counted(key, fn):
@@ -347,19 +364,25 @@ def test_newton_makes_one_sigmoid_pass_per_gradient(monkeypatch):
             counts[key] += 1
             return fn(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(objective, "_sigma", counted("sigma", objective._sigma))
-    monkeypatch.setattr(objective, "_logistic_hessians", counted("hessians", objective._logistic_hessians))
-    monkeypatch.setattr(Objective, "value", counted("value", Objective.value))
-    grad_stack, solve = Objective.grad_stack, objective.cho_solve
+    mv = objective._mv
 
-    def recorded_grad_stack(self, X, **kwargs):
+    def counted_mv(M, v):
+        counts["margins"] += M is obj.Abar
+        return mv(M, v)
+    monkeypatch.setattr(objective, "expit", counted("sigma", objective.expit))
+    monkeypatch.setattr(objective, "_logistic_hessians", counted("hessians", objective._logistic_hessians))
+    monkeypatch.setattr(Objective, "_value", counted("value", Objective._value))
+    monkeypatch.setattr(objective, "_mv", counted_mv)
+    grad_stack, solve = Objective._grad_stack, objective.cho_solve
+
+    def recorded_grad_stack(self, X, *args):
         iterates.append(np.array(X[0]))
-        return grad_stack(self, X, **kwargs)
+        return grad_stack(self, X, *args)
 
     def recorded_solve(*args):
         directions.append(solve(*args))
         return directions[-1]
-    monkeypatch.setattr(Objective, "grad_stack", recorded_grad_stack)
+    monkeypatch.setattr(Objective, "_grad_stack", recorded_grad_stack)
     monkeypatch.setattr(objective, "cho_solve", recorded_solve)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-10)
     assert np.array_equal(iterates[-1], x)
@@ -367,7 +390,10 @@ def test_newton_makes_one_sigmoid_pass_per_gradient(monkeypatch):
     trials = sum(next(j for j in range(48) if np.array_equal(x_k + 0.5 ** j * d, x_next)) + 1
                  for x_k, d, x_next in zip(iterates, directions, iterates[1:]))
     assert len(iterates) == len(directions) + 1 >= 2
-    assert counts == {"sigma": len(iterates), "hessians": len(directions), "value": trials + 1}
+    assert counts == {"sigma": len(iterates), "hessians": len(directions), "value": trials + 1,
+                      "margins": trials + 1}
+    # at seed 1: 5 passes for Abar x, one per f, where a gradient and a value each made one
+    assert (counts["margins"], counts["sigma"], counts["hessians"]) == (5, 5, 4)
 
 
 def test_mu_L_pure_regularizer():
@@ -406,10 +432,93 @@ def test_global_strong_convexity_spot_check():
     for _ in range(50):
         x = rng.standard_normal(obj.p)
         y = rng.standard_normal(obj.p)
-        lower = obj.value(x) + obj.grad(x) @ (y - x) + 0.5 * obj.mu * float((y - x) @ (y - x))
+        lower = obj.value(x) + grad(obj, x) @ (y - x) + 0.5 * obj.mu * float((y - x) @ (y - x))
         assert obj.value(y) >= lower - 1e-9 * max(1.0, abs(obj.value(y)))
 
 
 def test_label_validation():
     with pytest.raises(ValueError):
         logistic_objective((np.ones((1, 2, 2)), np.array([[1.0, 0.5]])), 0.1)
+
+
+# The logistic quantities as they were written when the objective held A and b: products
+# of the labels b with A, read from the (A, b) the objective was built from. The objective
+# holds only Abar = -b * A, and each quantity must equal its oracle to the bit.
+
+def _oracle_sigma(A, b, X):
+    return expit(-b * _mv(A, X))
+
+
+def _oracle_grads(A, b, lam, X):
+    s = _oracle_sigma(A, b, X)
+    return _mv(_T(A), -b * s) / A.shape[-2] + lam * X, s * (1.0 - s)
+
+
+def _oracle_hessians(A, w, lam):
+    return np.matmul(_T(A) * w[..., None, :], A) / A.shape[-2] + lam * np.eye(A.shape[-1])
+
+
+def _oracle_value(A, b, lam, x):
+    return float(np.mean(_logistic_loss(b * _mv(A, x)))) + 0.5 * lam * float(x @ x)
+
+
+def _oracle_residual(A, b, lam, x_star, x):
+    """f(x) - f(x*) by the sample-wise formula, and whether a sample took the far branch."""
+    m_star = (b * _mv(A, x_star)).ravel()
+    shift = (b * _mv(A, x_star - x)).ravel()  # m* - m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.expm1(shift) * expit(-m_star)
+        far = np.flatnonzero(~((z > -0.5) & (z < np.inf)))
+        gaps = np.log1p(z)
+    gaps[far] = _logistic_loss(m_star[far] - shift[far]) - _logistic_loss(m_star[far])
+    return float(np.mean(gaps)) + 0.5 * lam * float((x - x_star) @ (x + x_star)), far.size > 0
+
+
+def _bits(value):
+    """The bytes of a float or an array: equal bits, signed zeros told apart."""
+    value = np.asarray(value)
+    return value.shape, value.dtype, value.tobytes()
+
+
+def _zero_row_data():
+    A, b = logistic_data()
+    A[1, 3] = 0.0  # a sample with no features: its margin is a zero of either sign
+    return A, b
+
+
+@pytest.mark.parametrize("data", [lambda: sign_logistic_data(1), lambda: sign_logistic_data(12),
+                                  _zero_row_data], ids=["sign-1", "sign-12", "zero-row"])
+def test_signed_features_match_the_label_products_bit_for_bit(data):
+    A, b = data()
+    A_before, b_before = A.copy(), b.copy()
+    lam = 0.1
+    obj = logistic_objective((A, b), lam)
+    assert np.array_equal(A, A_before) and np.array_equal(b, b_before)  # the caller's arrays
+    n, m, p = A.shape
+    rng = np.random.default_rng(21)
+    X, R = rng.standard_normal((n, p)), rng.standard_normal((n, p))
+    # at 1e3 X most sigmoids saturate to 0 or 1 and their curvature weights are 0
+    for X in (X, 1e3 * X):
+        G, W = _oracle_grads(A, b, lam, X)
+        got_G, got_W = obj.grad_stack(X, curvature=True)
+        assert _bits(got_G) == _bits(G) and _bits(got_W) == _bits(W)
+        assert _bits(obj.grad_stack(X)) == _bits(G)
+        H = _oracle_hessians(A, W, lam)
+        assert _bits(obj.hess_stack(X)) == _bits(H) and _bits(obj.hess_stack(X, W)) == _bits(H)
+        assert _bits(obj.hess_solve(X, R)) == _bits(np.linalg.solve(H, R[..., None])[..., 0])
+        for i in range(n):
+            s_i = _oracle_sigma(A[i], b[i], X[i])
+            H_i = _oracle_hessians(A[i], s_i * (1.0 - s_i), lam)
+            assert _bits(obj.hess_solve_i(i, X[i], R[i])) == _bits(cho_solve(cho_factor(H_i), R[i]))
+        assert _bits(obj.value(X[0])) == _bits(_oracle_value(A, b, lam, X[0]))
+    assert np.count_nonzero(W == 0.0) > W.size // 2
+    ev = np.linalg.eigvalsh(np.matmul(_T(A), A) / m)
+    assert (obj.mu, obj.L) == (lam, lam + ev[:, -1].max() / 4.0)
+
+    x_star = 0.3 * rng.standard_normal(p)
+    residual = obj.residual_fn(x_star)
+    near, far_x = x_star + 1e-2 * rng.standard_normal(p), x_star + 1e3 * rng.standard_normal(p)
+    for x, far in ((near, False), (x_star, False), (far_x, True)):
+        expected, took_far = _oracle_residual(A, b, lam, x_star, x)
+        assert took_far == far
+        assert _bits(residual(x)) == _bits(expected)

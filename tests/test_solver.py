@@ -19,7 +19,8 @@ from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
                           measure_errors, newton_directions, run, step, tracking_gap,
                           warn_theory_violations)
-from conftest import all_schemes, xy_streams, make_ridge, make_sign_logistic, network_giant_reference
+from conftest import (all_schemes, grad, hess, make_ridge, make_sign_logistic, network_giant_reference,
+                      xy_streams)
 
 
 def test_single_agent_reduces_to_damped_newton(small_ridge):
@@ -34,8 +35,8 @@ def test_single_agent_reduces_to_damped_newton(small_ridge):
     x = state0.X[0].copy()
     oracle = [x.copy()]
     for _ in range(40):
-        g = obj1.grad(x)  # one agent: the global function is agent 0's
-        H = obj1.hess(x)
+        g = grad(obj1, x)  # one agent: the global function is agent 0's
+        H = hess(obj1, x)
         x = x - hp.eta * np.linalg.solve(H, g)
         oracle.append(x.copy())
     x_star = ridge_closed_form_optimum(obj1)
@@ -359,12 +360,51 @@ def test_logistic_runs_reach_centralized_optimum(small_logistic, mode):
     assert np.max(np.abs(state.X - x_star)) <= 1e-9
 
 
+def test_accuracy_counts_the_correct_signs(small_logistic):
+    # the record's accuracy is a count over the label mask v > 0, the same float as the
+    # mean of the correct +-1 predictions, and a Python float; a score of exactly 0 is +1
+    obj = small_logistic
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    scheme = make_scheme("qnbbq", obj.p, b=2)
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=6)
+    rng = np.random.default_rng(9)
+    U = rng.standard_normal((5001, obj.p))
+    U[0] = 0.0
+    v = np.where(U @ rng.standard_normal(obj.p) + rng.standard_normal(5001) >= 0.0, 1.0, -1.0)
+    v[0] = 1.0
+    x_star = baseline_optimum(obj)
+    residual = obj.residual_fn(x_star)
+    state, rngs, expected = init_state(obj, net, hp, seed=3), xy_streams(3, net.n), []
+    for _ in range(hp.T + 1):
+        xbar = state.means[0]
+        acc = solver._record(state, x_star, residual, (U, v > 0)).accuracy
+        assert type(acc) is float
+        assert acc == float(np.mean(np.where(U @ xbar >= 0.0, 1.0, -1.0) == v))
+        assert solver._record(state, x_star, residual, (U[:1], v[:1] > 0)).accuracy == 1.0
+        expected.append(acc)
+        step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
+    records = run(obj, net, scheme, hp, MODE_CNEXT, seed=3, x_star=x_star, test_data=(U, v))
+    assert [rec.accuracy for rec in records] == expected
+
+
+@pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
+def test_run_rejects_test_labels_outside_plus_minus_one(small_logistic, bad):
+    # the count equals the mean of correct predictions only for +-1 labels
+    obj = small_logistic
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=1)
+    v = np.array([1.0, -1.0, bad])
+    with pytest.raises(ValueError, match="test labels"):
+        run(obj, net, make_scheme("identity", obj.p), hp, MODE_CNEXT, seed=3,
+            test_data=(np.ones((3, obj.p)), v))
+
+
 @pytest.mark.parametrize("seed", [12, 18])
 def test_logistic_baseline_reaches_its_tolerance(seed):
     # on these seeds the damped Newton baseline once stalled above ||grad|| = 1e-12
     obj = make_sign_logistic(seed)
     x = baseline_optimum(obj)
-    assert np.linalg.norm(obj.grad(x)) <= BASELINE_TOL
+    assert np.linalg.norm(grad(obj, x)) <= BASELINE_TOL
 
 
 def test_centralized_newton_passes_the_roundoff_floor():
@@ -372,7 +412,7 @@ def test_centralized_newton_passes_the_roundoff_floor():
     # ||grad|| = 6.3e-11: every step backtracked to t < 1e-14
     obj = make_sign_logistic(18)
     x, _ = centralized_newton(obj, np.zeros(obj.p), tol=1e-12, max_iter=500)
-    assert np.linalg.norm(obj.grad(x)) <= 1e-12
+    assert np.linalg.norm(grad(obj, x)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
