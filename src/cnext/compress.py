@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,14 @@ def bits_per_vector(scheme: CompressionScheme, p: int) -> int:
     if scheme.kind == QNORMSIGNED:
         return p + 32
     raise ValueError(scheme.kind)
+
+
+def all_finite(M: np.ndarray) -> bool:
+    """np.isfinite(M).all(), from one sum: a NaN or infinite entry makes the sum NaN or
+    infinite, so a finite sum proves every entry finite. Only a non-finite sum, which
+    finite entries also reach by overflow (and numpy then warns of it), is checked entry
+    by entry."""
+    return math.isfinite(np.add.reduce(M, axis=None)) or bool(np.isfinite(M).all())
 
 
 # bytes of uniforms a run reads ahead into: `Draws.for_run` sizes its blocks to this
@@ -136,7 +145,7 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     None. Zero rows map to zero for every scheme, and a zero row under the quantizer
     draws nothing.
     """
-    if not np.isfinite(Z).all():
+    if not all_finite(Z):
         raise ValueError("compress: input has non-finite entries")
     r, p = Z.shape
     if scheme.kind == IDENTITY:
@@ -269,8 +278,7 @@ class CompressState:
         return cls(H=H0, Hw=_mix(W, H0), alpha=alpha)
 
 
-@dataclass(frozen=True)
-class CompressedRound:
+class CompressedRound(NamedTuple):
     """Outputs of one Compress call: estimates, their weighted averages, the wire payload."""
 
     Zhat: np.ndarray
@@ -298,10 +306,11 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
     Zhat = Q + state.H
     Zhat_w = state.Hw + _mix(W, Q)
     a = state.alpha
+    keep = 1.0 - a
     for M, est in ((state.H, Zhat), (state.Hw, Zhat_w)):
-        M *= 1.0 - a
+        M *= keep
         M += a * est
-    return CompressedRound(Zhat=Zhat, Zhat_w=Zhat_w, Q=Q, bits=bits)
+    return CompressedRound(Zhat, Zhat_w, Q, bits)
 
 
 # substream ids under one root seed: the two compressed streams' per-agent draws and the

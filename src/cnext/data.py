@@ -54,7 +54,7 @@ def generate_ridge_synthetic(N: int, p: int, seed: int, noise_std: float = 0.1) 
     U = rng.standard_normal((N, p))
     v = U @ x_hidden + noise_std * rng.standard_normal(N)
     perm = rng.permutation(N)
-    U, v = U[perm], v[perm]
+    U, v = U.take(perm, axis=0), v.take(perm)
     return Dataset(U=U, v=v, train_idx=np.arange(N), test_idx=np.arange(0),
                    provenance=SYNTHETIC_RIDGE,
                    extras={"x_hidden": x_hidden, "noise_std": noise_std, "seed": seed})
@@ -108,7 +108,7 @@ def load_covtype(path: str, p_reduced: int = 10, seed: int = 42,
     v = np.where(labels == 2, 1.0, -1.0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(U.shape[0])
-    U, v = U[perm], v[perm]
+    U, v = U.take(perm, axis=0), v.take(perm)
     n_train, n_test = covtype_split_counts(U.shape[0], n_agents)
     return Dataset(U=U, v=v, train_idx=np.arange(n_train),
                    test_idx=np.arange(n_train, n_train + n_test),
@@ -134,4 +134,5 @@ def partition_homogeneous(ds: Dataset, n: int, seed: int) -> Partition:
 
 def build_locals(ds: Dataset, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's samples as stacks: features (n, m_i, p) and targets (n, m_i), one gather."""
-    return ds.U[part.assignments], ds.v[part.assignments]
+    rows = part.assignments
+    return ds.U.take(rows.ravel(), axis=0).reshape(rows.shape + ds.U.shape[1:]), ds.v.take(rows)

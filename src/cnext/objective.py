@@ -85,8 +85,9 @@ class Objective:
         self.n, self.m, self.p = A.shape
         if self.kind == RIDGE:
             self.A, self.b = A, b
-            G = np.matmul(_T(A), A)  # A_i^T A_i
-            self.H = 2.0 * G + 2.0 * self.lam * np.eye(self.p)
+            G = np.matmul(_T(A), A)
+            G *= 2.0  # 2 A_i^T A_i, the data part of H_i
+            self.H = G + 2.0 * self.lam * np.eye(self.p)
             self.c = 2.0 * _mv(_T(A), b)  # grad f_i(x) = H_i x - c_i
             self._H_inv = np.linalg.inv(self.H)
             self._H_mean_chol = np.linalg.cholesky(self.H.mean(axis=0))  # lower L, L L^T
@@ -94,19 +95,20 @@ class Objective:
             if not np.all(np.isin(b, (-1.0, 1.0))):
                 raise ValueError("logistic labels must be in {-1, +1}")
             self.Abar = np.multiply(A, -b[..., None], out=np.empty_like(A))
-            G = np.matmul(_T(self.Abar), self.Abar)  # = A_i^T A_i
+            G = np.matmul(_T(self.Abar), self.Abar)
+            G /= self.m  # = A_i^T A_i / m
         self.mu, self.L = self._curvature_bounds(G)
 
     def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
-        """Uniform bounds mu I <= hess f_i(x) <= L I over all agents and points.
+        """Uniform bounds mu I <= hess f_i(x) <= L I over all agents and points, from the
+        data part G of the Hessians: 2 A_i^T A_i for ridge, A_i^T A_i / m for logistic.
 
         Ridge: exact extreme eigenvalues of the constant Hessians. Logistic: mu = lam (the
         loss curvature can vanish), L = lam + max_i lambda_max(A_i^T A_i / m) / 4.
         """
+        ev = np.linalg.eigvalsh(G)
         if self.kind == RIDGE:
-            ev = np.linalg.eigvalsh(2.0 * G)
             return 2.0 * self.lam + max(ev[:, 0].min(), 0.0), 2.0 * self.lam + ev[:, -1].max()
-        ev = np.linalg.eigvalsh(G / self.m)
         return self.lam, self.lam + ev[:, -1].max() / 4.0
 
     @property

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_INIT, STREAM_X,
-                       STREAM_Y, Draws, agent_streams, compress_round, make_scheme, substream,
-                       IDENTITY)
+                       STREAM_Y, Draws, agent_streams, all_finite, compress_round, make_scheme,
+                       substream, IDENTITY)
 from .graph import Network
 from .objective import RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
 from .theory import alpha_slack, step_cap
@@ -46,6 +46,11 @@ BASELINE_TOL = 1e-10
 # first-order run of configs/ridge_compare.json at eta = 5e-4, slow but settling, peaks
 # at 30. At eta = 2e-3 that run passes 1e6 at t = 73 and reaches 1.6e24 by t = 1000.
 GROWTH_LIMIT = 1e6
+
+# bytes of state `run` buffers to measure the error norms of a block of rounds at once:
+# each round holds XY and XY - H, 4np doubles, so 40 rounds on the desk ring (n = 10,
+# p = 20) and one round, measured as it ends, at n = 2000
+ERROR_BUDGET = 256 << 10
 
 
 class DivergenceError(RuntimeError):
@@ -111,7 +116,7 @@ def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionS
 class SolverState:
     XY: np.ndarray  # (2, n, p) stack of the decision matrix X = XY[0] and the tracker Y = XY[1]
     prev_grad: np.ndarray  # grad F(X(t)) cache
-    comp: CompressState  # both streams' memories, stacked like XY; alpha (2, 1, 1)
+    comp: CompressState  # both streams' memories, stacked like XY; alpha a float, or (2, 1, 1)
     t: int = 0
     bits_cum: int = 0
     # logistic curvature weights at X, kept from the gradient refresh beside prev_grad so
@@ -122,7 +127,9 @@ class SolverState:
         return copy.deepcopy(self)
 
     def _memory(self, i: int) -> CompressState:
-        return CompressState(self.comp.H[i], self.comp.Hw[i], float(self.comp.alpha[i, 0, 0]))
+        a = self.comp.alpha
+        return CompressState(self.comp.H[i], self.comp.Hw[i],
+                             a if isinstance(a, float) else float(a[i, 0, 0]))
 
     # views into the stacks: the streams, and each stream's memories
     X = property(lambda self: self.XY[0])
@@ -154,12 +161,14 @@ class RoundRecord(NamedTuple):
 
 
 def init_state(obj: Objective, net: Network, hp: HyperParams, seed: int) -> SolverState:
-    """Uniform[0,1] initialization of X and both memories; Y(0) forced to grad F(X(0))."""
+    """Uniform[0,1] initialization of X and both memories; Y(0) forced to grad F(X(0)).
+    The memories' alpha is one float when alpha_x = alpha_y, one per stream otherwise."""
     rng = substream(seed, STREAM_INIT)
     X0 = rng.uniform(size=(net.n, obj.p))
     H0 = rng.uniform(size=(2, net.n, obj.p))  # Hx(0), then Hy(0)
     g0, w0 = obj.grad_stack(X0, curvature=True)
-    alpha = np.array([hp.alpha_x, hp.alpha_y]).reshape(2, 1, 1)
+    alpha = (float(hp.alpha_x) if hp.alpha_x == hp.alpha_y
+             else np.array([hp.alpha_x, hp.alpha_y], dtype=float).reshape(2, 1, 1))
     return SolverState(XY=np.stack([X0, g0]), prev_grad=g0,
                        comp=CompressState.init(H0, net.mix, alpha), weights=w0)
 
@@ -209,7 +218,7 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     XY_new = XY - hp.gamma * (r.Zhat - r.Zhat_w)
     X_new, Y_new = XY_new
     X_new -= hp.eta * D
-    if not np.isfinite(X_new).all():
+    if not all_finite(X_new):
         raise DivergenceError("X", t)
     if mode == MODE_FIRST_ORDER_GT:  # reads no Hessian, so keeps no curvature weights
         g_new, w_new = obj.grad_stack(X_new), None
@@ -217,7 +226,7 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
         g_new, w_new = obj.grad_stack(X_new, curvature=True)
     Y_new += g_new
     Y_new -= state.prev_grad
-    if not np.isfinite(Y_new).all():
+    if not all_finite(Y_new):
         raise DivergenceError("Y", t)
 
     state.XY = XY_new
@@ -228,12 +237,11 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     return op_err_x, op_err_y
 
 
-def measure_errors(state: SolverState, x_star: np.ndarray,
-                   means: np.ndarray | None = None) -> ErrorVector:
-    """The five squared error norms of the current state (single realization); `means`,
-    if given, holds `state.means`."""
+def measure_errors(state: SolverState, x_star: np.ndarray) -> ErrorVector:
+    """The five squared error norms of the current state (single realization); `run`
+    forms the same sums a block of rounds at a time."""
     XY = state.XY
-    means = state.means if means is None else means
+    means = state.means
     dev = np.empty((4,) + XY.shape[1:])  # deviations from the means, then from the memories
     with np.errstate(over="ignore"):  # overflow here is caught as divergence below
         opt = float(np.add.reduce(np.square(means[0] - x_star)))
@@ -262,11 +270,13 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     substreams are read in blocks (`compress.Draws.for_run`), so each may be read up to
     B - 1 rounds past the run's last round; nothing reads their end state. Raises
     DivergenceError when the state becomes non-finite or the error vector's sum exceeds
-    GROWTH_LIMIT times its t = 0 value. Each record's residual is f(xbar) - f(x*), from
-    `Objective.residual_fn(x_star)`; `x_star`, if given, must be the minimizer. With
-    `test_data` (U, v), each record's accuracy is the share of test points whose label
-    v in {-1, +1} is the sign of U xbar, a score of 0 counting as +1; raises ValueError
-    on another label.
+    GROWTH_LIMIT times its t = 0 value. The error norms are measured a block of rounds
+    at a time (`_Blocks`, as many rounds as ERROR_BUDGET holds), so a run that diverges
+    may step on to the end of the block that holds the round it reports; the records
+    and the error raised are those of a round-by-round loop. Each record's residual is f(xbar) - f(x*), from `Objective.residual_fn(x_star)`;
+    `x_star`, if given, must be the minimizer. With `test_data` (U, v), each record's
+    accuracy is the share of test points whose label v in {-1, +1} is the sign of U xbar,
+    a score of 0 counting as +1; raises ValueError on another label.
     `f_star` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so
     it stays until the benchmark's next change drops it there.
     """
@@ -278,39 +288,86 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     scheme = mode_scheme(mode, scheme, obj.p)
     if x_star is None:
         x_star = baseline_optimum(obj)
-    residual = obj.residual_fn(x_star)
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)
     rngs = None  # only the kinds that draw read per-agent streams
     if scheme.kind in DRAWING_KINDS:
         rngs = Draws.for_run(agent_streams(seed, STREAM_X, net.n) +
                              agent_streams(seed, STREAM_Y, net.n), obj.p, hp.T)
 
-    records = [_record(state, x_star, residual, test_data)]
-    e0 = sum(records[0].errors)
-    limit = GROWTH_LIMIT * e0 if e0 > 0 else np.inf
-    for _ in range(hp.T):
-        if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
-            break
-        op_err = step(state, obj, net, scheme, hp, mode, rngs)
-        rec = _record(state, x_star, residual, test_data, op_err)
-        if (total := sum(rec.errors)) > limit:
-            raise DivergenceError("error vector", rec.t,
-                                  f"error vector sum {total:.3g} exceeds "
-                                  f"{GROWTH_LIMIT:g} times its t = 0 value {e0:.3g}")
-        records.append(rec)
-    return records
+    # a block holds as many rounds as ERROR_BUDGET, at least 1 and at most the run's T + 1
+    B = max(1, min(ERROR_BUDGET // (2 * state.XY.nbytes), hp.T + 1))
+    blocks = _Blocks(state, B, x_star, obj.residual_fn(x_star), test_data)
+    # overflow in the norms is caught as divergence, and the rounds stepped past a
+    # diverging one, before its block reports it, may overflow: the DivergenceError
+    # raised says so in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks.add(state)
+        for _ in range(hp.T):
+            if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
+                break
+            try:
+                op_err = step(state, obj, net, scheme, hp, mode, rngs)
+            except Exception:
+                blocks.flush()  # a buffered round that diverged is reported first
+                raise
+            blocks.add(state, op_err)
+        blocks.flush()
+    return blocks.records
 
 
-def _record(state: SolverState, x_star: np.ndarray, residual: Callable[[np.ndarray], float],
-            test_data, op_err: tuple[float, float] = (0.0, 0.0)) -> RoundRecord:
-    means = state.means
-    xbar = means[0]
-    acc = None
-    if test_data is not None:  # (U, v > 0) from run; the count is exact, so this is the mean
-        U, pos = test_data
-        acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
-    return RoundRecord(state.t, state.bits_cum, measure_errors(state, x_star, means),
-                       residual(xbar), acc, *op_err)
+class _Blocks:
+    """A run's records, measured a block of rounds at a time.
+
+    `add` keeps a round's t, bits and operator errors, and copies its XY and XY - H into
+    a (B, 4, n, p) buffer. `flush` forms the block's means, its distances to x* and
+    its four deviation norms in one reduction each: the sums `measure_errors` makes for
+    one round, bit for bit. It then checks and records the rounds in order, as
+    `measure_errors` and the growth limit check them; the first round recorded sets
+    that limit. An overflow in the norms reads as divergence, so `run` calls it with
+    numpy's overflow warnings off.
+    """
+
+    def __init__(self, state: SolverState, rounds: int, x_star: np.ndarray,
+                 residual: Callable[[np.ndarray], float], test_data):
+        self.buf = np.empty((rounds, 4) + state.XY.shape[1:])
+        self.pending: list[tuple[int, int, tuple[float, float]]] = []  # (t, bits_cum, op_err)
+        self.x_star, self.residual, self.test_data = x_star, residual, test_data
+        self.records: list[RoundRecord] = []
+        self.e0 = self.limit = None
+
+    def add(self, state: SolverState, op_err: tuple[float, float] = (0.0, 0.0)) -> None:
+        b = len(self.pending)
+        row = self.buf[b]
+        row[:2] = state.XY
+        np.subtract(state.XY, state.comp.H, out=row[2:])
+        self.pending.append((state.t, state.bits_cum, op_err))
+        if b + 1 == len(self.buf):
+            self.flush()
+
+    def flush(self) -> None:
+        dev = self.buf[:len(self.pending)]
+        means = np.add.reduce(dev[:, :2], axis=2) / dev.shape[2]
+        xbars = means[:, 0]
+        opt = np.add.reduce(np.square(xbars - self.x_star), axis=1).tolist()
+        np.subtract(dev[:, :2], means[:, :, None], out=dev[:, :2])
+        norms = np.add.reduce(np.square(dev, out=dev), axis=(2, 3)).tolist()
+        pending, self.pending = self.pending, []
+        for (t, bits, op_err), xbar, o, e in zip(pending, xbars, opt, norms):
+            ev = ErrorVector(o, *e)
+            total = sum(ev)  # sums of squares, so a finite total has finite, >= 0 terms
+            if not total < math.inf and not all(0.0 <= v < math.inf for v in ev):
+                raise DivergenceError("error vector", t)
+            if self.limit is None:
+                self.e0, self.limit = total, GROWTH_LIMIT * total if total > 0 else math.inf
+            elif total > self.limit:
+                raise DivergenceError("error vector", t,
+                                      f"error vector sum {total:.3g} exceeds "
+                                      f"{GROWTH_LIMIT:g} times its t = 0 value {self.e0:.3g}")
+            acc = None
+            if self.test_data is not None:  # (U, v > 0); the count is exact, so this is the mean
+                U, pos = self.test_data
+                acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
+            self.records.append(RoundRecord(t, bits, ev, self.residual(xbar), acc, *op_err))
 
 
 def baseline_optimum(obj: Objective) -> np.ndarray:

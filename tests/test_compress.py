@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from cnext.compress import (DRAW_BUDGET, CompressState, CompressionScheme, Draws, _encode,
-                            agent_streams, bits_per_vector, compress_round, make_scheme, ALL_KINDS)
+                            agent_streams, all_finite, bits_per_vector, compress_round,
+                            make_scheme, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from conftest import all_schemes, verify_contract, xy_streams
 
@@ -460,6 +461,17 @@ def test_input_validation():
     Z[1] = 0.0
     with pytest.raises(ValueError):
         compress_round(state, Z, make_scheme("qnbbq", 4), net.W, agent_streams(0, 0, 4))
+
+
+@pytest.mark.parametrize("entries", [[1.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0],
+                                     [np.inf, -np.inf], [1e308, 1e308], [1e308, -1e308, 1e308],
+                                     [[1.0, -2.5], [0.0, 3.0]], []])
+def test_all_finite_agrees_with_isfinite(entries):
+    # the sum decides, except where it is not finite: NaN, either infinity, both (whose
+    # sum is NaN), and finite entries whose sum overflows fall back to the entries
+    M = np.array(entries, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all_finite(M) is bool(np.isfinite(M).all())
 
 
 @settings(deadline=None, max_examples=60)

@@ -377,10 +377,10 @@ def test_accuracy_counts_the_correct_signs(small_logistic):
     state, rngs, expected = init_state(obj, net, hp, seed=3), xy_streams(3, net.n), []
     for _ in range(hp.T + 1):
         xbar = state.means[0]
-        acc = solver._record(state, x_star, residual, (U, v > 0)).accuracy
+        acc = _record(state, x_star, residual, (U, v > 0)).accuracy
         assert type(acc) is float
         assert acc == float(np.mean(np.where(U @ xbar >= 0.0, 1.0, -1.0) == v))
-        assert solver._record(state, x_star, residual, (U[:1], v[:1] > 0)).accuracy == 1.0
+        assert _record(state, x_star, residual, (U[:1], v[:1] > 0)).accuracy == 1.0
         expected.append(acc)
         step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
     records = run(obj, net, scheme, hp, MODE_CNEXT, seed=3, x_star=x_star, test_data=(U, v))
@@ -530,8 +530,8 @@ def test_stacked_round_matches_per_stream_rounds(graph, request):
 
 @pytest.mark.parametrize("kind", ["qnbbq", "topk"])
 def test_measure_errors_equals_the_five_sums(ridge10, kind):
-    # on a mid-run state, with or without the means passed in, each error is the sum
-    # the plain per-stream formula gives, bit for bit
+    # on a mid-run state each error is the sum the plain per-stream formula gives, bit
+    # for bit
     obj, net, x_star = ridge10
     hp = HyperParams(eta=0.006, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=25)
     scheme = make_scheme(kind, obj.p, b=2, k=3)
@@ -545,7 +545,6 @@ def test_measure_errors_equals_the_five_sums(ridge10, kind):
                 float(np.sum((Y - ybar) ** 2)), float(np.sum((X - state.comp_x.H) ** 2)),
                 float(np.sum((Y - state.comp_y.H) ** 2)))
     assert measure_errors(state, x_star) == expected
-    assert measure_errors(state, x_star, state.means) == expected
 
 
 # the desk runs' (eta, alpha) for the two kinds that draw
@@ -557,19 +556,170 @@ def _desk_hp(kind, T, tol=0.0):
     return HyperParams(eta=eta, gamma=0.6, alpha_x=alpha, alpha_y=alpha, T=T, tol=tol)
 
 
-def _replayed(obj, net, scheme, hp, seed, x_star, rounds):
-    """Records of `rounds` rounds of `step` drawing from plain per-agent lists, taken as
-    `run` takes them, and the mean-gradient norm that `run`'s tol reads before each round."""
+def _record(state, x_star, residual, test_data=None, op_err=(0.0, 0.0)):
+    """The record of `state` formed round by round, from public calls: measure_errors,
+    the residual at xbar and, for test data (U, v > 0), the count of correct signs."""
+    xbar = state.means[0]
+    acc = None
+    if test_data is not None:
+        U, pos = test_data
+        acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
+    return solver.RoundRecord(state.t, state.bits_cum, measure_errors(state, x_star),
+                              residual(xbar), acc, *op_err)
+
+
+def _oracle_run(obj, net, scheme, hp, mode, seed, x_star, test_data=None):
+    """`run`'s records from a loop that measures each round as it ends, through public
+    calls (`solver.step`, drawing from plain per-agent lists, and `_record`), and the
+    mean-gradient norm that the tol reads before each round. Raises as `run` raises."""
+    if test_data is not None:
+        U, v = test_data
+        test_data = U, v > 0
+    scheme = solver.mode_scheme(mode, scheme, obj.p)
     state = init_state(obj, net, hp, seed)
     rngs = xy_streams(seed, net.n)
     residual = obj.residual_fn(x_star)
-    records = [solver._record(state, x_star, residual, None, (0.0, 0.0))]
+    records = [_record(state, x_star, residual, test_data)]
     norms = [float(np.linalg.norm(state.prev_grad.mean(axis=0)))]
-    for _ in range(rounds):
-        op_err = step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
-        records.append(solver._record(state, x_star, residual, None, op_err))
+    e0 = sum(records[0].errors)
+    limit = solver.GROWTH_LIMIT * e0 if e0 > 0 else np.inf
+    for _ in range(hp.T):
+        if hp.tol > 0 and norms[-1] <= hp.tol:
+            break
+        op_err = solver.step(state, obj, net, scheme, hp, mode, rngs)
+        rec = _record(state, x_star, residual, test_data, op_err)
+        if (total := sum(rec.errors)) > limit:
+            raise DivergenceError("error vector", rec.t,
+                                  f"error vector sum {total:.3g} exceeds "
+                                  f"{solver.GROWTH_LIMIT:g} times its t = 0 value {e0:.3g}")
+        records.append(rec)
         norms.append(float(np.linalg.norm(state.prev_grad.mean(axis=0))))
     return records, norms
+
+
+def _as_bytes(records):
+    """Every field of every record, each float as its exact hex, so that equal lists mean
+    equal bytes (and -0.0 differs from 0.0); the numbers must be Python ints and floats."""
+    rows = []
+    for r in records:
+        floats = (*r.errors, r.residual, r.op_err_x, r.op_err_y)
+        floats += () if r.accuracy is None else (r.accuracy,)
+        assert type(r.t) is int and type(r.bits_cum) is int
+        assert all(type(f) is float for f in floats)
+        rows.append((r.t, r.bits_cum, r.accuracy is None, *map(float.hex, floats)))
+    return rows
+
+
+def _error_block(obj, net):
+    """The rounds `run` measures in one block."""
+    return solver.ERROR_BUDGET // (4 * net.n * obj.p * 8)
+
+
+@pytest.mark.parametrize("alphas", [(0.25, 0.25), (0.25, 0.4)])
+@pytest.mark.parametrize("kind", ["identity", "qnbbq", "randomk", "topk", "qnormsigned"])
+def test_run_records_equal_the_round_by_round_loop(ridge10, kind, alphas):
+    # the records of blocked error norms are those of a per-round loop, byte for byte,
+    # operator errors included, whether T + 1 records fill whole blocks (2B - 1), T is a
+    # multiple of the block (2B), neither (B + 7), T is under a block (B // 2) or 0, and
+    # with alpha one float (equal) or one per stream
+    obj, net, x_star = ridge10
+    B = _error_block(obj, net)
+    assert B == 40
+    scheme = make_scheme(kind, obj.p, b=2, k=5)
+    for T in (2 * B - 1, 2 * B, B + 7, B // 2, 0):
+        hp = HyperParams(eta=0.006, gamma=0.6, alpha_x=alphas[0], alpha_y=alphas[1], T=T)
+        expected = _as_bytes(_oracle_run(obj, net, scheme, hp, MODE_CNEXT, 3, x_star)[0])
+        assert len(expected) == T + 1
+        assert _as_bytes(run(obj, net, scheme, hp, MODE_CNEXT, 3, x_star=x_star)) == expected, T
+
+
+@pytest.mark.parametrize("mode", [MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT])
+def test_logistic_run_records_equal_the_round_by_round_loop(small_logistic, mode, monkeypatch):
+    # accuracy included; in one block, and in blocks of 7 rounds that T = 30 does not fill
+    obj = small_logistic
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    scheme = make_scheme("qnbbq", obj.p, b=2)
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((301, obj.p))
+    v = np.where(U @ rng.standard_normal(obj.p) >= 0.0, 1.0, -1.0)
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=30)
+    x_star = baseline_optimum(obj)
+    expected = _as_bytes(_oracle_run(obj, net, scheme, hp, mode, 3, x_star, (U, v))[0])
+    assert _error_block(obj, net) > hp.T
+    assert _as_bytes(run(obj, net, scheme, hp, mode, 3, x_star=x_star, test_data=(U, v))) == expected
+    monkeypatch.setattr(solver, "ERROR_BUDGET", 7 * 4 * obj.n * obj.p * 8)
+    assert _error_block(obj, net) == 7
+    assert _as_bytes(run(obj, net, scheme, hp, mode, 3, x_star=x_star, test_data=(U, v))) == expected
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as exc:
+        fn()
+    e = exc.value
+    return type(e), getattr(e, "quantity", None), getattr(e, "t", None), str(e)
+
+
+@pytest.fixture(scope="module")
+def ridge_compare():
+    """configs/ridge_compare.json's instance and its first-order variant at eta = 2e-3,
+    whose error vector sum passes GROWTH_LIMIT times its t = 0 value at t = 73."""
+    from cnext.cli import Experiment
+    from cnext.config import load_config
+
+    exp = Experiment(load_config(str(Path(__file__).resolve().parents[1] / "configs" /
+                                     "ridge_compare.json")))
+    hp = dataclasses.replace(exp.cfg.hyperparams, eta=2e-3)
+    return exp.obj, exp.net, exp.scheme, hp, exp.x_star
+
+
+def _both_raise(ridge_compare, mode=MODE_FIRST_ORDER_GT, **changes):
+    obj, net, scheme, hp, x_star = ridge_compare
+    hp = dataclasses.replace(hp, **changes)
+    blocked = _raised(lambda: run(obj, net, scheme, hp, mode, 42, x_star=x_star))
+    assert blocked == _raised(lambda: _oracle_run(obj, net, scheme, hp, mode, 42, x_star))
+    return blocked
+
+
+def test_divergence_past_the_growth_limit_is_the_loops(ridge_compare):
+    assert _both_raise(ridge_compare)[:3] == (DivergenceError, "error vector", 73)
+
+
+def _step_raising_at(t_bad):
+    """`solver.step`, except that the step of round t_bad raises as a non-finite X does."""
+    real = solver.step
+
+    def stepped(state, *args):
+        if state.t == t_bad:
+            raise DivergenceError("X", state.t)
+        return real(state, *args)
+    return stepped
+
+
+def test_a_buffered_round_over_the_limit_beats_a_later_step_error(ridge_compare, monkeypatch):
+    # round 73 passes the growth limit, and round 75's step raises in the same block
+    obj, net = ridge_compare[:2]
+    B = _error_block(obj, net)
+    assert 73 // B == 76 // B
+    monkeypatch.setattr(solver, "step", _step_raising_at(75))
+    assert _both_raise(ridge_compare)[:3] == (DivergenceError, "error vector", 73)
+    monkeypatch.setattr(solver, "step", _step_raising_at(50))  # before round 73: the step's
+    assert _both_raise(ridge_compare)[:3] == (DivergenceError, "X", 50)
+
+
+def test_a_non_finite_error_vector_is_the_loops(ridge_compare, monkeypatch):
+    # round 6's memories are scaled past the square root of the largest double, so its
+    # comp errors overflow while the state stays finite; the run steps on in the block
+    real = solver.step
+
+    def stepped(state, *args):
+        out = real(state, *args)
+        if state.t == 6:
+            state.comp.H *= 1e300
+        return out
+    monkeypatch.setattr(solver, "step", stepped)
+    got = _both_raise(ridge_compare, eta=2e-4)
+    assert got[:3] == (DivergenceError, "error vector", 6)
+    assert got[3].endswith("non-finite entries in error vector")
 
 
 @pytest.mark.parametrize("kind", ["qnbbq", "randomk"])
@@ -581,20 +731,22 @@ def test_run_draws_in_blocks_what_step_draws_from_lists(ridge10, kind):
     B = DRAW_BUDGET // (2 * net.n * obj.p * 8)
     assert 1 < B < hp.T and hp.T % B
     assert run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star=x_star) == \
-        _replayed(obj, net, scheme, hp, 4, x_star, hp.T)[0]
+        _oracle_run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star)[0]
 
 
 def test_run_stopped_by_tol_equals_the_replay(ridge10):
-    # the tol picks a stop mid-block; the generators' read-ahead changes no record
+    # the tol picks a stop mid-block, of the draws and of the error norms; neither the
+    # generators' read-ahead nor the rounds measured at once change a record's bytes
     obj, net, x_star = ridge10
     scheme = make_scheme("qnbbq", obj.p, b=2)
-    records, norms = _replayed(obj, net, scheme, _desk_hp("qnbbq", 300), 4, x_star, 300)
+    records, norms = _oracle_run(obj, net, scheme, _desk_hp("qnbbq", 300), MODE_CNEXT, 4, x_star)
     tol = norms[250]
     stop = next(t for t, g in enumerate(norms) if g <= tol)
     hp = _desk_hp("qnbbq", 5000, tol)
     B = DRAW_BUDGET // (2 * net.n * obj.p * 8)
-    assert 0 < stop < B
-    assert run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star=x_star) == records[:stop + 1]
+    assert 0 < stop < B and (stop + 1) % _error_block(obj, net)
+    assert _as_bytes(run(obj, net, scheme, hp, MODE_CNEXT, 4, x_star=x_star)) == \
+        _as_bytes(records[:stop + 1])
 
 
 def test_run_calls_each_generator_once_per_block(ridge10, monkeypatch):

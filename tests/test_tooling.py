@@ -44,6 +44,22 @@ def test_traced_names_exist(monkeypatch):
     assert not missing
 
 
+def test_run_steps_through_the_module_binding(small_ridge, monkeypatch):
+    # Tracer.install() traces solver.step by rebinding the module's name; a run that
+    # stepped through another reference would lose solver.step_us, and the telemetry
+    # split (the time in run outside step), from `bench/run.py --trace 1`
+    from cnext import solver
+    from cnext.compress import make_scheme
+
+    obj, net = small_ridge
+    calls = []
+    step = solver.step
+    monkeypatch.setattr(solver, "step", lambda *args: calls.append(1) or step(*args))
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=57)
+    records = solver.run(obj, net, make_scheme("qnbbq", obj.p), hp, solver.MODE_CNEXT, seed=1)
+    assert len(calls) == hp.T == len(records) - 1
+
+
 def test_workload_normal_equations_read_the_partition(monkeypatch):
     # the benchmark's ridge check reads the partition itself (np.concatenate and len of
     # part.assignments); a change to Partition's type must fail here, not only there
