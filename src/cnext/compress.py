@@ -82,21 +82,18 @@ DRAW_BUDGET = 2 << 20
 class Draws:
     """Uniform[0, 1) draws for the rows of a round, row i from rngs[i], served in blocks.
 
-    Each generator fills its row of a (rows, B, p) buffer in one call, and the row's next
-    B takes read that block in order. PCG64 yields the same doubles whether it is asked
-    for p at a time or B p at once, so row i gets exactly what drawing p per round from
-    rngs[i] gives, while rngs[i] itself runs up to B - 1 rounds ahead. Each row has its
-    own cursor, because a row that is not taken (a zero row under the quantizer) draws
-    nothing. With B = 1, as for a plain list of generators, a take draws the taken rows
-    and no more.
+    Each generator fills its row of a (rows, B, p) buffer in one call, and the next B
+    takes read that block in order. Every take serves every row, so in round t row i
+    reads doubles [t p, (t + 1) p) of rngs[i], whatever the data. PCG64 yields the same
+    doubles whether it is asked for p at a time or B p at once, so rngs[i] itself runs up
+    to B - 1 rounds ahead and no double changes. With B = 1, as for a plain list of
+    generators, a take draws one round and no more.
     """
 
     def __init__(self, rngs: list[np.random.Generator], p: int, rounds: int = 1):
         self.rngs = rngs
         self.buf = np.empty((len(self.rngs), rounds, p))
-        # the rows' cursors into their blocks: one int while every row has taken as many
-        # rounds, an array of one per row from the first take of only some rows on
-        self.pos: int | np.ndarray = rounds  # every block starts used up
+        self.pos = rounds  # the cursor into the blocks; every block starts used up
 
     @classmethod
     def for_run(cls, rngs: list[np.random.Generator], p: int, T: int) -> "Draws":
@@ -110,29 +107,16 @@ class Draws:
         """(rows, p) of a full round."""
         return self.buf.shape[0], self.buf.shape[2]
 
-    def take(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The next round's uniforms for `rows` (row indices, every row if None), as an
-        (r, p) array to be read before the next take; only the rows whose block is used
-        up call their generator."""
-        B = self.buf.shape[1]
-        if rows is None and isinstance(self.pos, int):
-            c = self.pos
-            if c == B:
-                for g, block in zip(self.rngs, self.buf):
-                    g.random(out=block)
-                c = 0
-            self.pos = c + 1
-            return self.buf[:, c]
-        if isinstance(self.pos, int):
-            self.pos = np.full(len(self.rngs), self.pos)
-        rows = np.arange(len(self.rngs)) if rows is None else rows
-        pos = self.pos[rows]
-        used_up = np.flatnonzero(pos == B)
-        for i in rows[used_up]:
-            self.rngs[i].random(out=self.buf[i])
-        pos[used_up] = 0
-        self.pos[rows] = pos + 1
-        return self.buf[rows, pos]
+    def take(self) -> np.ndarray:
+        """The next round's uniforms, as a (rows, p) array to be read before the next
+        take; every generator fills its next block when the blocks are used up."""
+        c = self.pos
+        if c == self.buf.shape[1]:
+            for g, block in zip(self.rngs, self.buf):
+                g.random(out=block)
+            c = 0
+        self.pos = c + 1
+        return self.buf[:, c]
 
 
 def _encode(scheme: CompressionScheme, Z: np.ndarray,
@@ -142,8 +126,8 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     All randomness (dither for the quantizer, the Bernoulli mask for Random-k) comes from
     `rngs`, row i from its i-th generator: a `Draws`, or a plain list of r generators,
     which is served as a block of one round. The other kinds never read it, so it may be
-    None. Zero rows map to zero for every scheme, and a zero row under the quantizer
-    draws nothing.
+    None. A drawing kind takes a whole round of uniforms, zero rows included, and every
+    scheme maps a zero row to zero.
     """
     if not all_finite(Z):
         raise ValueError("compress: input has non-finite entries")
@@ -152,13 +136,13 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
         return Z.copy()
     if scheme.kind in (RANDOMK, TOPK) and scheme.k > p:
         raise ValueError(f"{scheme.kind}: k={scheme.k} exceeds p={p}")
-    draws = None
     if scheme.kind in DRAWING_KINDS:
         draws = rngs if isinstance(rngs, Draws) else Draws(rngs, p)
         if draws.shape != (r, p):
             raise ValueError(f"{scheme.kind}: draws for {draws.shape} (rows, p), input {Z.shape}")
+        U = draws.take()
     if scheme.kind == RANDOMK:
-        return Z * (draws.take() < scheme.k / p)
+        return Z * (U < scheme.k / p)
     if scheme.kind == TOPK:
         # keep |z| >= t, the row's k-th largest magnitude; a row whose (k+1)-th largest also
         # equals t has ties across the cut, which a stable sort on -|z| breaks by lowest index
@@ -170,26 +154,14 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
             keep[tied] = False
             keep[tied[:, None], np.argsort(-mag[tied], axis=1, kind="stable")[:, :k]] = True
         return np.where(keep, Z, 0.0)
-    # the quantizer and norm-signed formulas divide by ||z||_inf, so the rare zero rows
-    # are set aside (and draw nothing); in the usual case Z is read whole
-    s = np.abs(Z).max(axis=1, keepdims=True)
-    if s.all():
-        return _scaled(scheme, Z, s, draws)
-    rows = np.flatnonzero(s)
-    Q = np.zeros_like(Z)
-    Q[rows] = _scaled(scheme, Z[rows], s[rows], draws, rows)
-    return Q
-
-
-def _scaled(scheme: CompressionScheme, Z: np.ndarray, s: np.ndarray, draws: Draws | None,
-            rows: np.ndarray | None = None) -> np.ndarray:
-    """The quantizer's or norm-signed's code of rows Z with s = ||z||_inf > 0; the
-    quantizer's dither is `draws`' next round of `rows`."""
-    if scheme.kind == QNBBQ:
-        half_levels = 2.0 ** (scheme.b - 1)
-        levels = np.floor(half_levels * np.abs(Z) / s + draws.take(rows))
-        return (s / half_levels) * np.sign(Z) * levels
-    return s * np.sign(Z)  # QNORMSIGNED
+    mag = np.abs(Z)
+    s = mag.max(axis=1, keepdims=True)  # ||z||_inf; a zero row has s = 0 and codes to 0
+    if scheme.kind == QNORMSIGNED:
+        return s * np.sign(Z)
+    # a zero row divides by 1 instead, and its levels floor(0 + u) are 0
+    half_levels = 2.0 ** (scheme.b - 1)
+    levels = np.floor(half_levels * mag / (s if s.all() else np.where(s > 0, s, 1.0)) + U)
+    return (s / half_levels) * np.sign(Z) * levels
 
 
 def _quantizer_C(p: int, b: int) -> float:
@@ -291,11 +263,11 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
                    W, rngs: Draws | list[np.random.Generator] | None) -> CompressedRound:
     """One round of difference compression for an n x p stream or an (s, n, p) stack.
 
-    Encode Q = C(Z - H) in one call over its s n rows, row j drawing from rngs' j-th
-    generator (see _encode; None for a kind that draws nothing), form the estimates
-    Zhat = Q + H and Zhat_w = Hw + W Q, with W dense or scipy sparse, then mix the
-    memories in place: H <- (1-alpha) H + alpha Zhat and Hw <- (1-alpha) Hw + alpha
-    Zhat_w. Returns the round outputs; bits = rows * cost.
+    Encode Q = C(Z - H) in one call over its s n rows, row j drawing its p uniforms from
+    rngs' j-th generator whatever its innovation (see _encode; None for a kind that draws
+    nothing), form the estimates Zhat = Q + H and Zhat_w = Hw + W Q, with W dense or
+    scipy sparse, then mix the memories in place: H <- (1-alpha) H + alpha Zhat and
+    Hw <- (1-alpha) Hw + alpha Zhat_w. Returns the round outputs; bits = rows * cost.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != state.H.shape:

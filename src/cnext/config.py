@@ -183,8 +183,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mode = _opt(raw, "mode", MODE_CNEXT)
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        seeds = raw.get("seeds")
-        if seeds and len(seeds) > 1 and hyper.tol > 0:
+        seeds = tuple(int(s) for s in raw.get("seeds") or ())
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds: repeated seeds in {list(seeds)}")
+        if len(seeds) > 1 and hyper.tol > 0:
             # runs stopped by a tolerance end at different rounds, and averaging needs
             # equal-length traces
             raise ConfigError("seeds: averaging over several seeds needs hyperparams.tol = 0")
@@ -210,7 +212,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(
             objective=objective, network=network, scheme=scheme, hyperparams=hyper,
             mode=mode, seed=int(_opt(raw, "seed", 42)),
-            seeds=tuple(int(s) for s in seeds) if seeds else None,
+            seeds=seeds or None,
             output_dir=str(_opt(raw, "output_dir", "results/run")),
             variants=tuple(variants), eps=eps)
     except ConfigError:

@@ -27,9 +27,6 @@ class Dataset:
     def N(self) -> int:
         return self.U.shape[0]
 
-    def train(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.U[self.train_idx], self.v[self.train_idx]
-
     def test(self) -> tuple[np.ndarray, np.ndarray]:
         return self.U[self.test_idx], self.v[self.test_idx]
 

@@ -87,6 +87,9 @@ class HyperParams:
         # constraints (gamma > 0, eta > 0) are enforced where the theory needs them
         if not (0 <= self.gamma <= 1):
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        # every comparison with NaN is false, so the bounds below would admit it
+        if not all(map(math.isfinite, (self.eta, self.alpha_x, self.alpha_y, self.tol))):
+            raise ValueError("eta, the alphas and tol must be finite")
         if self.eta < 0 or self.alpha_x <= 0 or self.alpha_y <= 0:
             raise ValueError("eta must be nonnegative and the alphas positive")
         if self.T < 0 or self.tol < 0:
@@ -196,7 +199,8 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
 
     Both streams are compressed and mixed (through `net.mix`) in one stacked round.
     `rngs` holds the per-agent generators, X's n then Y's n, as a list or as the `Draws`
-    `run` builds; it may be None for a scheme that draws nothing. The uncompressed mode
+    `run` builds; under a drawing kind each of them yields p uniforms every round. It may
+    be None for a scheme that draws nothing. The uncompressed mode
     takes the identity scheme only.
     """
     if mode not in MODES:

@@ -538,6 +538,58 @@ def test_theory_nan_eps_is_config_error(tmp_path, capsys):
     assert "theory.eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["eta", "alpha_x", "alpha_y", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_hyperparams_are_config_errors(tmp_path, capsys, key, value):
+    # json reads NaN and Infinity, and every comparison with NaN is false, so a bound
+    # alone would admit it; run, compare and theory exit 2 and write no manifest
+    variants = [{"name": "a", "scheme": {"kind": "identity"}},
+                {"name": "b", "scheme": {"kind": "topk", "k": 2}}]
+    cfg, out = write_config(tmp_path, hyperparams={key: value}, compare={"variants": variants})
+    for command in ("run", "compare", "theory"):
+        assert main([command, "-c", cfg]) == 2, command
+        assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_finite_variant_eta_is_config_error(tmp_path, capsys):
+    variants = [{"name": "a", "scheme": {"kind": "identity"}},
+                {"name": "b", "scheme": {"kind": "identity"}, "eta": float("nan")}]
+    cfg, _ = write_config(tmp_path, compare={"variants": variants})
+    assert main(["compare", "-c", cfg]) == 2
+    assert "compare.variants[1].hyperparams" in capsys.readouterr().err
+
+
+def test_repeated_seeds_are_config_error(tmp_path, capsys):
+    # a repeated seed would be averaged twice into trace.csv under one trace_seed file
+    cfg, out = write_config(tmp_path, seeds=[1, 1, 2])
+    assert main(["run", "-c", cfg]) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_run_and_compare_manifests_are_strict_json(tmp_path):
+    # every manifest parses with no NaN or Infinity: a run, a run that diverges, a compare
+    # with a diverging variant; a non-finite tol (once written into both of the run's
+    # hyperparams blocks as NaN) or eta (once a divergence at round 0) is refused before
+    # any manifest is written
+    variants = [{"name": "newton", "scheme": {"kind": "identity"}},
+                {"name": "raw-gt", "mode": "first_order_gt", "scheme": {"kind": "identity"},
+                 "eta": 0.9}]
+    cfg, _ = write_config(tmp_path, compare={"variants": variants}, hyperparams={"T": 300})
+    cases = [(["run"], 0), (["run", "--mode", "first_order_gt", "--eta", "0.9"], 3),
+             (["compare"], 0), (["run", "--tol", "nan"], 2), (["compare", "--tol", "inf"], 2),
+             (["run", "--eta", "inf"], 2), (["run", "--eta", "nan"], 2)]
+    for i, (args, code) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([args[0], "-c", cfg, *args[1:], "--output-dir", str(out)]) == code, args
+        if code == 2:
+            assert not out.exists()
+            continue
+        with open(out / "manifest.json") as fh:
+            json.load(fh, parse_constant=_no_constant)
+
+
 def test_theory_reports_violations_without_failing(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, scheme={"kind": "identity"},
                           hyperparams={"eta": 5.0, "gamma": 0.5, "T": 1})

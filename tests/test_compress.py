@@ -335,11 +335,11 @@ def _row_by_row(scheme, x, rng):
     if scheme.kind == "identity":
         return x.copy()
     if scheme.kind == "qnbbq":
+        u = rng.uniform(0.0, 1.0, size=p)  # drawn whatever x, a zero vector included
         s = np.max(np.abs(x))
         if s == 0.0:
             return np.zeros_like(x)
         half = 2.0 ** (scheme.b - 1)
-        u = rng.uniform(0.0, 1.0, size=p)
         return (s / half) * np.sign(x) * np.floor(half * np.abs(x) / s + u)
     if scheme.kind == "randomk":
         return x * (rng.random(p) < scheme.k / p)
@@ -354,7 +354,8 @@ def _row_by_row(scheme, x, rng):
 
 def test_compress_round_draws_like_a_per_agent_loop():
     # same Q, same bits and the same end state of every agent's generator as a loop that
-    # encodes each agent's row with its own generator; row 3 is a zero innovation
+    # encodes each agent's row with its own generator; row 3 is a zero innovation, which
+    # codes to zero and still draws its round
     net = metropolis_hastings_weights(build_ring(5))
     rng = np.random.default_rng(29)
     for scheme in all_schemes(6, k=2):
@@ -376,7 +377,7 @@ def test_compress_round_draws_like_a_per_agent_loop():
 def test_stacked_round_equals_per_stream_rounds():
     # one call on a (2, n, p) stack gives each stream what its own call gives: the same
     # Q, estimates, memories and bits, and the same end state of every generator, through
-    # dense and CSR W; a zero innovation row in either stream draws nothing
+    # dense and CSR W, with a zero innovation row in either stream
     net = metropolis_hastings_weights(build_ring(5))
     rng = np.random.default_rng(31)
     alpha = np.array([0.5, 0.8]).reshape(2, 1, 1)
@@ -538,25 +539,25 @@ def test_blocks_serve_what_lists_draw(kind, n):
             assert np.array_equal(a, b)
 
 
-def test_zero_rows_leave_their_block_cursor_behind():
-    # under the quantizer a zero row draws nothing, so its cursor falls behind the other
-    # rows' mid-block; it still gets the doubles a list gives it, and a refill calls only
-    # the generators whose block is used up
+def test_zero_rows_draw_their_whole_round():
+    # a zero row under the quantizer reads its p uniforms like any other row, so in round t
+    # generator j yields doubles [t p, (t + 1) p) whatever the data: blocks of 4 rounds give
+    # the Q, H and Hw that blocks of 1 give, bit for bit, one int cursor serves every row,
+    # and each generator ends where a fresh substream ends after the blocks it filled
     net = metropolis_hastings_weights(build_ring(10))
     scheme = make_scheme("qnbbq", 20, b=2)
     B, rounds = 4, 19
     zero_rows = {1: (3,), 2: (3, 17), 5: (0, 3, 19), 6: (17,), 9: (3,), 13: (8,)}
     draws = Draws(xy_streams(5, 10), 20, B)
     blocks = _stack_rounds(net, scheme, rounds, draws, zero_rows)
-    lists = _stack_rounds(net, scheme, rounds, xy_streams(5, 10), zero_rows)
-    for got, want in zip(blocks, lists):
+    ones = _stack_rounds(net, scheme, rounds, Draws(xy_streams(5, 10), 20, 1), zero_rows)
+    for t, (got, want) in enumerate(zip(blocks, ones)):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-    taken = np.array([rounds - sum(j in rows for rows in zero_rows.values()) for j in range(20)])
-    assert np.array_equal(draws.pos, (taken - 1) % B + 1)
-    assert len(set(draws.pos.tolist())) > 1
-    for g, ref, m in zip(draws.rngs, xy_streams(5, 10), taken):
-        ref.random(-(-m // B) * B * 20)  # the doubles of the blocks row j has opened
+        assert not got[0].reshape(-1, 20)[list(zero_rows.get(t, ()))].any()
+    assert type(draws.pos) is int and draws.pos == (rounds - 1) % B + 1
+    for g, ref in zip(draws.rngs, xy_streams(5, 10)):
+        ref.random(-(-rounds // B) * B * 20)  # the doubles of the ceil(R / B) blocks
         assert g.bit_generator.state == ref.bit_generator.state
 
 
