@@ -61,7 +61,7 @@ class Experiment:
                 self.ds = generate_ridge_synthetic(data_cfg.n_samples, data_cfg.p, cfg.seed,
                                                    data_cfg.noise_std)
             else:
-                self.ds = load_covtype(data_cfg.path, data_cfg.p_reduced, cfg.seed, net_cfg.n)
+                self.ds = load_covtype(data_cfg.path, data_cfg.p, cfg.seed, net_cfg.n)
             self.partition = partition_homogeneous(self.ds, net_cfg.n, cfg.seed)
             locals_ = build_locals(self.ds, self.partition)
         except ValueError as exc:
@@ -79,14 +79,10 @@ class Experiment:
         """The baseline optimum, which runs read and `cnext theory` does not."""
         return baseline_optimum(self.obj)
 
-    @property
-    def p(self) -> int:
-        return self.obj.p
-
     def build_scheme(self, sc: SchemeConfig, mode: str) -> CompressionScheme:
         """The scheme a run in `mode` sends with: `sc`'s, or identity in the uncompressed
         mode, so a manifest and a theory report name the scheme that ran."""
-        return mode_scheme(mode, make_scheme(sc.kind, self.p, b=sc.b, k=sc.k), self.p)
+        return mode_scheme(mode, make_scheme(sc.kind, self.obj.p, b=sc.b, k=sc.k))
 
     def manifest(self, hp: HyperParams, mode: str, scheme: CompressionScheme,
                  extra: dict | None = None) -> dict:

@@ -9,7 +9,7 @@ cost in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,18 +26,57 @@ DRAWING_KINDS = (QNBBQ, RANDOMK)  # the kinds whose encoding draws randomness
 
 @dataclass(frozen=True)
 class CompressionScheme:
+    """One operator on R^p, set by (kind, p, b, k): b is the quantizer's bit depth and k
+    the count Random-k and Top-k keep; a kind that reads neither has both None.
+
+    `__post_init__` checks the four and derives the rest once: the constants C, r, delta
+    of the module's contract, and `bits`, the wire cost of one compressed p-vector. The
+    cost is deterministic by design: Random-k charges for k coordinates (its expected
+    count), so cumulative bit counts depend only on (scheme, n, T). b is at most 53:
+    beyond that, adding the dither u to h|z|/s (h = 2^(b-1)) is no longer exact in float64.
+    """
+
     kind: str
+    p: int
     b: int | None = None  # bit depth (qnbbq)
     k: int | None = None  # kept coordinates (randomk / topk)
-    C: float = 0.0
-    r: float = 1.0
-    delta: float = 1.0
+    C: float = field(init=False)
+    r: float = field(init=False)
+    delta: float = field(init=False)
+    bits: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.C < 0 or self.r <= 0 or not (0 < self.delta <= 1):
-            raise ValueError(f"invalid scheme constants C={self.C}, r={self.r}, delta={self.delta}")
+        kind, p, b, k = self.kind, self.p, self.b, self.k
+        takes_b, takes_k = kind == QNBBQ, kind in (RANDOMK, TOPK)
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if p < 1:
+            raise ValueError(f"{kind} needs p >= 1, got p={p}")
+        if (b is not None and not takes_b) or (k is not None and not takes_k):
+            raise ValueError(f"b belongs to qnbbq and k to randomk and topk; {kind} got "
+                             f"b={b}, k={k}")
+        if takes_b and (b is None or not 1 <= b <= 53):
+            raise ValueError(f"qnbbq needs 1 <= b <= 53, got b={b}")
+        if takes_k and (k is None or not 1 <= k <= p):
+            raise ValueError(f"{kind} needs 1 <= k <= p, got k={k}, p={p}")
+        log2p = (p - 1).bit_length()  # ceil(log2 p), 0 for p = 1
+        if takes_k:  # k values, each sent with its index
+            C, r, delta = 1.0 - k / p, 1.0, k / p
+            bits = (32 + log2p) * k if kind == RANDOMK else (64 + log2p) * k
+        elif takes_b:  # the sign and b bits per coordinate
+            C = _quantizer_C(p, b)
+            r, delta, bits = 1.0 + C, 1.0 / (1.0 + C), (1 + b) * p
+        elif kind == QNORMSIGNED:
+            # Q = s sign(x) with s = ||x||_inf. C: ||Q - x||^2 = sum_{x_i != 0} (s - |x_i|)^2,
+            # at most (p - 1) s^2 <= (p - 1)||x||^2 since a largest coordinate adds 0; it
+            # tends to (p - 1)||x||^2 as x -> (1, eps, ..., eps). delta: ||Q/p - x||^2 =
+            # ||x||^2 - 2(s/p)||x||_1 + nnz s^2/p^2 <= (1 - 1/p)||x||^2, because ||x||^2 <=
+            # s||x||_1 and nnz s^2/p <= s^2 <= s||x||_1. The wire holds p signs and s.
+            C, r, delta, bits = float(p - 1), float(p), 1.0 / p, p + 32
+        else:
+            C, r, delta, bits = 0.0, 1.0, 1.0, 64 * p
+        for name, value in zip(("C", "r", "delta", "bits"), (C, r, delta, bits)):
+            object.__setattr__(self, name, value)
 
     def label(self) -> str:
         if self.kind == QNBBQ:
@@ -45,26 +84,6 @@ class CompressionScheme:
         if self.kind in (RANDOMK, TOPK):
             return f"{self.kind}(k={self.k})"
         return self.kind
-
-
-def bits_per_vector(scheme: CompressionScheme, p: int) -> int:
-    """Wire cost of transmitting one compressed p-vector.
-
-    Deterministic by design: Random-k charges for k coordinates (its expected count)
-    so cumulative bit counts depend only on (scheme, p, n, T).
-    """
-    log2p = (p - 1).bit_length()  # ceil(log2 p), 0 for p = 1
-    if scheme.kind == IDENTITY:
-        return 64 * p
-    if scheme.kind == QNBBQ:
-        return (1 + scheme.b) * p
-    if scheme.kind == RANDOMK:
-        return (32 + log2p) * scheme.k
-    if scheme.kind == TOPK:
-        return (64 + log2p) * scheme.k
-    if scheme.kind == QNORMSIGNED:
-        return p + 32
-    raise ValueError(scheme.kind)
 
 
 def all_finite(M: np.ndarray) -> bool:
@@ -129,13 +148,13 @@ def _encode(scheme: CompressionScheme, Z: np.ndarray,
     None. A drawing kind takes a whole round of uniforms, zero rows included, and every
     scheme maps a zero row to zero.
     """
+    r, p = Z.shape
+    if p != scheme.p:
+        raise ValueError(f"{scheme.label()}: built for p={scheme.p}, input has p={p}")
     if not all_finite(Z):
         raise ValueError("compress: input has non-finite entries")
-    r, p = Z.shape
     if scheme.kind == IDENTITY:
         return Z.copy()
-    if scheme.kind in (RANDOMK, TOPK) and scheme.k > p:
-        raise ValueError(f"{scheme.kind}: k={scheme.k} exceeds p={p}")
     if scheme.kind in DRAWING_KINDS:
         draws = rngs if isinstance(rngs, Draws) else Draws(rngs, p)
         if draws.shape != (r, p):
@@ -192,35 +211,14 @@ def _quantizer_C(p: int, b: int) -> float:
 
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
                 rng: np.random.Generator | None = None) -> CompressionScheme:
-    """Build a scheme with its (C, r, delta) constants, each a function of (kind, p, b, k).
+    """The scheme of `kind` on R^p, keeping b for the quantizer and k for Random-k and
+    Top-k and dropping them for the other kinds.
 
-    Random-k / Top-k: C = 1 - k/p, delta = k/p, r = 1. The unbiased quantizer: C the
-    supremum of _quantizer_C, scaled with r = 1 + C and delta = 1/(1+C). Norm-signed
-    (see its branch): C = p - 1, with the worst-case scaling r = p, delta = 1/p.
     `rng` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so it
     stays until the benchmark's next change drops it there.
     """
-    if kind == IDENTITY:
-        return CompressionScheme(IDENTITY, C=0.0, r=1.0, delta=1.0)
-    if kind == RANDOMK:
-        if k is None or not (1 <= k <= p):
-            raise ValueError(f"randomk needs 1 <= k <= p, got k={k}, p={p}")
-        return CompressionScheme(RANDOMK, k=k, C=1.0 - k / p, r=1.0, delta=k / p)
-    if kind == TOPK:
-        if k is None or not (1 <= k <= p):
-            raise ValueError(f"topk needs 1 <= k <= p, got k={k}, p={p}")
-        return CompressionScheme(TOPK, k=k, C=1.0 - k / p, r=1.0, delta=k / p)
-    if kind == QNBBQ:
-        C = _quantizer_C(p, b)
-        return CompressionScheme(QNBBQ, b=b, C=C, r=1.0 + C, delta=1.0 / (1.0 + C))
-    if kind == QNORMSIGNED:
-        # Q = s sign(x) with s = ||x||_inf. C: ||Q - x||^2 = sum_{x_i != 0} (s - |x_i|)^2,
-        # at most (p - 1) s^2 <= (p - 1)||x||^2 since a largest coordinate adds 0; it tends
-        # to (p - 1)||x||^2 as x -> (1, eps, ..., eps). delta: ||Q/p - x||^2 = ||x||^2
-        # - 2(s/p)||x||_1 + nnz s^2/p^2 <= (1 - 1/p)||x||^2, because ||x||^2 <= s||x||_1
-        # and nnz s^2/p <= s^2 <= s||x||_1.
-        return CompressionScheme(QNORMSIGNED, C=float(p - 1), r=float(p), delta=1.0 / p)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return CompressionScheme(kind, p, b=b if kind == QNBBQ else None,
+                             k=k if kind in (RANDOMK, TOPK) else None)
 
 
 def _mix(W, M: np.ndarray) -> np.ndarray:
@@ -267,14 +265,15 @@ def compress_round(state: CompressState, Z: np.ndarray, scheme: CompressionSchem
     rngs' j-th generator whatever its innovation (see _encode; None for a kind that draws
     nothing), form the estimates Zhat = Q + H and Zhat_w = Hw + W Q, with W dense or
     scipy sparse, then mix the memories in place: H <- (1-alpha) H + alpha Zhat and
-    Hw <- (1-alpha) Hw + alpha Zhat_w. Returns the round outputs; bits = rows * cost.
+    Hw <- (1-alpha) Hw + alpha Zhat_w. Returns the round outputs; bits = rows *
+    scheme.bits. A scheme built for another p is refused.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != state.H.shape:
         raise ValueError(f"shape mismatch: Z {Z.shape} vs state {state.H.shape}")
     p = Z.shape[-1]
     Q = _encode(scheme, (Z - state.H).reshape(-1, p), rngs).reshape(Z.shape)
-    bits = Z.size // p * bits_per_vector(scheme, p)
+    bits = Z.size // p * scheme.bits
     Zhat = Q + state.H
     Zhat_w = state.Hw + _mix(W, Q)
     a = state.alpha

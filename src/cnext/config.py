@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .compress import ALL_KINDS
+from .compress import ALL_KINDS, make_scheme
 from .solver import HyperParams, MODES, MODE_CNEXT
 
 COVTYPE_PATH_ENV = "CNEXT_COVTYPE_PATH"
@@ -39,10 +39,9 @@ LOGISTIC_DEFAULTS = {"lambda": 0.1, "alpha": 0.5, "T": 1000, "tol": 0.0}
 class DataConfig:
     source: str  # "synthetic" | "covtype"
     n_samples: int = 500
-    p: int = 20
+    p: int = 20  # the dimension: synthetic features, or CovType's principal components
     noise_std: float = 0.1
     path: str | None = None
-    p_reduced: int = 10
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           n_samples=int(_opt(data_raw, "n_samples", 500)),
                           p=int(_opt(data_raw, "p", 20 if source == "synthetic" else 10)),
                           noise_std=float(_opt(data_raw, "noise_std", 0.1)),
-                          path=path,
-                          p_reduced=int(_opt(data_raw, "p_reduced", 10)))
+                          path=path)
+        if data.p < 1:  # every scheme below is checked on this p
+            raise ConfigError(f"objective.data.p must be at least 1, got {data.p}")
         objective = ObjectiveConfig(kind=kind, lam=lam, data=data)
 
         net_raw = _known(_req(raw, "network", "$"), _names(NetworkConfig), "network.")
@@ -168,7 +168,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if net_kind not in ("ring", "expander", "custom"):
             raise ConfigError(f"network.kind must be ring|expander|custom, got {net_kind!r}")
         network = NetworkConfig(kind=net_kind, n=int(_req(net_raw, "n", "network")),
-                                degree=(int(net_raw["degree"]) if net_raw.get("degree") else None),
+                                degree=(None if net_raw.get("degree") is None
+                                        else int(net_raw["degree"])),
                                 adjacency=net_raw.get("adjacency"))
         if net_kind == "expander" and network.degree is None:
             raise ConfigError("network.degree is required for the expander topology")
@@ -228,7 +229,8 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
     Each hyperparameter is the first value set in `blocks` (a variant's own eta/gamma,
     then the top-level hyperparams block), else the tuned value for this scheme
     (RIDGE_TUNED, or LOGISTIC_GAMMA_ETA by topology), else the objective's default.
-    For ridge, an omitted k for random-k / top-k takes the tuned k.
+    For ridge, an omitted k for random-k / top-k takes the tuned k. The scheme is built
+    once for the data's p, so a value it refuses is an error of this member.
     """
     kind = _req(_known(scheme_raw, _names(SchemeConfig), path + "scheme."), "kind", path + "scheme")
     if kind not in ALL_KINDS:
@@ -242,11 +244,11 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
     k = None if k is None else int(k)
     if kind in ("randomk", "topk") and k is None:
         raise ConfigError(f"{path}scheme.k is required for {kind}")
-    data = objective.data
-    p_eff = data.p if data.source == "synthetic" else data.p_reduced
-    if k is not None and k > p_eff:
-        raise ConfigError(f"{path}scheme.k={k} exceeds problem dimension p={p_eff}")
     scheme = SchemeConfig(kind=kind, b=int(_opt(scheme_raw, "b", 2)), k=k)
+    try:
+        make_scheme(kind, objective.data.p, b=scheme.b, k=k)
+    except ValueError as exc:
+        raise ConfigError(f"{path}scheme: {exc}") from exc
 
     values = {}
     for key in ("eta", "gamma", "alpha_x", "alpha_y", "T", "tol"):

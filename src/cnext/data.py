@@ -46,6 +46,8 @@ def generate_ridge_synthetic(N: int, p: int, seed: int, noise_std: float = 0.1) 
     """
     if N < 1 or p < 1:
         raise ValueError(f"need N, p >= 1, got N={N}, p={p}")
+    if not np.isfinite(noise_std):
+        raise ValueError(f"noise_std must be finite, got {noise_std}")
     rng = np.random.default_rng(seed)
     x_hidden = rng.standard_normal(p)
     U = rng.standard_normal((N, p))
@@ -67,15 +69,16 @@ def covtype_split_counts(N: int, n_agents: int) -> tuple[int, int]:
     return train, N - train
 
 
-def load_covtype(path: str, p_reduced: int = 10, seed: int = 42,
-                 n_agents: int = 10) -> Dataset:
+def load_covtype(path: str, p: int = 10, seed: int = 42, n_agents: int = 10) -> Dataset:
     """UCI CovType CSV (54 features + class column) -> standardized PCA features, +-1 labels.
 
-    Features are standardized to zero mean / unit variance, reduced to `p_reduced`
-    principal components by eigendecomposition of the covariance, labels binarized
+    Features are standardized to zero mean / unit variance, reduced to `p` principal
+    components (1 <= p <= 54) by eigendecomposition of the covariance, labels binarized
     class-2 -> +1 (the most balanced split), rows shuffled with `seed`, and split
     into train/test per covtype_split_counts.
     """
+    if not 1 <= p <= 54:
+        raise ValueError(f"CovType has 54 features, so needs 1 <= p <= 54, got p={p}")
     try:
         raw = np.loadtxt(path, delimiter=",")
     except OSError as exc:
@@ -99,8 +102,8 @@ def load_covtype(path: str, p_reduced: int = 10, seed: int = 42,
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    U = Xs @ evecs[:, :p_reduced]
-    explained = float(evals[:p_reduced].sum() / evals.sum())
+    U = Xs @ evecs[:, :p]
+    explained = float(evals[:p].sum() / evals.sum())
 
     v = np.where(labels == 2, 1.0, -1.0)
     rng = np.random.default_rng(seed)
@@ -111,7 +114,7 @@ def load_covtype(path: str, p_reduced: int = 10, seed: int = 42,
                    test_idx=np.arange(n_train, n_train + n_test),
                    provenance=COVTYPE,
                    extras={"explained_variance_ratio": explained,
-                           "pca_variances": evals[:p_reduced].tolist(),
+                           "pca_variances": evals[:p].tolist(),
                            "label_map": "class 2 -> +1, rest -> -1",
                            "n_rows": int(U.shape[0]), "seed": seed})
 

@@ -3,6 +3,7 @@ and the centralized baseline."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
@@ -76,8 +77,8 @@ class Objective:
     def __post_init__(self, A: np.ndarray, b: np.ndarray):
         if self.kind not in (RIDGE, LOGISTIC):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:  # NaN fails too
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[1] < 1:

@@ -96,9 +96,10 @@ class HyperParams:
             raise ValueError("T and tol must be nonnegative")
 
 
-def mode_scheme(mode: str, scheme: CompressionScheme, p: int) -> CompressionScheme:
-    """The scheme a run in `mode` communicates with: identity in the uncompressed mode."""
-    return make_scheme(IDENTITY, p) if mode == MODE_UNCOMPRESSED_GIANT else scheme
+def mode_scheme(mode: str, scheme: CompressionScheme) -> CompressionScheme:
+    """The scheme a run in `mode` communicates with: identity, on the same p, in the
+    uncompressed mode."""
+    return make_scheme(IDENTITY, scheme.p) if mode == MODE_UNCOMPRESSED_GIANT else scheme
 
 
 def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionScheme) -> list[str]:
@@ -289,7 +290,7 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
         if not np.all(np.isin(v, (-1.0, 1.0))):
             raise ValueError("test labels must be in {-1, +1}")
         test_data = U, v > 0
-    scheme = mode_scheme(mode, scheme, obj.p)
+    scheme = mode_scheme(mode, scheme)
     if x_star is None:
         x_star = baseline_optimum(obj)
     state = state0.copy() if state0 is not None else init_state(obj, net, hp, seed)

@@ -81,10 +81,6 @@ class TheoryConstants:
     rho_tilde: float
     beta: float
     C: float
-    r: float
-    delta: float
-    tau_x: float
-    tau_y: float
     c1: float
     c2: float
     a_x: float
@@ -117,8 +113,7 @@ class TheoryConstants:
         c1 = 3.0 * tau_x / (tau_x - 1.0)
         c2 = 3.0 * tau_y / (tau_y - 1.0)
         return cls(mu=mu, L=L, kappa=L / mu, rho=rho, rho_tilde=rho_tilde, beta=beta,
-                   C=C, r=r, delta=delta, tau_x=tau_x, tau_y=tau_y, c1=c1, c2=c2,
-                   a_x=a_x, a_y=a_y,
+                   C=C, c1=c1, c2=c2, a_x=a_x, a_y=a_y,
                    k1=c1 * beta ** 2, k2=c1 * C * beta ** 2,
                    k3=c2 * beta ** 2, k4=c2 * C * beta ** 2)
 

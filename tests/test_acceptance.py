@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from cnext.compress import (CompressState, _encode, agent_streams, bits_per_vector, compress_round,
+from cnext.compress import (CompressState, _encode, agent_streams, compress_round,
                             make_scheme)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
@@ -332,7 +332,7 @@ def test_c09_covtype_accuracy():
     configs = [("ring", 10, None, 0.35, 0.093), ("expander", 14, 6, 0.20, 0.09)]
     accs = {}
     for kind, n, degree, gamma, eta in configs:
-        ds = load_covtype(COVTYPE_PATH, p_reduced=10, seed=42, n_agents=n)
+        ds = load_covtype(COVTYPE_PATH, p=10, seed=42, n_agents=n)
         if ds.N == 566602:
             assert covtype_split_counts(ds.N, n) == (
                 (400000, 166602) if n == 10 else (400008, 166594))

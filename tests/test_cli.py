@@ -767,11 +767,12 @@ LOGISTIC_COVTYPE = {"kind": "logistic", "lambda": 0.1, "data": {"source": "covty
     ({"kind": "ridge", "lambda": 0.5, "data": {"source": "synthetic", "n_samples": 3, "p": 4}},
      "objective.data: more agents (5) than training samples (3)"),
     ({"kind": "ridge", "lambda": 0.5, "data": {"source": "synthetic", "n_samples": 50, "p": 0}},
-     "objective.data: need N, p >= 1"),
+     "objective.data.p must be at least 1, got 0"),
     (LOGISTIC_COVTYPE, "objective.data: expected 55 columns"),
 ], ids=["lambda-0", "fewer-samples-than-agents", "p-0", "covtype-3-columns"])
 def test_set_up_rejections_are_config_errors(tmp_path, capsys, monkeypatch, objective, message):
-    # values the config parser admits but the data or objective refuses exit 2, naming the block
+    # values the data or objective refuses exit 2, naming the block; the parser refuses p < 1
+    # itself, as it checks every scheme on p
     csv = tmp_path / "covtype.csv"
     csv.write_text("1,2,3\n4,5,6\n")
     monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(csv))
@@ -789,7 +790,7 @@ def test_logistic_run_and_compare_on_a_covtype_fixture(tmp_path):
     csv = tmp_path / "covtype.csv"
     covtype_fixture_csv(csv)
     logistic = {"kind": "logistic", "lambda": 0.1,
-                "data": {"source": "covtype", "path": str(csv), "p_reduced": 5}}
+                "data": {"source": "covtype", "path": str(csv), "p": 5}}
     variants = [{"name": "cnext", "mode": "cnext", "scheme": {"kind": "qnbbq", "b": 2}},
                 {"name": "first-order", "mode": "first_order_gt", "scheme": {"kind": "qnbbq", "b": 2}}]
     cfg, out = write_config(tmp_path, objective=logistic, network={"kind": "ring", "n": 4},
@@ -807,6 +808,55 @@ def test_logistic_run_and_compare_on_a_covtype_fixture(tmp_path):
         assert 0.0 <= float(row[header.index("accuracy")]) <= 1.0
         assert float(row[header.index("residual")]) >= 0.0
     assert {r[0] for r in compare_rows} == {"cnext", "first-order"}
+
+
+REFUSED_VARIANTS = [{"name": "rk", "scheme": {"kind": "randomk", "k": 2}},
+                    {"name": "q", "scheme": {"kind": "qnbbq"}}]
+RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "theory"])
+@pytest.mark.parametrize("flags, updates, message", [
+    (["--scheme", "topk", "--k", "0"], {}, "scheme: topk needs 1 <= k <= p, got k=0, p=4"),
+    (["--scheme", "topk", "--k", "-1"], {}, "scheme: topk needs 1 <= k <= p, got k=-1, p=4"),
+    (["--scheme", "qnbbq", "--b", "0"], {}, "scheme: qnbbq needs 1 <= b <= 53, got b=0"),
+    (["--scheme", "qnbbq", "--b", "-3"], {}, "scheme: qnbbq needs 1 <= b <= 53, got b=-3"),
+    (["--scheme", "qnbbq", "--b", "1100"], {}, "scheme: qnbbq needs 1 <= b <= 53, got b=1100"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
+        {"name": "tk", "scheme": {"kind": "topk", "k": 5}}]}},
+     "compare.variants[1].scheme: topk needs 1 <= k <= p, got k=5, p=4"),
+    ([], {"objective": {"kind": "logistic", "data": {"source": "covtype", "p": 60}}},
+     "objective.data: CovType has 54 features, so needs 1 <= p <= 54, got p=60"),
+    ([], {"objective": {"kind": "logistic", "data": {"source": "covtype", "p_reduced": 10}}},
+     "unknown field objective.data.p_reduced"),
+    ([], {"objective": {"kind": "ridge", "lambda": float("nan"), "data": RIDGE_DATA}},
+     "objective: lambda must be positive and finite, got nan"),
+    ([], {"objective": {"kind": "ridge", "lambda": float("inf"), "data": RIDGE_DATA}},
+     "objective: lambda must be positive and finite, got inf"),
+    ([], {"objective": {"kind": "ridge", "lambda": 0.5,
+                        "data": dict(RIDGE_DATA, noise_std=float("nan"))}},
+     "objective.data: noise_std must be finite, got nan"),
+], ids=["topk-k-0", "topk-k--1", "b-0", "b--3", "b-1100", "variant-k-above-p", "covtype-p-60",
+        "covtype-p_reduced", "lambda-nan", "lambda-inf", "noise_std-nan"])
+def test_refused_values_exit_2_before_any_file(tmp_path, capsys, monkeypatch, command, flags,
+                                               updates, message):
+    # each value is refused by the config or the set-up, with the member's path, before
+    # any directory is made; JSON carries NaN and Infinity as the Python json module writes
+    csv = tmp_path / "covtype.csv"
+    covtype_fixture_csv(csv)
+    monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(csv))
+    cfg, out = write_config(tmp_path, **{"compare": {"variants": REFUSED_VARIANTS}, **updates})
+    assert main([command, "-c", cfg, *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_expander_degree_0_is_a_range_error(tmp_path, capsys):
+    # a degree of 0 is set, so it is reported as out of range, not as missing
+    cfg, out = write_config(tmp_path, network={"kind": "expander", "n": 5, "degree": 0})
+    assert main(["run", "-c", cfg]) == 2
+    assert "network: degree must be a positive even integer, got 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_missing_covtype_file_is_io_error(tmp_path, capsys, monkeypatch):

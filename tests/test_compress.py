@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from cnext.compress import (DRAW_BUDGET, CompressState, CompressionScheme, Draws, _encode,
-                            agent_streams, all_finite, bits_per_vector, compress_round,
+                            agent_streams, all_finite, compress_round,
                             make_scheme, ALL_KINDS)
 from cnext.graph import build_ring, metropolis_hastings_weights
 from conftest import all_schemes, verify_contract, xy_streams
@@ -19,7 +20,7 @@ def test_identity_passthrough():
     scheme = make_scheme("identity", 3)
     q = _encode(scheme, x[None], [np.random.default_rng(0)])[0]
     assert np.array_equal(q, x)
-    assert bits_per_vector(scheme, 3) == 64 * 3
+    assert scheme.bits == 64 * 3
 
 
 def test_quantizer_zero_guard():
@@ -223,7 +224,7 @@ def test_quantizer_constant_at_exact_levels(b):
 def test_quantizer_constant_agrees_with_monte_carlo(b):
     # per sample, 100k dithered draws through the verify_contract oracle
     rng = np.random.default_rng(70 + b)
-    scheme = CompressionScheme("qnbbq", b=b)
+    scheme = CompressionScheme("qnbbq", 8, b=b)
     for x in rng.standard_normal((4, 8)):
         measured = verify_contract(scheme, [x], rng, n_draws=100_000)[0]
         assert measured == pytest.approx(float(_two_outcome_C(x[None, :], b)), rel=0.02)
@@ -292,12 +293,47 @@ def test_measured_contract_within_declared_constant():
 
 def test_bits_formulas():
     p = 20
-    assert bits_per_vector(make_scheme("identity", p), p) == 64 * p
-    assert bits_per_vector(make_scheme("qnbbq", p, b=2), p) == 3 * p
-    assert bits_per_vector(make_scheme("randomk", p, k=5), p) == (32 + 5) * 5
-    assert bits_per_vector(make_scheme("topk", p, k=3), p) == (64 + 5) * 3
-    assert bits_per_vector(make_scheme("qnormsigned", p), p) == p + 32
-    assert bits_per_vector(make_scheme("randomk", 1, k=1), 1) == 32
+    assert make_scheme("identity", p).bits == 64 * p
+    assert make_scheme("qnbbq", p, b=2).bits == 3 * p
+    assert make_scheme("randomk", p, k=5).bits == (32 + 5) * 5
+    assert make_scheme("topk", p, k=3).bits == (64 + 5) * 3
+    assert make_scheme("qnormsigned", p).bits == p + 32
+    assert make_scheme("randomk", 1, k=1).bits == 32
+
+
+@pytest.mark.parametrize("values, message", [
+    (("identity", 0, None, None), "identity needs p >= 1, got p=0"),
+    (("qnbbq", 5, 0, None), "qnbbq needs 1 <= b <= 53, got b=0"),
+    (("qnbbq", 5, 54, None), "qnbbq needs 1 <= b <= 53, got b=54"),
+    (("qnbbq", 5, None, None), "qnbbq needs 1 <= b <= 53, got b=None"),
+    (("topk", 5, None, 0), "topk needs 1 <= k <= p, got k=0, p=5"),
+    (("randomk", 5, None, 6), "randomk needs 1 <= k <= p, got k=6, p=5"),
+    (("topk", 5, 2, 2), "topk got b=2, k=2"),
+    (("qnormsigned", 5, None, 2), "qnormsigned got b=None, k=2"),
+], ids=["p-0", "b-0", "b-54", "b-missing", "k-0", "k-above-p", "b-on-topk", "k-on-qnormsigned"])
+def test_scheme_refuses_values_outside_its_kind(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CompressionScheme(*values)
+
+
+def test_scheme_derives_its_constants():
+    # C, r, delta and bits follow from (kind, p, b, k) alone: none can be passed in, and
+    # the widest quantizer, b = 53, still has finite constants
+    with pytest.raises(TypeError):
+        CompressionScheme("qnbbq", 5, b=2, C=0.1)
+    wide = CompressionScheme("qnbbq", 5, b=53)
+    assert 0 < wide.C < 1e-30 and wide.bits == 54 * 5
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_compress_round_refuses_a_scheme_built_for_another_p(kind):
+    # a scheme's constants and wire cost are those of its own p: a quantizer built for
+    # p = 20 has C = 0.699, where p = 10 has 0.401
+    net = metropolis_hastings_weights(build_ring(3))
+    state = CompressState.init(np.zeros((3, 10)), net.W, alpha=0.5)
+    with pytest.raises(ValueError, match="built for p=20, input has p=10"):
+        compress_round(state, np.ones((3, 10)), make_scheme(kind, 20, k=3), net.W,
+                       agent_streams(0, 0, 3))
 
 
 def test_bit_accounting_is_data_independent():
@@ -314,7 +350,7 @@ def test_bit_accounting_is_data_independent():
             bits += compress_round(state, Z, scheme, net.W, rngs).bits
         totals.append(bits)
     assert totals[0] == totals[1]
-    assert totals[0] == 20 * 4 * bits_per_vector(scheme, 6)
+    assert totals[0] == 20 * 4 * scheme.bits
 
 
 def test_compress_round_identity_recovers_averaging():
@@ -369,7 +405,7 @@ def test_compress_round_draws_like_a_per_agent_loop():
             out = compress_round(state, Z, scheme, net.W, rngs)
             assert np.array_equal(out.Q, expected), scheme.label()
             assert not out.Q[3].any()
-            assert out.bits == 5 * bits_per_vector(scheme, 6)
+            assert out.bits == 5 * scheme.bits
         for g, ref in zip(rngs, loop_rngs):
             assert g.bit_generator.state == ref.bit_generator.state, scheme.label()
 
@@ -495,7 +531,7 @@ def test_operators_produce_finite_output(x, seed):
     for scheme in _SCHEMES_P5:
         q = _encode(scheme, x[None], [rng])[0]
         assert np.all(np.isfinite(q))
-        assert bits_per_vector(scheme, 5) > 0
+        assert scheme.bits > 0
 
 
 def test_agent_streams_are_deterministic_and_independent():

@@ -87,7 +87,7 @@ def test_covtype_split_counts_match_published_table():
 def test_covtype_loader_on_fixture(tmp_path):
     path = tmp_path / "covtype_sample.csv"
     X, labels = covtype_fixture_csv(path)
-    ds = load_covtype(str(path), p_reduced=5, seed=3, n_agents=4)
+    ds = load_covtype(str(path), p=5, seed=3, n_agents=4)
     assert ds.U.shape == (80, 5)
     assert set(np.unique(ds.v)).issubset({-1.0, 1.0})
     assert ds.train_idx.size + ds.test_idx.size == 80
@@ -103,7 +103,7 @@ def test_covtype_pca_against_eigen_oracle(tmp_path):
     path = tmp_path / "covtype_sample.csv"
     X, labels = covtype_fixture_csv(path, n_rows=60, seed=4)
     k = 6
-    ds = load_covtype(str(path), p_reduced=k, seed=3, n_agents=4)
+    ds = load_covtype(str(path), p=k, seed=3, n_agents=4)
     # independent oracle: standardize, eigendecompose, project
     mean, std = X.mean(axis=0), X.std(axis=0)
     std[std == 0.0] = 1.0
@@ -125,7 +125,7 @@ def test_covtype_projection_matches_oracle_up_to_sign(tmp_path):
     path = tmp_path / "covtype_sample.csv"
     X, labels = covtype_fixture_csv(path, n_rows=60, seed=4)
     k = 6
-    ds = load_covtype(str(path), p_reduced=k, seed=3, n_agents=4)
+    ds = load_covtype(str(path), p=k, seed=3, n_agents=4)
     mean, std = X.mean(axis=0), X.std(axis=0)
     std[std == 0.0] = 1.0
     Xs = (X - mean) / std

@@ -575,7 +575,7 @@ def _oracle_run(obj, net, scheme, hp, mode, seed, x_star, test_data=None):
     if test_data is not None:
         U, v = test_data
         test_data = U, v > 0
-    scheme = solver.mode_scheme(mode, scheme, obj.p)
+    scheme = solver.mode_scheme(mode, scheme)
     state = init_state(obj, net, hp, seed)
     rngs = xy_streams(seed, net.n)
     residual = obj.residual_fn(x_star)

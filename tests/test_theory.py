@@ -339,7 +339,7 @@ def test_search_and_report_agree_on_every_map_point():
     mu, L, n = exp.obj.mu, exp.obj.L, exp.net.n
     certified = dict.fromkeys(ALL_KINDS, 0)
     for kind in ALL_KINDS:
-        scheme = make_scheme(kind, exp.p, k=3)
+        scheme = make_scheme(kind, exp.obj.p, k=3)
         for eta in map(float, np.geomspace(*GRID_ETA, 20)):
             for gamma in map(float, np.geomspace(*GRID_GAMMA, 20)):
                 theta = Theta(eta=eta, gamma=gamma, alpha_x=1.0, alpha_y=1.0)
@@ -738,7 +738,7 @@ def _identity_map_points():
         sys.path.remove(str(CONFIGS.parent / "bench"))
     net, obj, schemes, _, _ = workloads._theory_setup(1)
     for name, mu, L, network, scheme in (
-            ("config", exp.obj.mu, exp.obj.L, exp.net, make_scheme("identity", exp.p)),
+            ("config", exp.obj.mu, exp.obj.L, exp.net, make_scheme("identity", exp.obj.p)),
             ("bench", obj.mu, obj.L, net, schemes["identity"])):
         for eta in map(float, np.geomspace(*GRID_ETA, 20)):
             for gamma in map(float, np.geomspace(*GRID_GAMMA, 20)):

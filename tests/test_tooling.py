@@ -74,6 +74,23 @@ def test_workload_normal_equations_read_the_partition(monkeypatch):
     assert np.allclose(workloads._ridge_normal_equations(ds, part, 0.3), x_star, rtol=1e-10, atol=1e-12)
 
 
+def test_wire_bits_agree_with_the_scheme(monkeypatch):
+    # bench/workloads.wire_bits is README's per-vector cost, written apart from compress;
+    # the benchmark's bit checks hold only while it equals scheme.bits for every scheme
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from cnext.compress import ALL_KINDS, CompressionScheme, QNBBQ, RANDOMK, TOPK
+
+    differ = []
+    for p in range(1, 65):
+        for kind in ALL_KINDS:
+            for b in range(1, 9) if kind == QNBBQ else (None,):
+                for k in range(1, p + 1) if kind in (RANDOMK, TOPK) else (None,):
+                    if workloads.wire_bits(kind, p, b, k) != CompressionScheme(kind, p, b, k).bits:
+                        differ.append((kind, p, b, k))
+    assert differ == []
+
+
 def test_agents_setup_checks_hold_on_the_library(monkeypatch):
     # the benchmark's agents-expander set-up checks, run on its own set-up: W (expanded from
     # the CSR weights) is circulant, and rho and beta match its FFT spectrum; a change that
