@@ -1,8 +1,9 @@
 """Experiment harness CLI: run / compare / theory.
 
 Every run directory receives a trace CSV (fixed column order) and a JSON manifest
-carrying the resolved config, seed, scheme constants, and the bit-accounting
-convention, enough to reproduce the run bit-exactly.
+carrying the config as given (after flags), enough to reproduce the run bit-exactly,
+and what it resolved to: seed, hyperparameters, scheme constants and the
+bit-accounting convention.
 
 Exit codes: 0 ok, 2 config or usage error, 3 numerical failure, 4 io error.
 """
@@ -19,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .compress import CompressionScheme, make_scheme, ALL_KINDS
-from .config import ConfigError, ExperimentConfig, SchemeConfig, load_config
+from .compress import CompressionScheme, ALL_KINDS
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import build_locals, generate_ridge_synthetic, load_covtype, partition_homogeneous
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
 from .objective import ConvergenceError, logistic_objective, ridge_objective
@@ -72,22 +73,17 @@ class Experiment:
         except ValueError as exc:
             raise ConfigError(f"objective: {exc}") from exc
         self.test_data = self.ds.test() if not ridge and self.ds.test_idx.size else None
-        self.scheme = self.build_scheme(cfg.scheme, cfg.mode)
+        self.scheme = mode_scheme(cfg.mode, cfg.scheme)
 
     @cached_property
     def x_star(self) -> np.ndarray:
         """The baseline optimum, which runs read and `cnext theory` does not."""
         return baseline_optimum(self.obj)
 
-    def build_scheme(self, sc: SchemeConfig, mode: str) -> CompressionScheme:
-        """The scheme a run in `mode` sends with: `sc`'s, or identity in the uncompressed
-        mode, so a manifest and a theory report name the scheme that ran."""
-        return mode_scheme(mode, make_scheme(sc.kind, self.obj.p, b=sc.b, k=sc.k))
-
     def manifest(self, hp: HyperParams, mode: str, scheme: CompressionScheme,
                  extra: dict | None = None) -> dict:
         man = {
-            "config": self.cfg.to_dict(),
+            "config": self.cfg.given,
             "resolved": {
                 "mode": mode, "seed": self.cfg.seed,
                 "hyperparams": asdict(hp),
@@ -204,7 +200,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     lines = ["variant," + ",".join(CSV_COLUMNS)]
     summary = {}
     for v in cfg.variants:
-        scheme = exp.build_scheme(v.scheme, v.mode)
+        scheme = mode_scheme(v.mode, v.scheme)
         # a diverging variant is a comparison outcome, not a harness failure
         records, stop, err = _attempt(exp, scheme, v.hyperparams, v.mode, cfg.seed)
         lines.extend(f"{v.name},{_line(r.t, r.bits_cum, _values(r))}" for r in records)

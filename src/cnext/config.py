@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .compress import ALL_KINDS, make_scheme
+from .compress import ALL_KINDS, CompressionScheme, make_scheme
 from .solver import HyperParams, MODES, MODE_CNEXT
 
 COVTYPE_PATH_ENV = "CNEXT_COVTYPE_PATH"
@@ -60,17 +61,10 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    kind: str
-    b: int = 2
-    k: int | None = None
-
-
-@dataclass(frozen=True)
 class Variant:
     name: str
     mode: str
-    scheme: SchemeConfig
+    scheme: CompressionScheme  # the config's; `solver.mode_scheme` gives the one sent
     hyperparams: HyperParams
 
 
@@ -78,7 +72,7 @@ class Variant:
 class ExperimentConfig:
     objective: ObjectiveConfig
     network: NetworkConfig
-    scheme: SchemeConfig
+    scheme: CompressionScheme
     hyperparams: HyperParams
     mode: str = MODE_CNEXT
     seed: int = 42
@@ -86,28 +80,7 @@ class ExperimentConfig:
     output_dir: str = "results/run"
     variants: tuple[Variant, ...] = ()
     eps: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "objective": {"kind": self.objective.kind, "lambda": self.objective.lam,
-                          "data": vars(self.objective.data).copy()},
-            "network": {"kind": self.network.kind, "n": self.network.n,
-                        "degree": self.network.degree},
-            "scheme": asdict(self.scheme),
-            "hyperparams": asdict(self.hyperparams),
-            "mode": self.mode, "seed": self.seed,
-            "seeds": list(self.seeds) if self.seeds else None,
-            "output_dir": self.output_dir,
-        }
-        if self.network.kind == "custom":
-            d["network"]["adjacency"] = self.network.adjacency
-        if self.variants:
-            d["compare"] = {"variants": [
-                {"name": v.name, "mode": v.mode, "scheme": asdict(v.scheme),
-                 "hyperparams": asdict(v.hyperparams)} for v in self.variants]}
-        if self.eps is not None:
-            d["theory"] = {"eps": list(self.eps)}
-        return d
+    given: dict = field(default_factory=dict, compare=False, repr=False)  # the config as read
 
 
 def _known(block: dict, keys, path: str) -> dict:
@@ -133,6 +106,16 @@ def _opt(block: dict, key: str, default):
     return default if v is None else v
 
 
+def _int(value, path: str) -> int:
+    """value as an int: an int, or a float with an integral value. A fraction, a string or
+    a bool is an error of `path`, not a value to truncate."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate and fill defaults; raises ConfigError with the offending field path."""
     if not isinstance(raw, dict):
@@ -155,8 +138,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                               "targets; the logistic objective needs covtype")
         path = data_raw.get("path") or os.environ.get(COVTYPE_PATH_ENV)
         data = DataConfig(source=source,
-                          n_samples=int(_opt(data_raw, "n_samples", 500)),
-                          p=int(_opt(data_raw, "p", 20 if source == "synthetic" else 10)),
+                          n_samples=_int(_opt(data_raw, "n_samples", 500),
+                                         "objective.data.n_samples"),
+                          p=_int(_opt(data_raw, "p", 20 if source == "synthetic" else 10),
+                                 "objective.data.p"),
                           noise_std=float(_opt(data_raw, "noise_std", 0.1)),
                           path=path)
         if data.p < 1:  # every scheme below is checked on this p
@@ -167,9 +152,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         net_kind = _req(net_raw, "kind", "network")
         if net_kind not in ("ring", "expander", "custom"):
             raise ConfigError(f"network.kind must be ring|expander|custom, got {net_kind!r}")
-        network = NetworkConfig(kind=net_kind, n=int(_req(net_raw, "n", "network")),
+        network = NetworkConfig(kind=net_kind, n=_int(_req(net_raw, "n", "network"), "network.n"),
                                 degree=(None if net_raw.get("degree") is None
-                                        else int(net_raw["degree"])),
+                                        else _int(net_raw["degree"], "network.degree")),
                                 adjacency=net_raw.get("adjacency"))
         if net_kind == "expander" and network.degree is None:
             raise ConfigError("network.degree is required for the expander topology")
@@ -184,7 +169,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mode = _opt(raw, "mode", MODE_CNEXT)
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        seeds = tuple(int(s) for s in raw.get("seeds") or ())
+        seeds = tuple(_int(s, f"seeds[{i}]") for i, s in enumerate(raw.get("seeds") or ()))
         if len(set(seeds)) < len(seeds):
             raise ConfigError(f"seeds: repeated seeds in {list(seeds)}")
         if len(seeds) > 1 and hyper.tol > 0:
@@ -212,10 +197,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError("theory.eps must be 5 positive reals")
         return ExperimentConfig(
             objective=objective, network=network, scheme=scheme, hyperparams=hyper,
-            mode=mode, seed=int(_opt(raw, "seed", 42)),
+            mode=mode, seed=_int(_opt(raw, "seed", 42), "seed"),
             seeds=seeds or None,
             output_dir=str(_opt(raw, "output_dir", "results/run")),
-            variants=tuple(variants), eps=eps)
+            variants=tuple(variants), eps=eps, given=copy.deepcopy(raw))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -223,16 +208,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveConfig,
-             net_kind: str, path: str) -> tuple[SchemeConfig, HyperParams]:
+             net_kind: str, path: str) -> tuple[CompressionScheme, HyperParams]:
     """A scheme and its hyperparameters, for the top level or for one compare variant.
 
     Each hyperparameter is the first value set in `blocks` (a variant's own eta/gamma,
     then the top-level hyperparams block), else the tuned value for this scheme
     (RIDGE_TUNED, or LOGISTIC_GAMMA_ETA by topology), else the objective's default.
     For ridge, an omitted k for random-k / top-k takes the tuned k. The scheme is built
-    once for the data's p, so a value it refuses is an error of this member.
+    once, for the data's p, so a value it refuses is an error of this member.
     """
-    kind = _req(_known(scheme_raw, _names(SchemeConfig), path + "scheme."), "kind", path + "scheme")
+    kind = _req(_known(scheme_raw, ("kind", "b", "k"), path + "scheme."), "kind", path + "scheme")
     if kind not in ALL_KINDS:
         raise ConfigError(f"{path}scheme.kind must be one of {ALL_KINDS}, got {kind!r}")
     if objective.kind == "ridge":
@@ -241,12 +226,12 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
         gamma, eta = LOGISTIC_GAMMA_ETA.get((kind, net_kind), (None, None))
         tuned, defaults = {"gamma": gamma, "eta": eta}, LOGISTIC_DEFAULTS
     k = _opt(scheme_raw, "k", tuned.get("k"))
-    k = None if k is None else int(k)
     if kind in ("randomk", "topk") and k is None:
         raise ConfigError(f"{path}scheme.k is required for {kind}")
-    scheme = SchemeConfig(kind=kind, b=int(_opt(scheme_raw, "b", 2)), k=k)
+    kw = {key: _int(v, f"{path}scheme.{key}")  # an unset b takes make_scheme's default
+          for key, v in (("k", k), ("b", scheme_raw.get("b"))) if v is not None}
     try:
-        make_scheme(kind, objective.data.p, b=scheme.b, k=k)
+        scheme = make_scheme(kind, objective.data.p, **kw)
     except ValueError as exc:
         raise ConfigError(f"{path}scheme: {exc}") from exc
 
@@ -258,7 +243,7 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
         if value is None:
             raise ConfigError(f"{path}hyperparams.{key} is required "
                               f"(no tuned default for scheme {kind!r})")
-        values[key] = int(value) if key == "T" else float(value)
+        values[key] = _int(value, f"{path}hyperparams.T") if key == "T" else float(value)
     try:
         return scheme, HyperParams(**values)
     except ValueError as exc:

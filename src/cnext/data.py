@@ -116,7 +116,7 @@ def load_covtype(path: str, p: int = 10, seed: int = 42, n_agents: int = 10) -> 
                    extras={"explained_variance_ratio": explained,
                            "pca_variances": evals[:p].tolist(),
                            "label_map": "class 2 -> +1, rest -> -1",
-                           "n_rows": int(U.shape[0]), "seed": seed})
+                           "n_rows": int(U.shape[0]), "seed": seed, "path": str(path)})
 
 
 def partition_homogeneous(ds: Dataset, n: int, seed: int) -> Partition:

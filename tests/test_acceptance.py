@@ -19,6 +19,7 @@ import pytest
 
 from cnext.compress import (CompressState, _encode, agent_streams, compress_round,
                             make_scheme)
+from cnext.config import RIDGE_TUNED
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
@@ -179,12 +180,9 @@ def test_c05_sufficient_conditions_sweep(ridge10):
 # sizes; alpha is chosen per scheme for stability ((1,1) diverges for the three
 # larger-C operators, see the README), matching the "tuned for best performance"
 # selection of the benchmark
-_C6 = {
-    "qnbbq": dict(eta=0.0095, alpha=1.0, regression_opt=1e-20),
-    "randomk": dict(eta=0.0012, alpha=0.5, regression_opt=1e-5),
-    "topk": dict(eta=0.006, alpha=0.5, regression_opt=1e-20),
-    "qnormsigned": dict(eta=0.021, alpha=0.25, regression_opt=1e-20),
-}
+# the frozen regression bound on the final opt error, by scheme; each run takes its eta,
+# alpha and k from config.RIDGE_TUNED
+_C6 = {"qnbbq": 1e-20, "randomk": 1e-5, "topk": 1e-20, "qnormsigned": 1e-20}
 
 
 def tail_slope(opts):
@@ -202,10 +200,9 @@ def tail_slope(opts):
 @pytest.mark.parametrize("kind", list(_C6))
 def test_c06_desk_scale_replication(ridge10, kind):
     obj, net, x_star = ridge10
-    cfg = _C6[kind]
-    scheme = make_scheme(kind, obj.p, b=2,
-                         k=(5 if kind == "randomk" else 3 if kind == "topk" else None))
-    hp = HyperParams(eta=cfg["eta"], gamma=0.6, alpha_x=cfg["alpha"], alpha_y=cfg["alpha"],
+    tuned = RIDGE_TUNED[kind]
+    scheme = make_scheme(kind, obj.p, b=2, k=tuned["k"])
+    hp = HyperParams(eta=tuned["eta"], gamma=0.6, alpha_x=tuned["alpha"], alpha_y=tuned["alpha"],
                      T=5000)
     recs = run(obj, net, scheme, hp, MODE_CNEXT, seed=42, x_star=x_star)
     opts = np.array([r.errors.opt for r in recs])
@@ -213,11 +210,11 @@ def test_c06_desk_scale_replication(ridge10, kind):
     final_residual = recs[-1].residual
     ok_slope = slope < -1e-3
     ok_resid = final_residual <= 1e-6
-    ok_regress = opts[-1] <= cfg["regression_opt"]
+    ok_regress = opts[-1] <= _C6[kind]
     report(6, ok_slope and ok_resid and ok_regress,
-           f"[{kind}] eta={cfg['eta']} tail slope {slope:.5f} (< -1e-3: {ok_slope}), "
+           f"[{kind}] eta={tuned['eta']} tail slope {slope:.5f} (< -1e-3: {ok_slope}), "
            f"final residual {final_residual:.3e} (<= 1e-6: {ok_resid}), "
-           f"final opt {opts[-1]:.3e} (regression <= {cfg['regression_opt']:g}: {ok_regress})")
+           f"final opt {opts[-1]:.3e} (regression <= {_C6[kind]:g}: {ok_regress})")
     assert ok_slope, f"{kind}: tail slope {slope} not < -1e-3"
     assert ok_regress, f"{kind}: final opt {opts[-1]} above the frozen regression baseline"
     assert ok_resid, (f"{kind}: final residual {final_residual} > 1e-6 "

@@ -715,18 +715,68 @@ def test_theory_grid_below_one_is_config_error(tmp_path, capsys):
     assert "--grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("network", [
-    {"kind": "ring", "n": 5},
-    {"kind": "custom", "n": 4, "adjacency": CYCLE4},
-], ids=["ring", "custom"])
-def test_manifest_config_reproduces_trace(tmp_path, network):
-    cfg, out = write_config(tmp_path, network=network)
-    assert main(["run", "-c", cfg]) == 0
+# variants whose steps resolve three ways: the top level's eta, their own eta, and each
+# scheme's tuned alpha, as no alpha is set
+OWN_STEPS = {"compare": {"variants": [
+    {"name": "rk", "scheme": {"kind": "randomk", "k": 2}},
+    {"name": "q", "scheme": {"kind": "qnbbq", "b": 3}, "eta": 0.004},
+    {"name": "fo", "mode": "first_order_gt", "scheme": {"kind": "topk", "k": 1}}]},
+    "hyperparams": {"alpha_x": None, "alpha_y": None}}
+
+
+@pytest.mark.parametrize("command, updates, written", [
+    ("run", {"network": {"kind": "ring", "n": 5}}, "trace.csv"),
+    ("run", {"network": {"kind": "custom", "n": 4, "adjacency": CYCLE4}}, "trace.csv"),
+    ("compare", OWN_STEPS, "compare.csv"),
+], ids=["ring", "custom", "compare"])
+def test_manifest_config_reproduces_trace(tmp_path, command, updates, written):
+    cfg, out = write_config(tmp_path, **updates)
+    assert main([command, "-c", cfg]) == 0
     rerun = tmp_path / "rerun.json"
     rerun.write_text(json.dumps(json.loads(open(os.path.join(out, "manifest.json")).read())["config"]))
-    assert main(["run", "-c", str(rerun), "--output-dir", str(tmp_path / "rerun")]) == 0
-    assert (tmp_path / "rerun" / "trace.csv").read_bytes() == \
-        open(os.path.join(out, "trace.csv"), "rb").read()
+    assert main([command, "-c", str(rerun), "--output-dir", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / written).read_bytes() == Path(out, written).read_bytes()
+
+
+def test_manifest_config_is_the_config_as_given(tmp_path):
+    # config is the file with the flags applied, and nothing the parser filled in: a
+    # random-k scheme that sets no b records none, and resolved.scheme says it reads none
+    cfg, out = write_config(tmp_path)
+    assert main(["run", "-c", cfg, "--T", "3", "--k", "3"]) == 0
+    man = json.loads(Path(out, "manifest.json").read_text())
+    given = json.loads(Path(cfg).read_text())
+    given["hyperparams"]["T"], given["scheme"]["k"] = 3, 3
+    assert man["config"] == given
+    assert "b" not in man["config"]["scheme"] and man["resolved"]["scheme"]["b"] is None
+    assert (man["resolved"]["scheme"]["k"], man["resolved"]["hyperparams"]["T"]) == (3, 3)
+
+
+def test_covtype_path_from_the_environment_is_in_the_manifest(tmp_path, monkeypatch):
+    # the config names no file, so the manifest's data_extras records the one read
+    csv = tmp_path / "covtype.csv"
+    covtype_fixture_csv(csv)
+    monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(csv))
+    cfg, out = write_config(tmp_path, network={"kind": "ring", "n": 4}, scheme={"kind": "qnbbq"},
+                            objective=dict(LOGISTIC_COVTYPE, data={"source": "covtype", "p": 5}),
+                            hyperparams={"eta": 0.05, "gamma": 0.35, "T": 2})
+    assert main(["run", "-c", cfg]) == 0
+    man = json.loads(Path(out, "manifest.json").read_text())
+    assert "path" not in man["config"]["objective"]["data"]
+    assert man["resolved"]["data_extras"]["path"] == str(csv)
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    # 2.0 is the integer 2 wherever an integer is read: the run is the one with ints
+    ints, out = write_config(tmp_path, "ints.json", hyperparams={"T": 2}, seed=7, seeds=[7])
+    floats, _ = write_config(tmp_path, "floats.json", hyperparams={"T": 2.0}, seed=7.0,
+                             network={"kind": "ring", "n": 5.0}, seeds=[7.0],
+                             scheme={"kind": "randomk", "k": 2.0})
+    traces = []
+    for cfg in (ints, floats):
+        assert main(["run", "-c", cfg]) == 0
+        traces.append(Path(out, "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert json.loads(Path(out, "manifest.json").read_text())["resolved"]["hyperparams"]["T"] == 2
 
 
 def test_sparse_run_is_byte_deterministic_across_thread_counts(tmp_path):
@@ -836,8 +886,19 @@ RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
     ([], {"objective": {"kind": "ridge", "lambda": 0.5,
                         "data": dict(RIDGE_DATA, noise_std=float("nan"))}},
      "objective.data: noise_std must be finite, got nan"),
+    (["--scheme", "qnbbq"], {"scheme": {"b": 2.7}}, "scheme.b must be an integer, got 2.7"),
+    ([], {"hyperparams": {"T": 3.6}}, "hyperparams.T must be an integer, got 3.6"),
+    ([], {"network": {"n": True}}, "network.n must be an integer, got True"),
+    ([], {"seed": "7"}, "seed must be an integer, got '7'"),
+    ([], {"seeds": [1.5]}, "seeds[0] must be an integer, got 1.5"),
+    ([], {"objective": {"kind": "ridge", "data": dict(RIDGE_DATA, p=4.5)}},
+     "objective.data.p must be an integer, got 4.5"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
+        {"name": "q", "scheme": {"kind": "qnbbq", "b": "3"}}]}},
+     "compare.variants[1].scheme.b must be an integer, got '3'"),
 ], ids=["topk-k-0", "topk-k--1", "b-0", "b--3", "b-1100", "variant-k-above-p", "covtype-p-60",
-        "covtype-p_reduced", "lambda-nan", "lambda-inf", "noise_std-nan"])
+        "covtype-p_reduced", "lambda-nan", "lambda-inf", "noise_std-nan", "b-2.7", "T-3.6",
+        "n-true", "seed-string", "seeds-1.5", "p-4.5", "variant-b-string"])
 def test_refused_values_exit_2_before_any_file(tmp_path, capsys, monkeypatch, command, flags,
                                                updates, message):
     # each value is refused by the config or the set-up, with the member's path, before

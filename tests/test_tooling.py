@@ -145,6 +145,24 @@ def test_ridge_benchmark_config_is_the_desk_run():
     assert {v.mode for v in cfg.variants} == {"cnext"} and cfg.seed == 42
 
 
+SYNTHETIC = [p for p in CONFIGS if load_config(str(p)).objective.data.source == "synthetic"]
+
+
+@pytest.mark.parametrize("path", SYNTHETIC, ids=[p.name for p in SYNTHETIC])
+def test_config_manifests_reproduce_their_runs(tmp_path, path):
+    # README's reproducibility claim, on the committed configs: a run, and a compare where
+    # the config has variants, at T = 2 re-runs from its manifest's config to the same CSVs
+    for command in ["run"] + (["compare"] if load_config(str(path)).variants else []):
+        out, rerun, given = (tmp_path / f"{command}{suffix}" for suffix in ("", "_rerun", ".json"))
+        assert cli.main([command, "-c", str(path), "--T", "2", "--output-dir", str(out)]) == 0
+        given.write_text(json.dumps(json.loads((out / "manifest.json").read_text())["config"]))
+        assert cli.main([command, "-c", str(given), "--output-dir", str(rerun)]) == 0
+        written = sorted(p.name for p in out.glob("*.csv"))
+        assert written == sorted(p.name for p in rerun.glob("*.csv")) != []
+        assert [(rerun / name).read_bytes() for name in written] == \
+            [(out / name).read_bytes() for name in written]
+
+
 def _readme_commands() -> list[list[str]]:
     """The lines of README's bash blocks, split as a shell splits them."""
     readme = (ROOT / "README.md").read_text()
