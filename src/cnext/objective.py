@@ -4,7 +4,9 @@ and the centralized baseline."""
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -13,6 +15,10 @@ from scipy.special import expit
 
 RIDGE = "ridge"
 LOGISTIC = "logistic"
+# ridge set-up runs its eigensolve on a helper thread from this many Hessian entries
+# (n p^2; 64 agents at p = 20) on: below it the thread's start and join cost more than
+# the overlap saves, at p = 5, 10, 20 and 50 alike (see README, "Set-up at scale")
+HELPER_MIN_ENTRIES = 25_600
 
 
 class ConvergenceError(RuntimeError):
@@ -51,6 +57,22 @@ def _logistic_loss(margins: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _require_finite(G: np.ndarray, c: np.ndarray | None = None) -> None:
+    """Raise ValueError unless the diagonals of the data Gram stack G, and c, are finite."""
+    if not (np.isfinite(np.diagonal(G, axis1=-2, axis2=-1)).all()
+            and (c is None or np.isfinite(c).all())):
+        raise ValueError("objective data must be finite: the features or the targets hold "
+                         "a NaN or an infinity, or their products overflow")
+
+
 @dataclass
 class Objective:
     """Average of n local functions over stacked agent data, with global curvature bounds.
@@ -59,12 +81,18 @@ class Objective:
     A[i] (m x p) and b[i] (m,), and every agent has the same m.
     Ridge: f_i(x) = ||A_i x - b_i||^2 + lam ||x||^2. The objective holds A and b, and the
     Hessians H_i = 2 A_i^T A_i + 2 lam I, which are constant and are formed and inverted
-    once, here, as is the Cholesky factor of their mean, the Hessian of f.
+    once, here, as are their sum and the Cholesky factor of their mean, the Hessian of f.
+    From HELPER_MIN_ENTRIES Hessian entries on, on a process that may use two CPUs or more,
+    the eigenvalues behind mu and L are computed on one helper thread while this one inverts
+    the Hessians; each side makes the same LAPACK calls on the same arrays as one thread
+    would, so every bit is the same, and the helper is joined before the constructor returns.
     Logistic: f_i(x) = mean log(1 + exp(-b_i * A_i x)) + (lam/2) ||x||^2. The objective
     holds only the signed features Abar = -b * A, a new array in A's layout, so that the
     margins b * A x are -Abar x and no pass over the samples multiplies by a label.
     Negation is exact and rounding is symmetric in sign, so every product of Abar equals
     the product of A and b that it replaces, bit for bit.
+    Non-finite data raises ValueError: a non-finite entry of A reaches the diagonal of
+    A_i^T A_i, and one of b reaches A_i^T b_i (or fails the label check).
     """
 
     kind: str
@@ -88,17 +116,32 @@ class Objective:
             self.A, self.b = A, b
             G = np.matmul(_T(A), A)
             G *= 2.0  # 2 A_i^T A_i, the data part of H_i
-            self.H = G + 2.0 * self.lam * np.eye(self.p)
             self.c = 2.0 * _mv(_T(A), b)  # grad f_i(x) = H_i x - c_i
-            self._H_inv = np.linalg.inv(self.H)
-            self._H_mean_chol = np.linalg.cholesky(self.H.mean(axis=0))  # lower L, L L^T
+            _require_finite(G, self.c)
+            if G.size >= HELPER_MIN_ENTRIES and _cpus() >= 2:
+                # the with block joins the helper, and result() raises its error here
+                with ThreadPoolExecutor(1) as helper:
+                    bounds = helper.submit(self._curvature_bounds, G)
+                    self._form_hessians(G)
+                    self.mu, self.L = bounds.result()
+                return
+            self._form_hessians(G)
         else:
             if not np.all(np.isin(b, (-1.0, 1.0))):
                 raise ValueError("logistic labels must be in {-1, +1}")
             self.Abar = np.multiply(A, -b[..., None], out=np.empty_like(A))
             G = np.matmul(_T(self.Abar), self.Abar)
             G /= self.m  # = A_i^T A_i / m
+            _require_finite(G)
         self.mu, self.L = self._curvature_bounds(G)
+
+    def _form_hessians(self, G: np.ndarray) -> None:
+        """The ridge Hessians H_i = G_i + 2 lam I, their inverses, their sum and the Cholesky
+        factor of their mean, formed as numpy's mean forms it: the sum divided by n."""
+        self.H = G + 2.0 * self.lam * np.eye(self.p)
+        self._H_inv = np.linalg.inv(self.H)
+        self._H_sum = self.H.sum(axis=0)
+        self._H_mean_chol = np.linalg.cholesky(self._H_sum / self.n)  # lower L, L L^T
 
     def _curvature_bounds(self, G: np.ndarray) -> tuple[float, float]:
         """Uniform bounds mu I <= hess f_i(x) <= L I over all agents and points, from the
@@ -224,7 +267,7 @@ def ridge_closed_form_optimum(obj: Objective) -> np.ndarray:
     """x* = (sum_i H_i)^{-1} sum_i c_i = (sum_i A_i^T A_i + n lam I)^{-1} sum_i A_i^T b_i."""
     if obj.kind != RIDGE:
         raise ValueError("closed form only exists for the ridge objective")
-    return cho_solve(cho_factor(obj.H.sum(axis=0)), obj.c.sum(axis=0))
+    return cho_solve(cho_factor(obj._H_sum), obj.c.sum(axis=0))
 
 
 def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,

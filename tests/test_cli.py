@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnext import objective
 from cnext.cli import CSV_COLUMNS, Experiment, _scheme_dict, averaged_csv, main, records_to_csv
 from cnext.compress import make_scheme
 from cnext.config import ConfigError, load_config
@@ -797,6 +798,34 @@ def test_sparse_run_is_byte_deterministic_across_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / f"threads{threads}" / "trace.csv").read_bytes())
     assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 32
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a process that may be pinned to two CPUs")
+def test_run_is_byte_deterministic_on_one_and_two_cpus(tmp_path):
+    # 64 agents at p = 20 reach the ridge set-up's helper thread: pinned to one CPU the
+    # eigensolve runs serially, on two it runs beside the Hessian inverses
+    assert 64 * 20 ** 2 >= objective.HELPER_MIN_ENTRIES
+    raw = dict(BASE, network={"kind": "expander", "n": 64, "degree": 6},
+               objective={"kind": "ridge", "lambda": 0.5,
+                          "data": {"source": "synthetic", "n_samples": 1280, "p": 20}},
+               output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for pinned in (cpus[:1], cpus[:2]):
+        prog = ("import os, sys\n"
+                f"os.sched_setaffinity(0, {pinned})\n"
+                "from cnext import cli, objective\n"
+                f"assert objective._cpus() == {len(pinned)}\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", prog, "run", "-c", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("trace.csv", "manifest.json")])
+    assert outputs[0] == outputs[1] and len(outputs[0][0].splitlines()) == 12
 
 
 def test_missing_covtype_path_is_config_error(tmp_path, capsys, monkeypatch):

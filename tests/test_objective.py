@@ -1,3 +1,4 @@
+import threading
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -439,6 +440,109 @@ def test_global_strong_convexity_spot_check():
 def test_label_validation():
     with pytest.raises(ValueError):
         logistic_objective((np.ones((1, 2, 2)), np.array([[1.0, 0.5]])), 0.1)
+
+
+@pytest.mark.parametrize("n", [3, 64], ids=["serial", "helper"])
+@pytest.mark.parametrize("in_A, bad, zero_features", [
+    (True, np.nan, False), (True, np.inf, False), (True, -np.inf, False),
+    (False, np.nan, False), (False, np.inf, False),
+    # the sample's products with b are 0 * inf = NaN
+    pytest.param(False, np.inf, True,
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+], ids=["A-nan", "A-inf", "A-neg-inf", "b-nan", "b-inf", "b-inf-zero-features"])
+def test_non_finite_ridge_data_is_refused(in_A, bad, zero_features, n):
+    # without the check a NaN reached the eigensolve ("Eigenvalues did not converge"), an
+    # error raised on the helper thread at n = 64
+    rng = np.random.default_rng(9)
+    A, b = rng.standard_normal((n, 30, 20)), rng.standard_normal((n, 30))
+    if zero_features:
+        A[n - 1, 4] = 0.0
+    if in_A:
+        A[n - 1, 4, 7] = bad
+    else:
+        b[n - 1, 4] = bad
+    with pytest.raises(ValueError, match="objective data must be finite"):
+        ridge_objective((A, b), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_logistic_features_are_refused(bad):
+    A, b = logistic_data()
+    A[2, 5, 1] = bad
+    with pytest.raises(ValueError, match="objective data must be finite"):
+        logistic_objective((A, b), 0.1)
+    A, b = logistic_data()
+    b[2, 5] = bad  # a label that is not finite is not +-1
+    with pytest.raises(ValueError, match="logistic labels"):
+        logistic_objective((A, b), 0.1)
+
+
+# Ridge set-up runs its eigensolve on a helper thread from HELPER_MIN_ENTRIES Hessian
+# entries on, when the process may use two CPUs
+
+def _helper_sized_ridge_data():
+    rng = np.random.default_rng(8)
+    A, b = rng.standard_normal((64, 30, 20)), rng.standard_normal((64, 30))
+    assert 64 * 20 ** 2 >= objective.HELPER_MIN_ENTRIES
+    return A, b
+
+
+def _eigensolve_threads(monkeypatch) -> list:
+    """The thread that each later curvature eigensolve runs on, in call order."""
+    threads = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(G):
+        threads.append(threading.current_thread())
+        return eigvalsh(G)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return threads
+
+
+def test_helper_and_serial_set_up_give_the_same_bits(monkeypatch):
+    A, b = _helper_sized_ridge_data()
+    threads = _eigensolve_threads(monkeypatch)
+    built = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(objective, "_cpus", lambda: cpus)
+        built.append(ridge_objective((A, b), 0.5))
+    here = threading.current_thread()
+    assert threads[0] is here and threads[1] is not here
+    serial, helper = built
+    for name in ("mu", "L", "H", "c", "_H_inv", "_H_sum", "_H_mean_chol"):
+        assert _bits(getattr(serial, name)) == _bits(getattr(helper, name)), name
+    assert _bits(ridge_closed_form_optimum(serial)) == _bits(ridge_closed_form_optimum(helper))
+
+
+def test_helper_error_reaches_the_caller_and_no_thread_outlives_set_up(monkeypatch):
+    A, b = _helper_sized_ridge_data()
+    monkeypatch.setattr(objective, "_cpus", lambda: 2)
+    before = threading.active_count()
+    ridge_objective((A, b), 0.5)
+    assert threading.active_count() == before
+    threads = []
+
+    def fail(G):
+        threads.append(threading.current_thread())
+        raise np.linalg.LinAlgError("eigensolve failed")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="eigensolve failed"):
+        ridge_objective((A, b), 0.5)
+    assert threads[0] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_desk_sized_and_logistic_set_up_start_no_thread(monkeypatch):
+    monkeypatch.setattr(objective, "_cpus", lambda: 2)
+
+    def no_helper(*args):
+        raise AssertionError("set-up started a helper thread")
+    monkeypatch.setattr(objective, "ThreadPoolExecutor", no_helper)
+    threads = _eigensolve_threads(monkeypatch)
+    make_ridge(n_agents=10, p=20, N=500)  # the desk instance's size
+    A, _ = _helper_sized_ridge_data()
+    logistic_objective((A, np.ones((64, 30))), 0.1)
+    assert threads == [threading.current_thread()] * 2
 
 
 # The logistic quantities as they were written when the objective held A and b: products
