@@ -172,26 +172,32 @@ class Objective:
         Z = _mv(self.Abar, x)
         return float(np.mean(_logistic_loss(-Z))) + 0.5 * self.lam * float(x @ x), Z
 
-    def residual_fn(self, x_star: np.ndarray) -> Callable[[np.ndarray], float]:
-        """The residual x -> f(x) - f(x*), with all that depends on x* formed here, once.
+    def residual_fn(self, x_star: np.ndarray) -> Callable[[np.ndarray], list[float]]:
+        """The residuals f(x) - f(x*) of an (r, p) stack of points, as r floats, with all
+        that depends on x* formed here, once.
 
         Ridge, where x* must be the minimizer: f is quadratic with Hessian L L^T, so the
-        residual is (1/2) ||L^T (x - x*)||^2. A call costs O(p^2), reads no sample, and
-        is >= 0 with no floor at ulp(f*).
-        Logistic, at any x*: sample j adds log1p(sigma(-m*_j) expm1(m*_j - m_j)) to the
-        mean, with m and m* the margins at x and x* and m* - m = Abar (x - x*), and the
-        regularizer adds (lam/2) (x - x*)^T (x + x*); no two totals are subtracted. A
-        sample whose loss falls by more than log 2 (where log1p loses digits) or
-        overflows takes the plain difference of its two losses, which is exact enough there.
+        residual is (1/2) ||L^T (x - x*)||^2. A row costs O(p^2), reads no sample, and
+        is >= 0 with no floor at ulp(f*). The stack is taken in two stacked products,
+        (x - x*) L as r 1 x p rows and v v^T as r 1 x 1 ones: numpy runs each row through
+        the gemv and the dot that one point's `(x - x*) @ L` and `v @ v` run, so each
+        residual has the bits of the point taken alone. One 2-D product (xs - x*) @ L is
+        a gemm, which sums in another order, so its bits differ.
+        Logistic, at any x*, a row at a time: sample j adds log1p(sigma(-m*_j)
+        expm1(m*_j - m_j)) to the mean, with m and m* the margins at x and x* and
+        m* - m = Abar (x - x*), and the regularizer adds (lam/2) (x - x*)^T (x + x*); no
+        two totals are subtracted. A sample whose loss falls by more than log 2 (where
+        log1p loses digits) or overflows takes the plain difference of its two losses,
+        which is exact enough there.
         """
         x_star = np.array(x_star, dtype=float)
         if self.kind == RIDGE:
             L = self._H_mean_chol
 
-            def ridge_residual(x: np.ndarray) -> float:
-                v = (x - x_star) @ L
-                return 0.5 * float(v @ v)
-            return ridge_residual
+            def ridge_residuals(xs: np.ndarray) -> list[float]:
+                V = np.matmul((xs - x_star)[:, None, :], L)
+                return (0.5 * np.matmul(V, _T(V))[:, 0, 0]).tolist()
+            return ridge_residuals
         m_star = -_mv(self.Abar, x_star).ravel()
         s_star = expit(-m_star)
 
@@ -208,7 +214,10 @@ class Objective:
                 m_far = m_star[far]
                 gaps[far] = _logistic_loss(m_far - shift[far]) - _logistic_loss(m_far)
             return float(np.mean(gaps)) + 0.5 * self.lam * float((x - x_star) @ (x + x_star))
-        return logistic_residual
+
+        def logistic_residuals(xs: np.ndarray) -> list[float]:
+            return [logistic_residual(x) for x in xs]
+        return logistic_residuals
 
     def grad_stack(self, X: np.ndarray, curvature: bool = False):
         """Row i holds grad f_i(x_i) for the n x p iterate matrix X.

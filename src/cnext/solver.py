@@ -92,6 +92,9 @@ class HyperParams:
             raise ValueError("eta, the alphas and tol must be finite")
         if self.eta < 0 or self.alpha_x <= 0 or self.alpha_y <= 0:
             raise ValueError("eta must be nonnegative and the alphas positive")
+        # a bool is an int to Python, and a float T would fail only when `run` counts rounds
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
+            raise ValueError(f"T must be an integer, got {self.T!r}")
         if self.T < 0 or self.tol < 0:
             raise ValueError("T and tol must be nonnegative")
 
@@ -203,6 +206,12 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     `run` builds; under a drawing kind each of them yields p uniforms every round. It may
     be None for a scheme that draws nothing. The uncompressed mode
     takes the identity scheme only.
+
+    The new X and Y are checked together, once the tracker is refreshed: a round that
+    makes X non-finite raises DivergenceError("X", t), and one that makes only Y
+    non-finite raises ("Y", t). Such a round keeps the state's streams, gradient, t and
+    bits; its memories have taken the round's mix. Its gradient is taken at the
+    non-finite X, so numpy may warn before the error (`run` turns those warnings off).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -210,12 +219,13 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
         raise ValueError(f"mode {mode} communicates uncompressed, got scheme {scheme.label()}")
     t = state.t
     XY = state.XY
+    X, Y = XY
     r = compress_round(state.comp, XY, scheme, net.mix, rngs)
 
     if mode == MODE_FIRST_ORDER_GT:
-        D = state.Y
+        D = Y
     else:
-        D = newton_directions(state.X, state.Y, obj, t, state.weights)
+        D = newton_directions(X, Y, obj, t, state.weights)
 
     # operator errors of this round's encodings, against the streams as compressed
     op_err_x, op_err_y = np.add.reduce(np.square(r.Zhat - XY), axis=(1, 2)).tolist()
@@ -223,16 +233,14 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     XY_new = XY - hp.gamma * (r.Zhat - r.Zhat_w)
     X_new, Y_new = XY_new
     X_new -= hp.eta * D
-    if not all_finite(X_new):
-        raise DivergenceError("X", t)
     if mode == MODE_FIRST_ORDER_GT:  # reads no Hessian, so keeps no curvature weights
         g_new, w_new = obj.grad_stack(X_new), None
     else:
         g_new, w_new = obj.grad_stack(X_new, curvature=True)
     Y_new += g_new
     Y_new -= state.prev_grad
-    if not all_finite(Y_new):
-        raise DivergenceError("Y", t)
+    if not all_finite(XY_new):
+        raise DivergenceError("Y" if all_finite(X_new) else "X", t)
 
     state.XY = XY_new
     state.prev_grad = g_new
@@ -278,7 +286,9 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     GROWTH_LIMIT times its t = 0 value. The error norms are measured a block of rounds
     at a time (`_Blocks`, as many rounds as ERROR_BUDGET holds), so a run that diverges
     may step on to the end of the block that holds the round it reports; the records
-    and the error raised are those of a round-by-round loop. Each record's residual is f(xbar) - f(x*), from `Objective.residual_fn(x_star)`;
+    and the error raised are those of a round-by-round loop. Each record's residual is
+    f(xbar) - f(x*), taken for a block's xbars in one call of
+    `Objective.residual_fn(x_star)`, whose rows have the bits of one point taken alone;
     `x_star`, if given, must be the minimizer. With `test_data` (U, v), each record's
     accuracy is the share of test points whose label v in {-1, +1} is the sign of U xbar,
     a score of 0 counting as +1; raises ValueError on another label.
@@ -326,14 +336,14 @@ class _Blocks:
     `add` keeps a round's t, bits and operator errors, and copies its XY and XY - H into
     a (B, 4, n, p) buffer. `flush` forms the block's means, its distances to x* and
     its four deviation norms in one reduction each: the sums `measure_errors` makes for
-    one round, bit for bit. It then checks and records the rounds in order, as
-    `measure_errors` and the growth limit check them; the first round recorded sets
-    that limit. An overflow in the norms reads as divergence, so `run` calls it with
-    numpy's overflow warnings off.
+    one round, bit for bit, and the block's residuals in one call. It then checks and
+    records the rounds in order, as `measure_errors` and the growth limit check them;
+    the first round recorded sets that limit. An overflow in the norms reads as
+    divergence, so `run` calls it with numpy's overflow warnings off.
     """
 
     def __init__(self, state: SolverState, rounds: int, x_star: np.ndarray,
-                 residual: Callable[[np.ndarray], float], test_data):
+                 residual: Callable[[np.ndarray], list[float]], test_data):
         self.buf = np.empty((rounds, 4) + state.XY.shape[1:])
         self.pending: list[tuple[int, int, tuple[float, float]]] = []  # (t, bits_cum, op_err)
         self.x_star, self.residual, self.test_data = x_star, residual, test_data
@@ -357,7 +367,8 @@ class _Blocks:
         np.subtract(dev[:, :2], means[:, :, None], out=dev[:, :2])
         norms = np.add.reduce(np.square(dev, out=dev), axis=(2, 3)).tolist()
         pending, self.pending = self.pending, []
-        for (t, bits, op_err), xbar, o, e in zip(pending, xbars, opt, norms):
+        residuals = self.residual(xbars)
+        for (t, bits, op_err), xbar, o, e, res in zip(pending, xbars, opt, norms, residuals):
             ev = ErrorVector(o, *e)
             total = sum(ev)  # sums of squares, so a finite total has finite, >= 0 terms
             if not total < math.inf and not all(0.0 <= v < math.inf for v in ev):
@@ -372,7 +383,7 @@ class _Blocks:
             if self.test_data is not None:  # (U, v > 0); the count is exact, so this is the mean
                 U, pos = self.test_data
                 acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
-            self.records.append(RoundRecord(t, bits, ev, self.residual(xbar), acc, *op_err))
+            self.records.append(RoundRecord(t, bits, ev, res, acc, *op_err))
 
 
 def baseline_optimum(obj: Objective) -> np.ndarray:

@@ -164,7 +164,7 @@ def test_ridge_residual_matches_an_exact_rational_reference():
     x = x_star + np.array([1e-9, -2e-9])
     exact = f(x) - f(x_star)
     assert 0 < exact < 1e-16
-    assert abs(Fraction(obj.residual_fn(x_star)(x)) - exact) <= 1e-14 * exact
+    assert abs(Fraction(obj.residual_fn(x_star)(x[None])[0]) - exact) <= 1e-14 * exact
     # the difference of two totals reads roundoff at this distance
     assert abs(Fraction(obj.value(x) - obj.value(x_star)) - exact) > exact
 
@@ -192,7 +192,7 @@ def test_logistic_residual_matches_a_60_digit_reference():
     x_star = rng.standard_normal(obj.p)
     x = x_star + 1e-9 * rng.standard_normal(obj.p)  # margins move by about 1e-9
     exact = _decimal_gap(locals_, obj.lam, x, x_star)
-    error = abs(Decimal(obj.residual_fn(x_star)(x)) - exact)
+    error = abs(Decimal(obj.residual_fn(x_star)(x[None])[0]) - exact)
     old_error = abs(Decimal(obj.value(x) - obj.value(x_star)) - exact)
     assert error <= Decimal(1e-13) * abs(exact)
     assert old_error > 1000 * error
@@ -211,7 +211,7 @@ def test_logistic_residual_far_from_x_star(star_scale, scale):
         x = x_star + scale * rng.standard_normal(obj.p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = residual(x)
+            got = residual(x[None])[0]
         exact = _decimal_gap(locals_, obj.lam, x, x_star)
         assert abs(Decimal(got) - exact) <= Decimal(1e-13) * abs(exact)
 
@@ -224,9 +224,39 @@ def test_ridge_residual_is_nonnegative_and_the_value_gap(seed, scale, lam):
     x_star = ridge_closed_form_optimum(obj)
     f_star = obj.value(x_star)
     x = x_star + scale * rng.standard_normal(obj.p)
-    got = obj.residual_fn(x_star)(x)
+    got = obj.residual_fn(x_star)(x[None])[0]
     assert got >= 0.0
     assert abs(got - (obj.value(x) - f_star)) <= 1e-12 * abs(f_star)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 20, 64, 200])
+def test_stacked_ridge_residuals_have_the_bits_of_each_point_alone(p):
+    # a stack's residuals are 0.5 * float(v @ v), v = (x - x*) @ L, for each point taken
+    # alone: the stacked products run the same gemv and dot per row
+    rng = np.random.default_rng(p)
+    obj = ridge_objective((rng.standard_normal((3, p + 4, p)), rng.standard_normal((3, p + 4))), 0.5)
+    x_star = ridge_closed_form_optimum(obj)
+    residuals = obj.residual_fn(x_star)
+    L = obj._H_mean_chol
+    for r in (1, 2, 40, 81):
+        xs = x_star + rng.standard_normal((r, p)) * np.logspace(-8, 3, r)[:, None]
+        expected = [0.5 * float(v @ v) for v in ((x - x_star) @ L for x in xs)]
+        got = residuals(xs)
+        assert all(type(g) is float for g in got)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected)), r
+
+
+def test_stacked_logistic_residuals_are_its_rows_one_by_one():
+    # rows near x* and rows far enough that samples take the plain difference of losses
+    A, b = logistic_data()
+    obj = logistic_objective((A, b), 0.1)
+    rng = np.random.default_rng(13)
+    x_star = rng.standard_normal(obj.p)
+    xs = x_star + rng.standard_normal((9, obj.p)) * np.logspace(-9, 3, 9)[:, None]
+    expected = [_oracle_residual(A, b, obj.lam, x_star, x) for x in xs]
+    assert [far for _, far in expected] == [False] * 6 + [True] * 3
+    got = obj.residual_fn(x_star)(xs)
+    assert list(map(float.hex, got)) == [float.hex(value) for value, _ in expected]
 
 
 def test_closed_form_identity_features():
@@ -625,4 +655,4 @@ def test_signed_features_match_the_label_products_bit_for_bit(data):
     for x, far in ((near, False), (x_star, False), (far_x, True)):
         expected, took_far = _oracle_residual(A, b, lam, x_star, x)
         assert took_far == far
-        assert _bits(residual(x)) == _bits(expected)
+        assert _bits(residual(x[None])[0]) == _bits(expected)

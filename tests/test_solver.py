@@ -213,6 +213,59 @@ def test_divergence_is_reported(small_ridge):
     assert exc.value.t >= 0
 
 
+@pytest.mark.parametrize("mode, poisoned, quantity", [(MODE_CNEXT, "direction", "X"),
+                                                        (MODE_CNEXT, "prev_grad", "Y"),
+                                                        (MODE_FIRST_ORDER_GT, "prev_grad", "Y")])
+def test_step_names_the_stream_that_went_non_finite(small_ridge, monkeypatch, mode, poisoned,
+                                                    quantity):
+    # an inf in the Newton direction reaches X; one in the cached gradient reaches Y alone.
+    # Either raises at the round that made it, and leaves the state as it was
+    obj, net = small_ridge
+    scheme = make_scheme("qnbbq", obj.p, b=2)
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=5)
+    state, rngs = init_state(obj, net, hp, seed=4), xy_streams(4, net.n)
+
+    def poisoned_directions(X, Y, obj_, t=0, W=None):
+        D = newton_directions(X, Y, obj_, t, W)
+        D[1, 2] = np.inf if t == 3 else D[1, 2]
+        return D
+
+    if poisoned == "direction":
+        monkeypatch.setattr(solver, "newton_directions", poisoned_directions)
+    for _ in range(3):
+        step(state, obj, net, scheme, hp, mode, rngs)
+    if poisoned == "prev_grad":
+        state.prev_grad[1, 2] = np.inf
+    before = state.copy()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        step(state, obj, net, scheme, hp, mode, rngs)
+    assert (exc.value.quantity, exc.value.t) == (quantity, 3)
+    assert state.t == 3 and state.bits_cum == before.bits_cum
+    assert np.array_equal(state.XY, before.XY) and np.array_equal(state.prev_grad, before.prev_grad)
+
+
+def test_step_names_x_when_a_large_step_overflows_it(small_ridge):
+    obj, net = small_ridge
+    hp = HyperParams(eta=1e308, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=1)
+    state = init_state(obj, net, hp, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        step(state, obj, net, make_scheme("identity", obj.p), hp, MODE_FIRST_ORDER_GT, None)
+    assert (exc.value.quantity, exc.value.t) == ("X", 0)
+
+
+@pytest.mark.parametrize("T", [2.5, 3.0, True, np.float64(4.0)])
+def test_hyperparams_refuse_a_round_count_that_is_not_an_integer(T):
+    with pytest.raises(ValueError, match="T must be an integer"):
+        HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=T)
+
+
+@pytest.mark.parametrize("T", [3, np.int64(3), np.int32(3)])
+def test_hyperparams_take_python_and_numpy_integers(small_ridge, T):
+    obj, net = small_ridge
+    hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=T)
+    assert len(run(obj, net, make_scheme("identity", obj.p), hp, MODE_CNEXT, seed=2)) == 4
+
+
 def test_t_zero_single_record(small_ridge):
     obj, net = small_ridge
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=0)
@@ -565,7 +618,7 @@ def _record(state, x_star, residual, test_data=None, op_err=(0.0, 0.0)):
         U, pos = test_data
         acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
     return solver.RoundRecord(state.t, state.bits_cum, measure_errors(state, x_star),
-                              residual(xbar), acc, *op_err)
+                              residual(xbar[None])[0], acc, *op_err)
 
 
 def _oracle_run(obj, net, scheme, hp, mode, seed, x_star, test_data=None):
