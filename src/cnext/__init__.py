@@ -15,7 +15,7 @@ from .graph import Network, Topology, build_circulant_expander, build_ring, metr
 from .objective import Objective, logistic_objective, ridge_objective
 from .solver import (ErrorVector, HyperParams, SolverState,
                      MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT,
-                     init_state, measure_errors, run, step)
+                     init_state, run, step)
 from .theory import ContractionMatrix, Theta, TheoryConstants, build_A, check_sufficient_conditions, spectral_radius
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "Objective", "logistic_objective", "ridge_objective",
     "ErrorVector", "HyperParams", "SolverState",
     "MODE_CNEXT", "MODE_FIRST_ORDER_GT", "MODE_UNCOMPRESSED_GIANT",
-    "init_state", "measure_errors", "run", "step",
+    "init_state", "run", "step",
     "ContractionMatrix", "Theta", "TheoryConstants", "build_A", "check_sufficient_conditions", "spectral_radius",
 ]

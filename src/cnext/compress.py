@@ -22,12 +22,15 @@ QNORMSIGNED = "qnormsigned"  # q-norm signed compression, q = inf
 
 ALL_KINDS = (IDENTITY, QNBBQ, RANDOMK, TOPK, QNORMSIGNED)
 DRAWING_KINDS = (QNBBQ, RANDOMK)  # the kinds whose encoding draws randomness
+# the parameters each kind reads: the quantizer's bit depth b, and the count k that
+# Random-k and Top-k keep; a kind not listed reads neither
+PARAMS = {QNBBQ: ("b",), RANDOMK: ("k",), TOPK: ("k",)}
 
 
 @dataclass(frozen=True)
 class CompressionScheme:
-    """One operator on R^p, set by (kind, p, b, k): b is the quantizer's bit depth and k
-    the count Random-k and Top-k keep; a kind that reads neither has both None.
+    """One operator on R^p, set by (kind, p, b, k); b and k are None where the kind does
+    not read them (PARAMS).
 
     `__post_init__` checks the four and derives the rest once: the constants C, r, delta
     of the module's contract, and `bits`, the wire cost of one compressed p-vector. The
@@ -47,14 +50,15 @@ class CompressionScheme:
 
     def __post_init__(self):
         kind, p, b, k = self.kind, self.p, self.b, self.k
-        takes_b, takes_k = kind == QNBBQ, kind in (RANDOMK, TOPK)
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown scheme kind {kind!r}")
+        reads = PARAMS.get(kind, ())
+        takes_b, takes_k = "b" in reads, "k" in reads
         if p < 1:
             raise ValueError(f"{kind} needs p >= 1, got p={p}")
         if (b is not None and not takes_b) or (k is not None and not takes_k):
-            raise ValueError(f"b belongs to qnbbq and k to randomk and topk; {kind} got "
-                             f"b={b}, k={k}")
+            raise ValueError(f"{kind} reads {' '.join(reads) or 'neither b nor k'}; "
+                             f"{kind} got b={b}, k={k}")
         if takes_b and (b is None or not 1 <= b <= 53):
             raise ValueError(f"qnbbq needs 1 <= b <= 53, got b={b}")
         if takes_k and (k is None or not 1 <= k <= p):
@@ -79,11 +83,9 @@ class CompressionScheme:
             object.__setattr__(self, name, value)
 
     def label(self) -> str:
-        if self.kind == QNBBQ:
-            return f"qnbbq(b={self.b})"
-        if self.kind in (RANDOMK, TOPK):
-            return f"{self.kind}(k={self.k})"
-        return self.kind
+        """The kind, with the parameters it reads: qnbbq(b=2), topk(k=3), identity."""
+        params = ", ".join(f"{name}={getattr(self, name)}" for name in PARAMS.get(self.kind, ()))
+        return f"{self.kind}({params})" if params else self.kind
 
 
 def all_finite(M: np.ndarray) -> bool:
@@ -211,14 +213,15 @@ def _quantizer_C(p: int, b: int) -> float:
 
 def make_scheme(kind: str, p: int, b: int = 2, k: int | None = None,
                 rng: np.random.Generator | None = None) -> CompressionScheme:
-    """The scheme of `kind` on R^p, keeping b for the quantizer and k for Random-k and
-    Top-k and dropping them for the other kinds.
+    """The scheme of `kind` on R^p, keeping b and k where the kind reads them (PARAMS)
+    and dropping them elsewhere.
 
     `rng` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so it
     stays until the benchmark's next change drops it there.
     """
-    return CompressionScheme(kind, p, b=b if kind == QNBBQ else None,
-                             k=k if kind in (RANDOMK, TOPK) else None)
+    reads = PARAMS.get(kind, ())
+    return CompressionScheme(kind, p, b=b if "b" in reads else None,
+                             k=k if "k" in reads else None)
 
 
 def _mix(W, M: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-from .compress import ALL_KINDS, CompressionScheme, make_scheme
+from .compress import ALL_KINDS, PARAMS, CompressionScheme, make_scheme
 from .solver import HyperParams, MODES, MODE_CNEXT
 
 COVTYPE_PATH_ENV = "CNEXT_COVTYPE_PATH"
@@ -35,14 +35,22 @@ LOGISTIC_GAMMA_ETA = {
 }
 LOGISTIC_DEFAULTS = {"lambda": 0.1, "alpha": 0.5, "T": 1000, "tol": 0.0}
 
+# the keys each kind of a block reads: each scheme kind, network kind and data source
+SCHEME_KEYS = {kind: ("kind", *PARAMS.get(kind, ())) for kind in ALL_KINDS}
+NETWORK_KEYS = {"ring": ("kind", "n"), "expander": ("kind", "n", "degree"),
+                "custom": ("kind", "n", "adjacency")}
+DATA_KEYS = {"synthetic": ("source", "n_samples", "p", "noise_std"),
+             "covtype": ("source", "p", "path")}
+
 
 @dataclass(frozen=True)
 class DataConfig:
+    """The data source and the keys it reads (DATA_KEYS); None for a key it does not read."""
     source: str  # "synthetic" | "covtype"
-    n_samples: int = 500
-    p: int = 20  # the dimension: synthetic features, or CovType's principal components
-    noise_std: float = 0.1
-    path: str | None = None
+    n_samples: int | None
+    p: int  # the dimension: synthetic features, or CovType's principal components
+    noise_std: float | None
+    path: str | None
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,11 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """The network kind and the keys it reads (NETWORK_KEYS); None for a key it does not read."""
     kind: str  # "ring" | "expander" | "custom"
     n: int
-    degree: int | None = None
-    adjacency: list | None = None  # for "custom"
+    degree: int | None
+    adjacency: list | None
 
 
 @dataclass(frozen=True)
@@ -74,25 +83,32 @@ class ExperimentConfig:
     network: NetworkConfig
     scheme: CompressionScheme
     hyperparams: HyperParams
-    mode: str = MODE_CNEXT
-    seed: int = 42
-    seeds: tuple[int, ...] | None = None
-    output_dir: str = "results/run"
-    variants: tuple[Variant, ...] = ()
-    eps: tuple[float, ...] | None = None
-    given: dict = field(default_factory=dict, compare=False, repr=False)  # the config as read
+    mode: str
+    seed: int
+    seeds: tuple[int, ...] | None
+    output_dir: str
+    variants: tuple[Variant, ...]
+    eps: tuple[float, ...] | None
+    given: dict = field(compare=False, repr=False)  # the config as read
 
 
-def _known(block: dict, keys, path: str) -> dict:
-    """block, after rejecting its first key outside `keys` as an unknown field of `path`."""
-    unknown = [key for key in block if key not in keys]
+def _known(block: dict, keys, path: str, kind: str | None = None) -> dict:
+    """block, after rejecting its first key outside `keys` as an unknown field of `path`.
+    Given the block's validated `kind`, `keys` are the keys that kind reads and a key set
+    to null counts as unset, as `_opt` reads it; a key no kind reads is refused first,
+    null or not, by a call with every kind's keys (`_any`)."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path[:-1]} must be an object, got {block!r}")
+    unknown = [key for key in block if key not in keys and (kind is None or block[key] is not None)]
     if unknown:
-        raise ConfigError(f"unknown field {path}{unknown[0]} (known: {', '.join(keys)})")
+        known = f"{kind} reads" if kind else "known:"
+        raise ConfigError(f"unknown field {path}{unknown[0]} ({known} {', '.join(keys)})")
     return block
 
 
-def _names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _any(table: dict) -> tuple[str, ...]:
+    """The keys that some kind in `table` reads, in the table's order."""
+    return tuple(dict.fromkeys(key for keys in table.values() for key in keys))
 
 
 def _req(block: dict, key: str, path: str):
@@ -129,42 +145,45 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"objective.kind must be ridge|logistic, got {kind!r}")
         defaults = RIDGE_DEFAULTS if kind == "ridge" else LOGISTIC_DEFAULTS
         lam = float(_opt(obj_raw, "lambda", defaults["lambda"]))
-        data_raw = _known(_opt(obj_raw, "data", {}), _names(DataConfig), "objective.data.")
+        data_raw = _known(_opt(obj_raw, "data", {}), _any(DATA_KEYS), "objective.data.")
         source = _opt(data_raw, "source", "synthetic" if kind == "ridge" else "covtype")
-        if source not in ("synthetic", "covtype"):
-            raise ConfigError(f"objective.data.source must be synthetic|covtype, got {source!r}")
+        if source not in DATA_KEYS:
+            raise ConfigError(f"objective.data.source must be {'|'.join(DATA_KEYS)}, "
+                              f"got {source!r}")
         if kind == "logistic" and source == "synthetic":
             raise ConfigError("objective.data.source: the synthetic generator produces real "
                               "targets; the logistic objective needs covtype")
-        path = data_raw.get("path") or os.environ.get(COVTYPE_PATH_ENV)
+        _known(data_raw, DATA_KEYS[source], "objective.data.", source)
+        synthetic = source == "synthetic"
         data = DataConfig(source=source,
-                          n_samples=_int(_opt(data_raw, "n_samples", 500),
-                                         "objective.data.n_samples"),
-                          p=_int(_opt(data_raw, "p", 20 if source == "synthetic" else 10),
-                                 "objective.data.p"),
-                          noise_std=float(_opt(data_raw, "noise_std", 0.1)),
-                          path=path)
+                          n_samples=(_int(_opt(data_raw, "n_samples", 500),
+                                          "objective.data.n_samples") if synthetic else None),
+                          p=_int(_opt(data_raw, "p", 20 if synthetic else 10), "objective.data.p"),
+                          noise_std=float(_opt(data_raw, "noise_std", 0.1)) if synthetic else None,
+                          path=(None if synthetic
+                                else data_raw.get("path") or os.environ.get(COVTYPE_PATH_ENV)))
         if data.p < 1:  # every scheme below is checked on this p
             raise ConfigError(f"objective.data.p must be at least 1, got {data.p}")
         objective = ObjectiveConfig(kind=kind, lam=lam, data=data)
 
-        net_raw = _known(_req(raw, "network", "$"), _names(NetworkConfig), "network.")
+        net_raw = _known(_req(raw, "network", "$"), _any(NETWORK_KEYS), "network.")
         net_kind = _req(net_raw, "kind", "network")
-        if net_kind not in ("ring", "expander", "custom"):
-            raise ConfigError(f"network.kind must be ring|expander|custom, got {net_kind!r}")
+        if net_kind not in NETWORK_KEYS:
+            raise ConfigError(f"network.kind must be {'|'.join(NETWORK_KEYS)}, got {net_kind!r}")
+        _known(net_raw, NETWORK_KEYS[net_kind], "network.", net_kind)
         network = NetworkConfig(kind=net_kind, n=_int(_req(net_raw, "n", "network"), "network.n"),
-                                degree=(None if net_raw.get("degree") is None
-                                        else _int(net_raw["degree"], "network.degree")),
-                                adjacency=net_raw.get("adjacency"))
-        if net_kind == "expander" and network.degree is None:
-            raise ConfigError("network.degree is required for the expander topology")
+                                degree=(_int(_req(net_raw, "degree", "network"), "network.degree")
+                                        if net_kind == "expander" else None),
+                                adjacency=(_req(net_raw, "adjacency", "network")
+                                           if net_kind == "custom" else None))
         if net_kind == "custom":
-            adj, n = _req(net_raw, "adjacency", "network"), network.n
+            adj, n = network.adjacency, network.n
             if not (isinstance(adj, list) and len(adj) == n
                     and all(isinstance(row, list) and len(row) == n for row in adj)):
                 raise ConfigError(f"network.adjacency must be an n x n list of rows, n = {n}")
 
-        hp_raw = _known(_opt(raw, "hyperparams", {}), _names(HyperParams), "hyperparams.")
+        hp_raw = _known(_opt(raw, "hyperparams", {}), [f.name for f in fields(HyperParams)],
+                        "hyperparams.")
         scheme, hyper = _resolve(_req(raw, "scheme", "$"), (hp_raw,), objective, net_kind, "")
         mode = _opt(raw, "mode", MODE_CNEXT)
         if mode not in MODES:
@@ -217,19 +236,21 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
     For ridge, an omitted k for random-k / top-k takes the tuned k. The scheme is built
     once, for the data's p, so a value it refuses is an error of this member.
     """
-    kind = _req(_known(scheme_raw, ("kind", "b", "k"), path + "scheme."), "kind", path + "scheme")
+    scheme_path = path + "scheme."
+    kind = _req(_known(scheme_raw, _any(SCHEME_KEYS), scheme_path), "kind", path + "scheme")
     if kind not in ALL_KINDS:
         raise ConfigError(f"{path}scheme.kind must be one of {ALL_KINDS}, got {kind!r}")
+    _known(scheme_raw, SCHEME_KEYS[kind], scheme_path, kind)
     if objective.kind == "ridge":
         tuned, defaults = RIDGE_TUNED.get(kind, {}), RIDGE_DEFAULTS
     else:
         gamma, eta = LOGISTIC_GAMMA_ETA.get((kind, net_kind), (None, None))
         tuned, defaults = {"gamma": gamma, "eta": eta}, LOGISTIC_DEFAULTS
-    k = _opt(scheme_raw, "k", tuned.get("k"))
-    if kind in ("randomk", "topk") and k is None:
+    kw = {key: _opt(scheme_raw, key, tuned.get(key)) for key in PARAMS.get(kind, ())}
+    if "k" in kw and kw["k"] is None:
         raise ConfigError(f"{path}scheme.k is required for {kind}")
-    kw = {key: _int(v, f"{path}scheme.{key}")  # an unset b takes make_scheme's default
-          for key, v in (("k", k), ("b", scheme_raw.get("b"))) if v is not None}
+    kw = {key: _int(v, scheme_path + key)  # an unset b takes make_scheme's default
+          for key, v in kw.items() if v is not None}
     try:
         scheme = make_scheme(kind, objective.data.p, **kw)
     except ValueError as exc:
@@ -251,7 +272,12 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Read the JSON config file and apply flat CLI overrides (flags win over file values)."""
+    """Read the JSON config file and apply flat CLI overrides (flags win over file values).
+
+    A `scheme.kind` override that changes the file's kind drops the file's scheme keys
+    that the new kind does not read, such as qnbbq's b under `--scheme topk`: they
+    belonged to the kind it replaces. The flags' b and k are then checked as file keys.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -259,12 +285,19 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
+    if not isinstance(raw, dict):
+        return parse_config(raw)  # which refuses it
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    scheme, kind = raw.get("scheme"), overrides.get("scheme.kind")
+    if isinstance(scheme, dict) and kind in SCHEME_KEYS and scheme.get("kind") != kind:
+        raw["scheme"] = {key: v for key, v in scheme.items()
+                         if key in SCHEME_KEYS[kind] or key not in _any(SCHEME_KEYS)}
+    for key, value in overrides.items():
         block = raw
         *parents, leaf = key.split(".")
         for part in parents:
             block = block.setdefault(part, {})
+            if not isinstance(block, dict):
+                raise ConfigError(f"{part} must be an object, got {block!r}")
         block[leaf] = value
     return parse_config(raw)

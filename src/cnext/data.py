@@ -23,10 +23,6 @@ class Dataset:
     provenance: str
     extras: dict = field(default_factory=dict)
 
-    @property
-    def N(self) -> int:
-        return self.U.shape[0]
-
     def test(self) -> tuple[np.ndarray, np.ndarray]:
         return self.U[self.test_idx], self.v[self.test_idx]
 

@@ -111,14 +111,10 @@ def _circulant_shifts(t: Topology) -> np.ndarray | None:
     return shifts if in_row0[back].all() else None
 
 
-def is_connected(t: Topology) -> bool:
-    """Whether every node is reachable from node 0."""
-    return _connected(t, _circulant_shifts(t))
-
-
 def _connected(t: Topology, shifts: np.ndarray | None) -> bool:
-    """On circulant rows the shifts generate Z_n iff their gcd with n is 1; elsewhere a
-    depth-first walk over the neighbour rows, linear in the edges (3 us at n = 10)."""
+    """Whether every node is reachable from node 0. On circulant rows the shifts generate
+    Z_n iff their gcd with n is 1; elsewhere a depth-first walk over the neighbour rows,
+    linear in the edges (3 us at n = 10)."""
     if shifts is not None:
         return math.gcd(t.n, *shifts.tolist()) == 1
     start, neighbours = t.indptr.tolist(), t.indices.tolist()

@@ -19,6 +19,9 @@ LOGISTIC = "logistic"
 # (n p^2; 64 agents at p = 20) on: below it the thread's start and join cost more than
 # the overlap saves, at p = 5, 10, 20 and 50 alike (see README, "Set-up at scale")
 HELPER_MIN_ENTRIES = 25_600
+# ||grad f|| at which the centralized Newton baseline stops; strong convexity (mu >=
+# lambda) puts its x* within tol / mu of the optimum
+BASELINE_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -279,7 +282,7 @@ def ridge_closed_form_optimum(obj: Objective) -> np.ndarray:
     return cho_solve(cho_factor(obj._H_sum), obj.c.sum(axis=0))
 
 
-def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = 1e-10,
+def centralized_newton(obj: Objective, x0: np.ndarray, tol: float = BASELINE_TOL,
                        max_iter: int = 200) -> tuple[np.ndarray, float]:
     """Damped Newton with Armijo backtracking (c = 1e-4, shrink 0.5, initial step 1).
 

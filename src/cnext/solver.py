@@ -27,18 +27,13 @@ from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_I
                        STREAM_Y, Draws, agent_streams, all_finite, compress_round, make_scheme,
                        substream, IDENTITY)
 from .graph import Network
-from .objective import RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
+from .objective import BASELINE_TOL, RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
 from .theory import alpha_slack, step_cap
 
 MODE_CNEXT = "cnext"
 MODE_FIRST_ORDER_GT = "first_order_gt"
 MODE_UNCOMPRESSED_GIANT = "uncompressed_giant"
 MODES = (MODE_CNEXT, MODE_FIRST_ORDER_GT, MODE_UNCOMPRESSED_GIANT)
-
-# ||grad f|| at which the logistic baseline stops; strong convexity (mu >= lambda) puts
-# its x* within tol / mu of the optimum
-BASELINE_TOL = 1e-10
-
 
 # a run whose error vector sum exceeds this multiple of its t = 0 value has diverged. The
 # largest ratio max_t sum e(t) / sum e(0) of a healthy run is 3.69 (the qnormsigned
@@ -133,18 +128,9 @@ class SolverState:
     def copy(self) -> "SolverState":
         return copy.deepcopy(self)
 
-    def _memory(self, i: int) -> CompressState:
-        a = self.comp.alpha
-        return CompressState(self.comp.H[i], self.comp.Hw[i],
-                             a if isinstance(a, float) else float(a[i, 0, 0]))
-
-    # views into the stacks: the streams, and each stream's memories
+    # views into the stack
     X = property(lambda self: self.XY[0])
     Y = property(lambda self: self.XY[1])
-    comp_x = property(lambda self: self._memory(0))
-    comp_y = property(lambda self: self._memory(1))
-    # rows xbar and ybar, the agents' means of X and of Y
-    means = property(lambda self: np.add.reduce(self.XY, axis=1) / self.XY.shape[1])
 
 
 class ErrorVector(NamedTuple):
@@ -250,28 +236,6 @@ def step(state: SolverState, obj: Objective, net: Network, scheme: CompressionSc
     return op_err_x, op_err_y
 
 
-def measure_errors(state: SolverState, x_star: np.ndarray) -> ErrorVector:
-    """The five squared error norms of the current state (single realization); `run`
-    forms the same sums a block of rounds at a time."""
-    XY = state.XY
-    means = state.means
-    dev = np.empty((4,) + XY.shape[1:])  # deviations from the means, then from the memories
-    with np.errstate(over="ignore"):  # overflow here is caught as divergence below
-        opt = float(np.add.reduce(np.square(means[0] - x_star)))
-        np.subtract(XY, means[:, None], out=dev[:2])
-        np.subtract(XY, state.comp.H, out=dev[2:])
-        cons, gt, comp_x, comp_y = np.add.reduce(np.square(dev, out=dev), axis=(1, 2)).tolist()
-    ev = ErrorVector(opt, cons, gt, comp_x, comp_y)
-    if not all(0.0 <= e < math.inf for e in ev):
-        raise DivergenceError("error vector", state.t)
-    return ev
-
-
-def tracking_gap(state: SolverState) -> float:
-    """|| (1/n) 1^T Y - (1/n) 1^T grad F(X) ||, exactly zero in exact arithmetic."""
-    return float(np.linalg.norm((state.Y - state.prev_grad).mean(axis=0)))
-
-
 def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams, mode: str,
         seed: int, x_star: np.ndarray | None = None, f_star: float | None = None,
         test_data: tuple[np.ndarray, np.ndarray] | None = None,
@@ -335,10 +299,10 @@ class _Blocks:
 
     `add` keeps a round's t, bits and operator errors, and copies its XY and XY - H into
     a (B, 4, n, p) buffer. `flush` forms the block's means, its distances to x* and
-    its four deviation norms in one reduction each: the sums `measure_errors` makes for
-    one round, bit for bit, and the block's residuals in one call. It then checks and
-    records the rounds in order, as `measure_errors` and the growth limit check them;
-    the first round recorded sets that limit. An overflow in the norms reads as
+    its four deviation norms in one reduction each, each round's sums with the bits of
+    that round's reductions taken alone, and the block's residuals in one call. It then
+    checks and records the rounds in order, as a round-by-round loop would check each
+    error vector and the growth limit; the first round recorded sets that limit. An overflow in the norms reads as
     divergence, so `run` calls it with numpy's overflow warnings off.
     """
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from cnext.compress import (ALL_KINDS, DRAWING_KINDS, RANDOMK, TOPK, CompressionScheme, _encode,
-                            agent_streams, make_scheme)
+import math
+
+from cnext.compress import (ALL_KINDS, DRAWING_KINDS, RANDOMK, STREAM_X, STREAM_Y, TOPK,
+                            CompressionScheme, CompressState, _encode, agent_streams, make_scheme)
 from cnext.data import Dataset, build_locals, generate_ridge_synthetic, partition_homogeneous
-from cnext.graph import build_ring, metropolis_hastings_weights
+from cnext.graph import _circulant_shifts, _connected, build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_objective, logistic_objective, ridge_closed_form_optimum
-from cnext.solver import init_state, newton_directions
+from cnext.solver import DivergenceError, ErrorVector, init_state, newton_directions
 
 
 def all_schemes(p, k=2):
@@ -43,7 +45,47 @@ def _sum_sq(D: np.ndarray) -> float:
 
 def xy_streams(seed, n):
     """The per-agent generators a round draws from: X's n, then Y's n."""
-    return agent_streams(seed, 0, n) + agent_streams(seed, 1, n)
+    return agent_streams(seed, STREAM_X, n) + agent_streams(seed, STREAM_Y, n)
+
+
+def means(state):
+    """Rows xbar and ybar, the agents' means of X and of Y."""
+    return np.add.reduce(state.XY, axis=1) / state.XY.shape[1]
+
+
+def memory(state, i):
+    """Stream i's memories (0 for X, 1 for Y) as a CompressState of views into the
+    stacks, so a compress_round on it updates them in place."""
+    a = state.comp.alpha
+    return CompressState(state.comp.H[i], state.comp.Hw[i],
+                         a if isinstance(a, float) else float(a[i, 0, 0]))
+
+
+def measure_errors(state, x_star) -> ErrorVector:
+    """The five squared error norms of the current state (single realization), one round
+    at a time: the oracle for the sums `solver.run` forms a block of rounds at a time."""
+    XY = state.XY
+    xy_bar = means(state)
+    dev = np.empty((4,) + XY.shape[1:])  # deviations from the means, then from the memories
+    with np.errstate(over="ignore"):  # overflow here is caught as divergence below
+        opt = float(np.add.reduce(np.square(xy_bar[0] - x_star)))
+        np.subtract(XY, xy_bar[:, None], out=dev[:2])
+        np.subtract(XY, state.comp.H, out=dev[2:])
+        cons, gt, comp_x, comp_y = np.add.reduce(np.square(dev, out=dev), axis=(1, 2)).tolist()
+    ev = ErrorVector(opt, cons, gt, comp_x, comp_y)
+    if not all(0.0 <= e < math.inf for e in ev):
+        raise DivergenceError("error vector", state.t)
+    return ev
+
+
+def tracking_gap(state):
+    """|| (1/n) 1^T Y - (1/n) 1^T grad F(X) ||, exactly zero in exact arithmetic."""
+    return float(np.linalg.norm((state.Y - state.prev_grad).mean(axis=0)))
+
+
+def is_connected(t):
+    """Whether every node of the topology is reachable from node 0."""
+    return _connected(t, _circulant_shifts(t))
 
 
 def make_ridge(n_agents=5, p=4, N=50, lam=0.5, seed=7):

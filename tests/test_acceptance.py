@@ -17,15 +17,16 @@ import sys
 import numpy as np
 import pytest
 
-from cnext.compress import (CompressState, _encode, agent_streams, compress_round,
-                            make_scheme)
+from cnext.compress import (STREAM_X, STREAM_Y, CompressState, _encode, agent_streams,
+                            compress_round, make_scheme)
 from cnext.config import RIDGE_TUNED
 from cnext.graph import build_ring, metropolis_hastings_weights
 from cnext.objective import ridge_closed_form_optimum
 from cnext.solver import (DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
-                          init_state, newton_directions, run, tracking_gap)
+                          init_state, newton_directions, run)
 from cnext.theory import Theta, TheoryConstants, build_A, check_sufficient_conditions, default_epsilon
-from conftest import all_schemes, verify_contract, xy_streams, network_giant_reference
+from conftest import (all_schemes, memory, network_giant_reference, tracking_gap, verify_contract,
+                      xy_streams)
 
 
 def report(n, ok, msg):
@@ -35,11 +36,11 @@ def report(n, ok, msg):
 def replay_rounds(obj, net, scheme, hp, seed, on_round):
     """Drive the synchronous rounds directly so per-round internals are observable."""
     state = init_state(obj, net, hp, seed)
-    rx, ry = agent_streams(seed, 0, net.n), agent_streams(seed, 1, net.n)
+    rx, ry = agent_streams(seed, STREAM_X, net.n), agent_streams(seed, STREAM_Y, net.n)
     for _ in range(hp.T):
-        # comp_x and comp_y are views, so each call updates the stacked memories in place
-        out_x = compress_round(state.comp_x, state.X, scheme, net.W, rx)
-        out_y = compress_round(state.comp_y, state.Y, scheme, net.W, ry)
+        # memory() holds views, so each call updates the stacked memories in place
+        out_x = compress_round(memory(state, 0), state.X, scheme, net.W, rx)
+        out_y = compress_round(memory(state, 1), state.Y, scheme, net.W, ry)
         D = newton_directions(state.X, state.Y, obj)
         X_new = state.X - hp.gamma * (out_x.Zhat - out_x.Zhat_w) - hp.eta * D
         g_new = obj.grad_stack(X_new)
@@ -76,7 +77,7 @@ def test_c02_compress_state_identities(small_ridge):
     for scheme in all_schemes(obj.p):
         def check(state, out_x, out_y):
             nonlocal worst
-            for comp, out in ((state.comp_x, out_x), (state.comp_y, out_y)):
+            for comp, out in ((memory(state, 0), out_x), (memory(state, 1), out_y)):
                 g1 = np.linalg.norm(comp.Hw - net.W @ comp.H) / max(np.linalg.norm(comp.H), 1.0)
                 g2 = np.linalg.norm(out.Zhat_w - net.W @ out.Zhat) / max(np.linalg.norm(out.Zhat), 1.0)
                 worst = max(worst, g1, g2)
@@ -330,8 +331,8 @@ def test_c09_covtype_accuracy():
     accs = {}
     for kind, n, degree, gamma, eta in configs:
         ds = load_covtype(COVTYPE_PATH, p=10, seed=42, n_agents=n)
-        if ds.N == 566602:
-            assert covtype_split_counts(ds.N, n) == (
+        if len(ds.U) == 566602:
+            assert covtype_split_counts(len(ds.U), n) == (
                 (400000, 166602) if n == 10 else (400008, 166594))
         topo = build_ring(n) if kind == "ring" else build_circulant_expander(n, degree)
         net = metropolis_hastings_weights(topo)

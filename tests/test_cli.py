@@ -30,10 +30,14 @@ BASE = {
 
 
 def write_config(tmp_path, name="config.json", **updates):
+    # an update merges into its block, unless it names another kind: then it replaces the
+    # block, whose other keys that kind may not read
     cfg = json.loads(json.dumps(BASE))
     for key, value in updates.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
+        block = cfg.get(key)
+        if isinstance(value, dict) and isinstance(block, dict) and \
+                value.get("kind", block.get("kind")) == block.get("kind"):
+            block.update(value)
         else:
             cfg[key] = value
     cfg.setdefault("output_dir", str(tmp_path / "out"))
@@ -91,6 +95,12 @@ def test_seed_averaging(tmp_path):
     recomputed = np.mean(per_seed, axis=0)
     assert np.allclose(avg[:, 2:], recomputed[:, 2:], rtol=1e-12)
     assert np.array_equal(avg[:, 0], per_seed[0][:, 0])
+
+
+def test_averaging_refuses_traces_of_unequal_length():
+    rows = [RoundRecord(t, 0, ErrorVector(1.0, 1.0, 1.0, 1.0, 1.0), 1.0) for t in range(3)]
+    with pytest.raises(ValueError, match="equal-length traces"):
+        averaged_csv([rows, rows[:2]])
 
 
 def test_averaging_nine_seeds_is_numpys_mean(tmp_path):
@@ -176,6 +186,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     notjson.write_text("{nope")
     assert main(["run", "-c", str(notjson)]) == 2
     assert "line" in capsys.readouterr().err
+
+    # a top level that is not an object, with or without a flag to apply to it
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for flags in ([], ["--seed", "3"]):
+        assert main(["run", "-c", str(listed), *flags]) == 2
+        assert "top-level config must be an object" in capsys.readouterr().err
+
+    assert main(["run", "-c", str(tmp_path / "absent.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+    one, out = write_config(tmp_path, "one.json", compare={"variants": REFUSED_VARIANTS[:1]})
+    assert main(["compare", "-c", one]) == 2
+    assert "compare needs at least 2 variants" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 CYCLE4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
@@ -925,9 +950,54 @@ RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
     ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
         {"name": "q", "scheme": {"kind": "qnbbq", "b": "3"}}]}},
      "compare.variants[1].scheme.b must be an integer, got '3'"),
+    ([], {"objective": {"kind": "lasso"}}, "objective.kind must be ridge|logistic, got 'lasso'"),
+    ([], {"objective": {"kind": "ridge", "data": {"source": "mnist"}}},
+     "objective.data.source must be synthetic|covtype, got 'mnist'"),
+    ([], {"objective": {"kind": "logistic", "data": RIDGE_DATA}},
+     "objective.data.source: the synthetic generator produces real targets; the logistic "
+     "objective needs covtype"),
+    ([], {"objective": {"kind": "ridge", "lambda": "half", "data": RIDGE_DATA}},
+     "malformed config: could not convert string to float: 'half'"),
+    ([], {"network": {"kind": "torus", "n": 5}},
+     "network.kind must be ring|expander|custom, got 'torus'"),
+    ([], {"network": {"kind": "expander", "n": 5}}, "missing required field network.degree"),
+    ([], {"scheme": {"kind": "lowrank"}}, "scheme.kind must be one of"),
+    ([], {"mode": "adam"}, "mode must be one of"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
+        {"name": "q", "mode": "adam", "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].mode invalid: 'adam'"),
+    # a key the block's kind does not read; one that no kind reads is refused even if null
+    (["--scheme", "randomk", "--k", "2", "--b", "9"], {},
+     "unknown field scheme.b (randomk reads kind, k)"),
+    ([], {"scheme": {"kind": "qnbbq", "b": 2, "k": 2}},
+     "unknown field scheme.k (qnbbq reads kind, b)"),
+    ([], {"network": {"degree": 4}}, "unknown field network.degree (ring reads kind, n)"),
+    ([], {"network": {"weights": None}},
+     "unknown field network.weights (known: kind, n, degree, adjacency)"),
+    ([], {"objective": {"kind": "ridge", "data": dict(RIDGE_DATA, path="x.csv")}},
+     "unknown field objective.data.path (synthetic reads source, n_samples, p, noise_std)"),
+    ([], {"objective": {"kind": "logistic", "data": {"source": "covtype", "n_samples": 123}}},
+     "unknown field objective.data.n_samples (covtype reads source, p, path)"),
+    ([], {"objective": {"kind": "logistic", "data": {"source": "covtype", "noise_std": 9.0}}},
+     "unknown field objective.data.noise_std (covtype reads source, p, path)"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
+        {"name": "q", "scheme": {"kind": "qnbbq", "k": 2}}]}},
+     "unknown field compare.variants[1].scheme.k (qnbbq reads kind, b)"),
+    # a block that is not an object, with or without a flag that writes into it
+    ([], {"hyperparams": [1]}, "hyperparams must be an object, got [1]"),
+    (["--eta", "0.1"], {"hyperparams": [1]}, "hyperparams must be an object, got [1]"),
+    (["--scheme", "topk", "--k", "3"], {"scheme": "qnbbq"},
+     "scheme must be an object, got 'qnbbq'"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + ["q"]}},
+     "compare.variants[1] must be an object, got 'q'"),
 ], ids=["topk-k-0", "topk-k--1", "b-0", "b--3", "b-1100", "variant-k-above-p", "covtype-p-60",
         "covtype-p_reduced", "lambda-nan", "lambda-inf", "noise_std-nan", "b-2.7", "T-3.6",
-        "n-true", "seed-string", "seeds-1.5", "p-4.5", "variant-b-string"])
+        "n-true", "seed-string", "seeds-1.5", "p-4.5", "variant-b-string", "objective-kind",
+        "data-source", "logistic-synthetic", "malformed", "network-kind", "expander-no-degree",
+        "scheme-kind", "mode", "variant-mode", "b-on-randomk-flag", "k-on-qnbbq",
+        "degree-on-ring", "null-unknown-key", "path-on-synthetic", "n_samples-on-covtype",
+        "noise_std-on-covtype", "variant-k-on-qnbbq", "hyperparams-list", "hyperparams-list-flag",
+        "scheme-string-flag", "variant-string"])
 def test_refused_values_exit_2_before_any_file(tmp_path, capsys, monkeypatch, command, flags,
                                                updates, message):
     # each value is refused by the config or the set-up, with the member's path, before
@@ -939,6 +1009,20 @@ def test_refused_values_exit_2_before_any_file(tmp_path, capsys, monkeypatch, co
     assert main([command, "-c", cfg, *flags]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_scheme_flag_drops_the_keys_of_the_kind_it_replaces(tmp_path):
+    # --scheme topk on a qnbbq config drops the file's b, which topk does not read; the
+    # manifest records the block that ran, and re-runs to the same trace
+    cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq", "b": 3}, hyperparams={"T": 3})
+    assert main(["run", "-c", cfg, "--scheme", "topk", "--k", "3"]) == 0
+    man = json.loads(Path(out, "manifest.json").read_text())
+    assert man["config"]["scheme"] == {"k": 3, "kind": "topk"}
+    assert man["resolved"]["scheme"]["label"] == "topk(k=3)"
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(man["config"]))
+    assert main(["run", "-c", str(rerun), "--output-dir", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "trace.csv").read_bytes() == Path(out, "trace.csv").read_bytes()
 
 
 def test_expander_degree_0_is_a_range_error(tmp_path, capsys):

@@ -310,7 +310,9 @@ def test_bits_formulas():
     (("randomk", 5, None, 6), "randomk needs 1 <= k <= p, got k=6, p=5"),
     (("topk", 5, 2, 2), "topk got b=2, k=2"),
     (("qnormsigned", 5, None, 2), "qnormsigned got b=None, k=2"),
-], ids=["p-0", "b-0", "b-54", "b-missing", "k-0", "k-above-p", "b-on-topk", "k-on-qnormsigned"])
+    (("lowrank", 5, None, None), "unknown scheme kind 'lowrank'"),
+], ids=["p-0", "b-0", "b-54", "b-missing", "k-0", "k-above-p", "b-on-topk", "k-on-qnormsigned",
+        "unknown-kind"])
 def test_scheme_refuses_values_outside_its_kind(values, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         CompressionScheme(*values)
@@ -486,6 +488,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         make_scheme("randomk", 4, k=9)
     net = metropolis_hastings_weights(build_ring(3))
+    for alpha in (0.0, -0.5, np.array([0.5, 0.0]).reshape(2, 1, 1)):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            CompressState.init(np.zeros((2, 3, 4)), net.W, alpha=alpha)
     state = CompressState.init(np.zeros((3, 4)), net.W, alpha=0.5)
     with pytest.raises(ValueError):
         compress_round(state, np.zeros((3, 5)), scheme, net.W, agent_streams(0, 0, 3))

@@ -73,6 +73,9 @@ def test_partition_determinism_and_validation():
         partition_homogeneous(ds, 0, 9)
     with pytest.raises(ValueError):
         partition_homogeneous(ds, 101, 9)
+    for N, p in ((0, 5), (100, 0)):
+        with pytest.raises(ValueError, match="need N, p >= 1"):
+            generate_ridge_synthetic(N, p, 1)
 
 
 def test_covtype_split_counts_match_published_table():

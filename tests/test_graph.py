@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
 
-from cnext.graph import (build_circulant_expander, build_custom, build_ring, is_connected,
-                         metropolis_hastings_weights)
+from cnext.graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
+from conftest import is_connected
 
 
 def circulant_mh_rho(n, offsets):
@@ -84,6 +84,10 @@ def test_large_expander_holds_no_n_by_n_array():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_ring(0)
+    with pytest.raises(ValueError, match="expander needs n >= 1"):
+        build_circulant_expander(0, 2)
+    with pytest.raises(ValueError, match="adjacency must be square"):
+        build_custom(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         build_circulant_expander(14, 5)  # odd degree
     with pytest.raises(ValueError):

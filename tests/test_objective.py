@@ -94,6 +94,13 @@ def test_unequal_sample_counts_rejected():
                 build(locals_, 0.1)
 
 
+def test_unknown_kind_and_logistic_closed_form_rejected():
+    with pytest.raises(ValueError, match="unknown objective kind 'lasso'"):
+        Objective("lasso", 0.1, *logistic_data())
+    with pytest.raises(ValueError, match="closed form only exists for the ridge objective"):
+        ridge_closed_form_optimum(make_logistic())
+
+
 def test_logistic_at_zero():
     A, b = logistic_data()
     obj = logistic_objective((A, b), 0.1)

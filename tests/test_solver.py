@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +11,17 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from cnext import solver
-from cnext.compress import (DRAW_BUDGET, CompressState, _encode, agent_streams, compress_round,
-                            make_scheme)
+from cnext.compress import (DRAW_BUDGET, STREAM_X, STREAM_Y, CompressState, _encode, agent_streams,
+                            compress_round, make_scheme)
+from cnext.config import RIDGE_DEFAULTS, RIDGE_TUNED
 from cnext.graph import build_circulant_expander, build_ring, metropolis_hastings_weights
 from cnext.objective import (Objective, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum)
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
-                          measure_errors, newton_directions, run, step, tracking_gap,
-                          warn_theory_violations)
-from conftest import (all_schemes, grad, hess, make_ridge, make_sign_logistic, network_giant_reference,
-                      xy_streams)
+                          newton_directions, run, step, warn_theory_violations)
+from conftest import (all_schemes, grad, hess, make_ridge, make_sign_logistic, means,
+                      measure_errors, memory, network_giant_reference, tracking_gap, xy_streams)
 
 
 def test_single_agent_reduces_to_damped_newton(small_ridge):
@@ -259,6 +260,17 @@ def test_hyperparams_refuse_a_round_count_that_is_not_an_integer(T):
         HyperParams(eta=0.002, gamma=0.6, alpha_x=1.0, alpha_y=1.0, T=T)
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"gamma": -0.1}, "gamma must lie in [0, 1], got -0.1"),
+    ({"gamma": 1.5}, "gamma must lie in [0, 1], got 1.5"),
+    ({"T": -1}, "T and tol must be nonnegative"),
+    ({"tol": -1e-3}, "T and tol must be nonnegative"),
+], ids=["gamma-below-0", "gamma-above-1", "T-negative", "tol-negative"])
+def test_hyperparams_refuse_values_outside_their_ranges(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HyperParams(**{"eta": 0.002, "gamma": 0.6, "alpha_x": 1.0, "alpha_y": 1.0, "T": 3, **values})
+
+
 @pytest.mark.parametrize("T", [3, np.int64(3), np.int32(3)])
 def test_hyperparams_take_python_and_numpy_integers(small_ridge, T):
     obj, net = small_ridge
@@ -429,7 +441,7 @@ def test_accuracy_counts_the_correct_signs(small_logistic):
     residual = obj.residual_fn(x_star)
     state, rngs, expected = init_state(obj, net, hp, seed=3), xy_streams(3, net.n), []
     for _ in range(hp.T + 1):
-        xbar = state.means[0]
+        xbar = means(state)[0]
         acc = _record(state, x_star, residual, (U, v > 0)).accuracy
         assert type(acc) is float
         assert acc == float(np.mean(np.where(U @ xbar >= 0.0, 1.0, -1.0) == v))
@@ -506,7 +518,7 @@ def test_memory_identity_on_the_csr_path(expander256):
     state = init_state(obj, net, hp, seed=8)
     rngs = xy_streams(8, net.n)
     for _ in range(hp.T + 1):
-        for comp in (state.comp_x, state.comp_y):
+        for comp in (memory(state, 0), memory(state, 1)):
             assert isinstance(comp.Hw, np.ndarray)
             gap = np.linalg.norm(comp.Hw - net.W @ comp.H)
             assert gap <= 1e-10 * max(np.linalg.norm(comp.H), 1.0)
@@ -545,6 +557,8 @@ def test_uncompressed_mode_refuses_a_compressing_scheme(small_ridge):
             continue
         with pytest.raises(ValueError, match="uncompressed"):
             step(state, obj, net, scheme, hp, MODE_UNCOMPRESSED_GIANT, xy_streams(4, net.n))
+        with pytest.raises(ValueError, match="unknown mode 'giant'"):
+            step(state, obj, net, scheme, hp, "giant", xy_streams(4, net.n))
         assert state.t == 0 and state.bits_cum == 0
         assert np.array_equal(state.XY, XY0) and np.array_equal(state.comp.H, H0)
 
@@ -564,7 +578,8 @@ def test_stacked_round_matches_per_stream_rounds(graph, request):
         X, Y, g = state.X.copy(), state.Y.copy(), state.prev_grad.copy()
         cx = CompressState.init(state.comp.H[0], net.mix, hp.alpha_x)
         cy = CompressState.init(state.comp.H[1], net.mix, hp.alpha_y)
-        rngs, rx, ry = xy_streams(6, net.n), agent_streams(6, 0, net.n), agent_streams(6, 1, net.n)
+        rngs = xy_streams(6, net.n)
+        rx, ry = agent_streams(6, STREAM_X, net.n), agent_streams(6, STREAM_Y, net.n)
         for _ in range(hp.T):
             step(state, obj, net, scheme, hp, MODE_CNEXT, rngs)
             out_x = compress_round(cx, X, scheme, net.mix, rx)
@@ -574,9 +589,9 @@ def test_stacked_round_matches_per_stream_rounds(graph, request):
             g_new = obj.grad_stack(X)
             Y = Y - hp.gamma * (out_y.Zhat - out_y.Zhat_w) + g_new - g
             g = g_new
-            for got, want in ((state.X, X), (state.Y, Y), (state.comp_x.H, cx.H),
-                              (state.comp_y.H, cy.H), (state.comp_x.Hw, cx.Hw),
-                              (state.comp_y.Hw, cy.Hw)):
+            mx, my = memory(state, 0), memory(state, 1)
+            for got, want in ((state.X, X), (state.Y, Y), (mx.H, cx.H), (my.H, cy.H),
+                              (mx.Hw, cx.Hw), (my.Hw, cy.Hw)):
                 assert np.array_equal(got, want), scheme.label()
         assert state.bits_cum == hp.T * (out_x.bits + out_y.bits)
 
@@ -595,24 +610,22 @@ def test_measure_errors_equals_the_five_sums(ridge10, kind):
     X, Y = state.X, state.Y
     xbar, ybar = X.mean(axis=0), Y.mean(axis=0)
     expected = (float(np.sum((xbar - x_star) ** 2)), float(np.sum((X - xbar) ** 2)),
-                float(np.sum((Y - ybar) ** 2)), float(np.sum((X - state.comp_x.H) ** 2)),
-                float(np.sum((Y - state.comp_y.H) ** 2)))
+                float(np.sum((Y - ybar) ** 2)), float(np.sum((X - state.comp.H[0]) ** 2)),
+                float(np.sum((Y - state.comp.H[1]) ** 2)))
     assert measure_errors(state, x_star) == expected
 
 
-# the desk runs' (eta, alpha) for the two kinds that draw
-_DESK_STEPS = {"qnbbq": (0.0095, 1.0), "randomk": (0.0012, 0.5)}
-
-
 def _desk_hp(kind, T, tol=0.0):
-    eta, alpha = _DESK_STEPS[kind]
-    return HyperParams(eta=eta, gamma=0.6, alpha_x=alpha, alpha_y=alpha, T=T, tol=tol)
+    """The desk run's hyperparameters for `kind`: its tuned eta and alpha, at the ridge gamma."""
+    tuned = RIDGE_TUNED[kind]
+    return HyperParams(eta=tuned["eta"], gamma=RIDGE_DEFAULTS["gamma"], alpha_x=tuned["alpha"],
+                       alpha_y=tuned["alpha"], T=T, tol=tol)
 
 
 def _record(state, x_star, residual, test_data=None, op_err=(0.0, 0.0)):
     """The record of `state` formed round by round, from public calls: measure_errors,
     the residual at xbar and, for test data (U, v > 0), the count of correct signs."""
-    xbar = state.means[0]
+    xbar = means(state)[0]
     acc = None
     if test_data is not None:
         U, pos = test_data

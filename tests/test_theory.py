@@ -145,6 +145,15 @@ def test_invalid_arguments_name_the_inequality():
     with pytest.raises(ValueError, match="alpha"):
         constants_for(1.0, 5.0, 0.5, 1.0, 0.5, 2.0, 1.0,
                       Theta(eta=0.01, gamma=0.5, alpha_x=1.0, alpha_y=1.0))
+    with pytest.raises(ValueError, match="gamma in"):
+        build_A(tc, Theta(eta=0.01, gamma=1.5, alpha_x=1.0, alpha_y=1.0), n=4)
+    # alpha r delta so small that tau's midpoint rounds to 1, for each stream
+    for alpha_x, alpha_y, name in ((1e-20, 1.0, "tau_x"), (1.0, 1e-20, "tau_y")):
+        with pytest.raises(ValueError, match=name):
+            constants_for(1.0, 5.0, 0.5, 1.0, 0.5, 1.0, 0.5,
+                          Theta(eta=0.01, gamma=0.5, alpha_x=alpha_x, alpha_y=alpha_y))
+    with pytest.raises(ValueError, match="finite"):
+        spectral_radius(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_A_beyond_float64_is_not_formed():

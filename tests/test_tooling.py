@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnext import cli
+from cnext import cli, config
 from cnext.config import ConfigError, load_config, parse_config
 from cnext.solver import HyperParams
 
@@ -215,6 +215,14 @@ def test_readme_names_every_config_key():
                if not re.search(rf'["`.]{re.escape(key)}["`]', readme)]
     assert unnamed == []
     assert [key for key in ("tau_x", "tau_y") if key in readme] == []
+    # its table of the keys each kind of a block reads is the parser's tables, row for row
+    rows = re.findall(r"^\| `([\w.]+)` \| `(\w+)` \| (`.*`) \|$", readme, re.M)
+    stated = {(block, kind): re.findall(r"`(\w+)`", keys) for block, kind, keys in rows}
+    assert len(stated) == len(rows)
+    tables = {"scheme": config.SCHEME_KEYS, "network": config.NETWORK_KEYS,
+              "objective.data": config.DATA_KEYS}
+    assert stated == {(block, kind): list(keys) for block, table in tables.items()
+                      for kind, keys in table.items()}
 
 
 def test_readme_commands_run(tmp_path):
