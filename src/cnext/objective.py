@@ -60,7 +60,7 @@ def _logistic_loss(margins: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
 
-def _cpus() -> int:
+def cpus() -> int:
     """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -121,7 +121,7 @@ class Objective:
             G *= 2.0  # 2 A_i^T A_i, the data part of H_i
             self.c = 2.0 * _mv(_T(A), b)  # grad f_i(x) = H_i x - c_i
             _require_finite(G, self.c)
-            if G.size >= HELPER_MIN_ENTRIES and _cpus() >= 2:
+            if G.size >= HELPER_MIN_ENTRIES and cpus() >= 2:
                 # the with block joins the helper, and result() raises its error here
                 with ThreadPoolExecutor(1) as helper:
                     bounds = helper.submit(self._curvature_bounds, G)

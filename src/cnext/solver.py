@@ -17,7 +17,9 @@ from __future__ import annotations
 import copy
 import math
 import warnings
+from collections import deque
 from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +29,8 @@ from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_I
                        STREAM_Y, Draws, agent_streams, all_finite, compress_round, make_scheme,
                        substream, IDENTITY)
 from .graph import Network
-from .objective import BASELINE_TOL, RIDGE, Objective, centralized_newton, ridge_closed_form_optimum
+from .objective import (BASELINE_TOL, LOGISTIC, RIDGE, Objective, centralized_newton, cpus,
+                        ridge_closed_form_optimum)
 from .theory import alpha_slack, step_cap
 
 MODE_CNEXT = "cnext"
@@ -46,6 +49,11 @@ GROWTH_LIMIT = 1e6
 # each round holds XY and XY - H, 4np doubles, so 40 rounds on the desk ring (n = 10,
 # p = 20) and one round, measured as it ends, at n = 2000
 ERROR_BUDGET = 256 << 10
+
+# a logistic run scores its residuals and accuracies on a helper thread from this many
+# samples (n m) on, on a process that may use two CPUs: below it numpy's calls are too
+# small to release the GIL, and the two threads take turns (see README, "Set-up at scale")
+SCORE_MIN_SAMPLES = 10_000
 
 
 class DivergenceError(RuntimeError):
@@ -256,6 +264,11 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
     `x_star`, if given, must be the minimizer. With `test_data` (U, v), each record's
     accuracy is the share of test points whose label v in {-1, +1} is the sign of U xbar,
     a score of 0 counting as +1; raises ValueError on another label.
+    The residuals and accuracies decide nothing. A logistic run of at least
+    SCORE_MIN_SAMPLES samples, on a process that may use two CPUs, takes them on one
+    helper thread, a block at a time, while this thread steps the next block; each is
+    the serial path's call on the same array, so no bit moves. An error raised there
+    re-raises here, and the helper is joined before `run` returns or raises.
     `f_star` is unused. The benchmark's workloads (bench/workloads.py) still pass it, so
     it stays until the benchmark's next change drops it there.
     """
@@ -275,23 +288,30 @@ def run(obj: Objective, net: Network, scheme: CompressionScheme, hp: HyperParams
 
     # a block holds as many rounds as ERROR_BUDGET, at least 1 and at most the run's T + 1
     B = max(1, min(ERROR_BUDGET // (2 * state.XY.nbytes), hp.T + 1))
-    blocks = _Blocks(state, B, x_star, obj.residual_fn(x_star), test_data)
-    # overflow in the norms is caught as divergence, and the rounds stepped past a
-    # diverging one, before its block reports it, may overflow: the DivergenceError
-    # raised says so in place of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks.add(state)
-        for _ in range(hp.T):
-            if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
-                break
-            try:
-                op_err = step(state, obj, net, scheme, hp, mode, rngs)
-            except Exception:
-                blocks.flush()  # a buffered round that diverged is reported first
-                raise
-            blocks.add(state, op_err)
-        blocks.flush()
-    return blocks.records
+    # only a logistic residual reads the samples; a ridge one is O(p^2) a round
+    helper = (ThreadPoolExecutor(1) if obj.kind == LOGISTIC and obj.n * obj.m >= SCORE_MIN_SAMPLES
+              and cpus() >= 2 else None)
+    blocks = _Blocks(state, B, x_star, obj.residual_fn(x_star), test_data, helper)
+    try:
+        # overflow in the norms is caught as divergence, and the rounds stepped past a
+        # diverging one, before its block reports it, may overflow: the DivergenceError
+        # raised says so in place of numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.add(state)
+            for _ in range(hp.T):
+                if hp.tol > 0 and float(np.linalg.norm(state.prev_grad.mean(axis=0))) <= hp.tol:
+                    break
+                try:
+                    op_err = step(state, obj, net, scheme, hp, mode, rngs)
+                except Exception:
+                    blocks.flush(score=False)  # a buffered round that diverged is reported first
+                    raise
+                blocks.add(state, op_err)
+            blocks.flush()
+        return blocks.record()
+    finally:
+        if helper is not None:  # drops the blocks not yet scored, and joins the one being scored
+            helper.shutdown(wait=True, cancel_futures=True)
 
 
 class _Blocks:
@@ -300,18 +320,28 @@ class _Blocks:
     `add` keeps a round's t, bits and operator errors, and copies its XY and XY - H into
     a (B, 4, n, p) buffer. `flush` forms the block's means, its distances to x* and
     its four deviation norms in one reduction each, each round's sums with the bits of
-    that round's reductions taken alone, and the block's residuals in one call. It then
-    checks and records the rounds in order, as a round-by-round loop would check each
-    error vector and the growth limit; the first round recorded sets that limit. An overflow in the norms reads as
-    divergence, so `run` calls it with numpy's overflow warnings off.
+    that round's reductions taken alone. It then checks the rounds in order, as a
+    round-by-round loop would check each error vector and the growth limit; the first
+    round checked sets that limit. An overflow in the norms reads as divergence, so `run`
+    calls it with numpy's overflow warnings off. Last it scores the block, which decides
+    nothing: the residuals in one call, and the accuracies. With a `helper` executor the
+    scores are one task on it, taken while the caller steps the next block; they read
+    only the block's xbars, a new array each flush, and the read-only residual closure and
+    test set. `record` turns the scored blocks into records in round order, and re-raises
+    an error the helper met.
     """
 
     def __init__(self, state: SolverState, rounds: int, x_star: np.ndarray,
-                 residual: Callable[[np.ndarray], list[float]], test_data):
+                 residual: Callable[[np.ndarray], list[float]], test_data,
+                 helper: ThreadPoolExecutor | None = None):
         self.buf = np.empty((rounds, 4) + state.XY.shape[1:])
         self.pending: list[tuple[int, int, tuple[float, float]]] = []  # (t, bits_cum, op_err)
         self.x_star, self.residual, self.test_data = x_star, residual, test_data
+        self.helper = helper
         self.records: list[RoundRecord] = []
+        # per block scored and not yet recorded, in round order: its checked rounds
+        # (t, bits_cum, errors, op_err), and their scores or the Future of them
+        self.scored: deque[tuple[list, list | Future]] = deque()
         self.e0 = self.limit = None
 
     def add(self, state: SolverState, op_err: tuple[float, float] = (0.0, 0.0)) -> None:
@@ -323,7 +353,7 @@ class _Blocks:
         if b + 1 == len(self.buf):
             self.flush()
 
-    def flush(self) -> None:
+    def flush(self, score: bool = True) -> None:
         dev = self.buf[:len(self.pending)]
         means = np.add.reduce(dev[:, :2], axis=2) / dev.shape[2]
         xbars = means[:, 0]
@@ -331,8 +361,8 @@ class _Blocks:
         np.subtract(dev[:, :2], means[:, :, None], out=dev[:, :2])
         norms = np.add.reduce(np.square(dev, out=dev), axis=(2, 3)).tolist()
         pending, self.pending = self.pending, []
-        residuals = self.residual(xbars)
-        for (t, bits, op_err), xbar, o, e, res in zip(pending, xbars, opt, norms, residuals):
+        rows = []
+        for (t, bits, op_err), o, e in zip(pending, opt, norms):
             ev = ErrorVector(o, *e)
             total = sum(ev)  # sums of squares, so a finite total has finite, >= 0 terms
             if not total < math.inf and not all(0.0 <= v < math.inf for v in ev):
@@ -343,11 +373,37 @@ class _Blocks:
                 raise DivergenceError("error vector", t,
                                       f"error vector sum {total:.3g} exceeds "
                                       f"{GROWTH_LIMIT:g} times its t = 0 value {self.e0:.3g}")
-            acc = None
-            if self.test_data is not None:  # (U, v > 0); the count is exact, so this is the mean
-                U, pos = self.test_data
-                acc = int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size
-            self.records.append(RoundRecord(t, bits, ev, res, acc, *op_err))
+            rows.append((t, bits, ev, op_err))
+        if score:
+            self.scored.append((rows, self._score(xbars) if self.helper is None
+                                else self.helper.submit(self._score, xbars)))
+            self.record(wait=False)
+
+    def _score(self, xbars: np.ndarray) -> list[tuple[float, float | None]]:
+        """(residual, accuracy) of each of a block's xbars; no accuracy without test data."""
+        # numpy's error state is per thread: the helper takes the one `run` holds
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = self.residual(xbars)
+            if self.test_data is None:
+                return [(res, None) for res in residuals]
+            U, pos = self.test_data  # (U, v > 0); the count is exact, so this is the mean
+            return [(res, int(np.count_nonzero((U @ xbar >= 0.0) == pos)) / pos.size)
+                    for res, xbar in zip(residuals, xbars)]
+
+    def record(self, wait: bool = True) -> list[RoundRecord]:
+        """Records the scored blocks in round order, and returns the records: every block,
+        waiting for the helper, or without `wait` those up to the first whose scores are
+        not yet taken. An error the helper met re-raises here."""
+        while self.scored:
+            rows, scores = self.scored[0]
+            if isinstance(scores, Future):
+                if not (wait or scores.done()):
+                    break
+                scores = scores.result()
+            self.scored.popleft()
+            self.records.extend(RoundRecord(t, bits, ev, res, acc, *op_err)
+                                for (t, bits, ev, op_err), (res, acc) in zip(rows, scores))
+        return self.records
 
 
 def baseline_optimum(obj: Objective) -> np.ndarray:

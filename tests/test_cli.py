@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnext import objective
+from cnext import data, objective, solver
 from cnext.cli import CSV_COLUMNS, Experiment, _scheme_dict, averaged_csv, main, records_to_csv
 from cnext.compress import make_scheme
 from cnext.config import ConfigError, load_config
@@ -27,6 +27,11 @@ BASE = {
     "mode": "cnext",
     "seed": 42,
 }
+
+
+def read_manifest(out):
+    """The manifest a command wrote to the output directory `out`."""
+    return json.loads(Path(out, "manifest.json").read_text())
 
 
 def write_config(tmp_path, name="config.json", **updates):
@@ -61,7 +66,7 @@ def test_run_writes_trace_and_manifest(tmp_path):
                       "comp_x_err", "comp_y_err", "residual", "accuracy"]
     assert len(rows) == 11
     assert rows[0][0] == "0" and rows[0][1] == "0"
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert man["resolved"]["scheme"]["C"] == pytest.approx(0.5)
     assert man["resolved"]["seed"] == 42
     assert "bit_convention" in man
@@ -77,9 +82,9 @@ def test_run_t_zero_single_row(tmp_path):
 def test_run_is_byte_deterministic(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["run", "-c", cfg]) == 0
-    first = open(os.path.join(out, "trace.csv"), "rb").read()
+    first = Path(out, "trace.csv").read_bytes()
     assert main(["run", "-c", cfg]) == 0
-    second = open(os.path.join(out, "trace.csv"), "rb").read()
+    second = Path(out, "trace.csv").read_bytes()
     assert first == second
 
 
@@ -124,7 +129,7 @@ def test_flag_overrides_beat_file_values(tmp_path):
                  "--output-dir", str(tmp_path / "o2")]) == 0
     _, rows = read_csv(str(tmp_path / "o2" / "trace.csv"))
     assert len(rows) == 4
-    man = json.loads(open(str(tmp_path / "o2" / "manifest.json")).read())
+    man = read_manifest(tmp_path / "o2")
     assert man["resolved"]["scheme"]["kind"] == "identity"
 
 
@@ -144,7 +149,7 @@ def test_b_flag_sets_the_quantizer_bits(tmp_path):
     # --b 3 records qnbbq(b=3) and charges (1 + b) p bits per vector, for both streams
     cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq"}, hyperparams={"T": 2})
     assert main(["run", "-c", cfg, "--b", "3"]) == 0
-    man = json.loads(Path(out, "manifest.json").read_text())
+    man = read_manifest(out)
     assert man["config"]["scheme"]["b"] == 3 and man["resolved"]["scheme"]["label"] == "qnbbq(b=3)"
     _, rows = read_csv(os.path.join(out, "trace.csv"))
     n, p = BASE["network"]["n"], BASE["objective"]["data"]["p"]
@@ -160,7 +165,7 @@ def test_uncompressed_giant_runs_the_configured_steps_without_compression(tmp_pa
     out = tmp_path / "giant"
     assert main(["run", "-c", bench, "--mode", "uncompressed_giant", "--T", "1",
                  "--output-dir", str(out)]) == 0
-    man = json.loads((out / "manifest.json").read_text())
+    man = read_manifest(out)
     assert (man["config"]["scheme"]["kind"], man["resolved"]["scheme"]["kind"]) == ("qnbbq", "identity")
     hp = man["resolved"]["hyperparams"]
     assert (hp["eta"], hp["alpha_x"], hp["alpha_y"]) == (0.0095, 1.0, 1.0)
@@ -252,7 +257,7 @@ def test_divergence_exit_3(tmp_path, capsys):
     assert main(["run", "-c", cfg]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DivergenceError"
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert man["divergence"]["quantity"] in ("X", "Y", "error vector")
 
 
@@ -265,12 +270,12 @@ def test_growth_divergence_exit_3(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DivergenceError" and err["quantity"] == "error vector"
     assert "exceeds" in err["message"] and 0 < err["t"] < 1000
-    assert json.loads((out / "manifest.json").read_text())["divergence"]["t"] == err["t"]
+    assert read_manifest(out)["divergence"]["t"] == err["t"]
     assert not (out / "trace.csv").exists()
 
 
 def _stop(out):
-    return json.loads(open(os.path.join(out, "manifest.json")).read())["stop"]
+    return read_manifest(out)["stop"]
 
 
 def test_manifest_stop_reason_T(tmp_path):
@@ -314,7 +319,7 @@ def test_ridge_compare_runs_both_modes(tmp_path):
     out = tmp_path / "out"
     assert main(["compare", "-c", str(CONFIGS / "ridge_compare.json"),
                  "--output-dir", str(out)]) == 0
-    variants = json.loads((out / "manifest.json").read_text())["variants"]
+    variants = read_manifest(out)["variants"]
     assert variants["first-order-qns"]["hyperparams"]["eta"] == 0.0002
     for name, entry in variants.items():
         assert entry["diverged"] is None, name
@@ -357,7 +362,7 @@ def test_compare_tolerates_diverging_variant(tmp_path):
                             hyperparams={"T": 400, "eta": 0.01, "gamma": 0.6,
                                          "alpha_x": 1.0, "alpha_y": 1.0})
     assert main(["compare", "-c", cfg]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert man["variants"]["raw-gt"]["diverged"] is not None
     assert man["variants"]["newton"]["diverged"] is None
 
@@ -373,7 +378,7 @@ def test_compare_records_each_variants_stop_reason(tmp_path):
                             hyperparams={"T": 300, "tol": 1.0, "eta": 0.05, "gamma": 0.6,
                                          "alpha_x": 1.0, "alpha_y": 1.0})
     assert main(["compare", "-c", cfg]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert {name: v["stop"] for name, v in man["variants"].items()} == \
         {"all-T": "T", "at-tol": "tol", "raw-gt": "divergence"}
     _, rows = read_csv(os.path.join(out, "compare.csv"))
@@ -393,7 +398,7 @@ def test_compare_records_each_variants_theory_warnings(tmp_path):
                             hyperparams={"T": 2, "eta": 0.002, "gamma": 0.6,
                                          "alpha_x": 1.5, "alpha_y": 1.5})
     assert main(["compare", "-c", cfg]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     warned = {name: v["theory_warnings"] for name, v in man["variants"].items()}
     assert warned["rk"] == []
     assert len(warned["steep"]) == 1 and "eta=0.9 exceeds min(2L/(3mu), mu/L)" in warned["steep"][0]
@@ -407,14 +412,14 @@ def test_run_manifest_names_the_scheme_that_ran(tmp_path):
     out = tmp_path / "qnbbq"
     assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--mode", "uncompressed_giant",
                  "--T", "1", "--output-dir", str(out)]) == 0
-    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    resolved = read_manifest(out)["resolved"]
     assert resolved["scheme"] == _scheme_dict(make_scheme("identity", 20))
     assert read_csv(out / "trace.csv")[1][1][1] == str(2 * 10 * 64 * 20)
 
     cfg, out = write_config(tmp_path, mode="uncompressed_giant",
                             hyperparams={"alpha_x": 1.5, "alpha_y": 1.5, "T": 2})
     assert main(["run", "-c", cfg]) == 0
-    resolved = json.loads(open(os.path.join(out, "manifest.json")).read())["resolved"]
+    resolved = read_manifest(out)["resolved"]
     assert resolved["scheme"]["label"] == "identity" and resolved["scheme"]["C"] == 0.0
     assert [int(r[1]) for r in read_csv(os.path.join(out, "trace.csv"))[1]] == \
         [2 * 5 * 64 * 4 * t for t in range(3)]
@@ -429,7 +434,7 @@ def test_compare_records_the_scheme_each_variant_ran(tmp_path):
     ]
     cfg, out = write_config(tmp_path, compare={"variants": variants}, hyperparams={"T": 2})
     assert main(["compare", "-c", cfg]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     labels = {name: v["scheme"]["label"] for name, v in man["variants"].items()}
     assert labels == {"tk": "topk(k=3)", "giant": "identity"}
     _, rows = read_csv(os.path.join(out, "compare.csv"))
@@ -461,9 +466,9 @@ def test_compare_records_a_diverging_variant_as_run_does(tmp_path):
                             hyperparams={"T": 300, "eta": 0.9, "gamma": 0.6,
                                          "alpha_x": 1.0, "alpha_y": 1.0})
     assert main(["run", "-c", cfg]) == 3
-    err = json.loads(open(os.path.join(out, "manifest.json")).read())["divergence"]
+    err = read_manifest(out)["divergence"]
     assert main(["compare", "-c", cfg]) == 0
-    variants = json.loads(open(os.path.join(out, "manifest.json")).read())["variants"]
+    variants = read_manifest(out)["variants"]
     diverged = variants["raw-gt"]["diverged"]
     assert diverged == err
     assert set(diverged) == {"error", "message", "t", "quantity", "agent"}
@@ -636,7 +641,7 @@ def test_qnbbq_config_at_alpha_one_records_no_alpha_warning(tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--T", "2",
                  "--output-dir", out]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert man["resolved"]["hyperparams"]["alpha_x"] == man["resolved"]["hyperparams"]["alpha_y"] == 1.0
     assert not any("alpha" in w for w in man["resolved"]["theory_warnings"])
 
@@ -759,7 +764,7 @@ def test_manifest_config_reproduces_trace(tmp_path, command, updates, written):
     cfg, out = write_config(tmp_path, **updates)
     assert main([command, "-c", cfg]) == 0
     rerun = tmp_path / "rerun.json"
-    rerun.write_text(json.dumps(json.loads(open(os.path.join(out, "manifest.json")).read())["config"]))
+    rerun.write_text(json.dumps(read_manifest(out)["config"]))
     assert main([command, "-c", str(rerun), "--output-dir", str(tmp_path / "rerun")]) == 0
     assert (tmp_path / "rerun" / written).read_bytes() == Path(out, written).read_bytes()
 
@@ -769,7 +774,7 @@ def test_manifest_config_is_the_config_as_given(tmp_path):
     # random-k scheme that sets no b records none, and resolved.scheme says it reads none
     cfg, out = write_config(tmp_path)
     assert main(["run", "-c", cfg, "--T", "3", "--k", "3"]) == 0
-    man = json.loads(Path(out, "manifest.json").read_text())
+    man = read_manifest(out)
     given = json.loads(Path(cfg).read_text())
     given["hyperparams"]["T"], given["scheme"]["k"] = 3, 3
     assert man["config"] == given
@@ -786,7 +791,7 @@ def test_covtype_path_from_the_environment_is_in_the_manifest(tmp_path, monkeypa
                             objective=dict(LOGISTIC_COVTYPE, data={"source": "covtype", "p": 5}),
                             hyperparams={"eta": 0.05, "gamma": 0.35, "T": 2})
     assert main(["run", "-c", cfg]) == 0
-    man = json.loads(Path(out, "manifest.json").read_text())
+    man = read_manifest(out)
     assert "path" not in man["config"]["objective"]["data"]
     assert man["resolved"]["data_extras"]["path"] == str(csv)
 
@@ -802,7 +807,7 @@ def test_integral_floats_read_as_integers(tmp_path):
         assert main(["run", "-c", cfg]) == 0
         traces.append(Path(out, "trace.csv").read_bytes())
     assert traces[0] == traces[1]
-    assert json.loads(Path(out, "manifest.json").read_text())["resolved"]["hyperparams"]["T"] == 2
+    assert read_manifest(out)["resolved"]["hyperparams"]["T"] == 2
 
 
 def test_sparse_run_is_byte_deterministic_across_thread_counts(tmp_path):
@@ -843,7 +848,7 @@ def test_run_is_byte_deterministic_on_one_and_two_cpus(tmp_path):
         prog = ("import os, sys\n"
                 f"os.sched_setaffinity(0, {pinned})\n"
                 "from cnext import cli, objective\n"
-                f"assert objective._cpus() == {len(pinned)}\n"
+                f"assert objective.cpus() == {len(pinned)}\n"
                 "sys.exit(cli.main(sys.argv[1:]))")
         proc = subprocess.run([sys.executable, "-c", prog, "run", "-c", str(path)],
                               capture_output=True, text=True)
@@ -851,6 +856,51 @@ def test_run_is_byte_deterministic_on_one_and_two_cpus(tmp_path):
         outputs.append([(tmp_path / "out" / name).read_bytes()
                         for name in ("trace.csv", "manifest.json")])
     assert outputs[0] == outputs[1] and len(outputs[0][0].splitlines()) == 12
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a process that may be pinned to two CPUs")
+def test_logistic_compare_is_byte_deterministic_on_one_and_two_cpus(tmp_path):
+    # 15,000 CovType-format rows give a ring of 10 agents 1,058 training samples each, so
+    # the runs clear the floor of the scoring helper: pinned to one CPU each block is
+    # scored serially, on two beside the next block's rounds
+    train, _ = data.covtype_split_counts(15_000, 10)
+    assert 10 * (train // 10) >= solver.SCORE_MIN_SAMPLES
+    covtype_fixture_csv(tmp_path / "covtype.csv", n_rows=15_000)
+    raw = json.loads((CONFIGS / "logistic_covtype_ring.json").read_text())
+    raw["objective"]["data"]["path"] = str(tmp_path / "covtype.csv")
+    raw["hyperparams"]["T"] = 100
+    raw["output_dir"] = str(tmp_path / "out")
+    raw["compare"] = {"variants": [
+        {"name": "newton", "mode": "cnext", "scheme": {"kind": "qnbbq", "b": 2}},
+        {"name": "first-order", "mode": "first_order_gt", "scheme": {"kind": "qnbbq", "b": 2}},
+        {"name": "uncompressed", "mode": "uncompressed_giant", "scheme": {"kind": "identity"}}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for pinned in (cpus[:1], cpus[:2]):
+        # the program prints how many helper executors the runs made
+        prog = ("import os, sys\n"
+                f"os.sched_setaffinity(0, {pinned})\n"
+                "from cnext import cli, solver\n"
+                f"assert solver.cpus() == {len(pinned)}\n"
+                "made = []\n"
+                "class Counted(solver.ThreadPoolExecutor):\n"
+                "    def __init__(self, *args):\n"
+                "        made.append(1)\n"
+                "        super().__init__(*args)\n"
+                "solver.ThreadPoolExecutor = Counted\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(len(made))\n"
+                "sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", prog, "compare", "-c", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(3 * (len(pinned) - 1))
+        outputs.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("compare.csv", "manifest.json")])
+    assert outputs[0] == outputs[1] and len(outputs[0][0].splitlines()) == 1 + 3 * 101
 
 
 def test_missing_covtype_path_is_config_error(tmp_path, capsys, monkeypatch):
@@ -1016,7 +1066,7 @@ def test_scheme_flag_drops_the_keys_of_the_kind_it_replaces(tmp_path):
     # manifest records the block that ran, and re-runs to the same trace
     cfg, out = write_config(tmp_path, scheme={"kind": "qnbbq", "b": 3}, hyperparams={"T": 3})
     assert main(["run", "-c", cfg, "--scheme", "topk", "--k", "3"]) == 0
-    man = json.loads(Path(out, "manifest.json").read_text())
+    man = read_manifest(out)
     assert man["config"]["scheme"] == {"k": 3, "kind": "topk"}
     assert man["resolved"]["scheme"]["label"] == "topk(k=3)"
     rerun = tmp_path / "rerun.json"
@@ -1051,7 +1101,7 @@ def test_ridge_defaults_converge_for_randomk(tmp_path):
         "scheme": {"kind": "randomk", "k": 5},
         "seed": 42, "output_dir": out}))
     assert main(["run", "-c", str(cfg)]) == 0
-    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    man = read_manifest(out)
     assert man["resolved"]["hyperparams"]["alpha_x"] == 0.5
     assert man["resolved"]["hyperparams"]["T"] == 5000
     _, rows = read_csv(os.path.join(out, "trace.csv"))
@@ -1114,7 +1164,7 @@ def test_compare_variants_without_hyperparams_match_single_runs(tmp_path):
         "variants": [{"name": k, "scheme": {"kind": k}} for k in kinds]})))
     assert main(["compare", "-c", str(cfg)]) == 0
     _, rows = read_csv(str(tmp_path / "cmp" / "compare.csv"))
-    man = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+    man = read_manifest(tmp_path / "cmp")
     alphas = {"qnbbq": 1.0, "randomk": 0.5, "topk": 0.5, "qnormsigned": 0.25}
     for k in kinds:
         assert man["variants"][k]["hyperparams"]["alpha_x"] == alphas[k]
@@ -1134,7 +1184,7 @@ def test_compare_top_level_values_apply_to_every_variant(tmp_path):
                                          "alpha_y": None})
     assert main(["compare", "-c", cfg]) == 0
     hps = {name: v["hyperparams"] for name, v in
-           json.loads(open(os.path.join(out, "manifest.json")).read())["variants"].items()}
+           read_manifest(out)["variants"].items()}
     assert {name: hp["eta"] for name, hp in hps.items()} == {"q": 0.002, "rk": 0.002, "tk": 0.004}
     assert all(hp["alpha_x"] == 0.7 and hp["T"] == 3 for hp in hps.values())
     # alpha_y is set nowhere, so each variant takes its own scheme's tuned alpha

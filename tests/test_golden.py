@@ -62,8 +62,20 @@ def _cases(tmp: Path) -> dict[str, tuple[list[str], str | None]]:
         for name in ("ridge_compare", "ridge_benchmark")})
     cases["theory theory_identity stdout"] = (
         ["theory", "-c", str(CONFIGS / "theory_identity.json")], None)
+    cases["theory theory_identity sweep_identity.csv (--grid 8)"] = (
+        ["theory", "-c", str(CONFIGS / "theory_identity.json"), "--grid", "8"],
+        "sweep_identity.csv")
     cases[f"run logistic_covtype_ring trace.csv ({COVTYPE_ROWS}-row fixture)"] = (
         ["run", "-c", str(tmp / "covtype.json"), "--T", T], "trace.csv")
+    # the logistic config in all three modes, on the same fixture
+    covtype["compare"] = {"variants": [
+        {"name": "newton-qnbbq", "mode": "cnext", "scheme": {"kind": "qnbbq", "b": 2}},
+        {"name": "first-order-qnbbq", "mode": "first_order_gt", "scheme": {"kind": "qnbbq", "b": 2}},
+        {"name": "newton-uncompressed", "mode": "uncompressed_giant",
+         "scheme": {"kind": "identity"}}]}
+    (tmp / "covtype_compare.json").write_text(json.dumps(covtype))
+    cases[f"compare logistic_covtype_ring compare.csv ({COVTYPE_ROWS}-row fixture)"] = (
+        ["compare", "-c", str(tmp / "covtype_compare.json"), "--T", T], "compare.csv")
     return cases
 
 

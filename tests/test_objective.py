@@ -541,7 +541,7 @@ def test_helper_and_serial_set_up_give_the_same_bits(monkeypatch):
     threads = _eigensolve_threads(monkeypatch)
     built = []
     for cpus in (1, 2):
-        monkeypatch.setattr(objective, "_cpus", lambda: cpus)
+        monkeypatch.setattr(objective, "cpus", lambda: cpus)
         built.append(ridge_objective((A, b), 0.5))
     here = threading.current_thread()
     assert threads[0] is here and threads[1] is not here
@@ -553,7 +553,7 @@ def test_helper_and_serial_set_up_give_the_same_bits(monkeypatch):
 
 def test_helper_error_reaches_the_caller_and_no_thread_outlives_set_up(monkeypatch):
     A, b = _helper_sized_ridge_data()
-    monkeypatch.setattr(objective, "_cpus", lambda: 2)
+    monkeypatch.setattr(objective, "cpus", lambda: 2)
     before = threading.active_count()
     ridge_objective((A, b), 0.5)
     assert threading.active_count() == before
@@ -570,7 +570,7 @@ def test_helper_error_reaches_the_caller_and_no_thread_outlives_set_up(monkeypat
 
 
 def test_desk_sized_and_logistic_set_up_start_no_thread(monkeypatch):
-    monkeypatch.setattr(objective, "_cpus", lambda: 2)
+    monkeypatch.setattr(objective, "cpus", lambda: 2)
 
     def no_helper(*args):
         raise AssertionError("set-up started a helper thread")

@@ -3,6 +3,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from cnext.graph import build_circulant_expander, build_ring, metropolis_hasting
 from cnext.objective import (Objective, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum)
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
-                          MODE_UNCOMPRESSED_GIANT, SolverState, baseline_optimum, init_state,
+                          MODE_UNCOMPRESSED_GIANT, MODES, NumericalError, SolverState, baseline_optimum, init_state,
                           newton_directions, run, step, warn_theory_violations)
 from conftest import (all_schemes, grad, hess, make_ridge, make_sign_logistic, means,
                       measure_errors, memory, network_giant_reference, tracking_gap, xy_streams)
@@ -837,3 +840,168 @@ def test_run_calls_each_generator_once_per_block(ridge10, monkeypatch):
     assert run(obj, net, scheme, hp, MODE_CNEXT, 1, x_star=x_star) == plain
     B = min(DRAW_BUDGET // (2 * net.n * obj.p * 8), hp.T)
     assert len(calls) == 2 * net.n * -(-hp.T // B) < 2 * net.n * hp.T
+
+
+# A logistic run of n m >= SCORE_MIN_SAMPLES samples, on a process that may use two CPUs,
+# scores each block (its residuals and accuracies) on a helper thread. The tests below
+# take either path by patching `solver.cpus` and the floor, and count the helper's tasks.
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The executors `run` makes, each counting the tasks submitted to it. They are held
+    here, so a thread that `run` left unjoined stays alive and is counted."""
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.tasks = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.tasks += 1
+            return super().submit(*args, **kwargs)
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", Counted)
+    yield made
+    for executor in made:
+        executor.shutdown()
+
+
+def _scores_on_helper(monkeypatch, on):
+    """Take the helper path (on) or the serial one, whatever the run's size."""
+    monkeypatch.setattr(solver, "cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(solver, "SCORE_MIN_SAMPLES", 0)
+
+
+def _logistic_blocks_of_7(obj, monkeypatch):
+    """The run's net, scheme, x* and test set, with its error blocks cut to 7 rounds.
+    The test set's last row is so large that its score U xbar overflows at t = 0, where
+    xbar > 0, so its accuracy warns unless numpy's overflow warnings are off."""
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((300, obj.p))
+    v = np.where(U @ rng.standard_normal(obj.p) >= 0.0, 1.0, -1.0)
+    U, v = np.vstack([U, np.full(obj.p, 1e308)]), np.append(v, 1.0)
+    monkeypatch.setattr(solver, "ERROR_BUDGET", 7 * 4 * obj.n * obj.p * 8)
+    return net, make_scheme("qnbbq", obj.p, b=2), baseline_optimum(obj), (U, v)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scores_on_the_helper_thread_keep_every_bit(small_logistic, mode, monkeypatch,
+                                                   helpers):
+    # T = 30 in blocks of 7 hands the helper 5 blocks; the records are those of the
+    # serial path, accuracies included, and the overflow in the last test row's score
+    # stays silent on the helper as on the caller's thread
+    obj = small_logistic
+    net, scheme, x_star, test_data = _logistic_blocks_of_7(obj, monkeypatch)
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=30)
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for on in (False, True):
+            _scores_on_helper(monkeypatch, on)
+            got.append(_as_bytes(run(obj, net, scheme, hp, mode, 3, x_star=x_star,
+                                     test_data=test_data)))
+    assert got[0] == got[1] and len(got[0]) == 31
+    assert [h.tasks for h in helpers] == [5]
+
+
+# small_logistic's cnext run at 15 times its step passes the growth limit at round 17, in
+# its third block of 7 rounds
+DIVERGES_AT = 17
+
+
+def _diverging_hp():
+    return HyperParams(eta=1.5, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=60)
+
+
+def test_a_diverging_run_raises_the_same_error_with_the_helper(small_logistic, monkeypatch,
+                                                                helpers):
+    obj = small_logistic
+    net, scheme, x_star, test_data = _logistic_blocks_of_7(obj, monkeypatch)
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for on in (False, True):
+            _scores_on_helper(monkeypatch, on)
+            got.append(_raised(lambda: run(obj, net, scheme, _diverging_hp(), MODE_CNEXT, 3,
+                                           x_star=x_star, test_data=test_data)))
+    assert got[0] == got[1]
+    assert got[0][:3] == (DivergenceError, "error vector", DIVERGES_AT)
+    assert [h.tasks for h in helpers] == [DIVERGES_AT // 7]  # the blocks before the diverging one
+
+
+def _residual_raising_on_call(obj, k):
+    """obj.residual_fn, except that its closure raises on its k-th call."""
+    real = obj.residual_fn
+    calls = []
+
+    def residual_fn(x_star):
+        inner = real(x_star)
+
+        def residuals(xs):
+            calls.append(1)
+            if len(calls) == k:
+                raise ValueError("injected residual error")
+            return inner(xs)
+        return residuals
+    return residual_fn
+
+
+def _numerical_error_at(t_bad):
+    """`solver.step`, except that the step of round t_bad raises NumericalError."""
+    real = solver.step
+
+    def stepped(state, *args):
+        if state.t == t_bad:
+            raise NumericalError(0, state.t)
+        return real(state, *args)
+    return stepped
+
+
+def test_no_thread_outlives_run_and_helper_errors_reach_the_caller(small_logistic, monkeypatch,
+                                                                   helpers):
+    obj = small_logistic
+    net, scheme, x_star, test_data = _logistic_blocks_of_7(obj, monkeypatch)
+    _scores_on_helper(monkeypatch, True)
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=30)
+    threads = threading.active_count()
+
+    def run_(hp=hp):
+        return run(obj, net, scheme, hp, MODE_CNEXT, 3, x_star=x_star, test_data=test_data)
+    assert len(run_()) == 31
+    assert threading.active_count() == threads
+    with pytest.raises(DivergenceError):
+        run_(_diverging_hp())
+    assert threading.active_count() == threads
+    with monkeypatch.context() as m:
+        m.setattr(solver, "step", _numerical_error_at(18))
+        with pytest.raises(NumericalError):
+            run_()
+    assert threading.active_count() == threads
+    with monkeypatch.context() as m:  # the second block's scores raise on the helper
+        m.setattr(obj, "residual_fn", _residual_raising_on_call(obj, 2))
+        with pytest.raises(ValueError, match="injected residual error"):
+            run_()
+    assert threading.active_count() == threads
+    # 5 blocks of 7 in T = 30; a run that fails scores only the blocks before the one it
+    # fails in, and the helper's error stops the run at a flush once the helper has met it
+    assert [h.tasks for h in helpers][:3] == [5, DIVERGES_AT // 7, 18 // 7]
+    assert 2 <= helpers[3].tasks <= 5
+
+
+def test_ridge_and_small_logistic_runs_start_no_thread(small_logistic, ridge10, monkeypatch,
+                                                        helpers):
+    # ridge never takes the helper, and a logistic run under the floor stays serial even
+    # on two CPUs
+    monkeypatch.setattr(solver, "cpus", lambda: 2)
+    obj = small_logistic
+    assert obj.n * obj.m < solver.SCORE_MIN_SAMPLES
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=10)
+    run(obj, net, make_scheme("qnbbq", obj.p, b=2), hp, MODE_CNEXT, 3)
+    monkeypatch.setattr(solver, "SCORE_MIN_SAMPLES", 0)
+    obj, net, x_star = ridge10
+    run(obj, net, make_scheme("qnbbq", obj.p, b=2), _desk_hp("qnbbq", 10), MODE_CNEXT, 3,
+        x_star=x_star)
+    assert helpers == []

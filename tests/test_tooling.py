@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,58 @@ def test_run_steps_through_the_module_binding(small_ridge, monkeypatch):
     hp = HyperParams(eta=0.002, gamma=0.6, alpha_x=0.5, alpha_y=0.5, T=57)
     records = solver.run(obj, net, make_scheme("qnbbq", obj.p), hp, solver.MODE_CNEXT, seed=1)
     assert len(calls) == hp.T == len(records) - 1
+
+
+def test_traced_calls_stay_on_the_callers_thread(small_logistic, monkeypatch):
+    # the Tracer's span stack is shared and not thread-safe, so a logistic run that scores
+    # on a helper thread must make every traced call on its own; only the scores, the
+    # residual closure's calls, run on the helper
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    from cnext import solver
+    from cnext.compress import make_scheme
+    from cnext.graph import build_ring, metropolis_hastings_weights
+
+    class ThreadTracer(spans.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.threads = {}
+
+        def _wrap(self, name, fn):
+            traced = super()._wrap(name, fn)
+
+            def on_thread(*args, **kwargs):
+                self.threads.setdefault(name, set()).add(threading.current_thread())
+                return traced(*args, **kwargs)
+            return on_thread
+
+    obj = small_logistic
+    residual_fn, scored_on = obj.residual_fn, set()
+
+    def recorded(x_star):
+        residuals = residual_fn(x_star)
+        return lambda xs: scored_on.add(threading.current_thread()) or residuals(xs)
+    monkeypatch.setattr(obj, "residual_fn", recorded)
+    monkeypatch.setattr(solver, "cpus", lambda: 2)
+    monkeypatch.setattr(solver, "SCORE_MIN_SAMPLES", 0)
+    monkeypatch.setattr(solver, "ERROR_BUDGET", 7 * 4 * obj.n * obj.p * 8)  # blocks of 7
+    net = metropolis_hastings_weights(build_ring(obj.n))
+    hp = HyperParams(eta=0.1, gamma=0.35, alpha_x=0.5, alpha_y=0.5, T=30)
+    U = np.random.default_rng(4).standard_normal((50, obj.p))
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        for mode in solver.MODES:
+            solver.run(obj, net, make_scheme("qnbbq", obj.p, b=2), hp, mode, 3,
+                       test_data=(U, np.where(U[:, 0] >= 0.0, 1.0, -1.0)))
+    finally:
+        tracer.uninstall()
+    main = threading.current_thread()
+    assert {"solver.run", "solver.baseline_optimum", "objective.centralized_newton",
+            "solver.step", "solver.newton_directions", "compress.compress_round",
+            "objective.Objective.grad_stack"} <= tracer.threads.keys()
+    assert {name for name, seen in tracer.threads.items() if seen != {main}} == set()
+    assert len(scored_on) >= 1 and main not in scored_on
 
 
 def test_workload_normal_equations_read_the_partition(monkeypatch):
