@@ -26,14 +26,21 @@ from .data import build_locals, generate_ridge_synthetic, load_covtype, partitio
 from .graph import build_circulant_expander, build_custom, build_ring, metropolis_hastings_weights
 from .objective import ConvergenceError, logistic_objective, ridge_objective
 from .solver import (DivergenceError, HyperParams, MODES, NumericalError, RoundRecord,
-                     baseline_optimum, mode_scheme, run, warn_theory_violations)
-from .theory import DomainError, Theta, TheoryConstants, contraction_rate, evaluate, rho_below
+                     baseline_optimum, mode_scheme, run)
+from .theory import (DomainError, Theta, TheoryConstants, contraction_rate, evaluate, rho_below,
+                     warn_theory_violations)
 
 CSV_COLUMNS = ("t", "bits_cum", "opt_err", "cons_err", "gt_err",
                "comp_x_err", "comp_y_err", "residual", "accuracy")
 BIT_CONVENTION = "bits_cum counts both transmitted streams (X and Y): 2 * n * per-vector cost per round"
 GRID_ETA = (1e-10, 1e-2)  # the eta and gamma ranges `cnext theory --grid` sweeps, log-spaced
 GRID_GAMMA = (1e-4, 1.0)
+# the flags every command takes: the config field each sets (its argparse dest), and its type or choices
+FLAGS = {"--seed": ("seed", int), "--eta": ("hyperparams.eta", float),
+         "--gamma": ("hyperparams.gamma", float), "--T": ("hyperparams.T", int),
+         "--tol": ("hyperparams.tol", float), "--mode": ("mode", MODES),
+         "--scheme": ("scheme.kind", ALL_KINDS), "--k": ("scheme.k", int),
+         "--b": ("scheme.b", int), "--output-dir": ("output_dir", str)}
 
 
 class Experiment:
@@ -285,16 +292,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("run", "compare", "theory"):
         sp = sub.add_parser(name)
         sp.add_argument("-c", "--config", required=True, help="JSON config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--eta", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--T", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--mode", choices=MODES)
-        sp.add_argument("--scheme", choices=ALL_KINDS)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--b", type=int)
-        sp.add_argument("--output-dir")
+        for flag, (dest, kind) in FLAGS.items():
+            if isinstance(kind, tuple):
+                sp.add_argument(flag, dest=dest, choices=kind)
+            else:  # the metavar argparse would derive from the flag, not from the dest
+                sp.add_argument(flag, dest=dest, type=kind, metavar=flag[2:].upper().replace("-", "_"))
         if name == "theory":
             sp.add_argument("--grid", type=int,
                             help="map the certified region on an N x N (eta, gamma) grid")
@@ -302,13 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """The config fields the common flags set; load_config skips the unset (None) ones."""
-    return {
-        "seed": args.seed, "mode": args.mode, "output_dir": args.output_dir,
-        "hyperparams.eta": args.eta, "hyperparams.gamma": args.gamma,
-        "hyperparams.T": args.T, "hyperparams.tol": args.tol,
-        "scheme.kind": args.scheme, "scheme.k": args.k, "scheme.b": args.b,
-    }
+    """The config fields the common flags set (FLAGS); load_config skips the unset (None) ones."""
+    return {dest: getattr(args, dest) for dest, _ in FLAGS.values()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -132,6 +132,19 @@ def _int(value, path: str) -> int:
     raise ConfigError(f"{path} must be an integer, got {value!r}")
 
 
+def _num(value, path: str) -> float:
+    """value as a float: an int or a float. A string or a bool is an error of `path`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{path} must be a number, got {value!r}")
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate and fill defaults; raises ConfigError with the offending field path."""
     if not isinstance(raw, dict):
@@ -144,7 +157,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if kind not in ("ridge", "logistic"):
             raise ConfigError(f"objective.kind must be ridge|logistic, got {kind!r}")
         defaults = RIDGE_DEFAULTS if kind == "ridge" else LOGISTIC_DEFAULTS
-        lam = float(_opt(obj_raw, "lambda", defaults["lambda"]))
+        lam = _num(_opt(obj_raw, "lambda", defaults["lambda"]), "objective.lambda")
         data_raw = _known(_opt(obj_raw, "data", {}), _any(DATA_KEYS), "objective.data.")
         source = _opt(data_raw, "source", "synthetic" if kind == "ridge" else "covtype")
         if source not in DATA_KEYS:
@@ -159,9 +172,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           n_samples=(_int(_opt(data_raw, "n_samples", 500),
                                           "objective.data.n_samples") if synthetic else None),
                           p=_int(_opt(data_raw, "p", 20 if synthetic else 10), "objective.data.p"),
-                          noise_std=float(_opt(data_raw, "noise_std", 0.1)) if synthetic else None,
+                          noise_std=(_num(_opt(data_raw, "noise_std", 0.1), "objective.data.noise_std")
+                                     if synthetic else None),
                           path=(None if synthetic
-                                else data_raw.get("path") or os.environ.get(COVTYPE_PATH_ENV)))
+                                else _str(_opt(data_raw, "path", ""), "objective.data.path")
+                                or os.environ.get(COVTYPE_PATH_ENV)))
         if data.p < 1:  # every scheme below is checked on this p
             raise ConfigError(f"objective.data.p must be at least 1, got {data.p}")
         objective = ObjectiveConfig(kind=kind, lam=lam, data=data)
@@ -179,8 +194,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if net_kind == "custom":
             adj, n = network.adjacency, network.n
             if not (isinstance(adj, list) and len(adj) == n
-                    and all(isinstance(row, list) and len(row) == n for row in adj)):
-                raise ConfigError(f"network.adjacency must be an n x n list of rows, n = {n}")
+                    and all(isinstance(row, list) and len(row) == n for row in adj)
+                    and all(e in (0, 1) and not isinstance(e, bool) for row in adj for e in row)):
+                raise ConfigError(f"network.adjacency must be n x n rows of zeros and ones, n = {n}")
 
         hp_raw = _known(_opt(raw, "hyperparams", {}), [f.name for f in fields(HyperParams)],
                         "hyperparams.")
@@ -203,22 +219,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
             vmode = _opt(v, "mode", MODE_CNEXT)
             if vmode not in MODES:
                 raise ConfigError(f"{vpath}.mode invalid: {vmode!r}")
-            own = {"eta": v.get("eta"), "gamma": v.get("gamma")}
-            vscheme, vhyper = _resolve(_req(v, "scheme", vpath), (own, hp_raw), objective,
+            vscheme, vhyper = _resolve(_req(v, "scheme", vpath), (v, hp_raw), objective,
                                        net_kind, f"{vpath}.")
-            variants.append(Variant(name=_opt(v, "name", f"{vmode}:{vscheme.kind}"),
-                                    mode=vmode, scheme=vscheme, hyperparams=vhyper))
-        theory_raw = _known(_opt(raw, "theory", {}), ("eps",), "theory.")
-        eps = theory_raw.get("eps")
+            name = _str(_opt(v, "name", f"{vmode}:{vscheme.kind}"), f"{vpath}.name")
+            # the manifest keys the variants by name, and compare.csv's rows start with it
+            if name in (u.name for u in variants) or any(c in name for c in ',"\r\n'):
+                raise ConfigError(f"{vpath}.name must be unique and hold no comma, quote or "
+                                  f"line break, got {name!r}")
+            variants.append(Variant(name=name, mode=vmode, scheme=vscheme, hyperparams=vhyper))
+        eps = _known(_opt(raw, "theory", {}), ("eps",), "theory.").get("eps")
         if eps is not None:
-            eps = tuple(float(e) for e in eps)
+            if not isinstance(eps, list):  # a string's characters are no entries
+                raise ConfigError(f"theory.eps must be a list of 5 positive reals, got {eps!r}")
+            eps = tuple(_num(e, f"theory.eps[{i}]") for i, e in enumerate(eps))
             if len(eps) != 5 or not all(e > 0 for e in eps):  # a NaN entry fails too
-                raise ConfigError("theory.eps must be 5 positive reals")
+                raise ConfigError("theory.eps must be a list of 5 positive reals")
         return ExperimentConfig(
             objective=objective, network=network, scheme=scheme, hyperparams=hyper,
             mode=mode, seed=_int(_opt(raw, "seed", 42), "seed"),
             seeds=seeds or None,
-            output_dir=str(_opt(raw, "output_dir", "results/run")),
+            output_dir=_str(_opt(raw, "output_dir", "results/run"), "output_dir"),
             variants=tuple(variants), eps=eps, given=copy.deepcopy(raw))
     except ConfigError:
         raise
@@ -230,8 +250,8 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
              net_kind: str, path: str) -> tuple[CompressionScheme, HyperParams]:
     """A scheme and its hyperparameters, for the top level or for one compare variant.
 
-    Each hyperparameter is the first value set in `blocks` (a variant's own eta/gamma,
-    then the top-level hyperparams block), else the tuned value for this scheme
+    Each hyperparameter is the first value set in `blocks` (a variant, which sets at most
+    eta and gamma, then the top-level hyperparams block), else the tuned value for this scheme
     (RIDGE_TUNED, or LOGISTIC_GAMMA_ETA by topology), else the objective's default.
     For ridge, an omitted k for random-k / top-k takes the tuned k. The scheme is built
     once, for the data's p, so a value it refuses is an error of this member.
@@ -264,7 +284,7 @@ def _resolve(scheme_raw: dict, blocks: tuple[dict, ...], objective: ObjectiveCon
         if value is None:
             raise ConfigError(f"{path}hyperparams.{key} is required "
                               f"(no tuned default for scheme {kind!r})")
-        values[key] = _int(value, f"{path}hyperparams.T") if key == "T" else float(value)
+        values[key] = (_int if key == "T" else _num)(value, f"{path}hyperparams.{key}")
     try:
         return scheme, HyperParams(**values)
     except ValueError as exc:

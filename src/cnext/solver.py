@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -31,7 +30,6 @@ from .compress import (CompressState, CompressionScheme, DRAWING_KINDS, STREAM_I
 from .graph import Network
 from .objective import (BASELINE_TOL, LOGISTIC, RIDGE, Objective, centralized_newton, cpus,
                         ridge_closed_form_optimum)
-from .theory import alpha_slack, step_cap
 
 MODE_CNEXT = "cnext"
 MODE_FIRST_ORDER_GT = "first_order_gt"
@@ -106,20 +104,6 @@ def mode_scheme(mode: str, scheme: CompressionScheme) -> CompressionScheme:
     """The scheme a run in `mode` communicates with: identity, on the same p, in the
     uncompressed mode."""
     return make_scheme(IDENTITY, scheme.p) if mode == MODE_UNCOMPRESSED_GIANT else scheme
-
-
-def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionScheme) -> list[str]:
-    """Flag (without rejecting) hyperparameters outside the sufficient-condition ranges."""
-    msgs = []
-    eta_cap = step_cap(obj.mu, obj.L)
-    if hp.eta > eta_cap:
-        msgs.append(f"eta={hp.eta} exceeds min(2L/(3mu), mu/L)={eta_cap:.6g}")
-    if min(alpha_slack(a, scheme.r, scheme.delta) for a in (hp.alpha_x, hp.alpha_y)) < 0:
-        msgs.append(f"alpha=({hp.alpha_x}, {hp.alpha_y}) exceeds 1/(r delta)="
-                    f"{1.0 / (scheme.r * scheme.delta):.6g} for scheme {scheme.label()}")
-    for m in msgs:
-        warnings.warn(m, stacklevel=2)
-    return msgs
 
 
 @dataclass

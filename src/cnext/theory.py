@@ -29,6 +29,7 @@ each read both from that one point.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -36,6 +37,8 @@ import numpy as np
 
 from .compress import CompressionScheme
 from .graph import Network
+from .objective import Objective
+from .solver import HyperParams
 
 # the certificate margins scale like eta/kappa and rho(A) can sit within a few ulps of 1,
 # so float64 decides only where its rounding error cannot flip the answer
@@ -133,6 +136,20 @@ def alpha_slack(alpha: float, r: float, delta: float) -> float:
     return 1.0 - alpha * r * delta
 
 
+def warn_theory_violations(hp: HyperParams, obj: Objective, scheme: CompressionScheme) -> list[str]:
+    """Flag (without rejecting) hyperparameters outside the sufficient-condition ranges."""
+    msgs = []
+    eta_cap = step_cap(obj.mu, obj.L)
+    if hp.eta > eta_cap:
+        msgs.append(f"eta={hp.eta} exceeds min(2L/(3mu), mu/L)={eta_cap:.6g}")
+    if min(alpha_slack(a, scheme.r, scheme.delta) for a in (hp.alpha_x, hp.alpha_y)) < 0:
+        msgs.append(f"alpha=({hp.alpha_x}, {hp.alpha_y}) exceeds 1/(r delta)="
+                    f"{1.0 / (scheme.r * scheme.delta):.6g} for scheme {scheme.label()}")
+    for m in msgs:
+        warnings.warn(m, stacklevel=2)
+    return msgs
+
+
 def _tau_midpoint(alpha: float, r: float, delta: float) -> float:
     s = alpha_slack(alpha, r, delta)
     if s < 0:
@@ -146,7 +163,6 @@ def _tau_midpoint(alpha: float, r: float, delta: float) -> float:
 @dataclass(frozen=True)
 class ContractionMatrix:
     A: np.ndarray  # 5 x 5, nonnegative under the step-size cap
-    theta: Theta
 
 
 def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
@@ -192,7 +208,7 @@ def build_A(tc: TheoryConstants, theta: Theta, n: int) -> ContractionMatrix:
               3.0 * L ** 2 * g2 * tc.k4, tc.a_y + g2 * tc.k3]]
     except ArithmeticError as exc:  # an overflow, or a division by an underflowed power of mu
         raise ValueError(f"A(theta) leaves the float64 range: {exc}") from exc
-    return ContractionMatrix(A=np.array(A), theta=theta)
+    return ContractionMatrix(A=np.array(A))
 
 
 def spectral_radius(A: np.ndarray) -> float:

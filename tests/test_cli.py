@@ -224,7 +224,13 @@ def test_custom_network_runs(tmp_path):
     ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "n x n"),
     ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], "symmetric"),
     ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], "connected"),
-], ids=["missing", "not-n-by-n", "asymmetric", "disconnected"])
+    # an entry other than 0 or 1 is no edge count, though numpy would read it as an edge
+    ([[0, "x", 0, 1], ["x", 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], "zeros and ones"),
+    ([[0, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], "zeros and ones"),
+    ([[0, 0.5, 0, 1], [0.5, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], "zeros and ones"),
+    ([[0, True, 0, 1], [True, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], "zeros and ones"),
+], ids=["missing", "not-n-by-n", "asymmetric", "disconnected", "entry-x", "entry-2", "entry-0.5",
+        "entry-true"])
 def test_bad_custom_network_is_config_error(tmp_path, capsys, adjacency, message):
     network = {"kind": "custom", "n": 4}
     if adjacency is not None:
@@ -409,8 +415,8 @@ def test_run_manifest_names_the_scheme_that_ran(tmp_path):
     # the uncompressed mode sends identity whatever the config's scheme, so the manifest
     # names identity, its bits are identity's 64p per vector, and its warnings are checked
     # against identity: 1.5 r delta is 0.75 for random-k(2 of 4) but 1.5 for identity
-    out = tmp_path / "qnbbq"
-    assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--mode", "uncompressed_giant",
+    out = tmp_path / "desk"
+    assert main(["run", "-c", str(CONFIGS / "ridge_benchmark.json"), "--mode", "uncompressed_giant",
                  "--T", "1", "--output-dir", str(out)]) == 0
     resolved = read_manifest(out)["resolved"]
     assert resolved["scheme"] == _scheme_dict(make_scheme("identity", 20))
@@ -442,11 +448,12 @@ def test_compare_records_the_scheme_each_variant_ran(tmp_path):
 
 
 def test_theory_reports_the_scheme_the_mode_sends(tmp_path, capsys):
-    # ridge_qnbbq.json sets every step, so naming identity changes only the scheme
-    config = str(CONFIGS / "ridge_qnbbq.json")
+    # ridge_benchmark.json runs qnbbq at its tuned eta = 0.0095 and alpha = 1; identity has
+    # no tuned step, so naming it with that eta changes only the scheme
+    config = str(CONFIGS / "ridge_benchmark.json")
     reports = {}
     for name, flags in (("giant", ["--mode", "uncompressed_giant"]),
-                        ("identity", ["--scheme", "identity"]), ("qnbbq", [])):
+                        ("identity", ["--scheme", "identity", "--eta", "0.0095"]), ("qnbbq", [])):
         assert main(["theory", "-c", config, *flags]) == 0
         reports[name] = json.loads(capsys.readouterr().out)
     assert reports["giant"] == reports["identity"]
@@ -639,7 +646,7 @@ def test_theory_outside_its_domain_is_config_error(tmp_path, capsys, flag, value
 def test_qnbbq_config_at_alpha_one_records_no_alpha_warning(tmp_path):
     # qnbbq has r delta = (1 + C) / (1 + C) = 1, so the theory admits alpha = 1
     out = str(tmp_path / "out")
-    assert main(["run", "-c", str(CONFIGS / "ridge_qnbbq.json"), "--T", "2",
+    assert main(["run", "-c", str(CONFIGS / "ridge_benchmark.json"), "--T", "2",
                  "--output-dir", out]) == 0
     man = read_manifest(out)
     assert man["resolved"]["hyperparams"]["alpha_x"] == man["resolved"]["hyperparams"]["alpha_y"] == 1.0
@@ -1007,7 +1014,7 @@ RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
      "objective.data.source: the synthetic generator produces real targets; the logistic "
      "objective needs covtype"),
     ([], {"objective": {"kind": "ridge", "lambda": "half", "data": RIDGE_DATA}},
-     "malformed config: could not convert string to float: 'half'"),
+     "objective.lambda must be a number, got 'half'"),
     ([], {"network": {"kind": "torus", "n": 5}},
      "network.kind must be ring|expander|custom, got 'torus'"),
     ([], {"network": {"kind": "expander", "n": 5}}, "missing required field network.degree"),
@@ -1040,6 +1047,39 @@ RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
      "scheme must be an object, got 'qnbbq'"),
     ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + ["q"]}},
      "compare.variants[1] must be an object, got 'q'"),
+    # a number field takes an int or a float, and a string field a string: no bool, no
+    # number written as a string, no string read as its characters
+    ([], {"hyperparams": {"eta": "0.01"}}, "hyperparams.eta must be a number, got '0.01'"),
+    ([], {"hyperparams": {"gamma": True}}, "hyperparams.gamma must be a number, got True"),
+    ([], {"objective": {"kind": "ridge", "lambda": True, "data": RIDGE_DATA}},
+     "objective.lambda must be a number, got True"),
+    ([], {"objective": {"kind": "ridge", "data": dict(RIDGE_DATA, noise_std="0.1")}},
+     "objective.data.noise_std must be a number, got '0.1'"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [
+        {"name": "q", "scheme": {"kind": "qnbbq"}, "gamma": "0.5"}]}},
+     "compare.variants[1].hyperparams.gamma must be a number, got '0.5'"),
+    ([], {"theory": {"eps": "11111"}}, "theory.eps must be a list of 5 positive reals"),
+    ([], {"theory": {"eps": [1.0, 1.0, 1.0, 1.0, True]}}, "theory.eps[4] must be a number, got True"),
+    ([], {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [{"name": 7, "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].name must be a string, got 7"),
+    ([], {"objective": {"kind": "logistic", "data": {"source": "covtype", "path": 5}}},
+     "objective.data.path must be a string, got 5"),
+    # the manifest keys the variants by name, and compare.csv's rows start with it
+    ([], {"compare": {"variants": REFUSED_VARIANTS + [{"name": "rk", "scheme": {"kind": "topk", "k": 2}}]}},
+     "compare.variants[2].name must be unique"),
+    ([], {"compare": {"variants": [{"scheme": {"kind": "randomk", "k": 2}},
+                                   {"scheme": {"kind": "randomk", "k": 3}}]}},
+     "compare.variants[1].name must be unique and hold no comma, quote or line break, "
+     "got 'cnext:randomk'"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [{"name": "q,2", "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].name must be unique and hold no comma"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [{"name": 'q"', "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].name must be unique and hold no comma"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [{"name": "q\r", "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].name must be unique and hold no comma"),
+    ([], {"compare": {"variants": REFUSED_VARIANTS[:1] + [{"name": "q\n", "scheme": {"kind": "qnbbq"}}]}},
+     "compare.variants[1].name must be unique and hold no comma"),
 ], ids=["topk-k-0", "topk-k--1", "b-0", "b--3", "b-1100", "variant-k-above-p", "covtype-p-60",
         "covtype-p_reduced", "lambda-nan", "lambda-inf", "noise_std-nan", "b-2.7", "T-3.6",
         "n-true", "seed-string", "seeds-1.5", "p-4.5", "variant-b-string", "objective-kind",
@@ -1047,18 +1087,23 @@ RIDGE_DATA = {"source": "synthetic", "n_samples": 50, "p": 4}
         "scheme-kind", "mode", "variant-mode", "b-on-randomk-flag", "k-on-qnbbq",
         "degree-on-ring", "null-unknown-key", "path-on-synthetic", "n_samples-on-covtype",
         "noise_std-on-covtype", "variant-k-on-qnbbq", "hyperparams-list", "hyperparams-list-flag",
-        "scheme-string-flag", "variant-string"])
+        "scheme-string-flag", "variant-string", "eta-string", "gamma-true", "lambda-true",
+        "noise_std-string", "variant-gamma-string", "eps-string", "eps-true", "output_dir-int",
+        "variant-name-int", "path-int", "variant-name-repeated", "variant-default-name-repeated",
+        "variant-name-comma", "variant-name-quote", "variant-name-cr", "variant-name-lf"])
 def test_refused_values_exit_2_before_any_file(tmp_path, capsys, monkeypatch, command, flags,
                                                updates, message):
     # each value is refused by the config or the set-up, with the member's path, before
-    # any directory is made; JSON carries NaN and Infinity as the Python json module writes
+    # any directory is made; JSON carries NaN and Infinity as the Python json module writes.
+    # A relative output_dir would be made in the working directory, here tmp_path
+    monkeypatch.chdir(tmp_path)
     csv = tmp_path / "covtype.csv"
     covtype_fixture_csv(csv)
     monkeypatch.setenv("CNEXT_COVTYPE_PATH", str(csv))
     cfg, out = write_config(tmp_path, **{"compare": {"variants": REFUSED_VARIANTS}, **updates})
     assert main([command, "-c", cfg, *flags]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not os.path.exists(out)
+    assert not os.path.exists(str(out))
 
 
 def test_scheme_flag_drops_the_keys_of_the_kind_it_replaces(tmp_path):

@@ -55,7 +55,7 @@ def _cases(tmp: Path) -> dict[str, tuple[list[str], str | None]]:
     (tmp / "covtype.json").write_text(json.dumps(covtype))
     cases = {f"run {name} trace.csv": (["run", "-c", str(CONFIGS / f"{name}.json"), "--T", T],
                                        "trace.csv")
-             for name in ("ridge_benchmark", "ridge_qnbbq", "ridge_compare", "theory_identity")}
+             for name in ("ridge_benchmark", "ridge_compare", "theory_identity")}
     # ridge_benchmark's variants add random-k, top-k and norm-signed
     cases.update({f"compare {name} compare.csv": (
         ["compare", "-c", str(CONFIGS / f"{name}.json"), "--T", T], "compare.csv")

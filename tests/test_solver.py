@@ -22,7 +22,8 @@ from cnext.objective import (Objective, centralized_newton, logistic_objective,
                              ridge_closed_form_optimum)
 from cnext.solver import (BASELINE_TOL, DivergenceError, HyperParams, MODE_CNEXT, MODE_FIRST_ORDER_GT,
                           MODE_UNCOMPRESSED_GIANT, MODES, NumericalError, SolverState, baseline_optimum, init_state,
-                          newton_directions, run, step, warn_theory_violations)
+                          newton_directions, run, step)
+from cnext.theory import warn_theory_violations
 from conftest import (all_schemes, grad, hess, make_ridge, make_sign_logistic, means,
                       measure_errors, memory, network_giant_reference, tracking_gap, xy_streams)
 

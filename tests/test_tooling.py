@@ -279,16 +279,25 @@ def test_readme_names_every_config_key():
 
 
 def test_readme_commands_run(tmp_path):
-    # every cnext line of README whose config exists runs offline with its own flags, cut
-    # to T = 5 and writing under tmp_path, and exits 0
+    # every cnext line of README whose config exists runs offline with its own flags,
+    # writing under tmp_path, and exits 0; a run or compare line runs min(T, 1000) of its
+    # T rounds, long enough for a step that diverges to do so, and every member of it
+    # (each seed, each variant) runs them all
     parser = cli._build_parser()
     ran = 0
     for argv in (argv for argv in _readme_commands() if argv[0] == "cnext"):
-        config = parser.parse_args(argv[1:]).config
-        if not (ROOT / config).is_file():
+        args = parser.parse_args(argv[1:])
+        if not (ROOT / args.config).is_file():
             continue
-        args = [str(ROOT / a) if a == config else a for a in argv[1:]]
-        assert cli.main([*args, "--T", "5", "--output-dir", str(tmp_path / f"cmd{ran}")]) == 0, argv
+        T = min(load_config(str(ROOT / args.config), cli._overrides(args)).hyperparams.T, 1000)
+        out = tmp_path / f"cmd{ran}"
+        line = [str(ROOT / a) if a == args.config else a for a in argv[1:]]
+        assert cli.main([*line, "--T", str(T), "--output-dir", str(out)]) == 0, argv
+        if args.command != "theory":
+            man = json.loads((out / "manifest.json").read_text())
+            stops = man["stop"].values() if args.command == "run" else \
+                [v["stop"] for v in man["variants"].values()]
+            assert set(stops) == {"T"}, argv
         ran += 1
     assert ran >= 8  # the CLI and Experiments sections' lines
 
